@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .grids import GridFunction, RadialGrid
 from .operators import OperatorMatrix, discretize_h0
@@ -34,6 +34,11 @@ from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 DIM_CAP = 10_000
 SUPPORT_FLOOR = 1e-14
+
+
+def _check_z(z: float) -> None:
+    if not (np.isfinite(z) and z > 0.0):
+        raise ValueError(f"z must be finite and positive, got {z!r}")
 
 
 @dataclass(frozen=True)
@@ -241,8 +246,7 @@ def limit_w(
     projector and the denominator (sqrt(z)/4 pi) |<sqrt(V) psi>|^2, whose
     psi dependence cancels exactly in the assembled operator.
     """
-    if z <= 0.0:
-        raise ValueError("z must be positive")
+    _check_z(z)
     gx, gy = grid.gx, grid.gy
     if psi.grid is not gx and not np.array_equal(psi.grid.nodes, gx.nodes):
         raise ValueError("psi must live on the x grid")
@@ -281,7 +285,12 @@ def limit_w(
 
 @dataclass
 class FiniteEpsilonResolvent:
-    """W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) in factored form."""
+    """W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) in factored form.
+
+    kernel_cho is the Cholesky factor of 1 - Q on the support, as returned
+    by scipy.linalg.cho_factor: its existence certifies that 1 - Q is
+    positive definite, and apply() solves with it.
+    """
 
     z: float
     epsilon: float
@@ -289,21 +298,18 @@ class FiniteEpsilonResolvent:
     grid: ProductGrid
     support: np.ndarray = field(repr=False)
     b_support: np.ndarray = field(repr=False)
-    kernel_lu: tuple = field(repr=False)
+    kernel_cho: tuple = field(repr=False)
     resolvent: ProductFreeResolvent = field(repr=False)
     split_outer: tuple | None = field(default=None, repr=False)
-    top_q: float = float("nan")
 
     def apply(self, f: np.ndarray, four_term: bool = False) -> np.ndarray:
         """W_eps(z) f; four_term=True uses the split outer factors
         sqrt(V(x)) + sqrt(V(y)) of the four-term decomposition instead of
         B = sqrt(V(x) + V(y)) (they differ by the O(eps^3) overlap defect)."""
-        from scipy.linalg import lu_solve
-
         r0f = self.resolvent.apply(self.z, f)
         outer = self.split_outer[0] if (four_term and self.split_outer) else self.b_support
         u = outer * r0f[self.support]
-        g = lu_solve(self.kernel_lu, u)
+        g = cho_solve(self.kernel_cho, u)
         src = np.zeros_like(f)
         src[self.support] = outer * g
         return self.resolvent.apply(self.z, src)
@@ -323,12 +329,15 @@ def assemble_w_eps(
     """Konno-Kuroda assembly of W_eps(z) on the product grid.
 
     B = sqrt(V_eps(x) + V_eps(y)) is diagonal and supported on the L-shaped
-    region where either potential is alive; (1 - B R0 B)^(-1) is factored
-    there.  The four-term split of the outer factors (sqrt(V(x)) +
-    sqrt(V(y)) instead of B) is available through apply(four_term=True).
+    region where either potential is alive.  Q = B R0(z) B is positive
+    semidefinite there, so 1 - Q is invertible exactly when it is positive
+    definite: one Cholesky factorization of 1 - Q is both the invertibility
+    gate (no three-body level below -z) and the solver behind apply().  The
+    top eigenvalue of Q is computed only when the factorization fails, for
+    the error message.  The four-term split of the outer factors (sqrt(V(x))
+    + sqrt(V(y)) instead of B) is available through apply(four_term=True).
     """
-    from scipy.linalg import lu_factor
-
+    _check_z(z)
     res = resolvent if resolvent is not None else ProductFreeResolvent(grid, m)
     gx, gy = grid.gx, grid.gy
     vx = v_scaled(gx.nodes)
@@ -341,16 +350,25 @@ def assemble_w_eps(
     b_sup = np.sqrt(grid.flatten(v_sum)[support])
     split = np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :]
     split_sup = grid.flatten(split)[support]
-    r0_block = res.block(z, support, support)
-    q = r0_block * np.outer(b_sup, b_sup)
-    q = 0.5 * (q + q.T)
-    top_q = float(eigh(q, eigvals_only=True, subset_by_index=[support.size - 1, support.size - 1])[0])
-    if top_q >= 1.0:
+    # 1 - Q built in place in the block's own buffer
+    kernel = res.block(z, support, support)
+    kernel *= b_sup[:, None]
+    kernel *= b_sup[None, :]
+    np.negative(kernel, out=kernel)
+    kernel[np.diag_indices(support.size)] += 1.0
+    diag = kernel.diagonal().copy()
+    try:
+        # the transpose is the Fortran-ordered view LAPACK factors in place;
+        # its lower triangle is the upper one of kernel, so kernel's strict
+        # lower triangle still holds 1 - Q if the factorization fails
+        cho = cho_factor(kernel.T, lower=True, overwrite_a=True)
+    except LinAlgError:
+        np.fill_diagonal(kernel, diag)
+        top_q = 1.0 - float(eigh(kernel, lower=True, eigvals_only=True, subset_by_index=[0, 0])[0])
         raise ValueError(
             f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: "
             f"top eigenvalue {top_q:.6f} (three-body level below -z)"
-        )
-    lu = lu_factor(np.eye(support.size) - q)
+        ) from None
     return FiniteEpsilonResolvent(
         z=z,
         epsilon=v_scaled.law.epsilon,
@@ -358,10 +376,9 @@ def assemble_w_eps(
         grid=grid,
         support=support,
         b_support=b_sup,
-        kernel_lu=lu,
+        kernel_cho=cho,
         resolvent=res,
         split_outer=(split_sup,),
-        top_q=top_q,
     )
 
 
@@ -463,7 +480,10 @@ def convergence_study(
     Reported discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per test
     function.
     """
+    _check_z(z)
     eps_list = np.asarray(list(eps_list), dtype=float)
+    if eps_list.size == 0 or not np.all((eps_list > 0.0) & (eps_list <= 1.0)):
+        raise ValueError(f"epsilon ladder must be non-empty with every rung finite and in (0, 1], got {eps_list}")
     if np.any(np.diff(eps_list) >= 0.0):
         raise ValueError("epsilon ladder must be strictly decreasing")
     if couplings is None:

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from zrange import limit_resolvent
 from zrange.grids import GridFunction, build_grid
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 from zrange.limit_resolvent import (
+    SUPPORT_FLOOR,
     LimitResolvent,
     ProductFreeResolvent,
     ProductGrid,
@@ -19,6 +23,7 @@ from zrange.limit_resolvent import (
 )
 
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
+BAD_Z = [float("nan"), float("inf"), 0.0, -1.0]
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +129,13 @@ def test_limit_w_denominator_scales_as_sqrt_z(resonant_setup):
     assert w2.denominator_constant / w1.denominator_constant == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("z", BAD_Z)
+def test_limit_w_rejects_bad_z(resonant_setup, z):
+    pg, psi, v_ref, res = resonant_setup
+    with pytest.raises(ValueError, match="finite and positive"):
+        limit_w(z, psi, v_ref, pg, 1.0, resolvent=res)
+
+
 def test_limit_w_rejects_unnormalized_psi(resonant_setup):
     pg, psi, v_ref, res = resonant_setup
     bad = GridFunction(psi.grid, 2.0 * psi.values)
@@ -158,13 +170,86 @@ def test_four_term_split_matches_single_b_up_to_overlap_defect(resonant_setup):
     assert np.all(rels[-1] < 2e-2)
 
 
+def _reported_top(err) -> float:
+    return float(re.search(r"top eigenvalue ([-+0-9.e]+)", str(err.value)).group(1))
+
+
 def test_w_eps_detects_level_below_minus_z(small_product):
     # a deep potential pushes a three-body level below -z and 1 - Q loses
     # invertibility; the assembly reports it instead of returning garbage
     pg = small_product
     deep = ScaledPotential(BasePotential("gaussian", 60.0, 1.0), ScalingLaw(2, 0.5, 3))
-    with pytest.raises(ValueError, match="not invertible"):
+    with pytest.raises(ValueError, match="not invertible") as err:
         assemble_w_eps(0.05, deep, pg, 1.0)
+    assert _reported_top(err) >= 1.0
+
+
+def _dense_q(res, z, v_scaled, pg, r0=None):
+    """Independent Q = B R0(z) B on the support, symmetrized, and its pieces."""
+    vx = v_scaled(pg.gx.nodes)
+    vy = v_scaled(pg.gy.nodes)
+    v_sum = (vx[:, None] + vy[None, :]).reshape(-1)
+    sup = np.flatnonzero(v_sum > SUPPORT_FLOOR * v_sum.max())
+    b = np.sqrt(v_sum[sup])
+    block = res.block(z, sup, sup) if r0 is None else r0[np.ix_(sup, sup)]
+    q = block * np.outer(b, b)
+    return 0.5 * (q + q.T), sup, b
+
+
+def test_w_eps_gate_is_exact_across_the_level_crossing(small_product):
+    # Q is linear in the coupling, so a sweep of couplings around 1 / top_q(1)
+    # carries the top eigenvalue of Q through 1; the assembly must raise
+    # exactly on the far side, and report the same top eigenvalue
+    pg = small_product
+    z, law = 0.05, ScalingLaw(2, 0.5, 3)
+    res = ProductFreeResolvent(pg, 1.0)
+    unit_top = np.linalg.eigvalsh(_dense_q(res, z, ScaledPotential(GAUSS, law), pg)[0])[-1]
+    outcomes = set()
+    for factor in (0.5, 0.999, 1.001, 2.0):
+        v = ScaledPotential(BasePotential("gaussian", factor / unit_top, 1.0), law)
+        top = np.linalg.eigvalsh(_dense_q(res, z, v, pg)[0])[-1]
+        if abs(top - 1.0) < 1e-10:
+            continue
+        if top >= 1.0:
+            with pytest.raises(ValueError, match="not invertible") as err:
+                assemble_w_eps(z, v, pg, 1.0, resolvent=res)
+            assert _reported_top(err) == pytest.approx(top, abs=2e-6)
+        else:
+            assemble_w_eps(z, v, pg, 1.0, resolvent=res)
+        outcomes.add(bool(top >= 1.0))
+    assert outcomes == {False, True}
+
+
+def test_w_eps_matches_dense_konno_kuroda_form(resonant_setup):
+    # W_eps f = R0 B (1 - Q)^(-1) B R0 f with every piece dense
+    pg, psi, v_ref, res = resonant_setup
+    z = 2.0
+    r0 = _dense_r0(res, z, pg)
+    q, sup, b = _dense_q(res, z, v_ref, pg, r0)
+    w_eps = assemble_w_eps(z, v_ref, pg, 1.0, resolvent=res)
+    for f in np.random.default_rng(12).standard_normal((3, pg.n)):
+        g = np.linalg.solve(np.eye(sup.size) - q, b * (r0 @ f)[sup])
+        ref = r0[:, sup] @ (b * g)
+        assert np.linalg.norm(w_eps.apply(f) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_w_eps_success_path_runs_no_eigensolve(resonant_setup, monkeypatch):
+    pg, psi, v_ref, res = resonant_setup
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigensolve on the success path of assemble_w_eps")
+
+    monkeypatch.setattr(limit_resolvent, "eigh", no_eigh)
+    w_eps = assemble_w_eps(2.0, v_ref, pg, 1.0, resolvent=res)
+    f = np.random.default_rng(13).standard_normal(pg.n)
+    assert np.all(np.isfinite(w_eps.apply(f)))
+
+
+@pytest.mark.parametrize("z", BAD_Z)
+def test_assemble_w_eps_rejects_bad_z(resonant_setup, z):
+    pg, psi, v_ref, res = resonant_setup
+    with pytest.raises(ValueError, match="finite and positive"):
+        assemble_w_eps(z, v_ref, pg, 1.0, resolvent=res)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +284,18 @@ def test_convergence_study_monotone(small_product):
     rep = convergence_study(z, GAUSS, [0.2, 0.1, 0.05], pg, fs)
     assert rep.monotone
     assert np.all(rep.reduction_factors > 1.5)
+
+
+@pytest.mark.parametrize(
+    "z, ladder",
+    [(z, [0.2, 0.1]) for z in BAD_Z]
+    + [(2.0, rungs) for rungs in ([0.2, float("nan")], [float("inf"), 0.2], [1.5, 0.2], [0.2, 0.0], [0.2, -0.1], [])],
+)
+def test_convergence_study_rejects_bad_z_and_rungs(small_product, z, ladder):
+    pg = small_product
+    fs = np.ones((1, pg.n))
+    with pytest.raises(ValueError, match="finite and positive|epsilon ladder"):
+        convergence_study(z, GAUSS, ladder, pg, fs)
 
 
 def test_identity_free_case(resonant_setup):
