@@ -12,13 +12,12 @@ speed of the weak-contact family.
 
 import numpy as np
 
-from zrange import BasePotential, build_grid
+from zrange import BasePotential, build_grid, resonance
 from zrange.limit_resolvent import (
     ProductFreeResolvent,
     ProductGrid,
     convergence_study,
     limit_w,
-    sampled_resonance,
     scaled_h0,
 )
 from zrange.potentials import ScaledPotential, ScalingLaw
@@ -31,14 +30,13 @@ gauss = BasePotential("gaussian", 1.0, 1.0)
 print("=" * 72)
 print("  partial-scaling structure of the free Hamiltonian")
 print("=" * 72)
+print("  x block at order 1, y block at eps^2; the s (x) s cross block is zero")
 sh = scaled_h0(1.0, 1.0, g, g)
-ny = np.linalg.norm(sh.y_block, 2)
-nc = np.linalg.norm(sh.cross_block, 2)
+ny = np.linalg.norm(sh.y_block)
 for eps in (1.0, 0.5, 0.25):
     a = scaled_h0(eps, 1.0, g, g).assembled().entries
-    rest = a - sh.x_block
-    print(f"  eps = {eps:5.2f}: ||y block|| enters at eps^2 = {eps**2:.4f}, "
-          f"||cross|| at eps = {eps:.2f} (norms {eps**2 * ny:.1f}, {eps * nc:.1f})")
+    rest = np.linalg.norm(a - sh.x_block)
+    print(f"  eps = {eps:5.2f}: ||H0_scaled - x block|| = {rest:.6e}, eps^2 ||y block|| = {eps**2 * ny:.6e}")
 
 print("\n" + "=" * 72)
 print("  strong convergence of W_eps(z) f to W(z) f,  z = 2")
@@ -58,9 +56,9 @@ print(f"  monotone: {rep.monotone}; per-function reductions {np.round(rep.reduct
 print("\n" + "=" * 72)
 print("  structure of the limit operator W(z)")
 print("=" * 72)
-lam, psi = sampled_resonance(ScaledPotential(gauss, ScalingLaw(2, 0.05, 3))(g.nodes), g)
-v_ref = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, 0.05, 3))
-w = limit_w(z, psi, v_ref, pg, 1.0, resolvent=res)
+ref = resonance(ScaledPotential(gauss, ScalingLaw(2, 0.05, 3)), g)
+v_ref = ScaledPotential(BasePotential("gaussian", ref.coupling, 1.0), ScalingLaw(2, 0.05, 3))
+w = limit_w(z, ref.psi, v_ref, pg, 1.0, resolvent=res)
 wm = w.matrix()
 sv = np.linalg.svd(wm, compute_uv=False)
 print(f"  denominator constant sqrt(z)/(4 pi) |<sqrt(V) psi>|^2 = {w.denominator_constant:.4e}")

@@ -32,12 +32,14 @@ from .potentials import (
 )
 from .birman_schwinger import (
     BoundaryFit,
+    Resonance,
     ResonanceReport,
     TwoResonanceMatrix,
     boundary_fit,
     bs_count_above_one,
     bs_operator,
     find_resonance_coupling,
+    resonance,
     top_bs_eigenvalue,
     two_resonance_matrix,
 )
@@ -59,7 +61,6 @@ from .limit_resolvent import (
     assemble_w_eps,
     convergence_study,
     limit_w,
-    sampled_resonance,
     scaled_h0,
     verify_limit_identity,
 )

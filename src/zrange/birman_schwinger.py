@@ -12,7 +12,9 @@ C/r + D outside the potential with D = 0 exactly at criticality.
 
 z -> 0+ is always realized as a small floor z_min plus Richardson
 extrapolation, because the zero-energy kernel is only conditionally defined
-on a finite grid.
+on a finite grid.  Q is linear in the coupling, so the critical coupling is
+the closed form 1/q(0+); resonance() is the one routine that computes it,
+together with the resonance wave.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 Z_FLOOR = 1e-8
 RESONANCE_TOL = 5e-3
+# Nodes where V is at most this fraction of its peak carry no weight in Q.
+SUPPORT_FLOOR = 1e-14
 
 # Truncation radius of each profile in units of (range * epsilon): beyond it
 # the potential is below ~1e-14 of its peak.
@@ -60,8 +64,8 @@ def bs_operator(
     the eigenvalue count of Q consistent with the spectrum of that same boxed
     H0 - V (the Birman-Schwinger principle then holds as a matrix identity).
     """
-    if z < Z_FLOOR:
-        raise ValueError(f"z={z:g} below the floor z_min={Z_FLOOR:g}")
+    if not (np.isfinite(z) and z >= Z_FLOOR):
+        raise ValueError(f"z={z!r} must be finite and not below the floor z_min={Z_FLOOR:g}")
     vals = v.values
     if np.any(vals < 0.0):
         raise ValueError("potential values must be nonnegative (attractive convention)")
@@ -92,20 +96,76 @@ def bs_count_above_one(q: OperatorMatrix) -> int:
     return int(np.sum(vals > 1.0))
 
 
-def extrapolate_to_zero(z_ladder: np.ndarray, values: np.ndarray, sqrt_basis: bool) -> float:
+def extrapolate_to_zero(z_ladder: np.ndarray, values: np.ndarray) -> tuple:
     """Least-squares Richardson extrapolation of q(z) to z = 0.
 
-    The whole-space kernel behaves like q(0) - c sqrt(z) + O(z) (sqrt basis);
-    a boxed grid resolvent is analytic in z (polynomial basis).
+    The whole-space kernel behaves like q(0) - c sqrt(z) + O(z).  Returns
+    q(0) and the residual norm of the fit.
     """
     z = np.asarray(z_ladder, dtype=float)
     y = np.asarray(values, dtype=float)
-    if sqrt_basis:
-        a = np.column_stack([np.ones_like(z), np.sqrt(z), z])
-    else:
-        a = np.column_stack([np.ones_like(z), z, z * z])
+    a = np.column_stack([np.ones_like(z), np.sqrt(z), z])
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return float(coef[0])
+    return float(coef[0]), float(np.linalg.norm(a @ coef - y))
+
+
+@dataclass
+class Resonance:
+    """Zero-energy Birman-Schwinger resonance of a potential V.
+
+    q0 is the top eigenvalue of Q(z -> 0+) for V, so coupling * V is
+    critical.  phi is the top eigenvector of Q(z_min) on the support nodes
+    of V; psi = u / r on the evaluation grid, u = R0(z_min) sqrt(coupling V)
+    phi, normalized so that <coupling V, psi> = 1.  simple_top is False when
+    the top two eigenvalues of Q(z_min) are not separated.
+    """
+
+    q0: float
+    phi: np.ndarray = field(repr=False)
+    psi: GridFunction = field(repr=False)
+    simple_top: bool
+    richardson_residual: float
+
+    @property
+    def coupling(self) -> float:
+        """Critical coupling lambda_c = 1/q(0+)."""
+        return 1.0 / self.q0
+
+
+def resonance(
+    potential,
+    grid: RadialGrid,
+    m: float = 0.5,
+    eval_grid: RadialGrid | None = None,
+    z_min: float = Z_FLOOR,
+) -> Resonance:
+    """Resonance of the radial potential r -> V(r) >= 0 in d=3.
+
+    V is sampled on the grid and Q(z) is assembled on its support (V above
+    SUPPORT_FLOOR of the peak) at z_min, 2 z_min and 4 z_min; the top
+    eigenvalues are extrapolated to q(0+).  psi lives on eval_grid (default:
+    grid), where V is evaluated again for its normalization.
+    """
+    eval_grid = grid if eval_grid is None else eval_grid
+    vals = np.asarray(potential(grid.nodes), dtype=float)
+    if np.any(vals < 0.0) or not vals.max() > 0.0:
+        raise ValueError("potential must be nonnegative and not vanish on the grid")
+    sup = np.flatnonzero(vals > SUPPORT_FLOOR * vals.max())
+    sub = RadialGrid(grid.nodes[sup], grid.weights[sup], grid.spacing, grid.r_max)
+    v = GridFunction(sub, vals[sup])
+    ladder = z_min * np.array([1.0, 2.0, 4.0])
+    k = sup.size
+    top2, vecs = eigh(bs_operator(v, z_min, 3, m).entries, subset_by_index=[max(k - 2, 0), k - 1])
+    tops = [top2[-1]] + [top_bs_eigenvalue(bs_operator(v, z, 3, m))[0] for z in ladder[1:]]
+    q0, residual = extrapolate_to_zero(ladder, np.array(tops))
+    # u = R0(z_min) sqrt(lam V) phi on eval_grid, psi = u / r with <lam V, psi> = 1
+    lam, phi = 1.0 / q0, vecs[:, -1]
+    src = np.sqrt(lam * v.values) * phi * np.sqrt(sub.weights)
+    r = eval_grid.nodes
+    psi = radial_green_kernel(3, z_min, r[:, None], sub.nodes[None, :], m) @ src / r
+    psi /= 4.0 * np.pi * eval_grid.integrate(lam * potential(r) * psi * r**2)
+    simple_top = k < 2 or top2[0] / top2[1] < 1.0 - 1e-6
+    return Resonance(q0, phi, GridFunction(eval_grid, psi), bool(simple_top), residual)
 
 
 @dataclass
@@ -166,14 +226,14 @@ def find_resonance_coupling(
     z_min: float = Z_FLOOR,
     eval_r_max: float = 80.0,
     eval_n: int = 600,
-    rel_tol: float = 1e-6,
 ) -> ResonanceReport:
-    """Locate the critical coupling by bisection on the top BS eigenvalue.
+    """Critical coupling of the scaled family, which must lie in the bracket.
 
     The scaled family eps^(-p) lam V(r/eps) is resonant when the top
-    eigenvalue of Q(z -> 0+) equals 1.  The report carries the zero-energy
-    profile reconstructed from the top eigenvector, normalized to <V,psi> = 1,
-    and its boundary coefficients (C, D).
+    eigenvalue of Q(z -> 0+) equals 1, at lam = 1/q(0+) of the unit-strength
+    profile.  The report carries the zero-energy profile on an extended
+    logarithmic grid, normalized to <V,psi> = 1, and its boundary
+    coefficients (C, D).
     """
     if law.d != 3:
         raise ValueError("resonance detection is implemented for d=3")
@@ -182,54 +242,23 @@ def find_resonance_coupling(
         raise ValueError("bracket must satisfy 0 < lo < hi")
     grid = _resonance_quadrature_grid(potential, law, n)
     unit = ScaledPotential(BasePotential(potential.profile, 1.0, potential.range), law)
-    v_unit = unit.on_grid(grid)
-
-    z_ladder = np.array([z_min, 2.0 * z_min, 4.0 * z_min])
-    tops = []
-    top_vec = None
-    for z in z_ladder:
-        q = bs_operator(v_unit, z, 3, m, resolvent="exact")
-        vals, vecs = eigh(q.entries)
-        tops.append(vals[-1])
-        if z == z_min:
-            top_vec = vecs[:, -1]
-            gap_ok = vals[-2] / vals[-1] < 1.0 - 1e-6 if q.n >= 2 else True
-    q_unit = extrapolate_to_zero(z_ladder, np.array(tops), sqrt_basis=True)
-
-    flags = [] if gap_ok else ["non_simple_top_eigenvalue"]
-    f = lambda lam: lam * q_unit - 1.0
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi > 0.0:
+    eval_grid = build_grid(eval_n, eval_r_max, "logarithmic", r_min=grid.nodes[0])
+    res = resonance(unit, grid, m, eval_grid, z_min)
+    lam_c = res.coupling
+    if not lo <= lam_c <= hi:
         raise ValueError(
             f"no sign change of top BS eigenvalue - 1 in bracket ({lo:g}, {hi:g}): "
-            f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
+            f"f(lo)={lo * res.q0 - 1.0:.3e}, f(hi)={hi * res.q0 - 1.0:.3e}"
         )
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    lam_c = 0.5 * (lo + hi)
-
-    # Reconstruct u = R0(z_min) sqrt(V) phi on an extended grid, psi = u / r.
-    eval_grid = build_grid(eval_n, eval_r_max, "logarithmic", r_min=grid.nodes[0])
-    src = np.sqrt(lam_c * v_unit.values) * (top_vec / np.sqrt(grid.weights)) * grid.weights
-    kern = radial_green_kernel(3, z_min, eval_grid.nodes[:, None], grid.nodes[None, :], m)
-    u = kern @ src
-    psi = u / eval_grid.nodes
-    norm = 4.0 * np.pi * eval_grid.integrate(lam_c * unit(eval_grid.nodes) * psi * eval_grid.nodes**2)
-    psi = psi / norm
-    profile = GridFunction(eval_grid, psi)
-    fit = boundary_fit(profile, support_radius(potential, law))
+    fit = boundary_fit(res.psi, support_radius(potential, law))
     return ResonanceReport(
         lambda_critical=lam_c,
-        bs_top_eigenvalue=lam_c * q_unit,
+        bs_top_eigenvalue=lam_c * res.q0,
         boundary_C=fit.C,
         boundary_D=fit.D,
-        resonance_profile=profile,
+        resonance_profile=res.psi,
         fit_residual=fit.residual,
-        flags=flags + fit.flags,
+        flags=([] if res.simple_top else ["non_simple_top_eigenvalue"]) + fit.flags,
     )
 
 
@@ -314,26 +343,22 @@ def two_resonance_matrix(
         BasePotential(potential.profile, lambda_critical * potential.strength, potential.range), law
     )
     qg = _resonance_quadrature_grid(potential, law, 800)
-    v = scaled.on_grid(qg)
+    res = resonance(scaled, qg, m, grid, z_min)
+    if abs(res.q0 - 1.0) > RESONANCE_TOL:
+        raise ValueError(f"channels not at resonance: extrapolated top BS eigenvalue {res.q0:.6f}")
 
-    ladder = np.array([z_min, 2.0 * z_min, 4.0 * z_min])
-    tops = [top_bs_eigenvalue(bs_operator(v, zz, 3, m))[0] for zz in ladder]
-    q0 = extrapolate_to_zero(ladder, np.array(tops), sqrt_basis=True)
-    if abs(q0 - 1.0) > RESONANCE_TOL:
-        raise ValueError(f"channels not at resonance: extrapolated top BS eigenvalue {q0:.6f}")
-
-    diag = top_bs_eigenvalue(bs_operator(v, z, 3, m))[0] - 1.0
+    diag = top_bs_eigenvalue(bs_operator(scaled.on_grid(qg), z, 3, m))[0] - 1.0
 
     # Cross-channel overlap <sqrt(V) psi_1, R0_prod(z) sqrt(V) psi_2> with
-    # psi_1 = psi(x) (x) 1(y), psi_2 mirrored, psi normalized to <V,psi> = 1.
+    # psi_1 = psi(x) (x) 1(y), psi_2 mirrored, psi normalized to <V,psi> = 1
+    # for the supplied coupling.
     # In reduced waves: sqrt(V) psi -> sqrt(V) u_psi and 1(y) -> sqrt(4 pi) r.
     kin = discretize_h0(grid, 3, m).entries
     sw = np.sqrt(grid.weights)
     v_on_grid = scaled(grid.nodes)
-    u_res = _resonance_direction(scaled, grid, m, z_min)
-    psi = u_res / grid.nodes
+    psi = res.psi.values
     norm = 4.0 * np.pi * grid.integrate(v_on_grid * psi * grid.nodes**2)
-    a = np.sqrt(v_on_grid) * (u_res / norm) * sw
+    a = np.sqrt(v_on_grid) * (psi * grid.nodes / norm) * sw
     chi = np.sqrt(4.0 * np.pi) * _spectator_reduced(grid) * sw
     w1 = np.outer(a, chi)
     w2 = w1.T.copy()
@@ -345,16 +370,3 @@ def two_resonance_matrix(
     r0w2 = vec @ t @ vec.T
     off = float(np.sum(w1 * r0w2))
     return TwoResonanceMatrix(z=z, diagonal=float(diag), off_diagonal=off)
-
-
-def _resonance_direction(scaled: ScaledPotential, grid: RadialGrid, m: float, z_min: float) -> np.ndarray:
-    """Reduced zero-energy wave u of the resonant channel on the given grid."""
-    qg = _resonance_quadrature_grid(scaled.base, scaled.law, 800)
-    v = scaled.on_grid(qg)
-    q = bs_operator(v, z_min, 3, m)
-    _, vecs = eigh(q.entries)
-    phi = vecs[:, -1] / np.sqrt(qg.weights)
-    src = np.sqrt(v.values) * phi * qg.weights
-    kern = radial_green_kernel(3, z_min, grid.nodes[:, None], qg.nodes[None, :], m)
-    u = kern @ src
-    return u / np.max(np.abs(u))

@@ -98,8 +98,8 @@ def build_grid(n: int, r_max: float, spacing: str = "linear", r_min: float | Non
     """
     if n < MIN_GRID_NODES:
         raise GridError(f"n={n} too small, need at least {MIN_GRID_NODES} nodes")
-    if r_max <= 0.0:
-        raise GridError("r_max must be positive")
+    if not (np.isfinite(r_max) and r_max > 0.0):
+        raise GridError("r_max must be finite and positive")
     if spacing == "linear":
         nodes = np.linspace(r_max / n, r_max, n)
     elif spacing == "logarithmic":

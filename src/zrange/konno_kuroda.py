@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .grids import GridFunction, RadialGrid
+from .grids import GridFunction, RadialGrid, build_grid
 from .operators import OperatorMatrix, SingularSystemError, check_symmetric, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm
 
@@ -114,6 +114,27 @@ def direct_resolvent_diff(
     return ResolventDifference(OperatorMatrix(diff, grid, m, label="direct"), z, "direct")
 
 
+def _defect_ladder(integrand, eps_list, grid: RadialGrid, d: int, refine_check: bool) -> DefectReport:
+    """L1 norms of integrand(eps, r) along the ladder, with their fitted exponent.
+
+    With refine_check, each norm is recomputed on a grid of twice the nodes
+    and a value that moves by more than 1% is flagged.
+    """
+    eps_list = np.asarray(list(eps_list), dtype=float)
+    fine = _refine(grid) if refine_check else None
+    values = []
+    flags = []
+    for eps in eps_list:
+        val = l1_norm(integrand(eps, grid.nodes), grid, d)
+        if fine is not None:
+            val_f = l1_norm(integrand(eps, fine.nodes), fine, d)
+            if val > 0 and abs(val_f - val) > 0.01 * val:
+                flags.append(f"quadrature_not_converged@eps={eps:g}")
+        values.append(val)
+    values = np.array(values)
+    return DefectReport(eps_list, values, _fit_exponent(eps_list, values), flags)
+
+
 def cross_term_norm(
     v1: BasePotential,
     law1: ScalingLaw,
@@ -129,25 +150,13 @@ def cross_term_norm(
     (law_u.p None).  The report includes the fitted power-law exponent; a
     value that moves by more than 1% under grid doubling is flagged.
     """
-    eps_list = np.asarray(list(eps_list), dtype=float)
-    d = law1.d
-    values = []
-    flags = []
-    for eps in eps_list:
-        f1 = ScaledPotential(v1, law1.with_epsilon(eps))(grid.nodes)
-        fu = ScaledPotential(u, law_u.with_epsilon(eps) if law_u.p is not None else law_u)(grid.nodes)
-        prod = np.sqrt(f1) * np.sqrt(fu)
-        val = l1_norm(prod, grid, d)
-        if refine_check:
-            fine = _refine(grid)
-            f1f = ScaledPotential(v1, law1.with_epsilon(eps))(fine.nodes)
-            fuf = ScaledPotential(u, law_u.with_epsilon(eps) if law_u.p is not None else law_u)(fine.nodes)
-            val_f = l1_norm(np.sqrt(f1f) * np.sqrt(fuf), fine, d)
-            if val > 0 and abs(val_f - val) > 0.01 * val:
-                flags.append(f"quadrature_not_converged@eps={eps:g}")
-        values.append(val)
-    values = np.array(values)
-    return DefectReport(eps_list, values, _fit_exponent(eps_list, values), flags)
+
+    def integrand(eps, r):
+        f1 = ScaledPotential(v1, law1.with_epsilon(eps))(r)
+        fu = ScaledPotential(u, law_u.with_epsilon(eps) if law_u.p is not None else law_u)(r)
+        return np.sqrt(f1) * np.sqrt(fu)
+
+    return _defect_ladder(integrand, eps_list, grid, law1.d, refine_check)
 
 
 def additivity_defect(
@@ -163,30 +172,16 @@ def additivity_defect(
     V2 carries a weak-contact law, V3 is unscaled.  Both the algebraic form
     and its identity reduction are evaluated; they agree to rounding.
     """
-    eps_list = np.asarray(list(eps_list), dtype=float)
-    d = law2.d
-    values = []
-    flags = []
-    for eps in eps_list:
-        f2 = ScaledPotential(v2, law2.with_epsilon(eps))(grid.nodes)
-        f3 = v3(grid.nodes)
-        defect = (np.sqrt(f2) + np.sqrt(f3)) ** 2 - f2 - f3
-        val = l1_norm(defect, grid, d)
-        if refine_check:
-            fine = _refine(grid)
-            f2f = ScaledPotential(v2, law2.with_epsilon(eps))(fine.nodes)
-            f3f = v3(fine.nodes)
-            val_f = l1_norm((np.sqrt(f2f) + np.sqrt(f3f)) ** 2 - f2f - f3f, fine, d)
-            if val > 0 and abs(val_f - val) > 0.01 * val:
-                flags.append(f"quadrature_not_converged@eps={eps:g}")
-        values.append(val)
-    values = np.array(values)
-    return DefectReport(eps_list, values, _fit_exponent(eps_list, values), flags)
+
+    def integrand(eps, r):
+        f2 = ScaledPotential(v2, law2.with_epsilon(eps))(r)
+        f3 = v3(r)
+        return (np.sqrt(f2) + np.sqrt(f3)) ** 2 - f2 - f3
+
+    return _defect_ladder(integrand, eps_list, grid, law2.d, refine_check)
 
 
 def _refine(grid: RadialGrid) -> RadialGrid:
-    from .grids import build_grid
-
     return build_grid(2 * grid.n, grid.r_max, grid.spacing, r_min=grid.nodes[0] if grid.spacing == "logarithmic" else None)
 
 

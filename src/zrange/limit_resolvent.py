@@ -4,9 +4,8 @@ Setting: two identical particles, each feeling the same short-range
 attractive potential of a third one, in the weak-contact regime (d=3, p=2)
 with the two-body subsystem at its zero-energy resonance.  In the coordinates
 x = x1 - x3, y = x2 - x3 the free operator of the equal-mass system,
-restricted to the s (x) s sector, is Kx + Ky (the cross-gradient term maps
-out of the sector, so its in-sector block vanishes; a radial surrogate is
-kept in ScaledFreeHamiltonian to exhibit the scaling structure).
+restricted to the s (x) s sector, is Kx + Ky: the cross-gradient term maps
+out of the sector, so its in-sector block vanishes.
 
 Everything acts on weight-scaled reduced waves U(r_x, r_y) flattened in C
 order; the reduction conventions are those of operators.py, with the d=3
@@ -28,12 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
+from .birman_schwinger import SUPPORT_FLOOR, resonance
 from .grids import GridFunction, RadialGrid
 from .operators import OperatorMatrix, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 DIM_CAP = 10_000
-SUPPORT_FLOOR = 1e-14
 
 
 def _check_z(z: float) -> None:
@@ -63,34 +62,14 @@ class ProductGrid:
 # partially scaled free Hamiltonian (one contact coordinate blown up)
 
 
-def _radial_derivative(grid: RadialGrid) -> np.ndarray:
-    """Antisymmetric centered first derivative in the weight-scaled basis."""
-    r = grid.nodes
-    n = grid.n
-    d = np.zeros((n, n))
-    for i in range(n):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        span = r[hi] - r[lo]
-        if span > 0.0:
-            d[i, lo] -= 1.0 / span
-            d[i, hi] += 1.0 / span
-    sw = np.sqrt(grid.weights)
-    dt = d * np.outer(sw, 1.0 / sw)
-    return 0.5 * (dt - dt.T)
-
-
 @dataclass
 class ScaledFreeHamiltonian:
     """Blocks of eps^2 (U_eps)^* (H0 + .) U_eps on a product grid.
 
     After the overall 1/eps^2 is factored out, the x kinetic block enters at
-    order 1, the y kinetic block at eps^2, and the cross-gradient block at
-    eps.  The mass m is the third particle's; the identical pair has unit
-    masses, so both kinetic blocks carry (m+1)/(2m).  The strict s (x) s
-    projection of the cross gradient is zero; `cross="surrogate"` installs
-    the antisymmetrized radial-derivative product instead so the epsilon
-    scaling of the block remains observable.
+    order 1 and the y kinetic block at eps^2; the s (x) s block of the
+    cross gradient is zero.  The mass m is the third particle's; the
+    identical pair has unit masses, so both kinetic blocks carry (m+1)/(2m).
     """
 
     epsilon: float
@@ -98,11 +77,10 @@ class ScaledFreeHamiltonian:
     grid: ProductGrid
     x_block: np.ndarray = field(repr=False)
     y_block: np.ndarray = field(repr=False)
-    cross_block: np.ndarray = field(repr=False)
 
     def assembled(self) -> OperatorMatrix:
         eps = self.epsilon
-        mat = self.x_block + eps**2 * self.y_block + eps * self.cross_block
+        mat = self.x_block + eps**2 * self.y_block
         return OperatorMatrix(0.5 * (mat + mat.T), self.grid, self.m, label=f"H0_scaled(eps={eps:g})")
 
 
@@ -111,10 +89,9 @@ def scaled_h0(
     m: float,
     grid_x: RadialGrid,
     grid_y: RadialGrid,
-    cross: str = "surrogate",
     dim_cap: int = DIM_CAP,
 ) -> ScaledFreeHamiltonian:
-    """Partially x-scaled free Hamiltonian with its three epsilon blocks."""
+    """Partially x-scaled free Hamiltonian with its two epsilon blocks."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
     if m <= 0.0:
@@ -129,15 +106,7 @@ def scaled_h0(
     iy = np.eye(grid_y.n)
     x_block = a * np.kron(lap_x, iy)
     y_block = a * np.kron(ix, lap_y)
-    if cross == "surrogate":
-        dx = _radial_derivative(grid_x)
-        dy = _radial_derivative(grid_y)
-        cross_block = -(1.0 / m) * np.kron(dx, dy)
-    elif cross == "zero":
-        cross_block = np.zeros((grid.n, grid.n))
-    else:
-        raise ValueError("cross must be 'surrogate' or 'zero'")
-    return ScaledFreeHamiltonian(epsilon, m, grid, x_block, y_block, cross_block)
+    return ScaledFreeHamiltonian(epsilon, m, grid, x_block, y_block)
 
 
 # ---------------------------------------------------------------------------
@@ -387,50 +356,6 @@ def channel_mass(m: float) -> float:
     return m / (m + 1.0)
 
 
-def _sampled_top_bs(v_sample: np.ndarray, grid: RadialGrid, m_ch: float, zeta: float):
-    from .operators import green_kernel_matrix
-
-    sup = np.flatnonzero(v_sample > SUPPORT_FLOOR * v_sample.max())
-    gm = green_kernel_matrix(grid, 3, zeta, m_ch).entries
-    b = np.sqrt(v_sample[sup])
-    q = gm[np.ix_(sup, sup)] * np.outer(b, b)
-    top = eigh(0.5 * (q + q.T), eigvals_only=True, subset_by_index=[sup.size - 1, sup.size - 1])[0]
-    return float(top), sup, q
-
-
-def sampled_resonance(
-    v_unit_sample: np.ndarray, grid: RadialGrid, m_ch: float = 0.5
-) -> tuple:
-    """Critical coupling and resonance profile of a node-sampled potential.
-
-    Works with the whole-space Green kernel on the sampled values, so the
-    calibration matches exactly what a product-grid assembly of the same
-    samples sees; this is what keeps an epsilon ladder on resonance when the
-    scaled well is carried by a handful of log nodes.
-    """
-    from .birman_schwinger import extrapolate_to_zero
-    from .operators import radial_green_kernel
-
-    ladder = np.array([1e-8, 2e-8, 4e-8])
-    tops = []
-    for zeta in ladder:
-        top, sup, q = _sampled_top_bs(v_unit_sample, grid, m_ch, zeta)
-        tops.append(top)
-    lam = 1.0 / extrapolate_to_zero(ladder, np.array(tops), sqrt_basis=True)
-    # zero-energy profile from the top eigenvector at the ladder floor
-    _, _, q = _sampled_top_bs(v_unit_sample, grid, m_ch, ladder[0])
-    _, vecs = eigh(q)
-    phi = vecs[:, -1]
-    sup = np.flatnonzero(v_unit_sample > SUPPORT_FLOOR * v_unit_sample.max())
-    src = np.zeros(grid.n)
-    src[sup] = np.sqrt(lam * v_unit_sample[sup]) * (phi / np.sqrt(grid.weights[sup])) * grid.weights[sup]
-    kern = radial_green_kernel(3, ladder[0], grid.nodes[:, None], grid.nodes[None, :], m_ch)
-    u = kern @ src
-    psi = u / grid.nodes
-    norm = 4.0 * np.pi * grid.integrate(lam * v_unit_sample * psi * grid.nodes**2)
-    return float(lam), GridFunction(grid, psi / norm)
-
-
 def calibrate_couplings(
     potential: BasePotential,
     eps_list,
@@ -439,6 +364,10 @@ def calibrate_couplings(
 ) -> dict:
     """Critical coupling of the node-sampled scaled channel at each epsilon.
 
+    The resonance is computed from the potential's values at the nodes of
+    grid_x, so the calibration matches exactly what a product-grid assembly
+    of the same samples sees; this is what keeps an epsilon ladder on
+    resonance when the scaled well is carried by a handful of log nodes.
     The p=2 scaling preserves the zero-energy resonance exactly in the
     continuum; per-rung recalibration on the sampled values removes the
     residual discretization detuning, which would otherwise dominate the
@@ -447,10 +376,8 @@ def calibrate_couplings(
     m_ch = channel_mass(m)
     out = {}
     for eps in eps_list:
-        law = ScalingLaw(2, float(eps), 3)
-        v_unit = ScaledPotential(potential, law)(grid_x.nodes)
-        lam, _ = sampled_resonance(v_unit, grid_x, m_ch)
-        out[float(eps)] = lam * potential.strength
+        scaled = ScaledPotential(potential, ScalingLaw(2, float(eps), 3))
+        out[float(eps)] = resonance(scaled, grid_x, m_ch).coupling * potential.strength
     return out
 
 
@@ -458,6 +385,7 @@ def calibrate_couplings(
 class ConvergenceReport:
     epsilons: np.ndarray
     discrepancies: np.ndarray  # (n_eps, n_test): ||W_eps f - W f|| / ||f||
+    w_eps_f: np.ndarray = field(repr=False)  # (n_eps, n_test, n): W_eps(z) f
     monotone: bool
     reduction_factors: np.ndarray
     couplings: dict = field(default_factory=dict)
@@ -478,7 +406,7 @@ def convergence_study(
     critical coupling, so the two-body channel stays exactly resonant; the
     limit W(z) is built from the resonance profile of the smallest rung.
     Reported discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per test
-    function.
+    function; the family W_eps(z) f itself is kept in the report.
     """
     _check_z(z)
     eps_list = np.asarray(list(eps_list), dtype=float)
@@ -491,13 +419,14 @@ def convergence_study(
     res = ProductFreeResolvent(grid, m)
     eps_ref = float(eps_list[-1])
     law_ref = ScalingLaw(2, eps_ref, 3)
-    _, psi = sampled_resonance(ScaledPotential(potential, law_ref)(grid.gx.nodes), grid.gx, channel_mass(m))
+    psi = resonance(ScaledPotential(potential, law_ref), grid.gx, channel_mass(m)).psi
     v_ref = ScaledPotential(
         BasePotential(potential.profile, couplings[eps_ref] * potential.strength, potential.range), law_ref
     )
     w_model = limit_w(z, psi, v_ref, grid, m, resolvent=res)
     fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
     discrepancies = np.empty((eps_list.size, fs.shape[0]))
+    w_eps_f = np.empty((eps_list.size, *fs.shape))
     for k, eps in enumerate(eps_list):
         lam = couplings[float(eps)]
         scaled = ScaledPotential(
@@ -506,10 +435,11 @@ def convergence_study(
         )
         w_eps = assemble_w_eps(z, scaled, grid, m, resolvent=res)
         for j, f in enumerate(fs):
-            discrepancies[k, j] = np.linalg.norm(w_eps.apply(f) - w_model.apply(f)) / np.linalg.norm(f)
+            w_eps_f[k, j] = w_eps.apply(f)
+            discrepancies[k, j] = np.linalg.norm(w_eps_f[k, j] - w_model.apply(f)) / np.linalg.norm(f)
     monotone = bool(np.all(np.diff(discrepancies, axis=0) < 0.0))
     reduction = discrepancies[0] / discrepancies[-1]
-    return ConvergenceReport(eps_list, discrepancies, monotone, reduction, couplings)
+    return ConvergenceReport(eps_list, discrepancies, w_eps_f, monotone, reduction, couplings)
 
 
 # ---------------------------------------------------------------------------

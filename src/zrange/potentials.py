@@ -45,10 +45,10 @@ class BasePotential:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}, expected one of {PROFILES}")
-        if self.strength <= 0.0:
-            raise ValueError("strength must be positive")
-        if self.range <= 0.0:
-            raise ValueError("range must be positive")
+        if not (np.isfinite(self.strength) and self.strength > 0.0):
+            raise ValueError("strength must be finite and positive")
+        if not (np.isfinite(self.range) and self.range > 0.0):
+            raise ValueError("range must be finite and positive")
 
     def __call__(self, r):
         """V(r) >= 0; enters Hamiltonians as -V(r)."""
@@ -75,8 +75,8 @@ class ScalingLaw:
     d: int = 3
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ScalingLawError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ScalingLawError("epsilon must be finite and positive")
         if self.d not in (2, 3):
             raise ScalingLawError("dimension must be 2 or 3")
         if self.p is not None and (self.p, self.d) not in SCALING_REGIMES:

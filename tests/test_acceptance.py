@@ -17,6 +17,7 @@ from zrange.birman_schwinger import (
     bs_count_above_one,
     bs_operator,
     find_resonance_coupling,
+    resonance,
     two_resonance_matrix,
 )
 from zrange.konno_kuroda import (
@@ -31,7 +32,6 @@ from zrange.limit_resolvent import (
     ProductGrid,
     convergence_study,
     limit_w,
-    sampled_resonance,
     verify_limit_identity,
 )
 from zrange.efimov import (
@@ -42,7 +42,7 @@ from zrange.efimov import (
     operator_spectrum,
 )
 
-from oracles import halving_orders, shooting_critical_coupling, successive_difference_orders, w_eps_family
+from oracles import halving_orders, shooting_critical_coupling, successive_difference_orders
 
 WELL = BasePotential("square_well", 1.0, 1.0)
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
@@ -188,8 +188,7 @@ def test_criterion_07_zero_range_limit():
     # grid is positive, so the reduction stays below 4 (3.48 toward limit_w,
     # 3.82 toward the STM-form oracle).  Whether W(z) is the limit is gated
     # by test_limit_operator_is_reached_at_the_sqrt_eps_rate.
-    family = w_eps_family(z, "gaussian", study.couplings, res, fs)
-    orders = successive_difference_orders(family)
+    orders = successive_difference_orders(study.w_eps_f)
     order_dev = float(np.abs(orders - 0.5).max())
     w_orders = halving_orders(study.discrepancies)
 
@@ -197,9 +196,9 @@ def test_criterion_07_zero_range_limit():
     # build S_z = R0 + W, invert it as (H + z), and close the loop on the
     # same test functions
     eps_ref = 0.025
-    lam, psi = sampled_resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps_ref, 3))(g.nodes), g)
-    v_ref = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps_ref, 3))
-    w = limit_w(z, psi, v_ref, pg, 1.0, resolvent=res)
+    ref = resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps_ref, 3)), g)
+    v_ref = ScaledPotential(BasePotential("gaussian", ref.coupling, 1.0), ScalingLaw(2, eps_ref, 3))
+    w = limit_w(z, ref.psi, v_ref, pg, 1.0, resolvent=res)
     d = 1.0 / res.denom(z)
     m = np.kron(res.qx, res.qy)
     r0 = (m * d.reshape(-1)[None, :]) @ m.T

@@ -9,6 +9,7 @@ from zrange.birman_schwinger import (
     bs_operator,
     boundary_fit,
     find_resonance_coupling,
+    resonance,
     top_bs_eigenvalue,
     two_resonance_matrix,
 )
@@ -20,6 +21,7 @@ WELL = BasePotential("square_well", 1.0, 1.0)
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
 UNSCALED = ScalingLaw(None, 1.0, 3)
 LAMBDA_C_WELL = np.pi**2 / 4.0
+NON_FINITE = [float("nan"), float("inf")]
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,15 @@ def test_z_floor_enforced():
     g = build_grid(50, 1.0, "linear")
     with pytest.raises(ValueError, match="floor"):
         bs_operator(GridFunction(g, np.ones(50)), 1e-9)
+
+
+@pytest.mark.parametrize("z", NON_FINITE)
+def test_non_finite_z_rejected(z):
+    g = build_grid(50, 1.0, "linear")
+    with pytest.raises(ValueError, match="floor"):
+        bs_operator(GridFunction(g, np.ones(50)), z)
+    with pytest.raises(ValueError, match="floor"):
+        resonance(WELL, g, z_min=z)
 
 
 def test_top_eigenvalue_linear_in_coupling():
@@ -114,6 +125,28 @@ def test_half_critical_coupling_gives_half_top_eigenvalue(well_resonance):
     v = GridFunction(g, lam * WELL(g.nodes))
     top = top_bs_eigenvalue(bs_operator(v, 1e-8))[0]
     assert top == pytest.approx(0.5, rel=1e-4)
+
+
+def test_critical_coupling_is_the_closed_form(well_resonance):
+    # lambda_c = 1/q(0+) exactly: the top BS eigenvalue of lambda_c V,
+    # extrapolated to z -> 0+ on its own ladder, is 1 to rounding
+    assert well_resonance.bs_top_eigenvalue == pytest.approx(1.0, abs=1e-12)
+    g = build_grid(800, 1.0, "linear")
+    v = GridFunction(g, well_resonance.lambda_critical * WELL(g.nodes))
+    zs = 1e-8 * np.array([1.0, 2.0, 4.0])
+    tops = [top_bs_eigenvalue(bs_operator(v, z))[0] for z in zs]
+    basis = np.column_stack([np.ones(3), np.sqrt(zs), zs])
+    assert np.linalg.solve(basis, tops)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.3, 7.0])
+def test_resonance_coupling_inverse_in_potential_scale(c):
+    # Q is linear in V, so scaling V by c divides the critical coupling by c
+    g = build_grid(400, 5.8, "linear")
+    base = resonance(GAUSS, g)
+    scaled = resonance(BasePotential("gaussian", c, 1.0), g)
+    assert scaled.coupling == pytest.approx(base.coupling / c, rel=1e-12)
+    assert base.simple_top and base.richardson_residual < 1e-12
 
 
 def test_no_sign_change_in_bracket_rejected():

@@ -28,6 +28,12 @@ def test_bad_r_max_rejected():
         build_grid(16, 1.0, "cubic")
 
 
+@pytest.mark.parametrize("r_max", [float("nan"), float("inf")])
+def test_non_finite_r_max_rejected(r_max):
+    with pytest.raises(GridError, match="r_max"):
+        build_grid(16, r_max, "linear")
+
+
 def test_weights_positive_and_integrate_constant():
     for spacing in ("linear", "logarithmic"):
         g = build_grid(200, 5.0, spacing)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import halving_orders, stm_limit_apply, successive_difference_orders, w_eps_family
 from zrange import limit_resolvent
+from zrange.birman_schwinger import resonance
 from zrange.grids import GridFunction, build_grid
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 from zrange.limit_resolvent import (
@@ -18,7 +19,6 @@ from zrange.limit_resolvent import (
     convergence_study,
     limit_w,
     richardson_vector,
-    sampled_resonance,
     scaled_h0,
     verify_limit_identity,
 )
@@ -37,10 +37,10 @@ def small_product():
 def resonant_setup(small_product):
     pg = small_product
     law = ScalingLaw(2, 0.05, 3)
-    lam, psi = sampled_resonance(ScaledPotential(GAUSS, law)(pg.gx.nodes), pg.gx)
-    v_ref = ScaledPotential(BasePotential("gaussian", lam, 1.0), law)
+    r = resonance(ScaledPotential(GAUSS, law), pg.gx)
+    v_ref = ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law)
     res = ProductFreeResolvent(pg, 1.0)
-    return pg, psi, v_ref, res
+    return pg, r.psi, v_ref, res
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +51,16 @@ def test_scaled_h0_blocks_carry_stated_epsilon_powers(small_product):
     gx = small_product.gx
     sh1 = scaled_h0(1.0, 1.0, gx, gx)
     base = sh1.assembled().entries
-    # at eps = 1 the assembly is the plain sum of the three blocks
-    assert np.allclose(base, sh1.x_block + sh1.y_block + sh1.cross_block)
+    # at eps = 1 the assembly is the plain sum of the two blocks
+    assert np.allclose(base, sh1.x_block + sh1.y_block)
     ny = np.linalg.norm(sh1.y_block, 2)
-    nc = np.linalg.norm(sh1.cross_block, 2)
     for eps in (0.5, 0.25):
         sh = scaled_h0(eps, 1.0, gx, gx)
+        # x block at order 1, y block at eps^2
+        assert np.array_equal(sh.x_block, sh1.x_block)
         rest = sh.assembled().entries - sh.x_block
-        # y block enters at eps^2, cross block at eps
-        assert np.linalg.norm(rest - eps**2 * sh.y_block - eps * sh.cross_block, 2) < 1e-12 * ny
+        assert np.linalg.norm(rest - eps**2 * sh.y_block, 2) < 1e-12 * ny
         assert np.linalg.norm(sh.y_block, 2) == pytest.approx(ny, rel=1e-12)
-        assert np.linalg.norm(sh.cross_block, 2) == pytest.approx(nc, rel=1e-12)
 
 
 def test_scaled_h0_symmetric(small_product):
@@ -69,12 +68,6 @@ def test_scaled_h0_symmetric(small_product):
     mat = scaled_h0(0.3, 2.0, gx, gx).assembled().entries
     scale = np.abs(mat).max()
     assert np.abs(mat - mat.T).max() < 1e-10 * scale
-
-
-def test_scaled_h0_zero_cross_option(small_product):
-    gx = small_product.gx
-    sh = scaled_h0(0.5, 1.0, gx, gx, cross="zero")
-    assert np.all(sh.cross_block == 0.0)
 
 
 def test_scaled_h0_dimension_cap():
@@ -156,7 +149,7 @@ def test_four_term_split_matches_single_b_up_to_overlap_defect(resonant_setup):
     fs = rng.standard_normal((3, pg.n))
     rels = []
     for eps in (0.2, 0.1, 0.05):
-        lam, _ = sampled_resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps, 3))(pg.gx.nodes), pg.gx)
+        lam = resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps, 3)), pg.gx).coupling
         scaled = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
         w_eps = assemble_w_eps(2.0, scaled, pg, 1.0, resolvent=res)
         rels.append(
@@ -335,8 +328,8 @@ def test_limit_operator_is_reached_at_the_sqrt_eps_rate(fine_ladder, operator):
         wf = stm_limit_apply(z, res, fs)
     else:
         law = ScalingLaw(2, ladder[-1], 3)
-        lam, psi = sampled_resonance(ScaledPotential(GAUSS, law)(res.grid.gx.nodes), res.grid.gx)
-        w = limit_w(z, psi, ScaledPotential(BasePotential("gaussian", lam, 1.0), law), res.grid, 1.0, resolvent=res)
+        r = resonance(ScaledPotential(GAUSS, law), res.grid.gx)
+        w = limit_w(z, r.psi, ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law), res.grid, 1.0, resolvent=res)
         wf = np.stack([w.apply(f) for f in fs])
     orders = halving_orders(np.linalg.norm(family - wf[None], axis=-1))
     assert np.all(np.abs(orders - 0.5) <= 0.05), orders

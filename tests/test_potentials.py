@@ -35,6 +35,16 @@ def test_invalid_potential_parameters():
         BasePotential("lorentzian", 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(ValueError, match="strength"):
+        BasePotential("gaussian", bad, 1.0)
+    with pytest.raises(ValueError, match="range"):
+        BasePotential("gaussian", 1.0, bad)
+    with pytest.raises(ScalingLawError, match="epsilon"):
+        ScalingLaw(2, bad, 3)
+
+
 def test_scaling_law_regime_table():
     assert ScalingLaw(3, 0.1, 3).regime == "contact"
     assert ScalingLaw(2, 0.1, 3).regime == "weak_contact"
