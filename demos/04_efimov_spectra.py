@@ -6,7 +6,8 @@ a finite log grid shows its supercritical physics as geometric towers: the
 infrared face (Efimov, states accumulating at zero) and the ultraviolet face
 (Thomas, the deepest level tracking the r_min cutoff).  The thresholds C0
 (positivity) and C1 (one state gained per r_min decade) are located by
-bisection with refinement stabilization.
+bisection on the counts of one inertia spectrum per grid, and the drift
+under grid refinement is reported.
 """
 
 from zrange import build_grid, effective_operator, find_thresholds, geometric_ratio, operator_spectrum

@@ -33,8 +33,6 @@ from .operators import (
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 
-_SQRT_KIN_CACHE: dict = {}
-
 
 @dataclass
 class EffectiveOperator:
@@ -83,18 +81,6 @@ def _require_scale_bracketing(grid: RadialGrid):
         )
 
 
-def _sqrt_kinetic(grid: RadialGrid, d: int, m: float) -> np.ndarray:
-    key = (hash(grid.nodes.tobytes()), grid.n, d, m)
-    hit = _SQRT_KIN_CACHE.get(key)
-    if hit is not None and np.array_equal(hit[0], grid.nodes):
-        return hit[1]
-    root = sqrt_kinetic(grid, d, m).entries
-    if len(_SQRT_KIN_CACHE) > 24:
-        _SQRT_KIN_CACHE.pop(next(iter(_SQRT_KIN_CACHE)))
-    _SQRT_KIN_CACHE[key] = (grid.nodes.copy(), root)
-    return root
-
-
 def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float = 0.5) -> EffectiveOperator:
     """Assemble one of the effective singular operators on a log grid."""
     if kind not in KINDS:
@@ -104,10 +90,10 @@ def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float =
     _require_scale_bracketing(grid)
     r = grid.nodes
     if kind == "contact_image":
-        mat = _sqrt_kinetic(grid, d, m) - C * np.diag(1.0 / r)
+        mat = sqrt_kinetic(grid, d, m).entries - C * np.diag(1.0 / r)
     elif kind == "weak_image":
         tail = np.where(r <= 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
-        mat = _sqrt_kinetic(grid, d, m) - C * np.diag(tail)
+        mat = sqrt_kinetic(grid, d, m).entries - C * np.diag(tail)
     else:
         if d != 2:
             raise ValueError("three_body_2d is defined for d=2 constituents")
@@ -125,15 +111,16 @@ def operator_spectrum(op: EffectiveOperator) -> SpectrumReport:
 # thresholds
 
 
-def _lowest_eig(kind: str, C: float, d: int, grid: RadialGrid, m: float) -> float:
-    op = effective_operator(kind, C, d, grid, m)
-    return float(eigh(op.matrix.entries, eigvals_only=True, subset_by_index=[0, 0])[0])
+def _inertia_spectrum(d: int, grid: RadialGrid, m: float) -> np.ndarray:
+    """Ascending eigenvalues mu of r^(1/2) S r^(1/2), S = sqrt(-Lap) on grid.
 
-
-def _negative_count(kind: str, C: float, d: int, grid: RadialGrid, m: float) -> int:
-    op = effective_operator(kind, C, d, grid, m)
-    vals = eigh(op.matrix.entries, eigvals_only=True)
-    return int(np.sum(vals < 0.0))
+    S - C/r is congruent to r^(1/2) S r^(1/2) - C, so by Sylvester's law of
+    inertia the contact image has exactly #{mu < C} negative eigenvalues:
+    one eigensolve answers the count for every C at once.
+    """
+    s = effective_operator("contact_image", 0.0, d, grid, m).matrix.entries
+    w = np.sqrt(grid.nodes)
+    return eigh(w[:, None] * s * w[None, :], eigvals_only=True)
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:
@@ -164,10 +151,16 @@ def find_thresholds(
 ) -> ThresholdReport:
     """Locate C0 (positivity threshold) and C1 (onset of unbounded counts).
 
-    C0 is the supremum of C whose lowest eigenvalue stays above a spectral
-    tolerance; C1 is the infimum of C whose negative-eigenvalue count grows
-    at every r_min-decade refinement.  Both are Richardson-stabilized over an
-    n-refinement, whose relative drift is reported.
+    Every count is #{mu < C} on the inertia spectrum mu of the grid (see
+    _inertia_spectrum), so each grid costs one eigensolve whatever the
+    number of bisection steps.  C0 is bisected on positivity, C <= mu_min on
+    the r_min grid.  C1 is the transition point the bisection finds for
+    "the count gains at least one state per r_min decade, never falling,
+    over a ladder of seven grids"; that predicate need not be monotone in C,
+    so C1 is not in general the infimum of the growing couplings.  Both
+    thresholds are found at n and at refine_factor * n: the refined values
+    are returned, with no extrapolation, and their relative drift is
+    reported.
     """
     if kind != "contact_image":
         raise ValueError(
@@ -178,23 +171,17 @@ def find_thresholds(
     lo, hi = bracket
 
     def run(n_run: int) -> tuple:
-        grid = build_grid(n_run, r_max, "logarithmic", r_min=r_min)
-        tol = 1e-9 * abs(_lowest_eig(kind, hi, d, grid, m))
-
-        def positive(c: float) -> bool:
-            return _lowest_eig(kind, c, d, grid, m) >= -tol
-
-        c0 = _bisect_threshold(positive, lo, hi, rel_tol)
-
         # Unbounded-count onset: at least one state gained per r_min decade.
         # The gain is measured across a six-decade ladder, because over any
         # short ladder the integer staircase phases of state entry oscillate
         # around the crossing and make the predicate non-monotone in C.
         # The factored kinetic keeps the deep-r_min grids accurate.
         ladder = [build_grid(n_run, r_max, "logarithmic", r_min=r_min * 10.0**-k) for k in range(7)]
+        spectra = [_inertia_spectrum(d, g, m) for g in ladder]
+        c0 = _bisect_threshold(lambda c: c <= spectra[0][0], lo, hi, rel_tol)
 
         def bounded(c: float) -> bool:
-            counts = [_negative_count(kind, c, d, g, m) for g in ladder]
+            counts = [int(np.searchsorted(mu, c)) for mu in spectra]
             steps = np.diff(counts)
             growing = counts[-1] - counts[0] >= len(ladder) - 1 and np.all(steps >= 0)
             return not growing

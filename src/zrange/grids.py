@@ -35,8 +35,8 @@ class RadialGrid:
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or nodes.size == 0:
             raise GridError("nodes must be a nonempty 1-d array")
-        if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise GridError("nodes must be strictly increasing and positive")
+        if not (np.all(np.isfinite(nodes)) and nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)):
+            raise GridError("nodes must be finite, strictly increasing and positive")
         if weights.shape != nodes.shape or np.any(weights <= 0.0):
             raise GridError("weights must be positive, one per node")
         if nodes[-1] > self.r_max * (1.0 + 1e-12):
@@ -56,8 +56,8 @@ class RadialGrid:
 
     def dilate(self, s: float) -> "RadialGrid":
         """Grid with every node scaled by s > 0 (weights scale along)."""
-        if s <= 0.0:
-            raise GridError("dilation factor must be positive")
+        if not (np.isfinite(s) and s > 0.0):
+            raise GridError("dilation factor must be finite and positive")
         return RadialGrid(self.nodes * s, self.weights * s, self.spacing, self.r_max * s)
 
 

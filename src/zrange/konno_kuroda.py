@@ -69,8 +69,8 @@ def assemble_resolvent_diff(
     h0: OperatorMatrix | None = None,
 ) -> ResolventDifference:
     """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V."""
-    if z <= 0.0:
-        raise ValueError("z must be positive")
+    if not (np.isfinite(z) and z > 0.0):
+        raise ValueError("z must be finite and positive")
     if np.any(v.values < 0.0):
         raise ValueError("potential values must be nonnegative")
     grid = v.grid

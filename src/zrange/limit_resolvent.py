@@ -371,7 +371,8 @@ def calibrate_couplings(
     The p=2 scaling preserves the zero-energy resonance exactly in the
     continuum; per-rung recalibration on the sampled values removes the
     residual discretization detuning, which would otherwise dominate the
-    distance to the limit operator.
+    distance to the limit operator.  Each value is the strength at which the
+    unit-strength profile is resonant, whatever the strength of potential.
     """
     m_ch = channel_mass(m)
     out = {}
@@ -420,18 +421,14 @@ def convergence_study(
     eps_ref = float(eps_list[-1])
     law_ref = ScalingLaw(2, eps_ref, 3)
     psi = resonance(ScaledPotential(potential, law_ref), grid.gx, channel_mass(m)).psi
-    v_ref = ScaledPotential(
-        BasePotential(potential.profile, couplings[eps_ref] * potential.strength, potential.range), law_ref
-    )
+    v_ref = ScaledPotential(BasePotential(potential.profile, couplings[eps_ref], potential.range), law_ref)
     w_model = limit_w(z, psi, v_ref, grid, m, resolvent=res)
     fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
     discrepancies = np.empty((eps_list.size, fs.shape[0]))
     w_eps_f = np.empty((eps_list.size, *fs.shape))
     for k, eps in enumerate(eps_list):
-        lam = couplings[float(eps)]
         scaled = ScaledPotential(
-            BasePotential(potential.profile, lam * potential.strength, potential.range),
-            ScalingLaw(2, eps, 3),
+            BasePotential(potential.profile, couplings[float(eps)], potential.range), ScalingLaw(2, eps, 3)
         )
         w_eps = assemble_w_eps(z, scaled, grid, m, resolvent=res)
         for j, f in enumerate(fs):

@@ -220,8 +220,8 @@ def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
 
     with kappa = sqrt(2 m z); only real z > 0 is supported.
     """
-    if z <= 0.0:
-        raise ValueError("spectral parameter z must be real and positive")
+    if not (np.isfinite(z) and z > 0.0):
+        raise ValueError("spectral parameter z must be real, finite and positive")
     if d not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
     r = np.asarray(r, dtype=float)

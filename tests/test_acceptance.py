@@ -228,6 +228,7 @@ def test_criterion_08_efimov_geometric_ratio(thresholds_both_dims):
         rep = operator_spectrum(effective_operator("contact_image", c, 3, grid))
         neg = np.abs(rep.eigenvalues[rep.eigenvalues < 0.0])
         ratios[n] = (neg[1:] / neg[:-1])[window]
+    n_base = rep.count_negative  # the n = 2000, r_max = 1e2 spectrum
     # one refinement extrapolation (first order in 1/n)
     extrap = 2.0 * ratios[2000] - ratios[1000]
     gm = float(np.exp(np.mean(np.log(extrap))))
@@ -235,10 +236,6 @@ def test_criterion_08_efimov_geometric_ratio(thresholds_both_dims):
 
     grid10 = build_grid(2000, 1e3, "logarithmic", r_min=1e-4)
     rep10 = operator_spectrum(effective_operator("contact_image", c, 3, grid10))
-    neg_base = operator_spectrum(
-        effective_operator("contact_image", c, 3, build_grid(2000, 1e2, "logarithmic", r_min=1e-4))
-    )
-    n_base = neg_base.count_negative
     n_10 = rep10.count_negative
     neg10 = np.abs(rep10.eigenvalues[rep10.eigenvalues < 0.0])
     new_state_ratio = neg10[-2] / neg10[-3]  # ratio feeding the added shallow level

@@ -5,6 +5,7 @@ from scipy.linalg import eigh
 from zrange.grids import build_grid
 from zrange.operators import SpectrumReport
 from zrange.efimov import (
+    _inertia_spectrum,
     effective_operator,
     find_thresholds,
     geometric_ratio,
@@ -114,6 +115,26 @@ def test_above_c1_count_grows_every_decade(thresholds_d3):
         g = build_grid(300, 2e2, "logarithmic", r_min=1e-4 * 10.0**-k)
         counts.append(operator_spectrum(effective_operator("contact_image", c, 3, g)).count_negative)
     assert all(counts[i + 1] > counts[i] for i in range(2))
+
+
+@pytest.mark.parametrize("d", [3, 2])
+def test_inertia_spectrum_counts_negative_eigenvalues(d):
+    # Sylvester: #neg(S - C/r) = #{mu < C} for every C from one eigensolve
+    g = build_grid(200, 2e2, "logarithmic", r_min=1e-4)
+    mu = _inertia_spectrum(d, g, 0.5)
+    for c in np.linspace(0.1, 2.5, 6):
+        direct = operator_spectrum(effective_operator("contact_image", c, d, g)).count_negative
+        assert np.searchsorted(mu, c) == direct
+
+
+def test_c0_is_where_the_refined_grid_loses_positivity(thresholds_d3):
+    # the refined run (n = 500) is the one reported
+    g = build_grid(500, 2e2, "logarithmic", r_min=1e-4)
+    c0 = thresholds_d3.C0
+    below = operator_spectrum(effective_operator("contact_image", c0 * (1.0 - 1e-3), 3, g))
+    above = operator_spectrum(effective_operator("contact_image", c0 * (1.0 + 1e-3), 3, g))
+    assert below.count_negative == 0
+    assert above.count_negative >= 1
 
 
 def test_threshold_bracket_validation():

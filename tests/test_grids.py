@@ -55,6 +55,14 @@ def test_dilate_scales_nodes_and_weights():
     assert gd.integrate(np.ones(32)) == pytest.approx(3.0 * g.integrate(np.ones(32)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_node_and_dilation_rejected(bad):
+    with pytest.raises(GridError, match="finite"):
+        RadialGrid(np.array([0.5, 1.0, bad]), np.ones(3), "linear", bad)
+    with pytest.raises(GridError, match="dilation"):
+        build_grid(16, 1.0, "linear").dilate(bad)
+
+
 def test_strictly_increasing_enforced():
     nodes = np.array([0.1, 0.2, 0.2, 0.4])
     with pytest.raises(GridError):

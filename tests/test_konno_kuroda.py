@@ -42,6 +42,13 @@ def test_zero_potential_gives_zero_difference(box100):
     assert np.all(diff.matrix.entries == 0.0)
 
 
+@pytest.mark.parametrize("z", [float("nan"), float("inf")])
+def test_non_finite_z_rejected(box100, z):
+    g, h0 = box100
+    with pytest.raises(ValueError, match="finite"):
+        assemble_resolvent_diff(GridFunction(g, np.ones(100)), z, h0=h0)
+
+
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
 def test_konno_kuroda_equals_direct(box100, z):
     g, h0 = box100

@@ -347,6 +347,18 @@ def test_convergence_study_rejects_bad_z_and_rungs(small_product, z, ladder):
         convergence_study(z, GAUSS, ladder, pg, fs)
 
 
+def test_convergence_study_independent_of_profile_strength():
+    # every rung is recalibrated to the two-body resonance, so the profile's
+    # own strength drops out: both studies assemble the same potentials
+    g = build_grid(16, 40.0, "logarithmic", r_min=1e-3)
+    pg = ProductGrid(g, g)
+    fs = np.ones((1, pg.n))
+    unit = convergence_study(2.0, GAUSS, [0.2, 0.1], pg, fs)
+    double = convergence_study(2.0, BasePotential("gaussian", 2.0, 1.0), [0.2, 0.1], pg, fs)
+    assert double.couplings == pytest.approx(unit.couplings, rel=1e-10)
+    assert np.allclose(double.discrepancies, unit.discrepancies, rtol=1e-8, atol=0.0)
+
+
 def test_identity_free_case(resonant_setup):
     # W = 0 and H = H0: ((H0+z)^(-1) + 0)(H0 + z) f = f to rounding
     pg, psi, v_ref, res = resonant_setup

@@ -136,6 +136,12 @@ def test_kernel_rejects_nonpositive_z():
         radial_green_kernel(3, -1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("z", [float("nan"), float("inf")])
+def test_kernel_rejects_non_finite_z(z):
+    with pytest.raises(ValueError, match="finite"):
+        radial_green_kernel(3, z, 1.0, 2.0)
+
+
 @pytest.mark.parametrize("d", [3, 2])
 def test_kernel_matches_dense_inversion(d):
     # delta column of the discretized (H0 + z)^(-1) at r = r' = 1
