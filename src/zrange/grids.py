@@ -37,10 +37,10 @@ class RadialGrid:
             raise GridError("nodes must be a nonempty 1-d array")
         if not (np.all(np.isfinite(nodes)) and nodes[0] > 0.0 and np.all(np.diff(nodes) > 0.0)):
             raise GridError("nodes must be finite, strictly increasing and positive")
-        if weights.shape != nodes.shape or np.any(weights <= 0.0):
-            raise GridError("weights must be positive, one per node")
-        if nodes[-1] > self.r_max * (1.0 + 1e-12):
-            raise GridError("last node exceeds r_max")
+        if weights.shape != nodes.shape or not np.all(np.isfinite(weights) & (weights > 0.0)):
+            raise GridError("weights must be finite and positive, one per node")
+        if not (np.isfinite(self.r_max) and nodes[-1] <= self.r_max * (1.0 + 1e-12)):
+            raise GridError("r_max must be finite and not below the last node")
 
     @property
     def n(self) -> int:

@@ -24,10 +24,12 @@ nonnegative instead of discretizing it as a diagonal, which would not be.
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cython_lapack, eigh
 from scipy.special import i0e, k0e
 
 from .grids import GridFunction, RadialGrid
@@ -117,6 +119,17 @@ def eig_spectrum(op: OperatorMatrix, want_vectors: bool = False) -> SpectrumRepo
 # the SVD of F keep relative accuracy ~ cond(F) * eps instead of
 # cond(K) * eps = cond(F)^2 * eps, and cond(K) can exceed 1e15 on the
 # scale-bracketing grids the Efimov studies need.
+#
+# F is bidiagonal: n x n upper for d=2, (n+1) x n lower for d=3, where n
+# Givens rotations from the left (O(n)) give an n x n upper bidiagonal B with
+# B^T B = F^T F, so the same singular values and right vectors.  sqrt_kinetic
+# hands B's two diagonals to LAPACK's bidiagonal divide-and-conquer SVD
+# (dbdsdc).  A dense SVD of F would first spend an O(n^3) Householder
+# reduction (dgebrd) and its back-transform, most of the cost of the root,
+# on a matrix that is already bidiagonal.
+# scipy exports dbdsdc only as a Cython capsule, present in every scipy this
+# package supports (>= 1.10), so the shim has no dense fallback: it would be
+# a second path that never runs.
 
 
 def _factor_d3(nodes: np.ndarray) -> np.ndarray:
@@ -195,16 +208,86 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> OperatorMa
     return OperatorMatrix(0.5 * (h + h.T), grid, 0.5, label="H_hyper")
 
 
-def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5, factor: np.ndarray | None = None) -> OperatorMatrix:
-    """sqrt of the kinetic matrix through the SVD of its difference factor.
+def _upper_bidiagonal(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of an n x n upper bidiagonal B with B^T B = F^T F.
 
-    With F = U S V^T and H0 = F^T F, the root is V S V^T; the singular values
+    F is a kinetic factor: n x n upper bidiagonal, returned as it is, or
+    (n+1) x n lower bidiagonal.  In the second case the Givens rotation of
+    rows i and i+1 folds F[i+1, i] into the diagonal entry (i, i), and its
+    fill-in at (i, i+1) is the superdiagonal.
+    """
+    n = f.shape[1]
+    if f.shape[0] == n:
+        # copies, not views, so that F can be freed before the SVD
+        return np.diag(f).copy(), np.diag(f, 1).copy()
+    diag = np.empty(n)
+    superdiag = np.empty(n - 1)
+    a = f[0, 0]
+    for i in range(n):
+        b = f[i + 1, i]
+        r = math.hypot(a, b)
+        diag[i] = r
+        if i < n - 1:
+            c = f[i + 1, i + 1]
+            superdiag[i] = b / r * c
+            a = a / r * c
+    return diag, superdiag
+
+
+def _dbdsdc(diag: np.ndarray, superdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values s and right singular vectors V of an upper bidiagonal B.
+
+    B = U diag(s) V^T with s descending; V is returned with the vectors as
+    columns.  LAPACK dbdsdc is reached through the function pointer in
+    scipy.linalg.cython_lapack's capsule table.  Raises LinAlgError when it
+    does not converge, as np.linalg.svd does.
+    """
+    n = diag.size
+    if n < 1 or superdiag.shape != (n - 1,):
+        raise ValueError("bidiagonal needs n >= 1 diagonal and n - 1 superdiagonal entries")
+    capsule = cython_lapack.__pyx_capi__["dbdsdc"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
+    routine = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, ip, dp, dp, dp, ip, dp, ip, dp, ip, dp, ip, ip)(
+        get_pointer(capsule, name)
+    )
+    s = np.array(diag, dtype=float)  # overwritten by the singular values
+    e = np.array(superdiag, dtype=float)
+    u = np.empty((n, n))
+    # Column-major VT read in C order is V itself.
+    v = np.empty((n, n))
+    q = np.empty(1)  # Q and IQ are not referenced when COMPQ = 'I'
+    iq = np.empty(1, dtype=np.intc)
+    work = np.empty(3 * n * n + 4 * n)
+    iwork = np.empty(8 * n, dtype=np.intc)
+    size = ctypes.c_int(n)
+    info = ctypes.c_int(0)
+    routine(
+        b"U", b"I", ctypes.byref(size), s.ctypes.data_as(dp), e.ctypes.data_as(dp),
+        u.ctypes.data_as(dp), ctypes.byref(size), v.ctypes.data_as(dp), ctypes.byref(size),
+        q.ctypes.data_as(dp), iq.ctypes.data_as(ip), work.ctypes.data_as(dp), iwork.ctypes.data_as(ip),
+        ctypes.byref(info),
+    )
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"bidiagonal SVD did not converge (dbdsdc info {info.value})")
+    return s, v
+
+
+def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix:
+    """sqrt of the kinetic matrix through the SVD of its bidiagonal difference factor.
+
+    With F = U S V^T and H0 = F^T F, the root is V S V^T.  S and V come from
+    LAPACK's bidiagonal SVD (dbdsdc) of F itself for d=2 and of its O(n)
+    Givens reduction for d=3, so no dense O(n^3) bidiagonalization or
+    back-transform is spent before the V S V^T product.  The singular values
     carry full relative accuracy even when cond(H0) is near 1/eps, which the
     eigendecomposition route loses.
     """
-    f = kinetic_factor(grid, d, m) if factor is None else factor
-    _, s, vt = np.linalg.svd(f, full_matrices=False)
-    root = vt.T @ (s[:, None] * vt)
+    diag, superdiag = _upper_bidiagonal(kinetic_factor(grid, d, m))
+    s, v = _dbdsdc(diag, superdiag)
+    root = v @ (s[:, None] * v.T)
     return OperatorMatrix(0.5 * (root + root.T), grid, m, label=f"sqrt(H0[d={d}])")
 
 
@@ -226,8 +309,8 @@ def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
         raise ValueError("dimension must be 2 or 3")
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
-    if np.any(r <= 0.0) or np.any(rp <= 0.0):
-        raise ValueError("kernel arguments must be positive radii")
+    if not (np.all(np.isfinite(r) & (r > 0.0)) and np.all(np.isfinite(rp) & (rp > 0.0))):
+        raise ValueError("kernel arguments must be finite, positive radii")
     kappa = np.sqrt(2.0 * m * z)
     lo = np.minimum(r, rp)
     hi = np.maximum(r, rp)

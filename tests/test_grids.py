@@ -63,6 +63,15 @@ def test_non_finite_node_and_dilation_rejected(bad):
         build_grid(16, 1.0, "linear").dilate(bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_r_max_and_weights_rejected(bad):
+    nodes = np.array([0.5, 1.0])
+    with pytest.raises(GridError, match="r_max"):
+        RadialGrid(nodes, np.ones(2), "linear", bad)
+    with pytest.raises(GridError, match="weights"):
+        RadialGrid(nodes, np.array([0.5, bad]), "linear", 1.0)
+
+
 def test_strictly_increasing_enforced():
     nodes = np.array([0.1, 0.2, 0.2, 0.4])
     with pytest.raises(GridError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from zrange import operators
 from zrange.grids import GridFunction, build_grid
 from zrange.operators import (
     OperatorMatrix,
@@ -9,6 +10,7 @@ from zrange.operators import (
     discretize_h0,
     eig_spectrum,
     hyperradial_kinetic,
+    kinetic_factor,
     operator_sqrt,
     radial_green_kernel,
     solve_resolvent,
@@ -142,6 +144,14 @@ def test_kernel_rejects_non_finite_z(z):
         radial_green_kernel(3, z, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_kernel_rejects_non_finite_radii(bad):
+    with pytest.raises(ValueError, match="finite"):
+        radial_green_kernel(3, 1.0, bad, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        radial_green_kernel(2, 1.0, np.array([1.0, 2.0]), np.array([bad, 2.0]))
+
+
 @pytest.mark.parametrize("d", [3, 2])
 def test_kernel_matches_dense_inversion(d):
     # delta column of the discretized (H0 + z)^(-1) at r = r' = 1
@@ -202,6 +212,19 @@ def test_sqrt_kinetic_agrees_with_generic_route():
     a = operator_sqrt(h).entries
     b = sqrt_kinetic(g, 3, 0.5).entries
     assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sqrt_kinetic_matches_dense_svd_of_factor(d):
+    # Reference: the dense SVD of the whole factor F, root V S V^T.
+    g = build_grid(600, 2e2, "logarithmic", r_min=1e-10)
+    f = kinetic_factor(g, d, 0.5)
+    _, s_ref, vt = np.linalg.svd(f, full_matrices=False)
+    ref = vt.T @ (s_ref[:, None] * vt)
+    root = sqrt_kinetic(g, d, 0.5).entries
+    assert np.abs(root - ref).max() <= 1e-13 * np.abs(ref).max()
+    s, _ = operators._dbdsdc(*operators._upper_bidiagonal(f))
+    assert np.all(np.abs(s - s_ref) <= 1e-12 * s_ref)
 
 
 # ---------------------------------------------------------------------------
