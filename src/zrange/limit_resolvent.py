@@ -11,6 +11,13 @@ Everything acts on weight-scaled reduced waves U(r_x, r_y) flattened in C
 order; the reduction conventions are those of operators.py, with the d=3
 pairing <f, g> = 4 pi int f g r^2 dr.
 
+At finite epsilon, (H_eps + z)^(-1) - (H0 + z)^(-1) is assembled in
+Konno-Kuroda form R0 B (1 - Q)^(-1) B R0 with Q = B R0 B, and the kernel
+is inverted through the exact identity (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B:
+H_eps + z = a Kx (+) a Ky + z - B^2 is banded on the flattened grid (the
+kinetic matrices are tridiagonal), so one banded Cholesky factorization
+both certifies 1 - Q > 0 and solves with it.
+
 The epsilon -> 0 limit of (H_eps + z)^(-1) - (H0 + z)^(-1) is the rank-
 structured two-channel operator W(z): each channel applies the free
 resolvent to sources concentrated on its contact line x = 0 (or y = 0),
@@ -25,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, resonance
 from .grids import GridFunction, RadialGrid
@@ -118,6 +125,7 @@ class ProductFreeResolvent:
 
     def __init__(self, grid: ProductGrid, m: float = 1.0):
         self.grid = grid
+        self.m = m
         self.a = (m + 1.0) / (2.0 * m)
         lap_x = discretize_h0(grid.gx, 3, 0.5).entries
         lap_y = discretize_h0(grid.gy, 3, 0.5).entries
@@ -156,6 +164,22 @@ class ProductFreeResolvent:
             cols_full = np.einsum("ik,xkl,jl->xij", self.qx, t, self.qy, optimize=True)
             out[:, s:e] = cols_full[:, ri, rj].T
         return out
+
+
+def _same_radial_grid(a: RadialGrid, b: RadialGrid) -> bool:
+    return np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
+
+
+def _matching_resolvent(resolvent: ProductFreeResolvent | None, grid: ProductGrid, m: float) -> ProductFreeResolvent:
+    """The resolvent passed in, checked against grid and m, or a new one."""
+    if resolvent is None:
+        return ProductFreeResolvent(grid, m)
+    rg = resolvent.grid
+    if not (_same_radial_grid(rg.gx, grid.gx) and _same_radial_grid(rg.gy, grid.gy)):
+        raise ValueError("resolvent was built for another product grid")
+    if resolvent.m != m:
+        raise ValueError(f"resolvent was built for mass {resolvent.m!r}, not {m!r}")
+    return resolvent
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +237,8 @@ def limit_w(
     <V, psi> = 4 pi int V psi r^2 dr = 1.  The channel factor is
     R0(z) applied to delta-line columns; the resonance enters through the
     projector and the denominator (sqrt(z)/4 pi) |<sqrt(V) psi>|^2, whose
-    psi dependence cancels exactly in the assembled operator.
+    psi dependence cancels exactly in the assembled operator.  The resolvent
+    passed in must have been built for grid and m.
     """
     _check_z(z)
     gx, gy = grid.gx, grid.gy
@@ -231,7 +256,7 @@ def limit_w(
         raise ValueError("degenerate denominator: <sqrt(V) psi> below 1e-12")
     den = (np.sqrt(z) / (4.0 * np.pi)) * overlap**2
 
-    res = resolvent if resolvent is not None else ProductFreeResolvent(grid, m)
+    res = _matching_resolvent(resolvent, grid, m)
     nx, ny = gx.n, gy.n
     cx = _line_source_scale(gx)
     cy = _line_source_scale(gy)
@@ -256,9 +281,13 @@ def limit_w(
 class FiniteEpsilonResolvent:
     """W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) in factored form.
 
-    kernel_cho is the Cholesky factor of 1 - Q on the support, as returned
-    by scipy.linalg.cho_factor: its existence certifies that 1 - Q is
-    positive definite, and apply() solves with it.
+    W_eps = R0 B (1 - Q)^(-1) B R0 with Q = B R0(z) B on the support, and
+    the kernel is inverted through (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.
+    kernel_cho is the lower Cholesky factor of H_eps + z on the whole
+    flattened grid, in LAPACK lower-banded storage ((ny + 1) x n), as
+    returned by scipy.linalg.cholesky_banded: its existence certifies that
+    H_eps + z, and with it 1 - Q, is positive definite, and apply() solves
+    with it.
     """
 
     z: float
@@ -267,7 +296,7 @@ class FiniteEpsilonResolvent:
     grid: ProductGrid
     support: np.ndarray = field(repr=False)
     b_support: np.ndarray = field(repr=False)
-    kernel_cho: tuple = field(repr=False)
+    kernel_cho: np.ndarray = field(repr=False)
     resolvent: ProductFreeResolvent = field(repr=False)
     split_outer: tuple | None = field(default=None, repr=False)
 
@@ -278,14 +307,13 @@ class FiniteEpsilonResolvent:
         r0f = self.resolvent.apply(self.z, f)
         outer = self.split_outer[0] if (four_term and self.split_outer) else self.b_support
         u = outer * r0f[self.support]
-        g = cho_solve(self.kernel_cho, u)
+        # g = (1 - Q)^(-1) u = u + B (H_eps + z)^(-1) B u
         src = np.zeros_like(f)
+        src[self.support] = self.b_support * u
+        g = u + self.b_support * cho_solve_banded((self.kernel_cho, True), src)[self.support]
+        src[:] = 0.0
         src[self.support] = outer * g
         return self.resolvent.apply(self.z, src)
-
-    def resolvent_apply(self, f: np.ndarray) -> np.ndarray:
-        """(H_eps + z)^(-1) f = R0 f + W_eps f."""
-        return self.resolvent.apply(self.z, f) + self.apply(f)
 
 
 def assemble_w_eps(
@@ -299,15 +327,20 @@ def assemble_w_eps(
 
     B = sqrt(V_eps(x) + V_eps(y)) is diagonal and supported on the L-shaped
     region where either potential is alive.  Q = B R0(z) B is positive
-    semidefinite there, so 1 - Q is invertible exactly when it is positive
-    definite: one Cholesky factorization of 1 - Q is both the invertibility
-    gate (no three-body level below -z) and the solver behind apply().  The
-    top eigenvalue of Q is computed only when the factorization fails, for
-    the error message.  The four-term split of the outer factors (sqrt(V(x))
-    + sqrt(V(y)) instead of B) is available through apply(four_term=True).
+    semidefinite there, and by congruence 1 - Q is positive definite exactly
+    when H_eps + z = a Kx (+) a Ky + z - B^2 is (the Birman-Schwinger
+    principle); then (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.  Each kinetic
+    matrix is tridiagonal, so H_eps + z is banded with half-bandwidth ny on
+    the flattened grid, and one banded Cholesky factorization of it is both
+    the invertibility gate (no three-body level below -z) and the solver
+    behind apply().  The dense block of Q and its top eigenvalue are computed
+    only when the factorization fails, for the error message.  The resolvent
+    passed in must have been built for grid and m.  The four-term split of
+    the outer factors (sqrt(V(x)) + sqrt(V(y)) instead of B) is available
+    through apply(four_term=True).
     """
     _check_z(z)
-    res = resolvent if resolvent is not None else ProductFreeResolvent(grid, m)
+    res = _matching_resolvent(resolvent, grid, m)
     gx, gy = grid.gx, grid.gy
     vx = v_scaled(gx.nodes)
     vy = v_scaled(gy.nodes)
@@ -316,24 +349,27 @@ def assemble_w_eps(
     support = np.flatnonzero(grid.flatten(v_sum) > floor)
     if support.size == 0:
         raise ValueError("potential vanishes on the product grid")
-    b_sup = np.sqrt(grid.flatten(v_sum)[support])
+    b_sq = grid.flatten(v_sum)[support]
+    b_sup = np.sqrt(b_sq)
     split = np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :]
     split_sup = grid.flatten(split)[support]
-    # 1 - Q built in place in the block's own buffer
-    kernel = res.block(z, support, support)
-    kernel *= b_sup[:, None]
-    kernel *= b_sup[None, :]
-    np.negative(kernel, out=kernel)
-    kernel[np.diag_indices(support.size)] += 1.0
-    diag = kernel.diagonal().copy()
+    # H_eps + z in lower-banded storage: band[k, p] = (H_eps + z)[p + k, p]
+    # with p = i ny + j; row 1 couples j to j + 1, row ny couples i to i + 1
+    kx = res.a * discretize_h0(gx, 3, 0.5).entries
+    ky = res.a * discretize_h0(gy, 3, 0.5).entries
+    nx, ny = gx.n, gy.n
+    band = np.zeros((ny + 1, grid.n))
+    band[0] = (np.diag(kx)[:, None] + np.diag(ky)[None, :] + z).reshape(-1)
+    band[0, support] -= b_sq
+    band[1] = np.tile(np.append(np.diag(ky, -1), 0.0), nx)
+    band[ny, : grid.n - ny] = np.repeat(np.diag(kx, -1), ny)
     try:
-        # the transpose is the Fortran-ordered view LAPACK factors in place;
-        # its lower triangle is the upper one of kernel, so kernel's strict
-        # lower triangle still holds 1 - Q if the factorization fails
-        cho = cho_factor(kernel.T, lower=True, overwrite_a=True)
+        cho = cholesky_banded(band, lower=True)
     except LinAlgError:
-        np.fill_diagonal(kernel, diag)
-        top_q = 1.0 - float(eigh(kernel, lower=True, eigvals_only=True, subset_by_index=[0, 0])[0])
+        q = res.block(z, support, support)
+        q *= b_sup[:, None]
+        q *= b_sup[None, :]
+        top_q = float(eigh(q, lower=True, eigvals_only=True, subset_by_index=[support.size - 1] * 2)[0])
         raise ValueError(
             f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: "
             f"top eigenvalue {top_q:.6f} (three-body level below -z)"
@@ -415,6 +451,13 @@ def convergence_study(
         raise ValueError(f"epsilon ladder must be non-empty with every rung finite and in (0, 1], got {eps_list}")
     if np.any(np.diff(eps_list) >= 0.0):
         raise ValueError("epsilon ladder must be strictly decreasing")
+    fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
+    if fs.ndim != 2 or fs.shape[1] != grid.n:
+        raise ValueError(f"test functions must have length grid.n = {grid.n}, got shape {fs.shape}")
+    if not np.all(np.isfinite(fs)):
+        raise ValueError("test functions must be finite (no NaN or inf)")
+    if np.any(np.linalg.norm(fs, axis=1) == 0.0):
+        raise ValueError("test functions must have nonzero norm")
     if couplings is None:
         couplings = calibrate_couplings(potential, eps_list, grid.gx, m)
     res = ProductFreeResolvent(grid, m)
@@ -423,7 +466,6 @@ def convergence_study(
     psi = resonance(ScaledPotential(potential, law_ref), grid.gx, channel_mass(m)).psi
     v_ref = ScaledPotential(BasePotential(potential.profile, couplings[eps_ref], potential.range), law_ref)
     w_model = limit_w(z, psi, v_ref, grid, m, resolvent=res)
-    fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
     discrepancies = np.empty((eps_list.size, fs.shape[0]))
     w_eps_f = np.empty((eps_list.size, *fs.shape))
     for k, eps in enumerate(eps_list):

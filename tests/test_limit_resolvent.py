@@ -7,6 +7,7 @@ from oracles import halving_orders, stm_limit_apply, successive_difference_order
 from zrange import limit_resolvent
 from zrange.birman_schwinger import resonance
 from zrange.grids import GridFunction, build_grid
+from zrange.operators import discretize_h0
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 from zrange.limit_resolvent import (
     SUPPORT_FLOOR,
@@ -239,6 +240,62 @@ def test_w_eps_success_path_runs_no_eigensolve(resonant_setup, monkeypatch):
     assert np.all(np.isfinite(w_eps.apply(f)))
 
 
+def test_w_eps_success_path_builds_no_dense_block(resonant_setup, monkeypatch):
+    pg, psi, v_ref, res = resonant_setup
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("dense R0 block on the success path of assemble_w_eps")
+
+    monkeypatch.setattr(ProductFreeResolvent, "block", no_block)
+    w_eps = assemble_w_eps(2.0, v_ref, pg, 1.0, resolvent=res)
+    f = np.random.default_rng(14).standard_normal(pg.n)
+    assert np.all(np.isfinite(w_eps.apply(f)))
+    assert np.all(np.isfinite(w_eps.apply(f, four_term=True)))
+
+
+def test_w_eps_matches_dense_kron_resolvent_difference():
+    # W_eps f = (H_eps + z)^(-1) f - (H0 + z)^(-1) f with both operators
+    # assembled densely from np.kron of the kinetic matrices, on a product
+    # grid whose two factors differ in size, spacing and extent, at m = 2
+    gx = build_grid(20, 30.0, "logarithmic", r_min=1e-2)
+    gy = build_grid(24, 20.0, "linear")
+    pg = ProductGrid(gx, gy)
+    m, z, eps = 2.0, 1.5, 0.2
+    lam = calibrate_couplings(GAUSS, [eps], gx, m)[eps]
+    v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
+    w_eps = assemble_w_eps(z, v, pg, m, resolvent=ProductFreeResolvent(pg, m))
+    a = (m + 1.0) / (2.0 * m)
+    kx = a * discretize_h0(gx, 3, 0.5).entries
+    ky = a * discretize_h0(gy, 3, 0.5).entries
+    h0_z = np.kron(kx, np.eye(gy.n)) + np.kron(np.eye(gx.n), ky) + z * np.eye(pg.n)
+    v_sum = (v(gx.nodes)[:, None] + v(gy.nodes)[None, :]).reshape(-1)
+    b_sq = np.where(v_sum > SUPPORT_FLOOR * v_sum.max(), v_sum, 0.0)
+    assert 0 < w_eps.support.size < pg.n
+    fs = np.random.default_rng(15).standard_normal((3, pg.n))
+    ref = np.linalg.solve(h0_z - np.diag(b_sq), fs.T).T - np.linalg.solve(h0_z, fs.T).T
+    for f, r in zip(fs, ref):
+        assert np.linalg.norm(w_eps.apply(f) - r) <= 1e-10 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("build", ["assemble_w_eps", "limit_w"])
+def test_resolvent_must_match_grid_and_mass(resonant_setup, build):
+    pg, psi, v_ref, res = resonant_setup
+
+    def run(grid, m, resolvent):
+        if build == "assemble_w_eps":
+            return assemble_w_eps(2.0, v_ref, grid, m, resolvent=resolvent)
+        return limit_w(2.0, psi, v_ref, grid, m, resolvent=resolvent)
+
+    other = build_grid(40, 40.0, "logarithmic", r_min=2e-3)
+    with pytest.raises(ValueError, match="another product grid"):
+        run(pg, 1.0, ProductFreeResolvent(ProductGrid(pg.gx, other), 1.0))
+    with pytest.raises(ValueError, match="mass"):
+        run(pg, 2.0, res)
+    # an equal grid built anew is the same grid
+    rebuilt = build_grid(40, 40.0, "logarithmic", r_min=1e-3)
+    run(ProductGrid(rebuilt, rebuilt), 1.0, res)
+
+
 @pytest.mark.parametrize("z", BAD_Z)
 def test_assemble_w_eps_rejects_bad_z(resonant_setup, z):
     pg, psi, v_ref, res = resonant_setup
@@ -345,6 +402,24 @@ def test_convergence_study_rejects_bad_z_and_rungs(small_product, z, ladder):
     fs = np.ones((1, pg.n))
     with pytest.raises(ValueError, match="finite and positive|epsilon ladder"):
         convergence_study(z, GAUSS, ladder, pg, fs)
+
+
+@pytest.mark.parametrize("defect", ["nan", "inf", "zero_norm", "short", "long"])
+def test_convergence_study_rejects_bad_test_functions(small_product, defect):
+    pg = small_product
+    fs = np.ones((2, pg.n))
+    if defect == "nan":
+        fs[1, 3], match = np.nan, "finite"
+    elif defect == "inf":
+        fs[0, 0], match = -np.inf, "finite"
+    elif defect == "zero_norm":
+        fs[1], match = 0.0, "nonzero norm"
+    elif defect == "short":
+        fs, match = fs[:, :-1], "length"
+    else:
+        fs, match = np.ones(pg.n + 1), "length"
+    with pytest.raises(ValueError, match=match):
+        convergence_study(2.0, GAUSS, [0.2, 0.1], pg, fs)
 
 
 def test_convergence_study_independent_of_profile_strength():
