@@ -18,7 +18,6 @@ from zrange.limit_resolvent import (
     ProductGrid,
     convergence_study,
     limit_w,
-    scaled_h0,
 )
 from zrange.potentials import ScaledPotential, ScalingLaw
 
@@ -28,17 +27,6 @@ pg = ProductGrid(g, g)
 gauss = BasePotential("gaussian", 1.0, 1.0)
 
 print("=" * 72)
-print("  partial-scaling structure of the free Hamiltonian")
-print("=" * 72)
-print("  x block at order 1, y block at eps^2; the s (x) s cross block is zero")
-sh = scaled_h0(1.0, 1.0, g, g)
-ny = np.linalg.norm(sh.y_block)
-for eps in (1.0, 0.5, 0.25):
-    a = scaled_h0(eps, 1.0, g, g).assembled().entries
-    rest = np.linalg.norm(a - sh.x_block)
-    print(f"  eps = {eps:5.2f}: ||H0_scaled - x block|| = {rest:.6e}, eps^2 ||y block|| = {eps**2 * ny:.6e}")
-
-print("\n" + "=" * 72)
 print("  strong convergence of W_eps(z) f to W(z) f,  z = 2")
 print("=" * 72)
 res = ProductFreeResolvent(pg, 1.0)

@@ -12,12 +12,9 @@ from .operators import (
     SingularSystemError,
     SpectrumReport,
     discretize_h0,
-    eig_spectrum,
     green_kernel_matrix,
     hyperradial_kinetic,
-    operator_sqrt,
     radial_green_kernel,
-    solve_resolvent,
     sqrt_kinetic,
 )
 from .potentials import (
@@ -57,11 +54,9 @@ from .limit_resolvent import (
     LimitResolvent,
     ProductFreeResolvent,
     ProductGrid,
-    ScaledFreeHamiltonian,
     assemble_w_eps,
     convergence_study,
     limit_w,
-    scaled_h0,
     verify_limit_identity,
 )
 from .efimov import (

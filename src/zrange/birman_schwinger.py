@@ -10,11 +10,13 @@ two-body zero-energy resonance is the critical situation where the top
 eigenvalue of Q equals 1 as z -> 0+; the resonance wave behaves like
 C/r + D outside the potential with D = 0 exactly at criticality.
 
-z -> 0+ is always realized as a small floor z_min plus Richardson
-extrapolation, because the zero-energy kernel is only conditionally defined
-on a finite grid.  Q is linear in the coupling, so the critical coupling is
+In d=3 the reduced kernel sinh(kappa r<) e^(-kappa r>) / kappa is entire in
+kappa = sqrt(2 m z) and equals 2m min(r, r') at kappa = 0, so Q(0) is a
+bounded matrix and q(0+) is its top eigenvalue: z = 0 is assembled exactly,
+not approached.  Every other z keeps the floor Z_FLOOR (in d=2 the kernel
+diverges at z = 0).  Q is linear in the coupling, so the critical coupling is
 the closed form 1/q(0+); resonance() is the one routine that computes it,
-together with the resonance wave.
+together with the resonance wave, from one Q(0) and one eigensolve.
 """
 
 from __future__ import annotations
@@ -63,9 +65,15 @@ def bs_operator(
     work); resolvent="grid" inverts the boxed discretized H0 + z, which keeps
     the eigenvalue count of Q consistent with the spectrum of that same boxed
     H0 - V (the Birman-Schwinger principle then holds as a matrix identity).
+    z = 0 is exact for d=3 with resolvent="exact" (kernel 2m min(r, r'));
+    every other z must be finite and at least Z_FLOOR.
     """
-    if not (np.isfinite(z) and z >= Z_FLOOR):
-        raise ValueError(f"z={z!r} must be finite and not below the floor z_min={Z_FLOOR:g}")
+    exact_zero = z == 0.0 and d == 3 and resolvent == "exact"
+    if not (exact_zero or (np.isfinite(z) and z >= Z_FLOOR)):
+        raise ValueError(
+            f"z={z!r} must be finite and not below the floor {Z_FLOOR:g} "
+            "(z = 0 only for d=3 with resolvent='exact')"
+        )
     vals = v.values
     if np.any(vals < 0.0):
         raise ValueError("potential values must be nonnegative (attractive convention)")
@@ -96,35 +104,21 @@ def bs_count_above_one(q: OperatorMatrix) -> int:
     return int(np.sum(vals > 1.0))
 
 
-def extrapolate_to_zero(z_ladder: np.ndarray, values: np.ndarray) -> tuple:
-    """Least-squares Richardson extrapolation of q(z) to z = 0.
-
-    The whole-space kernel behaves like q(0) - c sqrt(z) + O(z).  Returns
-    q(0) and the residual norm of the fit.
-    """
-    z = np.asarray(z_ladder, dtype=float)
-    y = np.asarray(values, dtype=float)
-    a = np.column_stack([np.ones_like(z), np.sqrt(z), z])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    return float(coef[0]), float(np.linalg.norm(a @ coef - y))
-
-
 @dataclass
 class Resonance:
     """Zero-energy Birman-Schwinger resonance of a potential V.
 
-    q0 is the top eigenvalue of Q(z -> 0+) for V, so coupling * V is
-    critical.  phi is the top eigenvector of Q(z_min) on the support nodes
-    of V; psi = u / r on the evaluation grid, u = R0(z_min) sqrt(coupling V)
-    phi, normalized so that <coupling V, psi> = 1.  simple_top is False when
-    the top two eigenvalues of Q(z_min) are not separated.
+    q0 is the top eigenvalue of Q(0) for V, so coupling * V is critical.
+    phi is its eigenvector on the support nodes of V; psi = u / r on the
+    evaluation grid, u = R0(0) sqrt(coupling V) phi, normalized so that
+    <coupling V, psi> = 1.  simple_top is False when the top two eigenvalues
+    of Q(0) are not separated.
     """
 
     q0: float
     phi: np.ndarray = field(repr=False)
     psi: GridFunction = field(repr=False)
     simple_top: bool
-    richardson_residual: float
 
     @property
     def coupling(self) -> float:
@@ -137,14 +131,13 @@ def resonance(
     grid: RadialGrid,
     m: float = 0.5,
     eval_grid: RadialGrid | None = None,
-    z_min: float = Z_FLOOR,
 ) -> Resonance:
     """Resonance of the radial potential r -> V(r) >= 0 in d=3.
 
-    V is sampled on the grid and Q(z) is assembled on its support (V above
-    SUPPORT_FLOOR of the peak) at z_min, 2 z_min and 4 z_min; the top
-    eigenvalues are extrapolated to q(0+).  psi lives on eval_grid (default:
-    grid), where V is evaluated again for its normalization.
+    V is sampled on the grid and Q(0) is assembled on its support (V above
+    SUPPORT_FLOOR of the peak); its top eigenpair gives q(0+) and phi.  psi
+    lives on eval_grid (default: grid), where V is evaluated again for its
+    normalization.
     """
     eval_grid = grid if eval_grid is None else eval_grid
     vals = np.asarray(potential(grid.nodes), dtype=float)
@@ -153,19 +146,17 @@ def resonance(
     sup = np.flatnonzero(vals > SUPPORT_FLOOR * vals.max())
     sub = RadialGrid(grid.nodes[sup], grid.weights[sup], grid.spacing, grid.r_max)
     v = GridFunction(sub, vals[sup])
-    ladder = z_min * np.array([1.0, 2.0, 4.0])
     k = sup.size
-    top2, vecs = eigh(bs_operator(v, z_min, 3, m).entries, subset_by_index=[max(k - 2, 0), k - 1])
-    tops = [top2[-1]] + [top_bs_eigenvalue(bs_operator(v, z, 3, m))[0] for z in ladder[1:]]
-    q0, residual = extrapolate_to_zero(ladder, np.array(tops))
-    # u = R0(z_min) sqrt(lam V) phi on eval_grid, psi = u / r with <lam V, psi> = 1
-    lam, phi = 1.0 / q0, vecs[:, -1]
+    top2, vecs = eigh(bs_operator(v, 0.0, 3, m).entries, subset_by_index=[max(k - 2, 0), k - 1])
+    # u = R0(0) sqrt(lam V) phi on eval_grid, psi = u / r with <lam V, psi> = 1
+    q0, phi = float(top2[-1]), vecs[:, -1]
+    lam = 1.0 / q0
     src = np.sqrt(lam * v.values) * phi * np.sqrt(sub.weights)
     r = eval_grid.nodes
-    psi = radial_green_kernel(3, z_min, r[:, None], sub.nodes[None, :], m) @ src / r
+    psi = radial_green_kernel(3, 0.0, r[:, None], sub.nodes[None, :], m) @ src / r
     psi /= 4.0 * np.pi * eval_grid.integrate(lam * potential(r) * psi * r**2)
     simple_top = k < 2 or top2[0] / top2[1] < 1.0 - 1e-6
-    return Resonance(q0, phi, GridFunction(eval_grid, psi), bool(simple_top), residual)
+    return Resonance(q0, phi, GridFunction(eval_grid, psi), bool(simple_top))
 
 
 @dataclass
@@ -223,17 +214,15 @@ def find_resonance_coupling(
     bracket: tuple = (0.1, 50.0),
     n: int = 800,
     m: float = 0.5,
-    z_min: float = Z_FLOOR,
-    eval_r_max: float = 80.0,
-    eval_n: int = 600,
 ) -> ResonanceReport:
     """Critical coupling of the scaled family, which must lie in the bracket.
 
     The scaled family eps^(-p) lam V(r/eps) is resonant when the top
-    eigenvalue of Q(z -> 0+) equals 1, at lam = 1/q(0+) of the unit-strength
+    eigenvalue of Q(0) equals 1, at lam = 1/q(0+) of the unit-strength
     profile.  The report carries the zero-energy profile on an extended
-    logarithmic grid, normalized to <V,psi> = 1, and its boundary
-    coefficients (C, D).
+    logarithmic grid out to max(80, 8 r_s), r_s the support radius, so that
+    the boundary fit window [2 r_s, r_max/2] is never empty; the profile is
+    normalized to <V,psi> = 1 and fitted for its boundary coefficients (C, D).
     """
     if law.d != 3:
         raise ValueError("resonance detection is implemented for d=3")
@@ -242,15 +231,16 @@ def find_resonance_coupling(
         raise ValueError("bracket must satisfy 0 < lo < hi")
     grid = _resonance_quadrature_grid(potential, law, n)
     unit = ScaledPotential(BasePotential(potential.profile, 1.0, potential.range), law)
-    eval_grid = build_grid(eval_n, eval_r_max, "logarithmic", r_min=grid.nodes[0])
-    res = resonance(unit, grid, m, eval_grid, z_min)
+    r_s = support_radius(potential, law)
+    eval_grid = build_grid(600, max(80.0, 8.0 * r_s), "logarithmic", r_min=grid.nodes[0])
+    res = resonance(unit, grid, m, eval_grid)
     lam_c = res.coupling
     if not lo <= lam_c <= hi:
         raise ValueError(
             f"no sign change of top BS eigenvalue - 1 in bracket ({lo:g}, {hi:g}): "
             f"f(lo)={lo * res.q0 - 1.0:.3e}, f(hi)={hi * res.q0 - 1.0:.3e}"
         )
-    fit = boundary_fit(res.psi, support_radius(potential, law))
+    fit = boundary_fit(res.psi, r_s)
     return ResonanceReport(
         lambda_critical=lam_c,
         bs_top_eigenvalue=lam_c * res.q0,
@@ -328,26 +318,22 @@ def two_resonance_matrix(
     z: float,
     grid: RadialGrid,
     m: float = 0.5,
-    z_min: float = Z_FLOOR,
 ) -> TwoResonanceMatrix:
     """Assemble the 2x2 Birman-Schwinger matrix of the two-channel system.
 
     Both channels live on identical grids with identical potentials.  The
-    supplied coupling must make each two-body subsystem resonant (extrapolated
-    top BS eigenvalue within RESONANCE_TOL of 1), otherwise the channels are
-    flagged as off resonance.
+    supplied coupling must make each two-body subsystem resonant (top
+    eigenvalue of Q(0) within RESONANCE_TOL of 1), otherwise the channels are
+    flagged as off resonance.  bs_operator checks z: 0, or at least Z_FLOOR.
     """
-    if z < z_min:
-        raise ValueError(f"z={z:g} below the floor z_min={z_min:g}")
     scaled = ScaledPotential(
         BasePotential(potential.profile, lambda_critical * potential.strength, potential.range), law
     )
     qg = _resonance_quadrature_grid(potential, law, 800)
-    res = resonance(scaled, qg, m, grid, z_min)
-    if abs(res.q0 - 1.0) > RESONANCE_TOL:
-        raise ValueError(f"channels not at resonance: extrapolated top BS eigenvalue {res.q0:.6f}")
-
     diag = top_bs_eigenvalue(bs_operator(scaled.on_grid(qg), z, 3, m))[0] - 1.0
+    res = resonance(scaled, qg, m, grid)
+    if abs(res.q0 - 1.0) > RESONANCE_TOL:
+        raise ValueError(f"channels not at resonance: top BS eigenvalue of Q(0) {res.q0:.6f}")
 
     # Cross-channel overlap <sqrt(V) psi_1, R0_prod(z) sqrt(V) psi_2> with
     # psi_1 = psi(x) (x) 1(y), psi_2 mirrored, psi normalized to <V,psi> = 1

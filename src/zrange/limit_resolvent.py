@@ -36,10 +36,8 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, resonance
 from .grids import GridFunction, RadialGrid
-from .operators import OperatorMatrix, discretize_h0
+from .operators import discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
-
-DIM_CAP = 10_000
 
 
 def _check_z(z: float) -> None:
@@ -63,57 +61,6 @@ class ProductGrid:
 
     def unflatten(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=float).reshape(self.gx.n, self.gy.n)
-
-
-# ---------------------------------------------------------------------------
-# partially scaled free Hamiltonian (one contact coordinate blown up)
-
-
-@dataclass
-class ScaledFreeHamiltonian:
-    """Blocks of eps^2 (U_eps)^* (H0 + .) U_eps on a product grid.
-
-    After the overall 1/eps^2 is factored out, the x kinetic block enters at
-    order 1 and the y kinetic block at eps^2; the s (x) s block of the
-    cross gradient is zero.  The mass m is the third particle's; the
-    identical pair has unit masses, so both kinetic blocks carry (m+1)/(2m).
-    """
-
-    epsilon: float
-    m: float
-    grid: ProductGrid
-    x_block: np.ndarray = field(repr=False)
-    y_block: np.ndarray = field(repr=False)
-
-    def assembled(self) -> OperatorMatrix:
-        eps = self.epsilon
-        mat = self.x_block + eps**2 * self.y_block
-        return OperatorMatrix(0.5 * (mat + mat.T), self.grid, self.m, label=f"H0_scaled(eps={eps:g})")
-
-
-def scaled_h0(
-    epsilon: float,
-    m: float,
-    grid_x: RadialGrid,
-    grid_y: RadialGrid,
-    dim_cap: int = DIM_CAP,
-) -> ScaledFreeHamiltonian:
-    """Partially x-scaled free Hamiltonian with its two epsilon blocks."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if m <= 0.0:
-        raise ValueError("third-particle mass must be positive")
-    grid = ProductGrid(grid_x, grid_y)
-    if grid.n > dim_cap:
-        raise ValueError(f"product dimension {grid.n} exceeds cap {dim_cap}")
-    a = (m + 1.0) / (2.0 * m)
-    lap_x = discretize_h0(grid_x, 3, 0.5).entries  # pure -Lap, s-wave
-    lap_y = discretize_h0(grid_y, 3, 0.5).entries
-    ix = np.eye(grid_x.n)
-    iy = np.eye(grid_y.n)
-    x_block = a * np.kron(lap_x, iy)
-    y_block = a * np.kron(ix, lap_y)
-    return ScaledFreeHamiltonian(epsilon, m, grid, x_block, y_block)
 
 
 # ---------------------------------------------------------------------------
@@ -523,15 +470,3 @@ def verify_limit_identity(
             quad.append(float(vals.max()))
     quad_arr = np.array(quad) if quad else np.full(fs.shape[0], np.nan)
     return IdentityReport(residuals, quad_arr, float(residuals.max()))
-
-
-def richardson_vector(eps_list: np.ndarray, vectors: np.ndarray, order: int = 2) -> np.ndarray:
-    """Least-squares Richardson extrapolation of an eps-indexed vector family.
-
-    Fits each component on the basis {1, eps, ..., eps^order} and returns the
-    eps -> 0 values.
-    """
-    eps_list = np.asarray(eps_list, dtype=float)
-    basis = np.column_stack([eps_list**k for k in range(order + 1)])
-    coef, *_ = np.linalg.lstsq(basis, vectors, rcond=None)
-    return coef[0]

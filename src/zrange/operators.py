@@ -1,4 +1,4 @@
-"""Discretized s-wave free Hamiltonian, its resolvent, and spectral tools.
+"""Discretized s-wave free Hamiltonian, its square root, and the free resolvent kernel.
 
 Representation convention
 -------------------------
@@ -29,10 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack, eigh
+from scipy.linalg import cython_lapack
 from scipy.special import i0e, k0e
 
-from .grids import GridFunction, RadialGrid
+from .grids import RadialGrid
 
 SYMMETRY_RTOL = 1e-10
 
@@ -88,26 +88,14 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     count_negative: int
     ratios: np.ndarray
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues, eigenvectors=None) -> "SpectrumReport":
+    def from_eigenvalues(cls, eigenvalues) -> "SpectrumReport":
         ev = np.sort(np.asarray(eigenvalues, dtype=float))
         neg = ev[ev < 0.0]
         # Deepest state first; each ratio compares the next shallower level.
         ratios = np.abs(neg[1:]) / np.abs(neg[:-1]) if neg.size >= 2 else np.empty(0)
-        return cls(ev, int(neg.size), ratios, eigenvectors)
-
-
-def eig_spectrum(op: OperatorMatrix, want_vectors: bool = False) -> SpectrumReport:
-    """Full eigendecomposition of a symmetric operator matrix."""
-    check_symmetric(op.entries, op.label or "eig_spectrum input")
-    sym = 0.5 * (op.entries + op.entries.T)
-    if want_vectors:
-        vals, vecs = eigh(sym)
-        return SpectrumReport.from_eigenvalues(vals, vecs)
-    vals = eigh(sym, eigvals_only=True)
-    return SpectrumReport.from_eigenvalues(vals)
+        return cls(ev, int(neg.size), ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +286,16 @@ def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix
 def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
     """Reduced s-wave kernel of (H0 + z)^(-1) on the whole space, H0 = -(1/2m) Lap.
 
-    d=3:  2m sinh(kappa r_<) exp(-kappa r_>) / kappa
+    d=3:  2m sinh(kappa r_<) exp(-kappa r_>) / kappa,  2m r_< at z = 0
     d=2:  2m sqrt(r r') I0(kappa r_<) K0(kappa r_>)
 
-    with kappa = sqrt(2 m z); only real z > 0 is supported.
+    with kappa = sqrt(2 m z); real z > 0 is supported, and z = 0 in d=3,
+    where the kernel stays bounded (in d=2 K0 diverges).
     """
-    if not (np.isfinite(z) and z > 0.0):
-        raise ValueError("spectral parameter z must be real, finite and positive")
     if d not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
+    if not (np.isfinite(z) and (z > 0.0 or (z == 0.0 and d == 3))):
+        raise ValueError("spectral parameter z must be real, finite and positive (z = 0 only in d=3)")
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
     if not (np.all(np.isfinite(r) & (r > 0.0)) and np.all(np.isfinite(rp) & (rp > 0.0))):
@@ -314,7 +303,9 @@ def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
     kappa = np.sqrt(2.0 * m * z)
     lo = np.minimum(r, rp)
     hi = np.maximum(r, rp)
-    if d == 3:
+    if d == 3 and kappa == 0.0:
+        val = 2.0 * m * lo
+    elif d == 3:
         # sinh(k lo) e^(-k hi) written stably as (e^(-k(hi-lo)) - e^(-k(hi+lo)))/2
         val = 2.0 * m * (np.exp(-kappa * (hi - lo)) - np.exp(-kappa * (hi + lo))) / (2.0 * kappa)
     else:
@@ -330,45 +321,3 @@ def green_kernel_matrix(grid: RadialGrid, d: int, z: float, m: float = 0.5) -> O
     sw = np.sqrt(grid.weights)
     mat = kern * np.outer(sw, sw)
     return OperatorMatrix(0.5 * (mat + mat.T), grid, m, label=f"G[d={d},z={z:g}]")
-
-
-def solve_resolvent(op: OperatorMatrix, z: float, f: GridFunction | np.ndarray) -> np.ndarray:
-    """Solve (M + z) g = f in the weight-scaled representation.
-
-    Accepts and returns plain node-value vectors (GridFunction values are
-    weight-scaled internally).  Raises SingularSystemError with the smallest
-    eigenvalue when M + z is numerically singular.
-    """
-    if isinstance(f, GridFunction):
-        sw = np.sqrt(f.grid.weights)
-        rhs = f.values * sw
-        unscale = True
-    else:
-        rhs = np.asarray(f, dtype=float)
-        sw = None
-        unscale = False
-    a = op.entries + z * np.eye(op.n)
-    try:
-        g = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        smallest = float(eigh(a, eigvals_only=True, subset_by_index=[0, 0])[0])
-        raise SingularSystemError("M + z I is singular", smallest) from None
-    resid = np.linalg.norm(a @ g - rhs)
-    if resid > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-        smallest = float(eigh(a, eigvals_only=True, subset_by_index=[0, 0])[0])
-        raise SingularSystemError("resolvent solve did not converge", smallest)
-    return g / sw if unscale else g
-
-
-def operator_sqrt(op: OperatorMatrix, floor_rtol: float = 1e-10) -> OperatorMatrix:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues below -floor_rtol * max|eig| are rejected; the tiny negative
-    dust above that floor is clipped to zero.
-    """
-    vals, vecs = eigh(0.5 * (op.entries + op.entries.T))
-    scale = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    if vals[0] < -floor_rtol * scale:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
-    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return OperatorMatrix(0.5 * (root + root.T), op.grid, op.m, label=f"sqrt({op.label})")

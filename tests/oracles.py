@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without the package's operator
 machinery: a plain RK4 shooting integrator for the radial zero-energy
-problem, a classical Jacobi rotation eigensolver, and brute-force quadrature
-helpers.  The oracles stay independent of the code paths they check.  The
+problem, the z -> 0+ Richardson ladder of the top Birman-Schwinger
+eigenvalue, a classical Jacobi rotation eigensolver, and brute-force
+quadrature helpers.  The oracles stay independent of the code paths they check.  The
 helpers for the zero-range limit at the end take the package's product-grid
 free resolvent as given and build the rest themselves.
 """
@@ -59,6 +60,31 @@ def shoot_exterior_wave(potential, coupling, r_support, two_m=1.0):
     d = up
     c = u - d * r_support
     return c, d
+
+
+def ladder_q0(nodes, weights, values, m=0.5, z_min=1e-8):
+    """Top zero-energy Birman-Schwinger eigenvalue by the z -> 0+ ladder.
+
+    Assembles sqrt(w V) K_z sqrt(w V) with the d=3 reduced kernel
+    K_z = 2m sinh(kappa r<) exp(-kappa r>) / kappa written out here, at
+    z = z_min, 2 z_min and 4 z_min, and fits the top eigenvalues exactly on
+    {1, sqrt(z), z}.  The fit leaves an error of order (kappa r)^3, kappa =
+    sqrt(2 m z_min), r the reach of V: below 1e-10 relative only while
+    sqrt(m) r stays of order one.
+    """
+    zs = z_min * np.array([1.0, 2.0, 4.0])
+    lo = np.minimum.outer(nodes, nodes)
+    hi = np.maximum.outer(nodes, nodes)
+    b = np.sqrt(weights * values)
+    n = b.size
+    tops = []
+    for z in zs:
+        kappa = np.sqrt(2.0 * m * z)
+        kern = 2.0 * m * (np.exp(-kappa * (hi - lo)) - np.exp(-kappa * (hi + lo))) / (2.0 * kappa)
+        q = b[:, None] * kern * b[None, :]
+        tops.append(np.linalg.eigvalsh(0.5 * (q + q.T))[n - 1])
+    basis = np.column_stack([np.ones(3), np.sqrt(zs), zs])
+    return float(np.linalg.solve(basis, tops)[0])
 
 
 def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=100):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 from zrange.grids import GridFunction, build_grid
 from zrange.operators import discretize_h0
 from zrange.potentials import BasePotential, ScalingLaw
+from zrange import birman_schwinger
 from zrange.birman_schwinger import (
     bs_count_above_one,
     bs_operator,
@@ -15,7 +17,7 @@ from zrange.birman_schwinger import (
 )
 from zrange.konno_kuroda import negative_count_direct
 
-from oracles import shooting_critical_coupling, shoot_exterior_wave
+from oracles import ladder_q0, shooting_critical_coupling, shoot_exterior_wave
 
 WELL = BasePotential("square_well", 1.0, 1.0)
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
@@ -56,8 +58,19 @@ def test_non_finite_z_rejected(z):
     g = build_grid(50, 1.0, "linear")
     with pytest.raises(ValueError, match="floor"):
         bs_operator(GridFunction(g, np.ones(50)), z)
-    with pytest.raises(ValueError, match="floor"):
-        resonance(WELL, g, z_min=z)
+
+
+def test_zero_energy_operator_is_the_min_kernel():
+    # Q(0) = sqrt(w V) 2m min(r, r') sqrt(w V), exact in d=3 only
+    g = build_grid(60, 2.0, "linear")
+    v = GridFunction(g, GAUSS(g.nodes))
+    b = np.sqrt(g.weights * v.values)
+    for m in (0.5, 2.0):
+        q = bs_operator(v, 0.0, m=m).entries
+        assert np.allclose(q, 2.0 * m * np.minimum.outer(g.nodes, g.nodes) * np.outer(b, b), rtol=1e-14, atol=0.0)
+    for kwargs in ({"d": 2}, {"resolvent": "grid"}):
+        with pytest.raises(ValueError, match="floor"):
+            bs_operator(v, 0.0, **kwargs)
 
 
 def test_top_eigenvalue_linear_in_coupling():
@@ -132,11 +145,8 @@ def test_critical_coupling_is_the_closed_form(well_resonance):
     # extrapolated to z -> 0+ on its own ladder, is 1 to rounding
     assert well_resonance.bs_top_eigenvalue == pytest.approx(1.0, abs=1e-12)
     g = build_grid(800, 1.0, "linear")
-    v = GridFunction(g, well_resonance.lambda_critical * WELL(g.nodes))
-    zs = 1e-8 * np.array([1.0, 2.0, 4.0])
-    tops = [top_bs_eigenvalue(bs_operator(v, z))[0] for z in zs]
-    basis = np.column_stack([np.ones(3), np.sqrt(zs), zs])
-    assert np.linalg.solve(basis, tops)[0] == pytest.approx(1.0, abs=1e-12)
+    q0 = ladder_q0(g.nodes, g.weights, well_resonance.lambda_critical * WELL(g.nodes))
+    assert q0 == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.3, 7.0])
@@ -146,7 +156,33 @@ def test_resonance_coupling_inverse_in_potential_scale(c):
     base = resonance(GAUSS, g)
     scaled = resonance(BasePotential("gaussian", c, 1.0), g)
     assert scaled.coupling == pytest.approx(base.coupling / c, rel=1e-12)
-    assert base.simple_top and base.richardson_residual < 1e-12
+    assert base.simple_top
+
+
+def test_resonance_is_one_operator_and_one_eigensolve(monkeypatch):
+    calls = {"bs_operator": [], "eigh": 0}
+    bs_op, eigh = birman_schwinger.bs_operator, birman_schwinger.eigh
+
+    def counting_bs_operator(v, z, *args, **kwargs):
+        calls["bs_operator"].append(z)
+        return bs_op(v, z, *args, **kwargs)
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(birman_schwinger, "bs_operator", counting_bs_operator)
+    monkeypatch.setattr(birman_schwinger, "eigh", counting_eigh)
+    resonance(GAUSS, build_grid(100, 5.8, "linear"))
+    assert calls == {"bs_operator": [0.0], "eigh": 1}
+
+
+def test_exponential_critical_coupling_analytic():
+    # u'' + lam e^(-r) u = 0 (2m = 1) is Bessel's equation in 2 sqrt(lam) e^(-r/2):
+    # the zero-energy resonance sits at J0(2 sqrt(lam)) = 0, lam_c = j_{0,1}^2 / 4
+    rep = find_resonance_coupling(BasePotential("exponential", 1.0, 1.0), UNSCALED, (1.0, 5.0))
+    assert rep.lambda_critical == pytest.approx(jn_zeros(0, 1)[0] ** 2 / 4.0, rel=1e-4)
+    assert abs(rep.boundary_D / rep.boundary_C) < 1e-10
 
 
 def test_no_sign_change_in_bracket_rejected():
@@ -212,7 +248,7 @@ def test_resonance_has_pure_pole_boundary(well_resonance):
     # D = 0 and C != 0 at exact resonance; shooting oracle confirms the
     # exterior wave u = C + D r carries D -> 0 there
     assert well_resonance.boundary_C != 0.0
-    assert abs(well_resonance.boundary_D / well_resonance.boundary_C) < 1e-3
+    assert abs(well_resonance.boundary_D / well_resonance.boundary_C) < 1e-10
     c_or, d_or = shoot_exterior_wave(WELL, LAMBDA_C_WELL, 1.0)
     assert abs(d_or) < 1e-6 * abs(c_or)
 
@@ -272,6 +308,12 @@ def test_two_resonance_iteration_converges(two_res):
         x, its = m.solve_by_iteration(b)
         assert np.allclose(x, np.linalg.solve(one_minus_q2, b), rtol=1e-9)
         assert its < 50
+
+
+def test_two_resonance_z_floor_enforced():
+    grid = build_grid(48, 30.0, "logarithmic", r_min=1e-3)
+    with pytest.raises(ValueError, match="floor"):
+        two_resonance_matrix(WELL, UNSCALED, LAMBDA_C_WELL, 1e-9, grid)
 
 
 def test_two_resonance_requires_critical_coupling():

@@ -15,6 +15,8 @@ from zrange.efimov import (
     operator_spectrum,
 )
 
+from oracles import jacobi_eigenvalues
+
 
 @pytest.fixture(scope="module")
 def log_grid():
@@ -63,6 +65,21 @@ def test_contact_image_scale_covariance(log_grid):
     neg, negs = e[e < 0], es[es < 0]
     assert neg.size == negs.size
     assert np.allclose(negs, neg / s, rtol=0.01)
+
+
+def test_operator_spectrum_matches_jacobi_oracle():
+    g = build_grid(40, 1e2, "logarithmic", r_min=1e-4)
+    op = effective_operator("contact_image", 1.5, 3, g)
+    oracle = jacobi_eigenvalues(op.matrix.entries)
+    e = operator_spectrum(op).eigenvalues
+    assert np.max(np.abs(e - oracle)) < 1e-10 * np.abs(oracle).max()
+
+
+def test_spectrum_report_counts_negatives_and_ratios():
+    rep = SpectrumReport.from_eigenvalues(np.array([3.0, -1.0, -2.0]))
+    assert np.array_equal(rep.eigenvalues, [-2.0, -1.0, 3.0])
+    assert rep.count_negative == 2
+    assert rep.ratios == pytest.approx([0.5])
 
 
 def test_weak_image_small_coupling_has_no_bound_state(log_grid):

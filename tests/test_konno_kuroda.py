@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh
 
 from zrange.grids import GridFunction, build_grid
-from zrange.operators import discretize_h0
+from zrange.operators import SingularSystemError, discretize_h0
 from zrange.potentials import BasePotential, ScalingLaw, l1_norm
 from zrange.konno_kuroda import (
     DefectReport,
@@ -98,6 +98,16 @@ def test_one_minus_q_singularity_located_at_bound_state(box100):
     q = r0 * np.outer(b, b)
     sv = np.linalg.svd(np.eye(100) - 0.5 * (q + q.T), compute_uv=False)
     assert sv[-1] < 1e-8
+
+
+def test_singular_kernel_reports_smallest_singular_value(box100):
+    # at z = |E_0| of H0 - V the assembly refuses the singular 1 - Q(z)
+    g, h0 = box100
+    v = GridFunction(g, 5.0 * WELL(g.nodes))
+    e0 = eigh(h0.entries - np.diag(v.values), eigvals_only=True, subset_by_index=[0, 0])[0]
+    with pytest.raises(SingularSystemError, match="singular") as err:
+        assemble_resolvent_diff(v, -e0, h0=h0)
+    assert err.value.smallest_eigenvalue == pytest.approx(0.0, abs=1e-10)
 
 
 def test_bs_count_matches_direct_over_coupling_sweep(box100):

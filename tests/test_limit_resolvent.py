@@ -19,8 +19,6 @@ from zrange.limit_resolvent import (
     channel_mass,
     convergence_study,
     limit_w,
-    richardson_vector,
-    scaled_h0,
     verify_limit_identity,
 )
 
@@ -42,47 +40,6 @@ def resonant_setup(small_product):
     v_ref = ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law)
     res = ProductFreeResolvent(pg, 1.0)
     return pg, r.psi, v_ref, res
-
-
-# ---------------------------------------------------------------------------
-# scaled_h0
-
-
-def test_scaled_h0_blocks_carry_stated_epsilon_powers(small_product):
-    gx = small_product.gx
-    sh1 = scaled_h0(1.0, 1.0, gx, gx)
-    base = sh1.assembled().entries
-    # at eps = 1 the assembly is the plain sum of the two blocks
-    assert np.allclose(base, sh1.x_block + sh1.y_block)
-    ny = np.linalg.norm(sh1.y_block, 2)
-    for eps in (0.5, 0.25):
-        sh = scaled_h0(eps, 1.0, gx, gx)
-        # x block at order 1, y block at eps^2
-        assert np.array_equal(sh.x_block, sh1.x_block)
-        rest = sh.assembled().entries - sh.x_block
-        assert np.linalg.norm(rest - eps**2 * sh.y_block, 2) < 1e-12 * ny
-        assert np.linalg.norm(sh.y_block, 2) == pytest.approx(ny, rel=1e-12)
-
-
-def test_scaled_h0_symmetric(small_product):
-    gx = small_product.gx
-    mat = scaled_h0(0.3, 2.0, gx, gx).assembled().entries
-    scale = np.abs(mat).max()
-    assert np.abs(mat - mat.T).max() < 1e-10 * scale
-
-
-def test_scaled_h0_dimension_cap():
-    g = build_grid(101, 10.0, "linear")
-    with pytest.raises(ValueError, match="cap"):
-        scaled_h0(1.0, 1.0, g, g)
-
-
-def test_scaled_h0_epsilon_range():
-    g = build_grid(16, 10.0, "linear")
-    with pytest.raises(ValueError):
-        scaled_h0(0.0, 1.0, g, g)
-    with pytest.raises(ValueError):
-        scaled_h0(1.5, 1.0, g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +430,6 @@ def _dense_r0(res, z, pg):
     d = 1.0 / res.denom(z)
     m = np.kron(res.qx, res.qy)
     return (m * d.reshape(-1)[None, :]) @ m.T
-
-
-def test_richardson_vector_recovers_polynomial_limit():
-    eps = np.array([0.4, 0.2, 0.1, 0.05])
-    target = np.array([1.0, -2.0, 3.0])
-    vals = np.stack([target + e * np.array([1.0, 1.0, 0.0]) + e**2 * 5.0 for e in eps])
-    out = richardson_vector(eps, vals)
-    assert np.allclose(out, target, atol=1e-10)
 
 
 def test_successive_difference_orders_recover_synthetic_rates():
