@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
 from .grids import GridFunction, RadialGrid
 
@@ -116,25 +117,42 @@ def _sphere_area(d: int) -> float:
     return 4.0 * np.pi if d == 3 else 2.0 * np.pi
 
 
+def _node_values(values, grid: RadialGrid) -> np.ndarray:
+    """Values as a finite float array with one entry per grid node."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n,):
+        raise ValueError(f"values must have shape ({grid.n},) to match the grid, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite (no NaN or inf)")
+    return values
+
+
 def l1_norm(values: np.ndarray, grid: RadialGrid, d: int = 3) -> float:
     """L1 norm of a radial function over R^d."""
-    r = grid.nodes
-    return _sphere_area(d) * grid.integrate(np.abs(values) * r ** (d - 1))
+    values = _node_values(values, grid)
+    return _sphere_area(d) * grid.integrate(np.abs(values) * grid.nodes ** (d - 1))
 
 
 def l2_norm(values: np.ndarray, grid: RadialGrid, d: int = 3) -> float:
     """L2 norm of a radial function over R^d."""
-    r = grid.nodes
-    return float(np.sqrt(_sphere_area(d) * grid.integrate(values * values * r ** (d - 1))))
+    values = _node_values(values, grid)
+    return float(np.sqrt(_sphere_area(d) * grid.integrate(values * values * grid.nodes ** (d - 1))))
 
 
-def _log_antideriv(t: np.ndarray) -> np.ndarray:
-    # G with G'' = log|t|:  G(t) = t^2 (2 log|t| - 3) / 4, G(0) = 0.
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    nz = t != 0.0
-    out[nz] = t[nz] * t[nz] * (2.0 * np.log(np.abs(t[nz])) - 3.0) / 4.0
-    return out
+# Rows of the edge kernel assembled at once: two (block x edges) temporaries.
+_ROLLNIK_BLOCK = 128
+
+
+def _edge_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # 4 (G(a + b) + G(a - b)) without the t^2 part of G, which the zero-sum
+    # weights cancel: s log s + q log q with s = (a + b)^2, q = (a - b)^2.
+    s = np.add.outer(a, b)
+    s *= s
+    xlogy(s, s, out=s)
+    q = np.subtract.outer(a, b)
+    q *= q
+    s += xlogy(q, q, out=q)
+    return s
 
 
 def rollnik_norm(values: np.ndarray, grid: RadialGrid) -> float:
@@ -142,30 +160,32 @@ def rollnik_norm(values: np.ndarray, grid: RadialGrid) -> float:
 
     Integral of V(x) V(y) / |x-y|^2 over R^3 x R^3.  After angular reduction
     this is 8 pi^2 times the double integral of V(r) V(r') r r' times
-    log((r+r')/|r-r'|).  Both log kernels are integrated exactly over every
-    cell pair (the density V r is frozen at the nodes), so the quadrature is
-    second order despite the diagonal singularity.
+    log((r+r')/|r-r'|).  The density f = |V| r is frozen on the cells
+    [E_i, E_(i+1)] between the edges E_0 = 0, the node midpoints and
+    E_n = r_n + (r_n - r_(n-1))/2, and both log kernels are integrated exactly
+    over every cell pair, so the quadrature is second order despite the
+    diagonal singularity.  Summed by parts, the cell-pair sum is the quadratic
+    form g^T K g over the n + 1 edges, with the jumps g_a = f_a - f_(a-1)
+    (f_(-1) = f_n = 0) and K_ab = G(E_a + E_b) + G(E_a - E_b), where
+    G(t) = t^2 (2 log|t| - 3) / 4 is the second antiderivative of log|t|.
+    K is assembled in row blocks of its upper triangle, only on the edges
+    where g is nonzero, so memory is O(block * n) and no n x n array exists.
     """
+    values = _node_values(values, grid)
+    if grid.n < 2:
+        raise ValueError("the Rollnik norm needs a grid of at least 2 nodes")
     r = grid.nodes
-    f = np.abs(values) * r  # V(r) * r, frozen per cell
-    mid = 0.5 * (r[:-1] + r[1:])
-    edges = np.concatenate(([0.0], mid, [r[-1] + 0.5 * (r[-1] - r[-2])]))
-    lo, hi = edges[:-1], edges[1:]
-    # exact integral of log(r+s) - log|r-s| over [lo_i,hi_i] x [lo_j,hi_j]
-    plus = (
-        _log_antideriv(hi[:, None] + hi[None, :])
-        + _log_antideriv(lo[:, None] + lo[None, :])
-        - _log_antideriv(hi[:, None] + lo[None, :])
-        - _log_antideriv(lo[:, None] + hi[None, :])
-    )
-    minus = (
-        _log_antideriv(hi[:, None] - lo[None, :])
-        + _log_antideriv(lo[:, None] - hi[None, :])
-        - _log_antideriv(hi[:, None] - hi[None, :])
-        - _log_antideriv(lo[:, None] - lo[None, :])
-    )
-    quad = float(f @ (plus - minus) @ f)
-    return 8.0 * np.pi**2 * quad
+    edges = np.concatenate(([0.0], 0.5 * (r[:-1] + r[1:]), [r[-1] + 0.5 * (r[-1] - r[-2])]))
+    g = np.diff(np.abs(values) * r, prepend=0.0, append=0.0)
+    support = g != 0.0
+    edges, g = edges[support], g[support]
+    quad = 0.0
+    for start in range(0, g.size, _ROLLNIK_BLOCK):
+        g_rows = g[start : start + _ROLLNIK_BLOCK]
+        k = _edge_kernel(edges[start : start + _ROLLNIK_BLOCK], edges[start:])
+        # K is symmetric: the block right of the diagonal counts twice
+        quad += 2.0 * (g_rows @ (k @ g[start:])) - g_rows @ (k[:, : g_rows.size] @ g_rows)
+    return 2.0 * np.pi**2 * quad  # 8 pi^2 g^T K g, the blocks hold 4 K
 
 
 def scale_potential(potential: BasePotential, law: ScalingLaw, grid: RadialGrid) -> dict:

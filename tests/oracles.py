@@ -4,9 +4,11 @@ Everything here is deliberately written without the package's operator
 machinery: a plain RK4 shooting integrator for the radial zero-energy
 problem, the z -> 0+ Richardson ladder of the top Birman-Schwinger
 eigenvalue, a classical Jacobi rotation eigensolver, and brute-force
-quadrature helpers.  The oracles stay independent of the code paths they check.  The
-helpers for the zero-range limit at the end take the package's product-grid
-free resolvent as given and build the rest themselves.
+quadrature helpers (the radial L1 trapezoid, and the Rollnik integral as the
+eight-term cell-pair sum on dense n x n arrays).  The oracles stay
+independent of the code paths they check.  The helpers for the zero-range
+limit at the end take the package's product-grid free resolvent as given and
+build the rest themselves.
 """
 
 import numpy as np
@@ -118,6 +120,44 @@ def trapezoid_l1_radial(values, nodes, d=3):
     total = np.trapezoid(integrand, nodes)
     total += 0.5 * nodes[0] * integrand[0]  # half cell down to r = 0
     return area * total
+
+
+def _log_antideriv(t):
+    # G with G'' = log|t|:  G(t) = t^2 (2 log|t| - 3) / 4, G(0) = 0.
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    nz = t != 0.0
+    out[nz] = t[nz] * t[nz] * (2.0 * np.log(np.abs(t[nz])) - 3.0) / 4.0
+    return out
+
+
+def rollnik_cell_pairs(values, nodes):
+    """Rollnik double integral in d=3 as eight dense antiderivative terms per cell pair.
+
+    V(r) r is frozen on the cells around the nodes, and log((r+s)/|r-s|) is
+    integrated exactly over every cell pair [lo_i, hi_i] x [lo_j, hi_j]; this
+    builds about ten n x n arrays, so keep n modest.
+    """
+    r = nodes
+    f = np.abs(values) * r  # V(r) * r, frozen per cell
+    mid = 0.5 * (r[:-1] + r[1:])
+    edges = np.concatenate(([0.0], mid, [r[-1] + 0.5 * (r[-1] - r[-2])]))
+    lo, hi = edges[:-1], edges[1:]
+    # exact integral of log(r+s) - log|r-s| over [lo_i,hi_i] x [lo_j,hi_j]
+    plus = (
+        _log_antideriv(hi[:, None] + hi[None, :])
+        + _log_antideriv(lo[:, None] + lo[None, :])
+        - _log_antideriv(hi[:, None] + lo[None, :])
+        - _log_antideriv(lo[:, None] + hi[None, :])
+    )
+    minus = (
+        _log_antideriv(hi[:, None] - lo[None, :])
+        + _log_antideriv(lo[:, None] - hi[None, :])
+        - _log_antideriv(hi[:, None] - hi[None, :])
+        - _log_antideriv(lo[:, None] - lo[None, :])
+    )
+    quad = float(f @ (plus - minus) @ f)
+    return 8.0 * np.pi**2 * quad
 
 
 def halving_orders(distances):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from zrange.grids import build_grid
+from zrange.grids import RadialGrid, build_grid
 from zrange.potentials import (
     BasePotential,
     ScaledPotential,
@@ -13,7 +15,7 @@ from zrange.potentials import (
     scale_potential,
 )
 
-from oracles import trapezoid_l1_radial
+from oracles import rollnik_cell_pairs, trapezoid_l1_radial
 
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
 WELL = BasePotential("square_well", 1.0, 1.0)
@@ -126,6 +128,81 @@ def test_rollnik_square_well_analytic_value():
     grid = build_grid(4000, 1.5, "linear")
     val = rollnik_norm(WELL(grid.nodes), grid)
     assert val == pytest.approx(4.0 * np.pi**2, rel=2e-3)
+
+
+ORACLE_CASES = {
+    "gaussian_eps1": (GAUSS, ScalingLaw(2, 1.0, 3), build_grid(600, 30.0, "logarithmic", r_min=1e-5)),
+    "gaussian_eps0.3": (GAUSS, ScalingLaw(2, 0.3, 3), build_grid(600, 30.0, "logarithmic", r_min=1e-5)),
+    "square_well": (WELL, ScalingLaw(None, 1.0, 3), build_grid(800, 1.5, "linear")),
+    # cut off at r_max = 3 where V r is still 0.05, so the last edge carries weight
+    "exponential": (
+        BasePotential("exponential", 1.3, 0.7),
+        ScalingLaw(None, 1.0, 3),
+        build_grid(700, 3.0, "linear"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_rollnik_matches_cell_pair_oracle(case):
+    # the edge quadratic form is the eight-term cell-pair sum summed by parts
+    pot, law, grid = ORACLE_CASES[case]
+    v = ScaledPotential(pot, law)(grid.nodes)
+    assert rollnik_norm(v, grid) == pytest.approx(rollnik_cell_pairs(v, grid.nodes), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("strength,reach", [(1.0, 1.0), (2.5, 0.7)])
+def test_rollnik_gaussian_closed_form_second_order(strength, reach):
+    # Fourier: V^(k) = s pi^(3/2) a^3 exp(-a^2 k^2 / 4) and |x|^(-2) -> 2 pi^2 / |k|,
+    # so the Rollnik integral of s exp(-r^2/a^2) is pi^3 s^2 a^4
+    exact = np.pi**3 * strength**2 * reach**4
+    pot = BasePotential("gaussian", strength, reach)
+    errs = []
+    for n in (1000, 2000):
+        grid = build_grid(n, 30.0, "logarithmic", r_min=1e-5)
+        errs.append(abs(rollnik_norm(pot(grid.nodes), grid) / exact - 1.0))
+    assert errs[1] < 3e-5
+    assert 3.6 < errs[0] / errs[1] < 4.4
+
+
+def test_rollnik_memory_is_row_blocked():
+    # ten n x n temporaries would take 1.3 GB here; the row blocks need a few MB
+    grid = build_grid(4000, 1.5, "linear")
+    v = WELL(grid.nodes)
+    tracemalloc.start()
+    try:
+        rollnik_norm(v, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+SMALL = build_grid(16, 2.0, "linear")
+
+
+@pytest.mark.parametrize("norm", [l1_norm, l2_norm, rollnik_norm])
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        (np.where(np.arange(16) == 3, np.nan, 1.0), "finite"),
+        (np.where(np.arange(16) == 5, -np.inf, 1.0), "finite"),
+        (1.0, "shape"),
+        (np.ones(15), "shape"),
+        (np.ones((16, 1)), "shape"),
+    ],
+    ids=["nan", "inf", "scalar", "short", "column"],
+)
+def test_norms_reject_bad_values(norm, values, message):
+    with pytest.raises(ValueError, match=message):
+        norm(values, SMALL)
+
+
+def test_rollnik_rejects_one_node_grid():
+    grid = RadialGrid(np.array([0.5]), np.array([0.5]), "linear", 0.5)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        rollnik_norm(np.ones(1), grid)
+    assert l1_norm(np.ones(1), grid) == pytest.approx(4.0 * np.pi * 0.5 * 0.25)
 
 
 def test_l2_norm_of_weak_law_scales_as_inverse_sqrt_epsilon():
