@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -81,13 +82,23 @@ def _law(cfg: dict, key: str = "law", required: bool = True) -> ScalingLaw:
         raise ConfigError(key, str(exc)) from None
 
 
+def _require_dense_fits(n: int, field: str):
+    """Reject n, before anything is allocated, if one dense n x n float64 matrix exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * max(n, 0) ** 2 > memory:
+        raise ConfigError(field, f"a dense {n} x {n} matrix needs more than the {memory / 2**30:.3g} GiB of memory")
+
+
 def _grid(cfg: dict, key: str = "grid"):
     n = _get(cfg, f"{key}.n", required=True)
     r_max = _get(cfg, f"{key}.r_max", required=True)
     spacing = _get(cfg, f"{key}.spacing", "logarithmic")
     r_min = _get(cfg, f"{key}.r_min")
     try:
+        _require_dense_fits(int(n), f"{key}.n")
         return build_grid(int(n), float(r_max), spacing, None if r_min is None else float(r_min))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from None
 
@@ -272,6 +283,7 @@ def _run_efimov(cfg):
     kind = _get(cfg, "kind", "contact_image")
     c_sweep = [float(c) for c in _get(cfg, "sweep", required=True)]
     refine = int(_get(cfg, "refine", 0))
+    _require_dense_fits(refine * grid.n, "refine")
     rows = []
     for c in c_sweep:
         op = effective_operator(kind, c, d, grid)
@@ -307,6 +319,7 @@ def _run_thresholds(cfg):
     dims = [int(d) for d in _get(cfg, "sweep", [2, 3])]
     bracket = tuple(_get(cfg, "bracket", (0.05, 2.5)))
     n = int(_get(cfg, "grid.n", 300))
+    _require_dense_fits(n, "grid.n")
     rows = []
     for d in dims:
         rep = find_thresholds(kind, d, bracket, n=n)

@@ -24,12 +24,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .grids import RadialGrid, build_grid
-from .operators import (
-    OperatorMatrix,
-    SpectrumReport,
-    hyperradial_kinetic,
-    sqrt_kinetic,
-)
+from .operators import OperatorMatrix, SpectrumReport, _root_factor, hyperradial_kinetic
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 
@@ -85,20 +80,24 @@ def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float =
     """Assemble one of the effective singular operators on a log grid."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    if C < 0.0:
-        raise ValueError("coupling C must be nonnegative (C = 0 is the free operator)")
+    if not (math.isfinite(C) and C >= 0.0):
+        raise ValueError(f"coupling C must be finite and nonnegative (C = 0 is the free operator), got {C!r}")
+    if not (math.isfinite(m) and m > 0.0):
+        raise ValueError(f"mass m must be finite and positive, got {m!r}")
     _require_scale_bracketing(grid)
     r = grid.nodes
-    if kind == "contact_image":
-        mat = sqrt_kinetic(grid, d, m).entries - C * np.diag(1.0 / r)
-    elif kind == "weak_image":
-        tail = np.where(r <= 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
-        mat = sqrt_kinetic(grid, d, m).entries - C * np.diag(tail)
-    else:
+    tail = 1.0 / r
+    if kind == "three_body_2d":
         if d != 2:
             raise ValueError("three_body_2d is defined for d=2 constituents")
-        mat = hyperradial_kinetic(grid, mass_scale=m).entries - C * np.diag(1.0 / r)
-    op = OperatorMatrix(0.5 * (mat + mat.T), grid, m, label=f"{kind}(C={C:g})")
+        mat = hyperradial_kinetic(grid, mass_scale=m).entries
+    else:
+        w = _root_factor(grid, d, m)
+        mat = w @ w.T
+    if kind == "weak_image":
+        tail = np.where(r <= 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
+    mat[np.diag_indices_from(mat)] -= C * tail  # in place: the matrix stays exactly symmetric
+    op = OperatorMatrix(mat, grid, m, label=f"{kind}(C={C:g})")
     return EffectiveOperator(kind, C, d, grid, op)
 
 
@@ -116,11 +115,13 @@ def _inertia_spectrum(d: int, grid: RadialGrid, m: float) -> np.ndarray:
 
     S - C/r is congruent to r^(1/2) S r^(1/2) - C, so by Sylvester's law of
     inertia the contact image has exactly #{mu < C} negative eigenvalues:
-    one eigensolve answers the count for every C at once.
+    one eigensolve answers the count for every C at once, on X X^T with the
+    root factor of S = W W^T scaled in place, X = r^(1/2) W (one syrk).
     """
-    s = effective_operator("contact_image", 0.0, d, grid, m).matrix.entries
-    w = np.sqrt(grid.nodes)
-    return eigh(w[:, None] * s * w[None, :], eigvals_only=True)
+    _require_scale_bracketing(grid)
+    x = _root_factor(grid, d, m)
+    x *= np.sqrt(grid.nodes)[:, None]
+    return eigh(x @ x.T, eigvals_only=True, overwrite_a=True)
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:
@@ -338,10 +339,12 @@ def mass_sweep_2d(m_list, c: float, grid: RadialGrid) -> MassSweepReport:
     with m by operator monotonicity and is not a monotonicity criterion.
     """
     m_list = np.asarray(list(m_list), dtype=float)
+    if not np.all(np.isfinite(m_list) & (m_list > 0.0)):
+        raise ValueError(f"masses must be finite and positive, got {m_list.tolist()}")
     if np.any(np.diff(m_list) <= 0.0):
         raise ValueError("mass ladder must be increasing")
-    if c <= 0.0:
-        raise ValueError("coupling c must be positive")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"coupling c must be finite and positive, got {c!r}")
     spectra = []
     counts = []
     shallowest = []

@@ -59,7 +59,7 @@ class OperatorMatrix:
         n = self.entries.shape[0]
         if self.entries.shape != (n, n):
             raise ValueError("operator matrix must be square")
-        if self.grid is not None and n != grid_size(self.grid):
+        if self.grid is not None and n != self.grid.n:
             raise ValueError("matrix dimension must match grid size")
         check_symmetric(self.entries, self.label or "operator")
 
@@ -68,12 +68,10 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def grid_size(grid) -> int:
-    return grid.n
-
-
 def check_symmetric(m: np.ndarray, label: str = "matrix", rtol: float = SYMMETRY_RTOL):
     scale = np.abs(m).max()
+    if not np.isfinite(scale):
+        raise ValueError(f"{label} has non-finite entries")
     if scale == 0.0:
         return
     asym = np.abs(m - m.T).max()
@@ -102,76 +100,68 @@ class SpectrumReport:
 # kinetic discretization
 #
 # Every kinetic form here is a sum of squared weighted differences, so it is
-# assembled as a rectangular factor F with K = F^T F.  The factor is what
-# makes extreme-aspect log grids tractable: eigenpairs of K computed through
-# the SVD of F keep relative accuracy ~ cond(F) * eps instead of
+# K = F^T F for a bidiagonal factor F: (n+1) x n lower for d=3, n x n upper
+# for d=2 and the hyperradial form.  The two diagonals of F are closed forms
+# in the nodes, built in O(n); the dense F is laid out from them.  Eigenpairs
+# of K taken through the SVD of F keep relative accuracy ~ cond(F) * eps, not
 # cond(K) * eps = cond(F)^2 * eps, and cond(K) can exceed 1e15 on the
-# scale-bracketing grids the Efimov studies need.
-#
-# F is bidiagonal: n x n upper for d=2, (n+1) x n lower for d=3, where n
-# Givens rotations from the left (O(n)) give an n x n upper bidiagonal B with
-# B^T B = F^T F, so the same singular values and right vectors.  sqrt_kinetic
-# hands B's two diagonals to LAPACK's bidiagonal divide-and-conquer SVD
-# (dbdsdc).  A dense SVD of F would first spend an O(n^3) Householder
-# reduction (dgebrd) and its back-transform, most of the cost of the root,
-# on a matrix that is already bidiagonal.
+# scale-bracketing grids the Efimov studies need.  For d=3, n Givens
+# rotations (O(n)) fold F into an n x n upper bidiagonal B, B^T B = F^T F.
+# LAPACK's bidiagonal divide-and-conquer SVD (dbdsdc) gives singular values S
+# and right vectors V, and sqrt(K) = V S V^T = W W^T with the root factor
+# W = V S^(1/2); numpy hands W @ W.T to BLAS syrk, half the flops of a
+# general product and exactly symmetric.  No dense O(n^3) Householder
+# reduction or back-transform is spent on a bidiagonal matrix.
 # scipy exports dbdsdc only as a Cython capsule, present in every scipy this
 # package supports (>= 1.10), so the shim has no dense fallback: it would be
 # a second path that never runs.
 
 
-def _factor_d3(nodes: np.ndarray) -> np.ndarray:
-    """Difference factor of int u'^2 dr, Dirichlet at 0 and r_max."""
-    n = nodes.size
-    edges = np.concatenate(([0.0], nodes))
-    h = np.diff(edges)
-    f = np.zeros((n + 1, n))
-    f[0, 0] = 1.0 / np.sqrt(h[0])  # cell [0, r_1] with u(0) = 0
-    for i in range(n - 1):
-        c = 1.0 / np.sqrt(h[i + 1])
-        f[i + 1, i] = -c
-        f[i + 1, i + 1] = c
-    # Dirichlet wall just beyond the last node, one-sided cell of width h[-1]
-    f[n, n - 1] = 1.0 / np.sqrt(h[-1])
-    return f
+def _weighted_diagonals(grid: RadialGrid, k: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """F[i, i] and F[i, i+1] for (1/scale^2) int r^k |(u r^(-k/2))'|^2 dr, natural at r_min.
 
-
-def _factor_weighted(nodes: np.ndarray, weight_fn, power: float) -> np.ndarray:
-    """Difference factor of int w(r) |(u r^(-power))'|^2 dr, natural at r_min.
-
-    power = 1/2, w = r   gives the d=2 s-wave form (u = sqrt(r) v);
-    power = 3/2, w = r^3 gives the 4-d hyperradial s-wave form.
+    k = 1: the d=2 s-wave form (u = sqrt(r) v); k = 3: the 4-d hyperradial
+    s-wave form.  The last row closes the form one last-cell width beyond r_n.
     """
-    n = nodes.size
-    f = np.zeros((n, n))
-    scale = nodes**-power
-    for i in range(n - 1):
-        h = nodes[i + 1] - nodes[i]
-        c = np.sqrt(weight_fn(0.5 * (nodes[i] + nodes[i + 1])) / h)
-        f[i, i] = -c * scale[i]
-        f[i, i + 1] = c * scale[i + 1]
-    h_last = nodes[-1] - nodes[-2]
-    f[n - 1, n - 1] = np.sqrt(weight_fn(nodes[-1] + 0.5 * h_last) / h_last) * scale[-1]
-    return f
+    nodes, sw = grid.nodes, np.sqrt(grid.weights)
+    h = np.diff(nodes)
+    # float_power rounds r^k as libm's pow does; numpy's SIMD loop behind **
+    # can land one ulp away, which would move every matrix entry
+    c = np.sqrt(np.float_power(0.5 * (nodes[:-1] + nodes[1:]), k) / h)
+    c_last = np.sqrt(np.float_power(nodes[-1] + 0.5 * h[-1], k) / h[-1])
+    r_pow = nodes ** -(0.5 * k)
+    return np.append(-c * r_pow[:-1], c_last * r_pow[-1]) / scale / sw, c * r_pow[1:] / scale / sw[1:]
+
+
+def _kinetic_diagonals(grid: RadialGrid, d: int, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of the kinetic factor F, and F[i+1, i] (d=3, n entries) or F[i, i+1] (d=2, n - 1)."""
+    if d not in (2, 3):
+        raise ValueError("dimension must be 2 or 3")
+    if not (math.isfinite(m) and m > 0.0):
+        raise ValueError(f"mass m must be finite and positive, got {m!r}")
+    if d == 2:
+        return _weighted_diagonals(grid, 1, np.sqrt(2.0 * m))
+    # int u'^2 dr, Dirichlet at 0 (first cell [0, r_1]) and one last-cell width beyond r_n
+    c = 1.0 / np.sqrt(np.diff(grid.nodes, prepend=0.0))
+    sw = np.sqrt(grid.weights)
+    return c / np.sqrt(2.0 * m) / sw, np.append(-c[1:], c[-1]) / np.sqrt(2.0 * m) / sw
+
+
+def _dense_factor(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense F from its diagonals: (n+1) x n lower when off has n entries, else n x n upper."""
+    if off.size == diag.size:
+        return np.diag(np.append(diag, 0.0))[:, :-1] + np.diag(off, -1)[:, :-1]
+    return np.diag(diag) + np.diag(off, 1)
 
 
 def kinetic_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
     """Factor F of the weight-scaled kinetic matrix H0 = F^T F."""
-    if d not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    if m <= 0.0:
-        raise ValueError("mass must be positive")
-    if d == 3:
-        f = _factor_d3(grid.nodes)
-    else:
-        f = _factor_weighted(grid.nodes, lambda r: r, 0.5)
-    return f / np.sqrt(2.0 * m) / np.sqrt(grid.weights)[None, :]
+    return _dense_factor(*_kinetic_diagonals(grid, d, m))
 
 
 def hyperradial_factor(grid: RadialGrid, mass_scale: float = 1.0) -> np.ndarray:
     """Factor of (1/mass_scale) times the 4-d hyperradial s-wave kinetic."""
-    f = _factor_weighted(grid.nodes, lambda r: r**3, 1.5)
-    return f / np.sqrt(mass_scale) / np.sqrt(grid.weights)[None, :]
+    return _dense_factor(*_weighted_diagonals(grid, 3, np.sqrt(mass_scale)))
 
 
 def discretize_h0(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix:
@@ -181,8 +171,7 @@ def discretize_h0(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatri
     Dirichlet behavior at the origin (regular reduced wave) and at r_max.
     """
     f = kinetic_factor(grid, d, m)
-    h = f.T @ f
-    return OperatorMatrix(0.5 * (h + h.T), grid, m, label=f"H0[d={d}]")
+    return OperatorMatrix(f.T @ f, grid, m, label=f"H0[d={d}]")
 
 
 def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> OperatorMatrix:
@@ -192,34 +181,23 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> OperatorMa
     inside a manifestly nonnegative weighted first-derivative form.
     """
     f = hyperradial_factor(grid, mass_scale)
-    h = f.T @ f
-    return OperatorMatrix(0.5 * (h + h.T), grid, 0.5, label="H_hyper")
+    return OperatorMatrix(f.T @ f, grid, 0.5, label="H_hyper")
 
 
-def _upper_bidiagonal(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and superdiagonal of an n x n upper bidiagonal B with B^T B = F^T F.
+def _upper_bidiagonal(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of the n x n upper bidiagonal B with B^T B = F^T F, F (n+1) x n lower.
 
-    F is a kinetic factor: n x n upper bidiagonal, returned as it is, or
-    (n+1) x n lower bidiagonal.  In the second case the Givens rotation of
-    rows i and i+1 folds F[i+1, i] into the diagonal entry (i, i), and its
-    fill-in at (i, i+1) is the superdiagonal.
+    The Givens rotation of rows i and i+1 folds F[i+1, i] = sub[i] into the
+    diagonal entry (i, i); its fill-in at (i, i+1) is the superdiagonal.
     """
-    n = f.shape[1]
-    if f.shape[0] == n:
-        # copies, not views, so that F can be freed before the SVD
-        return np.diag(f).copy(), np.diag(f, 1).copy()
-    diag = np.empty(n)
-    superdiag = np.empty(n - 1)
-    a = f[0, 0]
-    for i in range(n):
-        b = f[i + 1, i]
+    f_diag, out_diag, out_super = diag.tolist(), [], []
+    a = f_diag[0]
+    for b, c in zip(sub.tolist(), f_diag[1:] + [0.0]):  # no row below the last
         r = math.hypot(a, b)
-        diag[i] = r
-        if i < n - 1:
-            c = f[i + 1, i + 1]
-            superdiag[i] = b / r * c
-            a = a / r * c
-    return diag, superdiag
+        out_diag.append(r)
+        out_super.append(b / r * c)
+        a = a / r * c
+    return np.array(out_diag), np.array(out_super[:-1])
 
 
 def _dbdsdc(diag: np.ndarray, superdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,20 +241,27 @@ def _dbdsdc(diag: np.ndarray, superdiag: np.ndarray) -> tuple[np.ndarray, np.nda
     return s, v
 
 
-def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix:
-    """sqrt of the kinetic matrix through the SVD of its bidiagonal difference factor.
+def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
+    """W = V S^(1/2), a fresh array, from the bidiagonal SVD F = U S V^T: sqrt(H0) = W W^T."""
+    diag, off = _kinetic_diagonals(grid, d, m)
+    if off.size == diag.size:
+        diag, off = _upper_bidiagonal(diag, off)
+    s, v = _dbdsdc(diag, off)
+    v *= np.sqrt(s)
+    return v
 
-    With F = U S V^T and H0 = F^T F, the root is V S V^T.  S and V come from
-    LAPACK's bidiagonal SVD (dbdsdc) of F itself for d=2 and of its O(n)
-    Givens reduction for d=3, so no dense O(n^3) bidiagonalization or
-    back-transform is spent before the V S V^T product.  The singular values
-    carry full relative accuracy even when cond(H0) is near 1/eps, which the
-    eigendecomposition route loses.
+
+def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix:
+    """sqrt of the kinetic matrix as W W^T, with W = V S^(1/2) the root factor.
+
+    S and V come from LAPACK's bidiagonal SVD of F = U S V^T on the O(n)
+    diagonals of F (d=2) or of their Givens reduction (d=3): no dense O(n^3)
+    bidiagonalization or back-transform, and S keeps full relative accuracy
+    even when cond(H0) is near 1/eps, which eigh of H0 loses.  W @ W.T runs
+    as BLAS syrk and comes out exactly symmetric.
     """
-    diag, superdiag = _upper_bidiagonal(kinetic_factor(grid, d, m))
-    s, v = _dbdsdc(diag, superdiag)
-    root = v @ (s[:, None] * v.T)
-    return OperatorMatrix(0.5 * (root + root.T), grid, m, label=f"sqrt(H0[d={d}])")
+    w = _root_factor(grid, d, m)
+    return OperatorMatrix(w @ w.T, grid, m, label=f"sqrt(H0[d={d}])")
 
 
 # ---------------------------------------------------------------------------
@@ -319,5 +304,4 @@ def green_kernel_matrix(grid: RadialGrid, d: int, z: float, m: float = 0.5) -> O
     r = grid.nodes
     kern = radial_green_kernel(d, z, r[:, None], r[None, :], m)
     sw = np.sqrt(grid.weights)
-    mat = kern * np.outer(sw, sw)
-    return OperatorMatrix(0.5 * (mat + mat.T), grid, m, label=f"G[d={d},z={z:g}]")
+    return OperatorMatrix(kern * np.outer(sw, sw), grid, m, label=f"G[d={d},z={z:g}]")

@@ -5,7 +5,8 @@ machinery: a plain RK4 shooting integrator for the radial zero-energy
 problem, the z -> 0+ Richardson ladder of the top Birman-Schwinger
 eigenvalue, a classical Jacobi rotation eigensolver, and brute-force
 quadrature helpers (the radial L1 trapezoid, and the Rollnik integral as the
-eight-term cell-pair sum on dense n x n arrays).  The oracles stay
+eight-term cell-pair sum on dense n x n arrays), and the kinetic difference
+factors assembled entry by entry in a loop.  The oracles stay
 independent of the code paths they check.  The helpers for the zero-range
 limit at the end take the package's product-grid free resolvent as given and
 build the rest themselves.
@@ -111,6 +112,41 @@ def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=100):
                 rot[q, p] = -sth
                 a = rot.T @ a @ rot
     return np.sort(np.diag(a))
+
+
+def _factor_d3(nodes: np.ndarray) -> np.ndarray:
+    """Difference factor of int u'^2 dr, Dirichlet at 0 and r_max."""
+    n = nodes.size
+    edges = np.concatenate(([0.0], nodes))
+    h = np.diff(edges)
+    f = np.zeros((n + 1, n))
+    f[0, 0] = 1.0 / np.sqrt(h[0])  # cell [0, r_1] with u(0) = 0
+    for i in range(n - 1):
+        c = 1.0 / np.sqrt(h[i + 1])
+        f[i + 1, i] = -c
+        f[i + 1, i + 1] = c
+    # Dirichlet wall just beyond the last node, one-sided cell of width h[-1]
+    f[n, n - 1] = 1.0 / np.sqrt(h[-1])
+    return f
+
+
+def _factor_weighted(nodes: np.ndarray, weight_fn, power: float) -> np.ndarray:
+    """Difference factor of int w(r) |(u r^(-power))'|^2 dr, natural at r_min.
+
+    power = 1/2, w = r   gives the d=2 s-wave form (u = sqrt(r) v);
+    power = 3/2, w = r^3 gives the 4-d hyperradial s-wave form.
+    """
+    n = nodes.size
+    f = np.zeros((n, n))
+    scale = nodes**-power
+    for i in range(n - 1):
+        h = nodes[i + 1] - nodes[i]
+        c = np.sqrt(weight_fn(0.5 * (nodes[i] + nodes[i + 1])) / h)
+        f[i, i] = -c * scale[i]
+        f[i, i + 1] = c * scale[i + 1]
+    h_last = nodes[-1] - nodes[-2]
+    f[n - 1, n - 1] = np.sqrt(weight_fn(nodes[-1] + 0.5 * h_last) / h_last) * scale[-1]
+    return f
 
 
 def trapezoid_l1_radial(values, nodes, d=3):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -103,6 +104,28 @@ def test_missing_grid_field_names_it(tmp_path, capsys):
     code = _run("scale-norms", cfg, tmp_path)
     assert code != 0
     assert "grid.n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,cfg,field",
+    [
+        ("efimov", dict(CONFIGS["efimov"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
+        ("mass-sweep", dict(CONFIGS["mass-sweep"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
+        ("efimov", dict(CONFIGS["efimov"], refine=5 * 10**4), "refine"),
+        ("thresholds", dict(CONFIGS["thresholds"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
+    ],
+)
+def test_grid_beyond_physical_memory_rejected_before_allocation(command, cfg, field, tmp_path, capsys):
+    # one dense 10^7 x 10^7 matrix is 800 TB: refused before any array is built
+    tracemalloc.start()
+    try:
+        code = _run(command, cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"config error at {field}" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_kernel22_pole_row_flagged(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from zrange import efimov, operators
 from zrange.grids import build_grid
-from zrange.operators import SpectrumReport
+from zrange.operators import SpectrumReport, sqrt_kinetic
 from zrange.efimov import (
     _inertia_spectrum,
     effective_operator,
@@ -38,6 +39,15 @@ def test_free_operator_positive(log_grid):
     assert low > -1e-10 * np.abs(op.matrix.entries).max()
     with pytest.raises(ValueError, match="nonnegative"):
         effective_operator("contact_image", -1.0, 3, log_grid)
+
+
+@pytest.mark.parametrize("kind,d", [("contact_image", 3), ("weak_image", 2), ("three_body_2d", 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coupling_and_mass_rejected(log_grid, kind, d, bad):
+    with pytest.raises(ValueError, match="coupling C"):
+        effective_operator(kind, bad, d, log_grid)
+    with pytest.raises(ValueError, match="mass m"):
+        effective_operator(kind, 1.0, d, log_grid, m=bad)
 
 
 def test_requires_logarithmic_scale_bracketing():
@@ -142,6 +152,28 @@ def test_inertia_spectrum_counts_negative_eigenvalues(d):
     for c in np.linspace(0.1, 2.5, 6):
         direct = operator_spectrum(effective_operator("contact_image", c, d, g)).count_negative
         assert np.searchsorted(mu, c) == direct
+
+
+@pytest.mark.parametrize("d,m", [(3, 0.5), (2, 2.0)])
+def test_inertia_spectrum_matches_scaled_root(d, m):
+    g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
+    q = np.sqrt(g.nodes)
+    ref = np.linalg.eigvalsh(q[:, None] * sqrt_kinetic(g, d, m).entries * q[None, :])
+    mu = _inertia_spectrum(d, g, m)
+    assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_thresholds_build_no_dense_factor_or_operator(monkeypatch):
+    # each ladder grid costs one bidiagonal SVD, one syrk and one eigensolve:
+    # no dense kinetic factor, no effective operator, no symmetry check
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense side pass on the threshold path")
+
+    monkeypatch.setattr(operators, "kinetic_factor", forbidden)
+    monkeypatch.setattr(operators, "check_symmetric", forbidden)
+    monkeypatch.setattr(efimov, "effective_operator", forbidden)
+    rep = find_thresholds("contact_image", 3, (0.1, 2.5), n=150)
+    assert 0.0 < rep.C0 <= rep.C1
 
 
 def test_c0_is_where_the_refined_grid_loses_positivity(thresholds_d3):
@@ -315,6 +347,14 @@ def test_mass_sweep_requires_increasing_masses(sweep_grid):
         mass_sweep_2d([2, 1], 1.0, sweep_grid)
     with pytest.raises(ValueError, match="positive"):
         mass_sweep_2d([1, 2], -1.0, sweep_grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mass_sweep_rejects_non_finite_inputs(sweep_grid, bad):
+    with pytest.raises(ValueError, match="coupling c"):
+        mass_sweep_2d([1, 2], bad, sweep_grid)
+    with pytest.raises(ValueError, match="masses"):
+        mass_sweep_2d([1, bad], 1.0, sweep_grid)
 
 
 def test_mass_sweep_flags_unresolved_shallow_states():

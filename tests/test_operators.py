@@ -6,12 +6,16 @@ from zrange import operators
 from zrange.grids import build_grid
 from zrange.operators import (
     OperatorMatrix,
+    check_symmetric,
     discretize_h0,
+    hyperradial_factor,
     hyperradial_kinetic,
     kinetic_factor,
     radial_green_kernel,
     sqrt_kinetic,
 )
+
+from oracles import _factor_d3, _factor_weighted
 
 
 def _random_symmetric(n, seed=0):
@@ -25,6 +29,57 @@ def test_asymmetric_input_rejected():
     m[0, 1] += 1.0
     with pytest.raises(ValueError, match="symmetric"):
         OperatorMatrix(m, None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(3, 3), (2, 7)])
+def test_non_finite_entries_rejected(bad, entry):
+    # a NaN or inf makes every comparison with the tolerance false
+    m = _random_symmetric(10, seed=3)
+    m[entry] = m[entry[::-1]] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check_symmetric(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(m, None)
+
+
+# ---------------------------------------------------------------------------
+# kinetic factor
+
+
+def _oracle_factor(g, form, m):
+    # the loop builders, scaled as the package scales its factor
+    if form == "hyperradial":
+        f, scale = _factor_weighted(g.nodes, lambda r: r**3, 1.5), np.sqrt(m)
+    elif form == 2:
+        f, scale = _factor_weighted(g.nodes, lambda r: r, 0.5), np.sqrt(2.0 * m)
+    else:
+        f, scale = _factor_d3(g.nodes), np.sqrt(2.0 * m)
+    return f / scale / np.sqrt(g.weights)[None, :]
+
+
+FACTOR_GRIDS = {
+    "log": build_grid(500, 2e2, "logarithmic", r_min=1e-10),
+    "linear": build_grid(300, 20.0, "linear"),
+}
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+@pytest.mark.parametrize("spacing", sorted(FACTOR_GRIDS))
+@pytest.mark.parametrize("form", [3, 2, "hyperradial"])
+def test_factor_diagonals_match_loop_oracle(form, spacing, m):
+    g = FACTOR_GRIDS[spacing]
+    ref = _oracle_factor(g, form, m)
+    if form == "hyperradial":
+        diag, off = operators._weighted_diagonals(g, 3, np.sqrt(m))
+        dense = hyperradial_factor(g, m)
+    else:
+        diag, off = operators._kinetic_diagonals(g, form, m)
+        dense = kinetic_factor(g, form, m)
+    ref_off = np.diag(ref, -1) if form == 3 else np.diag(ref, 1)
+    for got, want in ((diag, np.diag(ref)), (off, ref_off), (dense, ref)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +228,15 @@ def test_sqrt_kinetic_agrees_with_generic_route():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_sqrt_kinetic_matches_dense_svd_of_factor(d):
-    # Reference: the dense SVD of the whole factor F, root V S V^T.
+    # Reference: the dense SVD of the loop oracle's whole factor F, root V S V^T.
     g = build_grid(600, 2e2, "logarithmic", r_min=1e-10)
-    f = kinetic_factor(g, d, 0.5)
-    _, s_ref, vt = np.linalg.svd(f, full_matrices=False)
+    _, s_ref, vt = np.linalg.svd(_oracle_factor(g, d, 0.5), full_matrices=False)
     ref = vt.T @ (s_ref[:, None] * vt)
     root = sqrt_kinetic(g, d, 0.5).entries
+    assert np.array_equal(root, root.T)
     assert np.abs(root - ref).max() <= 1e-13 * np.abs(ref).max()
-    s, _ = operators._dbdsdc(*operators._upper_bidiagonal(f))
+    diag, off = operators._kinetic_diagonals(g, d, 0.5)
+    if d == 3:
+        diag, off = operators._upper_bidiagonal(diag, off)
+    s, _ = operators._dbdsdc(diag, off)
     assert np.all(np.abs(s - s_ref) <= 1e-12 * s_ref)
