@@ -315,22 +315,27 @@ def two_resonance_matrix(
     potential: BasePotential,
     law: ScalingLaw,
     lambda_critical: float,
-    z: float,
+    z,
     grid: RadialGrid,
     m: float = 0.5,
-) -> TwoResonanceMatrix:
+):
     """Assemble the 2x2 Birman-Schwinger matrix of the two-channel system.
 
     Both channels live on identical grids with identical potentials.  The
     supplied coupling must make each two-body subsystem resonant (top
     eigenvalue of Q(0) within RESONANCE_TOL of 1), otherwise the channels are
     flagged as off resonance.  bs_operator checks z: 0, or at least Z_FLOOR.
+    z is one spectral parameter or a sequence of them; the resonance and the
+    single-coordinate eigenbasis do not depend on z and are computed once, and
+    a sequence returns one matrix per z.
     """
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
     scaled = ScaledPotential(
         BasePotential(potential.profile, lambda_critical * potential.strength, potential.range), law
     )
     qg = _resonance_quadrature_grid(potential, law, 800)
-    diag = top_bs_eigenvalue(bs_operator(scaled.on_grid(qg), z, 3, m))[0] - 1.0
+    v_qg = scaled.on_grid(qg)
+    diags = [top_bs_eigenvalue(bs_operator(v_qg, zk, 3, m))[0] - 1.0 for zk in zs]
     res = resonance(scaled, qg, m, grid)
     if abs(res.q0 - 1.0) > RESONANCE_TOL:
         raise ValueError(f"channels not at resonance: top BS eigenvalue of Q(0) {res.q0:.6f}")
@@ -351,8 +356,11 @@ def two_resonance_matrix(
 
     mu, vec = np.linalg.eigh(kin)
     # R0_prod = (Kx (+) Ky + z)^(-1) applied in the double eigenbasis
-    t = vec.T @ w2 @ vec
-    t = t / (mu[:, None] + mu[None, :] + z)
-    r0w2 = vec @ t @ vec.T
-    off = float(np.sum(w1 * r0w2))
-    return TwoResonanceMatrix(z=z, diagonal=float(diag), off_diagonal=off)
+    t_w2 = vec.T @ w2 @ vec
+    mats = []
+    for zk, diag in zip(zs, diags):
+        t = t_w2 / (mu[:, None] + mu[None, :] + zk)
+        r0w2 = vec @ t @ vec.T
+        off = float(np.sum(w1 * r0w2))
+        mats.append(TwoResonanceMatrix(z=float(zk), diagonal=float(diag), off_diagonal=off))
+    return mats if np.ndim(z) else mats[0]

@@ -82,11 +82,19 @@ def _law(cfg: dict, key: str = "law", required: bool = True) -> ScalingLaw:
         raise ConfigError(key, str(exc)) from None
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_fits(n_floats: int, field: str, what: str):
+    """Reject field, before anything is allocated, if n_floats float64 values exceed physical memory."""
+    memory = _physical_memory()
+    if 8 * n_floats > memory:
+        raise ConfigError(field, f"{what} needs more than the {memory / 2**30:.3g} GiB of memory")
+
+
 def _require_dense_fits(n: int, field: str):
-    """Reject n, before anything is allocated, if one dense n x n float64 matrix exceeds physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * max(n, 0) ** 2 > memory:
-        raise ConfigError(field, f"a dense {n} x {n} matrix needs more than the {memory / 2**30:.3g} GiB of memory")
+    _require_fits(max(n, 0) ** 2, field, f"a dense {n} x {n} matrix")
 
 
 def _grid(cfg: dict, key: str = "grid"):
@@ -140,6 +148,7 @@ def _run_resonance(cfg):
     law = _law(cfg, required=False)
     bracket = tuple(_get(cfg, "bracket", (0.1, 50.0)))
     n = int(_get(cfg, "grid.n", 800))
+    _require_dense_fits(n, "grid.n")
     rep = find_resonance_coupling(pot, law, bracket, n=n, m=float(_get(cfg, "mass", 0.5)))
     row = ReportRow(
         {"profile": pot.profile, "epsilon": law.epsilon},
@@ -247,18 +256,24 @@ def _run_limit_resolvent(cfg):
     from .limit_resolvent import ProductGrid, ProductFreeResolvent, convergence_study
 
     grid = _grid(cfg)
+    n = grid.n
+    # the banded factor of H_eps + z, the two line-source blocks limit_w
+    # applies R0 to, and the two 1-d eigenbases with their kinetic matrices
+    _require_fits((n + 1) * n**2 + 2 * n**3 + 4 * n**2, "grid.n", f"the {n} x {n} product grid")
     pg = ProductGrid(grid, grid)
     pot = _potential(cfg)
     z = float(_get(cfg, "z", 2.0))
     eps = [float(e) for e in _get(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])]
     n_test = int(_get(cfg, "n_test_functions", 5))
+    # the test block and the W_eps f family of the report
+    _require_fits((len(eps) + 2) * n_test * n**2, "n_test_functions", f"{n_test} test functions")
     seed = int(_get(cfg, "seed", 11))
     rng = np.random.default_rng(seed)
     res = ProductFreeResolvent(pg, float(_get(cfg, "mass", 1.0)))
-    fs = rng.standard_normal((n_test, pg.n))
+    cols = rng.standard_normal((n_test, pg.n)).T
     for _ in range(2):
-        fs = np.stack([res.apply(z, f) for f in fs])
-    fs /= np.linalg.norm(fs, axis=1)[:, None]
+        cols = res.apply(z, cols)
+    fs = (cols / np.linalg.norm(cols, axis=0)).T
     rep = convergence_study(z, pot, eps, pg, fs, float(_get(cfg, "mass", 1.0)))
     rows = [
         ReportRow(

@@ -9,7 +9,9 @@ out of the sector, so its in-sector block vanishes.
 
 Everything acts on weight-scaled reduced waves U(r_x, r_y) flattened in C
 order; the reduction conventions are those of operators.py, with the d=3
-pairing <f, g> = 4 pi int f g r^2 dr.
+pairing <f, g> = 4 pi int f g r^2 dr.  Every apply (R0(z), W_eps(z), W(z))
+takes one flattened vector or an (n, b) block of them as columns; R0(z) is
+four BLAS matrix products in the single-coordinate eigenbases for any b.
 
 At finite epsilon, (H_eps + z)^(-1) - (H0 + z)^(-1) is assembled in
 Konno-Kuroda form R0 B (1 - Q)^(-1) B R0 with Q = B R0 B, and the kernel
@@ -83,33 +85,30 @@ class ProductFreeResolvent:
         return self.mu_x[:, None] + self.mu_y[None, :] + z
 
     def apply(self, z: float, f: np.ndarray) -> np.ndarray:
-        """R0(z) f for a flattened product vector (or a batch, last axis)."""
-        g = self.grid
-        single = f.ndim == 1
-        fs = f.reshape(g.gx.n, g.gy.n, -1)
-        t = np.einsum("ki,ijb->kjb", self.qx.T, fs)
-        t = np.einsum("lj,kjb->klb", self.qy.T, t)
+        """R0(z) f for one flattened vector, or for an (n, b) block of them.
+
+        C-order (n, b) is (nx, ny * b) by a plain reshape, so each x
+        contraction is one matrix product, and each y contraction is a qy
+        product stacked over the nx rows.
+        """
+        f = np.asarray(f, dtype=float)
+        nx, ny = self.grid.gx.n, self.grid.gy.n
+        t = self.qx.T @ f.reshape(nx, -1)
+        t = np.matmul(self.qy.T, t.reshape(nx, ny, -1))
         t /= self.denom(z)[:, :, None]
-        t = np.einsum("ik,klb->ilb", self.qx, t)
-        out = np.einsum("jl,ilb->ijb", self.qy, t)
-        out = out.reshape(g.n, -1)
-        return out[:, 0] if single else out
+        t = np.matmul(self.qy, t).reshape(nx, -1)
+        return (self.qx @ t).reshape(f.shape)
 
     def block(self, z: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense R0(z) sub-block for flattened index sets rows x cols."""
-        g = self.grid
-        ny = g.gy.n
-        ci, cj = np.divmod(cols, ny)
-        d = self.denom(z)
+        n = self.grid.n
         out = np.empty((rows.size, cols.size))
-        chunk = max(1, int(2e6 // g.n))
-        ri, rj = np.divmod(rows, ny)
+        chunk = max(1, int(2e6 // n))
         for s in range(0, cols.size, chunk):
             e = min(s + chunk, cols.size)
-            t = self.qx[ci[s:e], :, None] * self.qy[cj[s:e], None, :]
-            t = t / d[None, :, :]
-            cols_full = np.einsum("ik,xkl,jl->xij", self.qx, t, self.qy, optimize=True)
-            out[:, s:e] = cols_full[:, ri, rj].T
+            units = np.zeros((n, e - s))
+            units[cols[s:e], np.arange(e - s)] = 1.0
+            out[:, s:e] = self.apply(z, units)[rows]
         return out
 
 
@@ -150,6 +149,7 @@ class LimitResolvent:
     l2: np.ndarray = field(repr=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
+        """W(z) f for one flattened vector or an (n, b) block of them."""
         out = self.l1 @ (self.l1.T @ f)
         out += self.l2 @ (self.l2.T @ f)
         return self.coeff * out
@@ -248,19 +248,23 @@ class FiniteEpsilonResolvent:
     split_outer: tuple | None = field(default=None, repr=False)
 
     def apply(self, f: np.ndarray, four_term: bool = False) -> np.ndarray:
-        """W_eps(z) f; four_term=True uses the split outer factors
-        sqrt(V(x)) + sqrt(V(y)) of the four-term decomposition instead of
-        B = sqrt(V(x) + V(y)) (they differ by the O(eps^3) overlap defect)."""
-        r0f = self.resolvent.apply(self.z, f)
-        outer = self.split_outer[0] if (four_term and self.split_outer) else self.b_support
+        """W_eps(z) f for one flattened vector or an (n, b) block of them:
+        one R0 apply, one multi-RHS banded solve and one more R0 apply.
+        four_term=True uses the split outer factors sqrt(V(x)) + sqrt(V(y))
+        of the four-term decomposition instead of B = sqrt(V(x) + V(y))
+        (they differ by the O(eps^3) overlap defect)."""
+        f = np.asarray(f, dtype=float)
+        r0f = self.resolvent.apply(self.z, f).reshape(self.grid.n, -1)
+        outer = (self.split_outer[0] if (four_term and self.split_outer) else self.b_support)[:, None]
+        b = self.b_support[:, None]
         u = outer * r0f[self.support]
         # g = (1 - Q)^(-1) u = u + B (H_eps + z)^(-1) B u
-        src = np.zeros_like(f)
-        src[self.support] = self.b_support * u
-        g = u + self.b_support * cho_solve_banded((self.kernel_cho, True), src)[self.support]
+        src = np.zeros_like(r0f)
+        src[self.support] = b * u
+        g = u + b * cho_solve_banded((self.kernel_cho, True), src)[self.support]
         src[:] = 0.0
         src[self.support] = outer * g
-        return self.resolvent.apply(self.z, src)
+        return self.resolvent.apply(self.z, src).reshape(f.shape)
 
 
 def assemble_w_eps(
@@ -390,7 +394,9 @@ def convergence_study(
     critical coupling, so the two-body channel stays exactly resonant; the
     limit W(z) is built from the resonance profile of the smallest rung.
     Reported discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per test
-    function; the family W_eps(z) f itself is kept in the report.
+    function; the family W_eps(z) f itself is kept in the report.  The test
+    functions are applied as one block: one W(z) apply in all, and one
+    W_eps(z) apply per rung.
     """
     _check_z(z)
     eps_list = np.asarray(list(eps_list), dtype=float)
@@ -413,16 +419,18 @@ def convergence_study(
     psi = resonance(ScaledPotential(potential, law_ref), grid.gx, channel_mass(m)).psi
     v_ref = ScaledPotential(BasePotential(potential.profile, couplings[eps_ref], potential.range), law_ref)
     w_model = limit_w(z, psi, v_ref, grid, m, resolvent=res)
+    # every test function is one column of a single (n, n_test) block
+    cols = np.ascontiguousarray(fs.T)
+    wf = w_model.apply(cols).T
+    norms = np.linalg.norm(fs, axis=1)
     discrepancies = np.empty((eps_list.size, fs.shape[0]))
     w_eps_f = np.empty((eps_list.size, *fs.shape))
     for k, eps in enumerate(eps_list):
         scaled = ScaledPotential(
             BasePotential(potential.profile, couplings[float(eps)], potential.range), ScalingLaw(2, eps, 3)
         )
-        w_eps = assemble_w_eps(z, scaled, grid, m, resolvent=res)
-        for j, f in enumerate(fs):
-            w_eps_f[k, j] = w_eps.apply(f)
-            discrepancies[k, j] = np.linalg.norm(w_eps_f[k, j] - w_model.apply(f)) / np.linalg.norm(f)
+        w_eps_f[k] = assemble_w_eps(z, scaled, grid, m, resolvent=res).apply(cols).T
+        discrepancies[k] = np.linalg.norm(w_eps_f[k] - wf, axis=1) / norms
     monotone = bool(np.all(np.diff(discrepancies, axis=0) < 0.0))
     reduction = discrepancies[0] / discrepancies[-1]
     return ConvergenceReport(eps_list, discrepancies, w_eps_f, monotone, reduction, couplings)

@@ -161,6 +161,8 @@ def kinetic_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
 
 def hyperradial_factor(grid: RadialGrid, mass_scale: float = 1.0) -> np.ndarray:
     """Factor of (1/mass_scale) times the 4-d hyperradial s-wave kinetic."""
+    if not (math.isfinite(mass_scale) and mass_scale > 0.0):
+        raise ValueError(f"mass_scale must be finite and positive, got {mass_scale!r}")
     return _dense_factor(*_weighted_diagonals(grid, 3, np.sqrt(mass_scale)))
 
 

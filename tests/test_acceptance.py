@@ -150,7 +150,7 @@ def test_criterion_06_two_resonance_matrix():
     res = find_resonance_coupling(WELL, ScalingLaw(None, 1.0, 3), (1.0, 5.0))
     grid = build_grid(56, 30.0, "logarithmic", r_min=1e-3)
     zs = np.array([1e-8 * 4**k for k in range(4)])
-    mats = [two_resonance_matrix(WELL, ScalingLaw(None, 1.0, 3), res.lambda_critical, z, grid) for z in zs]
+    mats = two_resonance_matrix(WELL, ScalingLaw(None, 1.0, 3), res.lambda_critical, zs, grid)
     diags = np.array([abs(m.diagonal) for m in mats])
     slope = np.polyfit(np.log(zs), np.log(diags), 1)[0]
     m0 = mats[0]

@@ -274,33 +274,39 @@ def test_regular_addition_shifts_d_not_c(well_resonance):
 # two_resonance_matrix
 
 
+TWO_RES_ZS = np.array([1e-8 * 4**k for k in range(4)])
+
+
 @pytest.fixture(scope="module")
 def two_res(well_resonance):
+    # one call for the whole z ladder: one resonance, one eigenbasis
     grid = build_grid(56, 30.0, "logarithmic", r_min=1e-3)
-    lam = well_resonance.lambda_critical
+    return two_resonance_matrix(WELL, UNSCALED, well_resonance.lambda_critical, TWO_RES_ZS, grid)
 
-    def at(z):
-        return two_resonance_matrix(WELL, UNSCALED, lam, z, grid)
 
-    return at
+def test_two_resonance_ladder_is_bit_identical_to_scalar_calls(well_resonance, two_res):
+    grid = build_grid(56, 30.0, "logarithmic", r_min=1e-3)
+    assert [m.z for m in two_res] == TWO_RES_ZS.tolist()
+    for k in (0, -1):
+        single = two_resonance_matrix(WELL, UNSCALED, well_resonance.lambda_critical, float(TWO_RES_ZS[k]), grid)
+        assert (single.diagonal, single.off_diagonal) == (two_res[k].diagonal, two_res[k].off_diagonal)
 
 
 def test_two_resonance_diagonal_vanishes_with_positive_slope(two_res):
-    zs = np.array([1e-8 * 4**k for k in range(4)])
-    diags = np.array([abs(two_res(z).diagonal) for z in zs])
+    diags = np.array([abs(m.diagonal) for m in two_res])
     assert np.all(np.diff(diags) > 0)  # |diag| grows with z, so it -> 0 at 0
-    slope = np.polyfit(np.log(zs), np.log(diags), 1)[0]
+    slope = np.polyfit(np.log(TWO_RES_ZS), np.log(diags), 1)[0]
     assert slope > 0.4
 
 
 def test_two_resonance_off_diagonal_bounded_away_from_zero(two_res):
-    m = two_res(1e-8)
+    m = two_res[0]
     assert abs(m.off_diagonal) > 100.0 * abs(m.diagonal)
     assert m.determinant != 0.0
 
 
 def test_two_resonance_iteration_converges(two_res):
-    m = two_res(1e-8)
+    m = two_res[0]
     rng = np.random.default_rng(0)
     one_minus_q2 = -m.entries  # deficit form: 1 - Q2 has -diag on the diagonal
     for _ in range(3):
@@ -314,6 +320,8 @@ def test_two_resonance_z_floor_enforced():
     grid = build_grid(48, 30.0, "logarithmic", r_min=1e-3)
     with pytest.raises(ValueError, match="floor"):
         two_resonance_matrix(WELL, UNSCALED, LAMBDA_C_WELL, 1e-9, grid)
+    with pytest.raises(ValueError, match="floor"):
+        two_resonance_matrix(WELL, UNSCALED, LAMBDA_C_WELL, [1e-8, 1e-9], grid)
 
 
 def test_two_resonance_requires_critical_coupling():

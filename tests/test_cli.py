@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from zrange import cli
 from zrange.cli import COMMANDS, main
 
 SMALL_LOG_GRID = {"n": 200, "r_max": 200.0, "spacing": "logarithmic", "r_min": 1e-4}
@@ -126,6 +127,38 @@ def test_grid_beyond_physical_memory_rejected_before_allocation(command, cfg, fi
     assert code == 2
     assert f"config error at {field}" in capsys.readouterr().err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "command,cfg,field",
+    [
+        # a dense 400 x 400 Q(0) is 1.28 MB
+        ("resonance", dict(CONFIGS["resonance"], grid=dict(CONFIGS["resonance"]["grid"], n=400)), "grid.n"),
+        # the 32 x 32 product grid: a 32 x 32 matrix fits, the banded factor
+        # and line-source blocks (about 0.8 MB) do not
+        ("limit-resolvent", CONFIGS["limit-resolvent"], "grid.n"),
+        # a 16 x 16 product grid fits; 100 test functions on it, kept for
+        # each of the two rungs, are 0.8 MB
+        (
+            "limit-resolvent",
+            dict(CONFIGS["limit-resolvent"], grid=dict(CONFIGS["limit-resolvent"]["grid"], n=16), n_test_functions=100),
+            "n_test_functions",
+        ),
+    ],
+)
+def test_sizes_beyond_physical_memory_rejected_before_allocation(command, cfg, field, tmp_path, capsys, monkeypatch):
+    # the physical-memory probe is patched down to 512 KiB, so the check is
+    # exercised at sizes that would be harmless to allocate
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**19)
+    tracemalloc.start()
+    try:
+        code = _run(command, cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"config error at {field}" in capsys.readouterr().err
+    assert peak < 2**18
 
 
 def test_kernel22_pole_row_flagged(tmp_path):

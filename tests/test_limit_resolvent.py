@@ -3,7 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from oracles import halving_orders, stm_limit_apply, successive_difference_orders, w_eps_family
+from oracles import (
+    convergence_per_vector,
+    halving_orders,
+    stm_limit_apply,
+    successive_difference_orders,
+    w_eps_family,
+)
 from zrange import limit_resolvent
 from zrange.birman_schwinger import resonance
 from zrange.grids import GridFunction, build_grid
@@ -40,6 +46,59 @@ def resonant_setup(small_product):
     v_ref = ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law)
     res = ProductFreeResolvent(pg, 1.0)
     return pg, r.psi, v_ref, res
+
+
+# ---------------------------------------------------------------------------
+# batched applies
+
+
+def _rel(a, b) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def test_batched_r0_apply_equals_column_applies_and_dense_kron():
+    # R0(z) on a block of columns against one column at a time, and against
+    # (a Kx (+) a Ky + z)^(-1) assembled densely with np.kron, at m = 2 on a
+    # product grid whose two factors differ in size, spacing and extent
+    gx = build_grid(20, 30.0, "logarithmic", r_min=1e-2)
+    gy = build_grid(24, 20.0, "linear")
+    pg = ProductGrid(gx, gy)
+    m, z = 2.0, 1.5
+    res = ProductFreeResolvent(pg, m)
+    fs = np.random.default_rng(21).standard_normal((pg.n, 7))
+    block = res.apply(z, fs)
+    assert block.shape == fs.shape
+    columns = np.column_stack([res.apply(z, f) for f in fs.T])
+    assert _rel(block, columns) <= 1e-14
+    a = (m + 1.0) / (2.0 * m)
+    kx = a * discretize_h0(gx, 3, 0.5).entries
+    ky = a * discretize_h0(gy, 3, 0.5).entries
+    h0_z = np.kron(kx, np.eye(gy.n)) + np.kron(np.eye(gx.n), ky) + z * np.eye(pg.n)
+    ref = np.linalg.solve(h0_z, fs)
+    assert _rel(block, ref) <= 1e-12
+    assert _rel(res.apply(z, fs[:, 0]), ref[:, 0]) <= 1e-12
+    # a transposed (Fortran-ordered) block is the same block
+    assert _rel(res.apply(z, np.ascontiguousarray(fs.T).T), block) <= 1e-15
+
+
+@pytest.mark.parametrize("four_term", [False, True])
+def test_batched_w_eps_apply_equals_column_applies(resonant_setup, four_term):
+    pg, psi, v_ref, res = resonant_setup
+    w_eps = assemble_w_eps(2.0, v_ref, pg, 1.0, resolvent=res)
+    fs = np.random.default_rng(22).standard_normal((pg.n, 5))
+    block = w_eps.apply(fs, four_term=four_term)
+    assert block.shape == fs.shape
+    columns = np.column_stack([w_eps.apply(f, four_term=four_term) for f in fs.T])
+    assert _rel(block, columns) <= 1e-14
+
+
+def test_batched_limit_apply_equals_column_applies(resonant_setup):
+    pg, psi, v_ref, res = resonant_setup
+    w = limit_w(2.0, psi, v_ref, pg, 1.0, resolvent=res)
+    fs = np.random.default_rng(23).standard_normal((pg.n, 5))
+    block = w.apply(fs)
+    assert block.shape == fs.shape
+    assert _rel(block, np.column_stack([w.apply(f) for f in fs.T])) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +354,19 @@ def test_convergence_study_monotone(small_product):
     rep = convergence_study(z, GAUSS, [0.2, 0.1, 0.05], pg, fs)
     assert rep.monotone
     assert np.all(rep.reduction_factors > 1.5)
+
+
+def test_convergence_study_matches_per_vector_reference(small_product):
+    # the batched study (one W apply, one W_eps apply per rung) against a
+    # loop that applies W and W_eps to one test function at a time
+    pg = small_product
+    z, ladder = 2.0, [0.2, 0.1, 0.05]
+    res = ProductFreeResolvent(pg, 1.0)
+    fs = _smoothed_tests(res, z, 3)
+    rep = convergence_study(z, GAUSS, ladder, pg, fs)
+    disc, family = convergence_per_vector(z, GAUSS, rep.couplings, res, fs)
+    assert _rel(rep.w_eps_f, family) <= 1e-12
+    assert np.allclose(rep.discrepancies, disc, rtol=1e-12, atol=0.0)
 
 
 def test_sqrt_eps_order_rejects_detuned_ladder(small_product):

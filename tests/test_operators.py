@@ -134,6 +134,14 @@ def test_hyperradial_kinetic_psd_and_mass_scaling():
 # radial_green_kernel
 
 
+@pytest.mark.parametrize("build", [hyperradial_factor, hyperradial_kinetic])
+@pytest.mark.parametrize("mass_scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_hyperradial_rejects_bad_mass_scale(build, mass_scale):
+    g = build_grid(20, 10.0, "logarithmic", r_min=1e-3)
+    with pytest.raises(ValueError, match="mass_scale"):
+        build(g, mass_scale)
+
+
 def test_kernel_symmetric_in_arguments():
     rng = np.random.default_rng(0)
     for d in (2, 3):
