@@ -255,6 +255,9 @@ def _run_independence(cfg):
 def _run_limit_resolvent(cfg):
     from .limit_resolvent import ProductGrid, ProductFreeResolvent, convergence_study
 
+    n_test = _get(cfg, "n_test_functions", 5)
+    if type(n_test) is not int or n_test < 1:  # bool and float are not counts
+        raise ConfigError("n_test_functions", f"must be a positive integer, got {n_test!r}")
     grid = _grid(cfg)
     n = grid.n
     # the banded factor of H_eps + z, the two line-source blocks limit_w
@@ -264,7 +267,6 @@ def _run_limit_resolvent(cfg):
     pot = _potential(cfg)
     z = float(_get(cfg, "z", 2.0))
     eps = [float(e) for e in _get(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])]
-    n_test = int(_get(cfg, "n_test_functions", 5))
     # the test block and the W_eps f family of the report
     _require_fits((len(eps) + 2) * n_test * n**2, "n_test_functions", f"{n_test} test functions")
     seed = int(_get(cfg, "seed", 11))

@@ -74,9 +74,6 @@ class GridFunction:
         if values.shape != self.grid.nodes.shape:
             raise GridError("values must have one entry per grid node")
 
-    def integrate(self) -> float:
-        return self.grid.integrate(self.values)
-
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     # Half-cell [0, r_1] is attached to the first node; the f(0) endpoint is

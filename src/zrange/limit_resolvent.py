@@ -38,7 +38,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, resonance
 from .grids import GridFunction, RadialGrid
-from .operators import discretize_h0
+from .operators import _gram_tridiagonal, _kinetic_diagonals, _tridiagonal_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 
@@ -61,9 +61,6 @@ class ProductGrid:
     def flatten(self, f_xy: np.ndarray) -> np.ndarray:
         return np.asarray(f_xy, dtype=float).reshape(self.n)
 
-    def unflatten(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=float).reshape(self.gx.n, self.gy.n)
-
 
 # ---------------------------------------------------------------------------
 # separable free resolvent on the product grid (s (x) s sector)
@@ -76,10 +73,11 @@ class ProductFreeResolvent:
         self.grid = grid
         self.m = m
         self.a = (m + 1.0) / (2.0 * m)
-        lap_x = discretize_h0(grid.gx, 3, 0.5).entries
-        lap_y = discretize_h0(grid.gy, 3, 0.5).entries
-        self.mu_x, self.qx = np.linalg.eigh(self.a * lap_x)
-        self.mu_y, self.qy = np.linalg.eigh(self.a * lap_y)
+        # (diagonal, off-diagonal) of the tridiagonal a Kx and a Ky, K the d=3 kinetic at m = 1/2
+        self.kx = tuple(self.a * k for k in _gram_tridiagonal(*_kinetic_diagonals(grid.gx, 3, 0.5)))
+        self.ky = tuple(self.a * k for k in _gram_tridiagonal(*_kinetic_diagonals(grid.gy, 3, 0.5)))
+        self.mu_x, self.qx = np.linalg.eigh(_tridiagonal_matrix(*self.kx))
+        self.mu_y, self.qy = np.linalg.eigh(_tridiagonal_matrix(*self.ky))
 
     def denom(self, z: float) -> np.ndarray:
         return self.mu_x[:, None] + self.mu_y[None, :] + z
@@ -245,7 +243,7 @@ class FiniteEpsilonResolvent:
     b_support: np.ndarray = field(repr=False)
     kernel_cho: np.ndarray = field(repr=False)
     resolvent: ProductFreeResolvent = field(repr=False)
-    split_outer: tuple | None = field(default=None, repr=False)
+    split_outer: np.ndarray = field(repr=False)
 
     def apply(self, f: np.ndarray, four_term: bool = False) -> np.ndarray:
         """W_eps(z) f for one flattened vector or an (n, b) block of them:
@@ -255,7 +253,7 @@ class FiniteEpsilonResolvent:
         (they differ by the O(eps^3) overlap defect)."""
         f = np.asarray(f, dtype=float)
         r0f = self.resolvent.apply(self.z, f).reshape(self.grid.n, -1)
-        outer = (self.split_outer[0] if (four_term and self.split_outer) else self.b_support)[:, None]
+        outer = (self.split_outer if four_term else self.b_support)[:, None]
         b = self.b_support[:, None]
         u = outer * r0f[self.support]
         # g = (1 - Q)^(-1) u = u + B (H_eps + z)^(-1) B u
@@ -306,14 +304,13 @@ def assemble_w_eps(
     split_sup = grid.flatten(split)[support]
     # H_eps + z in lower-banded storage: band[k, p] = (H_eps + z)[p + k, p]
     # with p = i ny + j; row 1 couples j to j + 1, row ny couples i to i + 1
-    kx = res.a * discretize_h0(gx, 3, 0.5).entries
-    ky = res.a * discretize_h0(gy, 3, 0.5).entries
+    (kx_diag, kx_off), (ky_diag, ky_off) = res.kx, res.ky
     nx, ny = gx.n, gy.n
     band = np.zeros((ny + 1, grid.n))
-    band[0] = (np.diag(kx)[:, None] + np.diag(ky)[None, :] + z).reshape(-1)
+    band[0] = (kx_diag[:, None] + ky_diag[None, :] + z).reshape(-1)
     band[0, support] -= b_sq
-    band[1] = np.tile(np.append(np.diag(ky, -1), 0.0), nx)
-    band[ny, : grid.n - ny] = np.repeat(np.diag(kx, -1), ny)
+    band[1] = np.tile(np.append(ky_off, 0.0), nx)
+    band[ny, : grid.n - ny] = np.repeat(kx_off, ny)
     try:
         cho = cholesky_banded(band, lower=True)
     except LinAlgError:
@@ -334,7 +331,7 @@ def assemble_w_eps(
         b_support=b_sup,
         kernel_cho=cho,
         resolvent=res,
-        split_outer=(split_sup,),
+        split_outer=split_sup,
     )
 
 

@@ -102,7 +102,8 @@ class SpectrumReport:
 # Every kinetic form here is a sum of squared weighted differences, so it is
 # K = F^T F for a bidiagonal factor F: (n+1) x n lower for d=3, n x n upper
 # for d=2 and the hyperradial form.  The two diagonals of F are closed forms
-# in the nodes, built in O(n); the dense F is laid out from them.  Eigenpairs
+# in the nodes, built in O(n); so are the two diagonals of the tridiagonal K,
+# which every dense K is laid out from (_gram_tridiagonal).  Eigenpairs
 # of K taken through the SVD of F keep relative accuracy ~ cond(F) * eps, not
 # cond(K) * eps = cond(F)^2 * eps, and cond(K) can exceed 1e15 on the
 # scale-bracketing grids the Efimov studies need.  For d=3, n Givens
@@ -147,23 +148,16 @@ def _kinetic_diagonals(grid: RadialGrid, d: int, m: float) -> tuple[np.ndarray, 
     return c / np.sqrt(2.0 * m) / sw, np.append(-c[1:], c[-1]) / np.sqrt(2.0 * m) / sw
 
 
-def _dense_factor(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Dense F from its diagonals: (n+1) x n lower when off has n entries, else n x n upper."""
+def _gram_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of K = F^T F, from F's diagonals as _kinetic_diagonals gives them."""
     if off.size == diag.size:
-        return np.diag(np.append(diag, 0.0))[:, :-1] + np.diag(off, -1)[:, :-1]
-    return np.diag(diag) + np.diag(off, 1)
+        return diag * diag + off * off, off[:-1] * diag[1:]
+    return diag * diag + np.append(0.0, off * off), diag[:-1] * off
 
 
-def kinetic_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
-    """Factor F of the weight-scaled kinetic matrix H0 = F^T F."""
-    return _dense_factor(*_kinetic_diagonals(grid, d, m))
-
-
-def hyperradial_factor(grid: RadialGrid, mass_scale: float = 1.0) -> np.ndarray:
-    """Factor of (1/mass_scale) times the 4-d hyperradial s-wave kinetic."""
-    if not (math.isfinite(mass_scale) and mass_scale > 0.0):
-        raise ValueError(f"mass_scale must be finite and positive, got {mass_scale!r}")
-    return _dense_factor(*_weighted_diagonals(grid, 3, np.sqrt(mass_scale)))
+def _tridiagonal_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix with the given diagonal and off-diagonal."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def discretize_h0(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix:
@@ -172,8 +166,8 @@ def discretize_h0(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatri
     Symmetric positive semidefinite by construction (a Gram matrix), with
     Dirichlet behavior at the origin (regular reduced wave) and at r_max.
     """
-    f = kinetic_factor(grid, d, m)
-    return OperatorMatrix(f.T @ f, grid, m, label=f"H0[d={d}]")
+    k = _gram_tridiagonal(*_kinetic_diagonals(grid, d, m))
+    return OperatorMatrix(_tridiagonal_matrix(*k), grid, m, label=f"H0[d={d}]")
 
 
 def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> OperatorMatrix:
@@ -182,8 +176,10 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> OperatorMa
     The reduced wave u = r^(3/2) f carries the centrifugal 3/(4 r^2) term
     inside a manifestly nonnegative weighted first-derivative form.
     """
-    f = hyperradial_factor(grid, mass_scale)
-    return OperatorMatrix(f.T @ f, grid, 0.5, label="H_hyper")
+    if not (math.isfinite(mass_scale) and mass_scale > 0.0):
+        raise ValueError(f"mass_scale must be finite and positive, got {mass_scale!r}")
+    k = _gram_tridiagonal(*_weighted_diagonals(grid, 3, np.sqrt(mass_scale)))
+    return OperatorMatrix(_tridiagonal_matrix(*k), grid, 0.5, label="H_hyper")
 
 
 def _upper_bidiagonal(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

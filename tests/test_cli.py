@@ -161,6 +161,20 @@ def test_sizes_beyond_physical_memory_rejected_before_allocation(command, cfg, f
     assert peak < 2**18
 
 
+@pytest.mark.parametrize("n_test", [0, -1, 2.5])
+def test_bad_test_function_count_rejected_before_allocation(n_test, tmp_path, capsys):
+    cfg = dict(CONFIGS["limit-resolvent"], n_test_functions=n_test)
+    tracemalloc.start()
+    try:
+        code = _run("limit-resolvent", cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error at n_test_functions" in capsys.readouterr().err
+    assert peak < 2**18
+
+
 def test_kernel22_pole_row_flagged(tmp_path):
     assert _run("kernel22", CONFIGS["kernel22"], tmp_path) == 0
     lines = (tmp_path / "kernel22.csv").read_text().strip().splitlines()

@@ -165,11 +165,11 @@ def test_inertia_spectrum_matches_scaled_root(d, m):
 
 def test_thresholds_build_no_dense_factor_or_operator(monkeypatch):
     # each ladder grid costs one bidiagonal SVD, one syrk and one eigensolve:
-    # no dense kinetic factor, no effective operator, no symmetry check
+    # no dense kinetic matrix, no effective operator, no symmetry check
     def forbidden(*args, **kwargs):
         raise AssertionError("dense side pass on the threshold path")
 
-    monkeypatch.setattr(operators, "kinetic_factor", forbidden)
+    monkeypatch.setattr(operators, "_tridiagonal_matrix", forbidden)
     monkeypatch.setattr(operators, "check_symmetric", forbidden)
     monkeypatch.setattr(efimov, "effective_operator", forbidden)
     rep = find_thresholds("contact_image", 3, (0.1, 2.5), n=150)
@@ -340,6 +340,32 @@ def test_mass_sweep_dilation_oracle(sweep_grid):
     k = min(neg_m.size, neg_1.size)
     assert k >= 3
     assert np.allclose(neg_m[:k], m * neg_1[:k], rtol=0.01)
+
+
+@pytest.mark.parametrize("m", [1.0, 16.0])
+def test_three_body_spectrum_is_the_dense_spectrum_bit_for_bit(sweep_grid, m):
+    # dsterf on the two diagonals is where the dense eigensolve ends up; the
+    # bisection route (stebz) is off by about 5 % on this graded matrix
+    op = effective_operator("three_body_2d", 1.0, 2, sweep_grid, m=m)
+    dense = eigh(op.matrix.entries, eigvals_only=True)
+    assert np.array_equal(operator_spectrum(op).eigenvalues, dense)
+
+
+@pytest.mark.parametrize("m,c", [(1.0, 1.0), (4.0, 1.0), (2.0, 0.5)])
+def test_three_body_operator_has_the_4d_hydrogen_spectrum(m, c):
+    # (1/m)(-Lap_hyper) - c/r is the 4-d s-wave Coulomb problem:
+    # E_k = -m c^2 / (4 (k + 3/2)^2).  The relative error of k <= 5 is
+    # second order in n (measured 2.00-2.02; k = 1 converges faster), the
+    # same at every (m, c), and 4.19e-4 at n = 1200.
+    k = np.arange(6)
+    exact = -m * c**2 / (4.0 * (k + 1.5) ** 2)
+    errors = []
+    for n in (600, 1200):
+        g = build_grid(n, 5e3, "logarithmic", r_min=1e-5)
+        ev = operator_spectrum(effective_operator("three_body_2d", c, 2, g, m=m)).eigenvalues
+        errors.append(np.abs(ev[k] - exact) / np.abs(exact))
+    assert errors[1].max() <= 5e-4
+    assert np.all(np.log2(errors[0] / errors[1]) >= 1.9)
 
 
 def test_mass_sweep_requires_increasing_masses(sweep_grid):

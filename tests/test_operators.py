@@ -8,9 +8,7 @@ from zrange.operators import (
     OperatorMatrix,
     check_symmetric,
     discretize_h0,
-    hyperradial_factor,
     hyperradial_kinetic,
-    kinetic_factor,
     radial_green_kernel,
     sqrt_kinetic,
 )
@@ -72,14 +70,26 @@ def test_factor_diagonals_match_loop_oracle(form, spacing, m):
     ref = _oracle_factor(g, form, m)
     if form == "hyperradial":
         diag, off = operators._weighted_diagonals(g, 3, np.sqrt(m))
-        dense = hyperradial_factor(g, m)
     else:
         diag, off = operators._kinetic_diagonals(g, form, m)
-        dense = kinetic_factor(g, form, m)
     ref_off = np.diag(ref, -1) if form == 3 else np.diag(ref, 1)
-    for got, want in ((diag, np.diag(ref)), (off, ref_off), (dense, ref)):
+    for got, want in ((diag, np.diag(ref)), (off, ref_off)):
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+@pytest.mark.parametrize("spacing", sorted(FACTOR_GRIDS))
+@pytest.mark.parametrize("form", [3, 2, "hyperradial"])
+def test_kinetic_matrix_is_the_gram_matrix_of_the_loop_oracle(form, spacing, m):
+    # the O(n) tridiagonal assembly against F^T F of the dense loop factor:
+    # the same nonzero pattern, and each entry within a few ulp
+    g = FACTOR_GRIDS[spacing]
+    f = _oracle_factor(g, form, m)
+    want = f.T @ f
+    got = hyperradial_kinetic(g, m).entries if form == "hyperradial" else discretize_h0(g, form, m).entries
+    assert np.array_equal(got != 0.0, want != 0.0)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +144,7 @@ def test_hyperradial_kinetic_psd_and_mass_scaling():
 # radial_green_kernel
 
 
-@pytest.mark.parametrize("build", [hyperradial_factor, hyperradial_kinetic])
+@pytest.mark.parametrize("build", [hyperradial_kinetic])
 @pytest.mark.parametrize("mass_scale", [0.0, -1.0, float("nan"), float("inf")])
 def test_hyperradial_rejects_bad_mass_scale(build, mass_scale):
     g = build_grid(20, 10.0, "logarithmic", r_min=1e-3)
