@@ -16,7 +16,21 @@ bounded matrix and q(0+) is its top eigenvalue: z = 0 is assembled exactly,
 not approached.  Every other z keeps the floor Z_FLOOR (in d=2 the kernel
 diverges at z = 0).  Q is linear in the coupling, so the critical coupling is
 the closed form 1/q(0+); resonance() is the one routine that computes it,
-together with the resonance wave, from one Q(0) and one eigensolve.
+together with the resonance wave.
+
+The d=3 kernel is semiseparable (a product a(r<) b(r>)), so on the support
+nodes r_1 < ... < r_k of V (r_0 = 0, h_i = r_i - r_(i-1)) the whole-space
+Q(z) is the inverse of B^T B for a lower bidiagonal B in closed form:
+
+    B_ii = e^(kappa h_i/2) / (s_i e_i),  B_i,i-1 = -e^(-kappa h_i/2) / (s_i e_(i-1)),
+
+with e_i = sqrt(2m w_i V_i) and s_i = sqrt(sinh(kappa h_i)/kappa) (sqrt(h_i)
+at z = 0).  The top eigenvalues of Q are 1/sigma^2 for the smallest singular
+values sigma of B, which LAPACK's dqds returns to a few ulps relative
+(Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11 (1990) 873), and the top
+eigenvector is the null vector of the tridiagonal B^T B - sigma_min^2, found
+by inverse iteration: O(k^2) and O(k) work where a dense Q and its
+eigensolve cost O(k^3).
 """
 
 from __future__ import annotations
@@ -25,13 +39,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import GridFunction, RadialGrid, build_grid
 from .operators import (
     OperatorMatrix,
+    _banded_inverse,
+    _dbdsdc,
+    _tridiagonal_parts,
     discretize_h0,
     green_kernel_matrix,
-    radial_green_kernel,
 )
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
@@ -51,6 +68,14 @@ def support_radius(potential: BasePotential, law: ScalingLaw | None = None) -> f
     return _SUPPORT_CUT[potential.profile] * potential.range * eps
 
 
+def _check_z(z: float, zero_ok: bool):
+    if not ((zero_ok and z == 0.0) or (np.isfinite(z) and z >= Z_FLOOR)):
+        raise ValueError(
+            f"z={z!r} must be finite and not below the floor {Z_FLOOR:g} "
+            "(z = 0 only for d=3 with resolvent='exact')"
+        )
+
+
 def bs_operator(
     v: GridFunction,
     z: float,
@@ -62,18 +87,15 @@ def bs_operator(
     """Assemble Q(z) = sqrt(V) R0(z) sqrt(V) on the grid carrying V.
 
     resolvent="exact" uses the whole-space Green kernel (best for resonance
-    work); resolvent="grid" inverts the boxed discretized H0 + z, which keeps
-    the eigenvalue count of Q consistent with the spectrum of that same boxed
-    H0 - V (the Birman-Schwinger principle then holds as a matrix identity).
-    z = 0 is exact for d=3 with resolvent="exact" (kernel 2m min(r, r'));
-    every other z must be finite and at least Z_FLOOR.
+    work); resolvent="grid" uses the boxed discretized (H0 + z)^(-1), by one
+    banded LU solve of the tridiagonal H0 + z against the identity, which
+    keeps the eigenvalue count of Q consistent with the spectrum of that same
+    boxed H0 - V (the Birman-Schwinger principle then holds as a matrix
+    identity); h0 must then be tridiagonal.  z = 0 is exact for d=3 with
+    resolvent="exact" (kernel 2m min(r, r')); every other z must be finite
+    and at least Z_FLOOR.
     """
-    exact_zero = z == 0.0 and d == 3 and resolvent == "exact"
-    if not (exact_zero or (np.isfinite(z) and z >= Z_FLOOR)):
-        raise ValueError(
-            f"z={z!r} must be finite and not below the floor {Z_FLOOR:g} "
-            "(z = 0 only for d=3 with resolvent='exact')"
-        )
+    _check_z(z, d == 3 and resolvent == "exact")
     vals = v.values
     if np.any(vals < 0.0):
         raise ValueError("potential values must be nonnegative (attractive convention)")
@@ -84,7 +106,7 @@ def bs_operator(
     elif resolvent == "grid":
         if h0 is None:
             h0 = discretize_h0(grid, d, m)
-        g = np.linalg.inv(h0.entries + z * np.eye(h0.n))
+        g = _banded_inverse(*_tridiagonal_parts(h0), z)
     else:
         raise ValueError("resolvent must be 'exact' or 'grid'")
     q = g * np.outer(sqv, sqv)
@@ -126,6 +148,57 @@ class Resonance:
         return 1.0 / self.q0
 
 
+def _on_support(v: GridFunction) -> GridFunction:
+    """V restricted to its support: the nodes where it exceeds SUPPORT_FLOOR of its peak."""
+    vals, grid = v.values, v.grid
+    if np.any(vals < 0.0) or not vals.max() > 0.0:
+        raise ValueError("potential must be nonnegative and not vanish on the grid")
+    sup = np.flatnonzero(vals > SUPPORT_FLOOR * vals.max())
+    return GridFunction(RadialGrid(grid.nodes[sup], grid.weights[sup], grid.spacing, grid.r_max), vals[sup])
+
+
+def _whole_space_top(v: GridFunction, z: float, m: float):
+    """Top two eigenvalues, descending, and the top eigenvector of the d=3 whole-space Q(z) of V > 0.
+
+    From the singular values of the closed-form bidiagonal B with
+    Q(z) = (B^T B)^(-1) (module docstring).  The unit eigenvector is
+    positive, as the Perron vector of the positive kernel.  One eigenvalue
+    only when V has one node.
+    """
+    _check_z(z, True)
+    nodes, e = v.grid.nodes, np.sqrt(2.0 * m * v.grid.weights * v.values)
+    h = np.diff(nodes, prepend=0.0)
+    if z == 0.0:
+        diag2 = sub2 = 1.0 / h
+    else:
+        # B_ii^2 e_i^2 = kappa e^(kappa h) / sinh(kappa h) and B_i,i-1^2 e_(i-1)^2 =
+        # kappa e^(-kappa h) / sinh(kappa h), through expm1: exact at small kappa h
+        # and without overflow at large kappa h
+        x = 2.0 * np.sqrt(2.0 * m * z) * h
+        diag2, sub2 = x / -np.expm1(-x) / h, x / np.expm1(x) / h
+    diag, sub = np.sqrt(diag2) / e, -np.sqrt(sub2[1:]) / e[:-1]
+    # B^T is upper bidiagonal with B's singular values
+    sing = _dbdsdc(diag, sub, vectors=False)
+    top = 1.0 / sing[::-1][:2] ** 2
+    if sing.size == 1:
+        return top, np.ones(1)
+    # inverse iteration on the tridiagonal B^T B - sigma_min^2, factored once;
+    # three solves, one more than it takes to agree with dense eigh to rounding
+    shift = sing[-1] ** 2
+    off = sub * diag[1:]
+    *lu, _ = dgttrf(off, diag**2 + np.append(sub**2, 0.0) - shift, off)
+    # The shifted matrix is singular to working precision, so a pivot can
+    # come out exactly zero (dgttrf info > 0, seen on drawn gaussians).  A
+    # pivot of eps * shift in its place, far below the spectral gap, still
+    # returns the null vector.
+    lu[1][lu[1] == 0.0] = np.finfo(float).eps * shift
+    phi = e / np.linalg.norm(e)
+    for _ in range(3):
+        phi = dgttrs(*lu, phi)[0]
+        phi /= np.linalg.norm(phi)
+    return top, phi if phi.sum() > 0.0 else -phi
+
+
 def resonance(
     potential,
     grid: RadialGrid,
@@ -134,28 +207,28 @@ def resonance(
 ) -> Resonance:
     """Resonance of the radial potential r -> V(r) >= 0 in d=3.
 
-    V is sampled on the grid and Q(0) is assembled on its support (V above
-    SUPPORT_FLOOR of the peak); its top eigenpair gives q(0+) and phi.  psi
-    lives on eval_grid (default: grid), where V is evaluated again for its
+    V is sampled on the grid and restricted to its support (V above
+    SUPPORT_FLOOR of the peak); the top eigenpair of Q(0) there, from its
+    closed-form bidiagonal inverse root, gives q(0+) and phi.  psi lives on
+    eval_grid (default: grid), where V is evaluated again for its
     normalization.
     """
     eval_grid = grid if eval_grid is None else eval_grid
-    vals = np.asarray(potential(grid.nodes), dtype=float)
-    if np.any(vals < 0.0) or not vals.max() > 0.0:
-        raise ValueError("potential must be nonnegative and not vanish on the grid")
-    sup = np.flatnonzero(vals > SUPPORT_FLOOR * vals.max())
-    sub = RadialGrid(grid.nodes[sup], grid.weights[sup], grid.spacing, grid.r_max)
-    v = GridFunction(sub, vals[sup])
-    k = sup.size
-    top2, vecs = eigh(bs_operator(v, 0.0, 3, m).entries, subset_by_index=[max(k - 2, 0), k - 1])
+    v = _on_support(GridFunction(grid, np.asarray(potential(grid.nodes), dtype=float)))
+    sub = v.grid
+    top2, phi = _whole_space_top(v, 0.0, m)
     # u = R0(0) sqrt(lam V) phi on eval_grid, psi = u / r with <lam V, psi> = 1
-    q0, phi = float(top2[-1]), vecs[:, -1]
+    q0 = float(top2[0])
     lam = 1.0 / q0
     src = np.sqrt(lam * v.values) * phi * np.sqrt(sub.weights)
     r = eval_grid.nodes
-    psi = radial_green_kernel(3, 0.0, r[:, None], sub.nodes[None, :], m) @ src / r
+    # u(r) = 2m sum_j min(r, r_j) src_j, split at r into two running sums: O(n + k)
+    cut = np.searchsorted(sub.nodes, r)
+    below = np.append(0.0, np.cumsum(sub.nodes * src))[cut]
+    above = np.append(np.cumsum(src[::-1])[::-1], 0.0)[cut]
+    psi = 2.0 * m * (below + r * above) / r
     psi /= 4.0 * np.pi * eval_grid.integrate(lam * potential(r) * psi * r**2)
-    simple_top = k < 2 or top2[0] / top2[1] < 1.0 - 1e-6
+    simple_top = top2.size < 2 or top2[1] / top2[0] < 1.0 - 1e-6
     return Resonance(q0, phi, GridFunction(eval_grid, psi), bool(simple_top))
 
 
@@ -324,7 +397,9 @@ def two_resonance_matrix(
     Both channels live on identical grids with identical potentials.  The
     supplied coupling must make each two-body subsystem resonant (top
     eigenvalue of Q(0) within RESONANCE_TOL of 1), otherwise the channels are
-    flagged as off resonance.  bs_operator checks z: 0, or at least Z_FLOOR.
+    flagged as off resonance.  Each z is 0 or at least Z_FLOOR.  The
+    diagonal deficits come from the top eigenvalue of the whole-space Q(z) of
+    the scaled potential's support, by the bidiagonal route of resonance().
     z is one spectral parameter or a sequence of them; the resonance and the
     single-coordinate eigenbasis do not depend on z and are computed once, and
     a sequence returns one matrix per z.
@@ -334,8 +409,8 @@ def two_resonance_matrix(
         BasePotential(potential.profile, lambda_critical * potential.strength, potential.range), law
     )
     qg = _resonance_quadrature_grid(potential, law, 800)
-    v_qg = scaled.on_grid(qg)
-    diags = [top_bs_eigenvalue(bs_operator(v_qg, zk, 3, m))[0] - 1.0 for zk in zs]
+    v_qg = _on_support(scaled.on_grid(qg))
+    diags = [_whole_space_top(v_qg, zk, m)[0][0] - 1.0 for zk in zs]
     res = resonance(scaled, qg, m, grid)
     if abs(res.q0 - 1.0) > RESONANCE_TOL:
         raise ValueError(f"channels not at resonance: top BS eigenvalue of Q(0) {res.q0:.6f}")

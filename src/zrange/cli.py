@@ -295,11 +295,13 @@ def _run_limit_resolvent(cfg):
 def _run_efimov(cfg):
     from .efimov import effective_operator, geometric_ratio, operator_spectrum
 
+    refine = _get(cfg, "refine", 0)
+    if type(refine) is not int or refine < 0:  # bool and float are not factors
+        raise ConfigError("refine", f"must be an integer >= 0, got {refine!r}")
     grid = _grid(cfg)
     d = int(_get(cfg, "d", 3))
     kind = _get(cfg, "kind", "contact_image")
     c_sweep = [float(c) for c in _get(cfg, "sweep", required=True)]
-    refine = int(_get(cfg, "refine", 0))
     _require_dense_fits(refine * grid.n, "refine")
     rows = []
     for c in c_sweep:

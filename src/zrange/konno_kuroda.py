@@ -4,9 +4,15 @@ The factorized resolvent difference for H = H0 - V, V >= 0, B = sqrt(V) is
 
     R(z) - R0(z) = [R0(z) B] [1 - Q(z)]^(-1) [B R0(z)],   Q = B R0 B,
 
-valid whenever 1 - Q(z) is invertible.  The module also quantifies, at finite
-epsilon, the mechanisms that make contact, weak-contact, and regular
-potentials act independently in the limit: the L1 cross term
+valid whenever 1 - Q(z) is invertible.  H0 is the tridiagonal boxed kinetic
+matrix, so every (H0 - V + z)^(-1) here is one banded LU solve against the
+identity, and the direct negative count is a tridiagonal eigensolve; 1 - Q
+itself stays a dense matrix with a dense LU solve, so that the assembly is
+checked against the direct route and not against its own algebra.
+
+The module also quantifies, at finite epsilon, the mechanisms that make
+contact, weak-contact, and regular potentials act independently in the
+limit: the L1 cross term
 || sqrt(V1_eps) sqrt(U_eps) ||_1 -> 0 and the additivity defect
 || (sqrt(V2_eps) + sqrt(V3))^2 - V2_eps - V3 ||_1 = O(eps).
 """
@@ -16,10 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, SingularSystemError, check_symmetric, discretize_h0
+from .operators import (
+    OperatorMatrix,
+    SingularSystemError,
+    _banded_inverse,
+    _tridiagonal_parts,
+    check_symmetric,
+    discretize_h0,
+)
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm
 
 SINGULAR_FLOOR = 1e-10
@@ -61,6 +74,11 @@ def _fit_exponent(epsilons: np.ndarray, values: np.ndarray) -> float:
     return float(slope)
 
 
+def _check_z(z: float):
+    if not (np.isfinite(z) and z > 0.0):
+        raise ValueError("z must be finite and positive")
+
+
 def assemble_resolvent_diff(
     v: GridFunction,
     z: float,
@@ -68,21 +86,24 @@ def assemble_resolvent_diff(
     m: float = 0.5,
     h0: OperatorMatrix | None = None,
 ) -> ResolventDifference:
-    """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V."""
-    if not (np.isfinite(z) and z > 0.0):
-        raise ValueError("z must be finite and positive")
+    """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V.
+
+    h0 (default: discretize_h0 on the grid of V) must be tridiagonal.
+    Raises SingularSystemError when the smallest |eigenvalue| of the
+    symmetric 1 - Q(z) is at most SINGULAR_FLOOR.
+    """
+    _check_z(z)
     if np.any(v.values < 0.0):
         raise ValueError("potential values must be nonnegative")
     grid = v.grid
     if h0 is None:
         h0 = discretize_h0(grid, d, m)
     n = h0.n
-    r0 = np.linalg.inv(h0.entries + z * np.eye(n))
+    r0 = _banded_inverse(*_tridiagonal_parts(h0), z)
     b = np.sqrt(v.values)
     q = (r0 * np.outer(b, b))
     one_minus_q = np.eye(n) - 0.5 * (q + q.T)
-    sing = np.linalg.svd(one_minus_q, compute_uv=False)
-    smallest = float(sing[-1])
+    smallest = float(np.abs(eigh(one_minus_q, eigvals_only=True)).min())
     if smallest <= SINGULAR_FLOOR:
         raise SingularSystemError(
             f"1 - Q(z={z:g}) is singular (eigenvalue of H0 - V at -z)", smallest
@@ -102,14 +123,17 @@ def direct_resolvent_diff(
     m: float = 0.5,
     h0: OperatorMatrix | None = None,
 ) -> ResolventDifference:
-    """(H0 - V + z)^(-1) - (H0 + z)^(-1) by dense inversion (oracle route)."""
+    """(H0 - V + z)^(-1) - (H0 + z)^(-1), each by one banded LU solve (oracle route).
+
+    h0 (default: discretize_h0 on the grid of V) must be tridiagonal.
+    """
+    _check_z(z)
     grid = v.grid
     if h0 is None:
         h0 = discretize_h0(grid, d, m)
-    n = h0.n
-    eye = np.eye(n)
-    full = np.linalg.inv(h0.entries - np.diag(v.values) + z * eye)
-    free = np.linalg.inv(h0.entries + z * eye)
+    diag, off = _tridiagonal_parts(h0)
+    full = _banded_inverse(diag, off, z - v.values)
+    free = _banded_inverse(diag, off, z)
     diff = 0.5 * ((full - free) + (full - free).T)
     return ResolventDifference(OperatorMatrix(diff, grid, m, label="direct"), z, "direct")
 
@@ -186,9 +210,15 @@ def _refine(grid: RadialGrid) -> RadialGrid:
 
 
 def negative_count_direct(h0: OperatorMatrix, v: GridFunction) -> int:
-    """Number of negative eigenvalues of H0 - V by direct diagonalization."""
-    ham = h0.entries - np.diag(v.values)
-    vals = eigh(0.5 * (ham + ham.T), eigvals_only=True)
+    """Number of negative eigenvalues of the tridiagonal H0 - V, all eigenvalues by dsterf.
+
+    dsterf on the two diagonals is where a dense eigenvalues-only eigh ends
+    up, bit for bit; not bisection (stebz), which misplaces levels of graded
+    matrices.  The count is independent of the Birman-Schwinger count it
+    checks.
+    """
+    diag, off = _tridiagonal_parts(h0)
+    vals = eigvalsh_tridiagonal(diag - v.values, off, lapack_driver="sterf")
     return int(np.sum(vals < 0.0))
 
 
@@ -218,11 +248,12 @@ def independence_spectrum_check(
 
     Low-lying eigenvalues are extracted from both resolvents (E = 1/mu - z)
     and the maximal discrepancy delta(eps) is reported along the ladder.
+    Every resolvent is one banded LU solve of the tridiagonal H0 - V + z.
     """
+    _check_z(z)
     eps_list = np.asarray(list(eps_list), dtype=float)
-    h0 = discretize_h0(grid, d, m)
-    eye = np.eye(h0.n)
-    r0 = np.linalg.inv(h0.entries + z * eye)
+    diag, off = _tridiagonal_parts(discretize_h0(grid, d, m))
+    r0 = _banded_inverse(diag, off, z)
     deltas = []
     for eps in eps_list:
         parts = []
@@ -235,11 +266,10 @@ def independence_spectrum_check(
         if not parts:
             raise ValueError("need at least one potential")
         total = np.sum(parts, axis=0)
-        full = np.linalg.inv(h0.entries - np.diag(total) + z * eye)
+        full = _banded_inverse(diag, off, z - total)
         pred = r0.copy()
         for p in parts:
-            single = np.linalg.inv(h0.entries - np.diag(p) + z * eye)
-            pred += single - r0
+            pred += _banded_inverse(diag, off, z - p) - r0
         e_full = _low_lying_from_resolvent(full, z, n_compare)
         e_pred = _low_lying_from_resolvent(pred, z, n_compare)
         k = min(e_full.size, e_pred.size)

@@ -25,11 +25,12 @@ nonnegative instead of discretizing it as a diagonal, which would not be.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_lapack, solve_banded
 from scipy.special import i0e, k0e
 
 from .grids import RadialGrid
@@ -198,45 +199,52 @@ def _upper_bidiagonal(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np
     return np.array(out_diag), np.array(out_super[:-1])
 
 
-def _dbdsdc(diag: np.ndarray, superdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values s and right singular vectors V of an upper bidiagonal B.
-
-    B = U diag(s) V^T with s descending; V is returned with the vectors as
-    columns.  LAPACK dbdsdc is reached through the function pointer in
-    scipy.linalg.cython_lapack's capsule table.  Raises LinAlgError when it
-    does not converge, as np.linalg.svd does.
-    """
-    n = diag.size
-    if n < 1 or superdiag.shape != (n - 1,):
-        raise ValueError("bidiagonal needs n >= 1 diagonal and n - 1 superdiagonal entries")
+@functools.cache
+def _dbdsdc_routine():
+    """LAPACK dbdsdc as a ctypes function, from scipy.linalg.cython_lapack's capsule table (built on first use)."""
     capsule = cython_lapack.__pyx_capi__["dbdsdc"]
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
     dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
-    routine = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, ip, dp, dp, dp, ip, dp, ip, dp, ip, dp, ip, ip)(
+    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, ip, dp, dp, dp, ip, dp, ip, dp, ip, dp, ip, ip)(
         get_pointer(capsule, name)
     )
+
+
+def _dbdsdc(diag: np.ndarray, superdiag: np.ndarray, vectors: bool = True):
+    """Singular values s and right singular vectors V of an upper bidiagonal B.
+
+    B = U diag(s) V^T with s descending; V is returned with the vectors as
+    columns.  With vectors=False only s is computed (COMPQ = 'N', LAPACK's
+    dqds, O(n^2) and accurate to a few ulps relative in every singular
+    value) and returned alone.  Raises LinAlgError when dbdsdc does not
+    converge, as np.linalg.svd does.
+    """
+    n = diag.size
+    if n < 1 or superdiag.shape != (n - 1,):
+        raise ValueError("bidiagonal needs n >= 1 diagonal and n - 1 superdiagonal entries")
+    dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
     s = np.array(diag, dtype=float)  # overwritten by the singular values
     e = np.array(superdiag, dtype=float)
-    u = np.empty((n, n))
-    # Column-major VT read in C order is V itself.
-    v = np.empty((n, n))
-    q = np.empty(1)  # Q and IQ are not referenced when COMPQ = 'I'
+    # Column-major VT read in C order is V itself.  U, VT, Q and IQ are not
+    # referenced when COMPQ = 'N', and Q and IQ not when COMPQ = 'I'.
+    k = n if vectors else 1
+    u, v, q = np.empty((k, k)), np.empty((k, k)), np.empty(1)
     iq = np.empty(1, dtype=np.intc)
-    work = np.empty(3 * n * n + 4 * n)
+    work = np.empty(3 * n * n + 4 * n if vectors else 4 * n)
     iwork = np.empty(8 * n, dtype=np.intc)
-    size = ctypes.c_int(n)
+    size, lead = ctypes.c_int(n), ctypes.c_int(k)
     info = ctypes.c_int(0)
-    routine(
-        b"U", b"I", ctypes.byref(size), s.ctypes.data_as(dp), e.ctypes.data_as(dp),
-        u.ctypes.data_as(dp), ctypes.byref(size), v.ctypes.data_as(dp), ctypes.byref(size),
+    _dbdsdc_routine()(
+        b"U", b"I" if vectors else b"N", ctypes.byref(size), s.ctypes.data_as(dp), e.ctypes.data_as(dp),
+        u.ctypes.data_as(dp), ctypes.byref(lead), v.ctypes.data_as(dp), ctypes.byref(lead),
         q.ctypes.data_as(dp), iq.ctypes.data_as(ip), work.ctypes.data_as(dp), iwork.ctypes.data_as(ip),
         ctypes.byref(info),
     )
     if info.value != 0:
         raise np.linalg.LinAlgError(f"bidiagonal SVD did not converge (dbdsdc info {info.value})")
-    return s, v
+    return (s, v) if vectors else s
 
 
 def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
@@ -264,6 +272,32 @@ def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix
 
 # ---------------------------------------------------------------------------
 # free resolvent
+
+
+def _tridiagonal_parts(h: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and first superdiagonal of a tridiagonal operator matrix.
+
+    Raises ValueError when the matrix has a nonzero entry off its three
+    diagonals, which a banded solve or a tridiagonal eigensolve would drop.
+    """
+    a = h.entries
+    diag, off = np.diag(a).copy(), np.diag(a, 1).copy()
+    if np.count_nonzero(a) != np.count_nonzero(diag) + np.count_nonzero(off) + np.count_nonzero(np.diag(a, -1)):
+        raise ValueError(f"{h.label or 'operator'} has nonzero entries off its three diagonals")
+    return diag, off
+
+
+def _banded_inverse(diag: np.ndarray, off: np.ndarray, shift) -> np.ndarray:
+    """(T + diag(shift))^(-1) for the symmetric tridiagonal T = (diag, off), shift a scalar or a vector.
+
+    One banded LU solve (solve_banded, partial pivoting) against the
+    identity: O(n^2), where a dense inverse is O(n^3).  LU, not Cholesky,
+    because T + shift may be indefinite.
+    """
+    n = diag.size
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = off, diag + shift, off
+    return solve_banded((1, 1), ab, np.eye(n), overwrite_ab=True, overwrite_b=True)
 
 
 def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):

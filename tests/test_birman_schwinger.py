@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import jn_zeros
 
-from zrange.grids import GridFunction, build_grid
+from zrange.grids import GridFunction, RadialGrid, build_grid
 from zrange.operators import discretize_h0
 from zrange.potentials import BasePotential, ScalingLaw
-from zrange import birman_schwinger
+from zrange import birman_schwinger, operators
 from zrange.birman_schwinger import (
     bs_count_above_one,
     bs_operator,
     boundary_fit,
     find_resonance_coupling,
     resonance,
+    support_radius,
     top_bs_eigenvalue,
     two_resonance_matrix,
 )
@@ -159,22 +161,83 @@ def test_resonance_coupling_inverse_in_potential_scale(c):
     assert base.simple_top
 
 
-def test_resonance_is_one_operator_and_one_eigensolve(monkeypatch):
-    calls = {"bs_operator": [], "eigh": 0}
-    bs_op, eigh = birman_schwinger.bs_operator, birman_schwinger.eigh
+def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
+    # q(0+) and phi come from the bidiagonal inverse root of Q(0): no dense
+    # Q, no Green-kernel matrix and no dense eigensolve
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense route called")
 
-    def counting_bs_operator(v, z, *args, **kwargs):
-        calls["bs_operator"].append(z)
-        return bs_op(v, z, *args, **kwargs)
+    for module, name in [
+        (birman_schwinger, "bs_operator"),
+        (birman_schwinger, "green_kernel_matrix"),
+        (birman_schwinger, "eigh"),
+        (operators, "green_kernel_matrix"),
+        (operators, "radial_green_kernel"),
+        (np.linalg, "eigh"),
+        (scipy.linalg, "eigh"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    res = resonance(GAUSS, build_grid(100, 5.8, "linear"))
+    assert res.simple_top and res.q0 > 0.0
 
-    def counting_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(birman_schwinger, "bs_operator", counting_bs_operator)
-    monkeypatch.setattr(birman_schwinger, "eigh", counting_eigh)
-    resonance(GAUSS, build_grid(100, 5.8, "linear"))
-    assert calls == {"bs_operator": [0.0], "eigh": 1}
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+@pytest.mark.parametrize("prof", ["square_well", "gaussian", "exponential"])
+@pytest.mark.parametrize("z", [0.0, 1e-8, 1.0, 1e3])
+def test_bidiagonal_top_eigenpair_matches_dense_eigh(prof, spacing, z):
+    # The top two eigenvalues and the top eigenvector of the whole-space Q(z),
+    # and at z = 0 the resonance, against dense eigh of bs_operator.  Measured:
+    # <= 6.8e-14 for the top eigenvalue, 3.5e-15 for lambda_c, 9.8e-14 for
+    # the vector and 4.1e-13 for the second eigenvalue, where the dense
+    # kernel loses digits to cancellation at kappa r ~ 1e-7.
+    pot = BasePotential(prof, 1.0, 1.0)
+    if spacing == "linear":
+        g = build_grid(800, support_radius(pot), "linear")
+    else:
+        g = build_grid(1000, support_radius(pot), "logarithmic", r_min=1e-6)
+    v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
+    k = v.grid.n
+    vals, vecs = scipy.linalg.eigh(bs_operator(v, z).entries, subset_by_index=[k - 2, k - 1])
+    top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
+    assert np.all(np.abs(top - vals[::-1]) <= 1e-12 * vals[::-1])
+    assert np.abs(phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-10
+    if z == 0.0:
+        res = resonance(pot, g)
+        assert res.coupling == pytest.approx(1.0 / vals[-1], rel=1e-12, abs=0.0)
+        assert res.simple_top == (vals[0] / vals[1] < 1.0 - 1e-6)
+        assert np.array_equal(res.phi, phi)
+
+
+def test_resonance_vector_survives_an_exactly_zero_pivot():
+    # on this grid and mass the LU of B^T B - sigma_min^2 ends on an exactly
+    # zero pivot (dgttrf info > 0)
+    pot, m = BasePotential("gaussian", 1.0, 0.5), 0.8793811931913805
+    g = build_grid(160, support_radius(pot), "linear")
+    v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
+    vecs = scipy.linalg.eigh(bs_operator(v, 0.0, m=m).entries)[1]
+    phi = resonance(pot, g, m).phi
+    assert np.abs(phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-10
+
+
+@pytest.mark.parametrize("z", [0.0, 1.0])
+def test_single_node_support_is_its_own_eigenpair(z):
+    g = RadialGrid(np.array([0.5]), np.array([0.3]), "linear", 1.0)
+    v = GridFunction(g, np.array([2.0]))
+    top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
+    assert top == pytest.approx(bs_operator(v, z).entries[0], rel=1e-14)
+    assert phi.tolist() == [1.0]
+
+
+def test_two_resonance_diagonal_matches_dense_top_eigenvalue(well_resonance):
+    grid = build_grid(48, 30.0, "logarithmic", r_min=1e-3)
+    lam = well_resonance.lambda_critical
+    mats = two_resonance_matrix(WELL, UNSCALED, lam, TWO_RES_ZS, grid)
+    g = build_grid(800, support_radius(WELL), "linear")
+    v = GridFunction(g, lam * WELL(g.nodes))
+    # q_top is 1 to 1e-3 here, so this is 1e-12 relative on q_top (measured 6e-14)
+    for mat, z in zip(mats, TWO_RES_ZS):
+        top = top_bs_eigenvalue(bs_operator(v, z))[0]
+        assert mat.diagonal == pytest.approx(top - 1.0, rel=0.0, abs=1e-12)
 
 
 def test_exponential_critical_coupling_analytic():

@@ -88,15 +88,16 @@ def _run(command, cfg, out_dir):
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
 def test_every_command_is_deterministic(command, tmp_path):
-    # two runs with identical configs produce byte-identical CSV
+    # two runs with identical configs produce a byte-identical CSV and summary
     outs = []
     for tag in ("a", "b"):
         d = tmp_path / tag
         d.mkdir()
         assert _run(command, CONFIGS[command], d) == 0
-        csv = d / f"{command.replace('-', '_')}.csv"
-        assert csv.exists()
-        outs.append(csv.read_bytes())
+        stem = command.replace("-", "_")
+        files = [d / f"{stem}.csv", d / f"{stem}_summary.json"]
+        assert all(f.exists() for f in files)
+        outs.append([f.read_bytes() for f in files])
     assert outs[0] == outs[1]
 
 
@@ -172,6 +173,20 @@ def test_bad_test_function_count_rejected_before_allocation(n_test, tmp_path, ca
         tracemalloc.stop()
     assert code == 2
     assert "config error at n_test_functions" in capsys.readouterr().err
+    assert peak < 2**18
+
+
+@pytest.mark.parametrize("refine", [-1, 2.5, "2", True])
+def test_bad_refine_factor_rejected_before_allocation(refine, tmp_path, capsys):
+    cfg = dict(CONFIGS["efimov"], refine=refine)
+    tracemalloc.start()
+    try:
+        code = _run("efimov", cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error at refine" in capsys.readouterr().err
     assert peak < 2**18
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from zrange import konno_kuroda
+from zrange.birman_schwinger import bs_operator
 from zrange.grids import GridFunction, build_grid
-from zrange.operators import SingularSystemError, discretize_h0
+from zrange.operators import OperatorMatrix, SingularSystemError, _banded_inverse, discretize_h0
 from zrange.potentials import BasePotential, ScalingLaw, l1_norm
 from zrange.konno_kuroda import (
     DefectReport,
@@ -47,6 +49,70 @@ def test_non_finite_z_rejected(box100, z):
     g, h0 = box100
     with pytest.raises(ValueError, match="finite"):
         assemble_resolvent_diff(GridFunction(g, np.ones(100)), z, h0=h0)
+
+
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("route", ["direct", "independence"])
+def test_bad_z_rejected_before_any_resolvent(box100, route, z, monkeypatch):
+    g, h0 = box100
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("resolvent work started")
+
+    monkeypatch.setattr(konno_kuroda, "_tridiagonal_parts", forbidden)
+    monkeypatch.setattr(konno_kuroda, "discretize_h0", forbidden)
+    with pytest.raises(ValueError, match="finite and positive"):
+        if route == "direct":
+            direct_resolvent_diff(GridFunction(g, WELL(g.nodes)), z, h0=h0)
+        else:
+            independence_spectrum_check(None, None, None, None, GAUSS, [0.4, 0.2], z, g)
+
+
+@pytest.mark.parametrize("z", [1e-8, 1.0, 1e3])
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_banded_resolvent_matches_dense_inverse(spacing, z):
+    # one banded LU solve against the identity in place of inv(H0 - V + z);
+    # measured <= 1.2e-13
+    g = build_grid(400, 12.0, spacing, r_min=1e-3 if spacing == "logarithmic" else None)
+    h0 = discretize_h0(g, 3, 0.5)
+    for v in (np.zeros(g.n), 3.0 * WELL(g.nodes)):
+        ref = np.linalg.inv(h0.entries - np.diag(v) + z * np.eye(g.n))
+        r = _banded_inverse(np.diag(h0.entries), np.diag(h0.entries, 1), z - v)
+        assert np.linalg.norm(r - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_negative_count_eigenvalues_are_the_dense_eigenvalues_bit_for_bit(spacing, monkeypatch):
+    g = build_grid(400, 12.0, spacing, r_min=1e-3 if spacing == "logarithmic" else None)
+    h0 = discretize_h0(g, 3, 0.5)
+    v = GridFunction(g, 9.0 * BasePotential("gaussian", 1.0, 2.0)(g.nodes))
+    seen = []
+    tridiagonal = konno_kuroda.eigvalsh_tridiagonal
+
+    def recording(*args, **kwargs):
+        seen.append(tridiagonal(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(konno_kuroda, "eigvalsh_tridiagonal", recording)
+    dense = eigh(h0.entries - np.diag(v.values), eigvals_only=True)
+    assert negative_count_direct(h0, v) == int(np.sum(dense < 0.0)) >= 2
+    assert np.array_equal(seen[0], dense)
+
+
+def test_non_tridiagonal_h0_rejected(box100):
+    g, h0 = box100
+    a = h0.entries.copy()
+    a[0, 2] = a[2, 0] = 1e-3
+    wide = OperatorMatrix(a, g, 0.5, label="wide")
+    v = GridFunction(g, WELL(g.nodes))
+    for call in (
+        lambda: assemble_resolvent_diff(v, 1.0, h0=wide),
+        lambda: direct_resolvent_diff(v, 1.0, h0=wide),
+        lambda: negative_count_direct(wide, v),
+        lambda: bs_operator(v, 1.0, resolvent="grid", h0=wide),
+    ):
+        with pytest.raises(ValueError, match="off its three diagonals"):
+            call()
 
 
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])

@@ -1,14 +1,19 @@
-"""Property tests of the scaling laws and the zero-energy resonance.
+"""Property tests of the scaling laws, the zero-energy resonance and the
+Konno-Kuroda identity.
 
 The paper's invariants, checked on drawn inputs.
 """
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zrange.birman_schwinger import resonance, support_radius
-from zrange.grids import build_grid
+from zrange.grids import GridFunction, build_grid
+from zrange.konno_kuroda import assemble_resolvent_diff, direct_resolvent_diff
+from zrange.operators import SingularSystemError
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm, rollnik_norm
 
 from oracles import ladder_q0
@@ -89,3 +94,18 @@ def test_weak_law_keeps_rollnik_norm(profile, strength, reach, eps, n):
 def test_contact_law_keeps_l1_norm(profile, strength, reach, eps, n):
     scaled, base = _law_invariance(l1_norm, 3, profile, strength, reach, eps, n)
     assert scaled == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+@FEW
+@given(data=st.data(), n=st.integers(8, 60), r_max=st.floats(2.0, 20.0), z=st.floats(1e-3, 1e2))
+def test_konno_kuroda_identity_holds_for_random_potentials(data, n, r_max, z):
+    # R0 B (1 - Q)^(-1) B R0 against (H0 - V + z)^(-1) - R0 for a drawn V >= 0
+    # on a small box; draws that put an eigenvalue of H0 - V at -z are skipped
+    g = build_grid(n, r_max, "linear")
+    v = GridFunction(g, data.draw(arrays(float, n, elements=st.floats(0.0, 20.0))))
+    try:
+        kk = assemble_resolvent_diff(v, z).matrix.entries
+    except SingularSystemError:
+        reject()
+    direct = direct_resolvent_diff(v, z).matrix.entries
+    assert np.linalg.norm(kk - direct, 2) <= 1e-8 * np.linalg.norm(direct, 2)
