@@ -11,6 +11,7 @@ from .operators import (
     OperatorMatrix,
     SingularSystemError,
     SpectrumReport,
+    TridiagonalOperator,
     discretize_h0,
     green_kernel_matrix,
     hyperradial_kinetic,

@@ -42,18 +42,13 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import (
-    OperatorMatrix,
-    _banded_inverse,
-    _dbdsdc,
-    _tridiagonal_parts,
-    discretize_h0,
-    green_kernel_matrix,
-)
+from .operators import OperatorMatrix, TridiagonalOperator, _dbdsdc, discretize_h0, green_kernel_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 Z_FLOOR = 1e-8
 RESONANCE_TOL = 5e-3
+FIT_RESIDUAL_TOL = 1e-3  # relative rms misfit above which a boundary fit is non-asymptotic
+ITERATION_MAX, ITERATION_TOL = 200, 1e-12  # cap and relative step tolerance of solve_by_iteration
 # Nodes where V is at most this fraction of its peak carry no weight in Q.
 SUPPORT_FLOOR = 1e-14
 
@@ -82,7 +77,7 @@ def bs_operator(
     d: int = 3,
     m: float = 0.5,
     resolvent: str = "exact",
-    h0: OperatorMatrix | None = None,
+    h0: TridiagonalOperator | None = None,
 ) -> OperatorMatrix:
     """Assemble Q(z) = sqrt(V) R0(z) sqrt(V) on the grid carrying V.
 
@@ -91,7 +86,7 @@ def bs_operator(
     banded LU solve of the tridiagonal H0 + z against the identity, which
     keeps the eigenvalue count of Q consistent with the spectrum of that same
     boxed H0 - V (the Birman-Schwinger principle then holds as a matrix
-    identity); h0 must then be tridiagonal.  z = 0 is exact for d=3 with
+    identity); h0 must then be a TridiagonalOperator.  z = 0 is exact for d=3 with
     resolvent="exact" (kernel 2m min(r, r')); every other z must be finite
     and at least Z_FLOOR.
     """
@@ -104,9 +99,8 @@ def bs_operator(
     if resolvent == "exact":
         g = green_kernel_matrix(grid, d, z, m).entries
     elif resolvent == "grid":
-        if h0 is None:
-            h0 = discretize_h0(grid, d, m)
-        g = _banded_inverse(*_tridiagonal_parts(h0), z)
+        h0 = discretize_h0(grid, d, m) if h0 is None else TridiagonalOperator.require(h0)
+        g = h0.inverse(z)
     else:
         raise ValueError("resolvent must be 'exact' or 'grid'")
     q = g * np.outer(sqv, sqv)
@@ -250,14 +244,13 @@ class BoundaryFit:
     C: float
     D: float
     residual: float
-    window: tuple
     flags: list = field(default_factory=list)
 
 
-def boundary_fit(psi: GridFunction, support_radius: float, residual_tol: float = 1e-3) -> BoundaryFit:
+def boundary_fit(psi: GridFunction, support_radius: float) -> BoundaryFit:
     """Least-squares fit psi(r) ~ C/r + D over [2*support_radius, r_max/2].
 
-    The relative rms misfit above residual_tol is flagged as non-asymptotic.
+    The relative rms misfit above FIT_RESIDUAL_TOL is flagged as non-asymptotic.
     """
     r = psi.grid.nodes
     lo, hi = 2.0 * support_radius, psi.grid.r_max / 2.0
@@ -271,8 +264,8 @@ def boundary_fit(psi: GridFunction, support_radius: float, residual_tol: float =
     resid = np.linalg.norm(a @ coef - yw)
     scale = max(np.linalg.norm(yw), 1e-300)
     rel = float(resid / scale)
-    flags = ["non_asymptotic"] if rel > residual_tol else []
-    return BoundaryFit(float(coef[0]), float(coef[1]), rel, (float(lo), float(hi)), flags)
+    flags = ["non_asymptotic"] if rel > FIT_RESIDUAL_TOL else []
+    return BoundaryFit(float(coef[0]), float(coef[1]), rel, flags)
 
 
 def _resonance_quadrature_grid(potential: BasePotential, law: ScalingLaw, n: int) -> RadialGrid:
@@ -352,7 +345,7 @@ class TwoResonanceMatrix:
     def determinant(self) -> float:
         return self.diagonal**2 - self.off_diagonal**2
 
-    def solve_by_iteration(self, b: np.ndarray, max_iter: int = 200, tol: float = 1e-12):
+    def solve_by_iteration(self, b: np.ndarray):
         """Solve (I2 - Q2) x = b, inverting the off-diagonal block and
         iterating on the vanishing diagonal deficit.
 
@@ -371,17 +364,12 @@ class TwoResonanceMatrix:
             raise ValueError(f"iteration does not contract: |deficit|/|off| = {rate:.3e}")
         o_inv = np.array([[0.0, -1.0 / o], [-1.0 / o, 0.0]])
         x = np.zeros(2)
-        for it in range(1, max_iter + 1):
+        for it in range(1, ITERATION_MAX + 1):
             x_new = o_inv @ (b - dia * x)
-            if np.linalg.norm(x_new - x) <= tol * max(np.linalg.norm(x_new), 1e-300):
+            if np.linalg.norm(x_new - x) <= ITERATION_TOL * max(np.linalg.norm(x_new), 1e-300):
                 return x_new, it
             x = x_new
         raise ValueError("iteration failed to converge")
-
-
-def _spectator_reduced(grid: RadialGrid) -> np.ndarray:
-    # Reduced wave of the constant function 1(y) in d=3 is proportional to r.
-    return grid.nodes.copy()
 
 
 def two_resonance_matrix(
@@ -419,23 +407,20 @@ def two_resonance_matrix(
     # psi_1 = psi(x) (x) 1(y), psi_2 mirrored, psi normalized to <V,psi> = 1
     # for the supplied coupling.
     # In reduced waves: sqrt(V) psi -> sqrt(V) u_psi and 1(y) -> sqrt(4 pi) r.
-    kin = discretize_h0(grid, 3, m).entries
     sw = np.sqrt(grid.weights)
     v_on_grid = scaled(grid.nodes)
     psi = res.psi.values
     norm = 4.0 * np.pi * grid.integrate(v_on_grid * psi * grid.nodes**2)
     a = np.sqrt(v_on_grid) * (psi * grid.nodes / norm) * sw
-    chi = np.sqrt(4.0 * np.pi) * _spectator_reduced(grid) * sw
-    w1 = np.outer(a, chi)
-    w2 = w1.T.copy()
+    chi = np.sqrt(4.0 * np.pi) * grid.nodes * sw
 
-    mu, vec = np.linalg.eigh(kin)
-    # R0_prod = (Kx (+) Ky + z)^(-1) applied in the double eigenbasis
-    t_w2 = vec.T @ w2 @ vec
+    # Both sources are rank one, a (x) chi and chi (x) a, so in the eigenbasis
+    # (mu, Q) of K the overlap through R0_prod = (Kx (+) Ky + z)^(-1) is
+    # p^T D^(-1) p with p = (Q^T a) o (Q^T chi) and D_ij = mu_i + mu_j + z.
+    mu, vec = np.linalg.eigh(discretize_h0(grid, 3, m).entries)
+    p = (vec.T @ a) * (vec.T @ chi)
     mats = []
     for zk, diag in zip(zs, diags):
-        t = t_w2 / (mu[:, None] + mu[None, :] + zk)
-        r0w2 = vec @ t @ vec.T
-        off = float(np.sum(w1 * r0w2))
+        off = float(p @ (1.0 / (mu[:, None] + mu[None, :] + zk)) @ p)
         mats.append(TwoResonanceMatrix(z=float(zk), diagonal=float(diag), off_diagonal=off))
     return mats if np.ndim(z) else mats[0]

@@ -21,12 +21,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh
 
 from .grids import RadialGrid, build_grid
-from .operators import OperatorMatrix, SpectrumReport, _root_factor, hyperradial_kinetic
+from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _root_factor, hyperradial_kinetic
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
+THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # threshold bisection tolerance; node factor of the refined run
+GEOMETRIC_DEVIATION_TOL = 0.10  # largest relative spread of the inner depth ratios that is still geometric
+N_CHI, N_DELTA = 64, 128  # midpoint nodes of the hyperradial angular average (doubled for its flag)
 
 
 @dataclass
@@ -35,7 +38,7 @@ class EffectiveOperator:
     C: float
     d: int
     grid: RadialGrid
-    matrix: OperatorMatrix = field(repr=False)
+    matrix: OperatorMatrix | TridiagonalOperator = field(repr=False)  # tridiagonal for three_body_2d
 
 
 @dataclass
@@ -87,28 +90,25 @@ def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float =
     _require_scale_bracketing(grid)
     r = grid.nodes
     tail = 1.0 / r
+    label = f"{kind}(C={C:g})"
     if kind == "three_body_2d":
         if d != 2:
             raise ValueError("three_body_2d is defined for d=2 constituents")
-        mat = hyperradial_kinetic(grid, mass_scale=m).entries
-    else:
-        w = _root_factor(grid, d, m)
-        mat = w @ w.T
+        kin = hyperradial_kinetic(grid, mass_scale=m)
+        return EffectiveOperator(kind, C, d, grid, TridiagonalOperator(kin.diag - C * tail, kin.off, grid, m, label))
     if kind == "weak_image":
         tail = np.where(r <= 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
+    w = _root_factor(grid, d, m)
+    mat = w @ w.T
     mat[np.diag_indices_from(mat)] -= C * tail  # in place: the matrix stays exactly symmetric
-    op = OperatorMatrix(mat, grid, m, label=f"{kind}(C={C:g})")
-    return EffectiveOperator(kind, C, d, grid, op)
+    return EffectiveOperator(kind, C, d, grid, OperatorMatrix(mat, grid, m, label=label))
 
 
 def operator_spectrum(op: EffectiveOperator) -> SpectrumReport:
-    a = op.matrix.entries
-    if op.kind == "three_body_2d":
-        # tridiagonal by construction: dsterf is where a dense eigvals-only eigh ends, bit
-        # for bit; not stebz, which misplaces shallow levels of this graded matrix by up to 45 %
-        vals = eigvalsh_tridiagonal(np.diag(a), np.diag(a, -1), lapack_driver="sterf")
+    if isinstance(op.matrix, TridiagonalOperator):
+        vals = op.matrix.eigenvalues(0.0)
     else:
-        vals = eigh(a, eigvals_only=True)
+        vals = eigh(op.matrix.entries, eigvals_only=True)
     return SpectrumReport.from_eigenvalues(vals)
 
 
@@ -153,8 +153,6 @@ def find_thresholds(
     r_min: float = 1e-4,
     r_max: float = 2e2,
     m: float = 0.5,
-    rel_tol: float = 1e-3,
-    refine_factor: int = 2,
 ) -> ThresholdReport:
     """Locate C0 (positivity threshold) and C1 (onset of unbounded counts).
 
@@ -164,10 +162,10 @@ def find_thresholds(
     the r_min grid.  C1 is the transition point the bisection finds for
     "the count gains at least one state per r_min decade, never falling,
     over a ladder of seven grids"; that predicate need not be monotone in C,
-    so C1 is not in general the infimum of the growing couplings.  Both
-    thresholds are found at n and at refine_factor * n: the refined values
-    are returned, with no extrapolation, and their relative drift is
-    reported.
+    so C1 is not in general the infimum of the growing couplings.  Both are
+    bisected to THRESHOLD_REL_TOL, at n and at REFINE_FACTOR * n: the
+    refined values are returned, with no extrapolation, and their relative
+    drift is reported.
     """
     if kind != "contact_image":
         raise ValueError(
@@ -185,7 +183,7 @@ def find_thresholds(
         # The factored kinetic keeps the deep-r_min grids accurate.
         ladder = [build_grid(n_run, r_max, "logarithmic", r_min=r_min * 10.0**-k) for k in range(7)]
         spectra = [_inertia_spectrum(d, g, m) for g in ladder]
-        c0 = _bisect_threshold(lambda c: c <= spectra[0][0], lo, hi, rel_tol)
+        c0 = _bisect_threshold(lambda c: c <= spectra[0][0], lo, hi, THRESHOLD_REL_TOL)
 
         def bounded(c: float) -> bool:
             counts = [int(np.searchsorted(mu, c)) for mu in spectra]
@@ -193,11 +191,11 @@ def find_thresholds(
             growing = counts[-1] - counts[0] >= len(ladder) - 1 and np.all(steps >= 0)
             return not growing
 
-        c1 = _bisect_threshold(bounded, lo, hi, rel_tol)
+        c1 = _bisect_threshold(bounded, lo, hi, THRESHOLD_REL_TOL)
         return c0, c1
 
     c0_a, c1_a = run(n)
-    c0_b, c1_b = run(refine_factor * n)
+    c0_b, c1_b = run(REFINE_FACTOR * n)
     drift = max(abs(c0_b - c0_a) / c0_b, abs(c1_b - c1_a) / c1_b)
     c0, c1 = c0_b, c1_b
     if c0 > c1:
@@ -213,12 +211,13 @@ def geometric_ratio(
     spectrum: SpectrumReport,
     refined_rmax: SpectrumReport | None = None,
     refined_rmin: SpectrumReport | None = None,
-    deviation_tol: float = 0.10,
 ) -> GeometricRatio:
     """Geometric statistics of the negative spectrum.
 
     ratio is the geometric mean of successive |E_{n+1}| / |E_n| with the two
-    extreme eigenvalues excluded; deviation is the maximal relative spread.
+    extreme eigenvalues excluded; deviation is the maximal relative spread,
+    and a tower whose deviation exceeds GEOMETRIC_DEVIATION_TOL is not
+    geometric.
     Classification needs cutoff-response evidence: enlarging r_max must add
     shallow states at the same ratio (Efimov side), shrinking r_min must
     deepen the lowest state by the same ratio (Thomas side).  Without
@@ -233,7 +232,7 @@ def geometric_ratio(
     inner = ratios[1:-1] if ratios.size > 2 else ratios
     ratio = float(np.exp(np.mean(np.log(inner))))
     deviation = float(np.max(np.abs(inner / ratio - 1.0)))
-    if deviation > deviation_tol:
+    if deviation > GEOMETRIC_DEVIATION_TOL:
         return GeometricRatio(ratio, deviation, "not_geometric")
 
     classification = "efimov"
@@ -288,28 +287,27 @@ def _slice_average(n_chi: int, n_delta: int, rho: float) -> float:
     return rho**4 * avg  # |Q|^4 K, dimensionless and scale free
 
 
-def hyperradial_reduce(r_list, n_chi: int = 64, n_delta: int = 128, refine_flag: bool = True) -> dict:
+def hyperradial_reduce(r_list) -> dict:
     """Angular average of the three-body 2-d kernel at fixed hyperradius.
 
     Momentum slices |Q| = 1/r stand in for position hyperradius r; the kernel
     is homogeneous of degree -4, so the reduced profile carries the single
     power law prefactor / r with a negative (attractive) prefactor.  The
     exact angular average diverges logarithmically on the back-to-back circle
-    (q1 = -q2), so refinement growth above 1% is flagged rather than treated
-    as convergence failure.
+    (q1 = -q2), so growth above 1% under doubled angular nodes is flagged
+    rather than treated as convergence failure.
     """
     r_list = np.asarray(list(r_list), dtype=float)
     if r_list.size < 3 or np.log10(r_list.max() / r_list.min()) < 2.0:
         raise ValueError("r_list must span at least two decades")
-    profile = np.array([-_slice_average(n_chi, n_delta, 1.0 / r) / r for r in r_list])
+    profile = np.array([-_slice_average(N_CHI, N_DELTA, 1.0 / r) / r for r in r_list])
     slope, logpref = np.polyfit(np.log(r_list), np.log(-profile), 1)
     slope = float(slope)  # power of r carried by the profile, -1 by homogeneity
     flags = []
-    if refine_flag:
-        coarse = -_slice_average(n_chi, n_delta, 1.0)
-        fine = -_slice_average(2 * n_chi, 2 * n_delta, 1.0)
-        if abs(fine - coarse) > 0.01 * abs(coarse):
-            flags.append("angular_quadrature_not_converged")
+    coarse = -_slice_average(N_CHI, N_DELTA, 1.0)
+    fine = -_slice_average(2 * N_CHI, 2 * N_DELTA, 1.0)
+    if abs(fine - coarse) > 0.01 * abs(coarse):
+        flags.append("angular_quadrature_not_converged")
     return {
         "r": r_list,
         "profile": profile,

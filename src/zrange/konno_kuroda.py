@@ -4,9 +4,9 @@ The factorized resolvent difference for H = H0 - V, V >= 0, B = sqrt(V) is
 
     R(z) - R0(z) = [R0(z) B] [1 - Q(z)]^(-1) [B R0(z)],   Q = B R0 B,
 
-valid whenever 1 - Q(z) is invertible.  H0 is the tridiagonal boxed kinetic
-matrix, so every (H0 - V + z)^(-1) here is one banded LU solve against the
-identity, and the direct negative count is a tridiagonal eigensolve; 1 - Q
+valid whenever 1 - Q(z) is invertible.  H0 is the boxed kinetic matrix, a
+TridiagonalOperator, so every (H0 - V + z)^(-1) here is its banded inverse
+and the direct negative count its tridiagonal eigensolve; 1 - Q
 itself stays a dense matrix with a dense LU solve, so that the assembly is
 checked against the direct route and not against its own algebra.
 
@@ -22,20 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import (
-    OperatorMatrix,
-    SingularSystemError,
-    _banded_inverse,
-    _tridiagonal_parts,
-    check_symmetric,
-    discretize_h0,
-)
+from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, check_symmetric, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm
 
 SINGULAR_FLOOR = 1e-10
+N_COMPARE = 3  # low-lying levels compared by independence_spectrum_check
 
 
 @dataclass
@@ -84,11 +78,11 @@ def assemble_resolvent_diff(
     z: float,
     d: int = 3,
     m: float = 0.5,
-    h0: OperatorMatrix | None = None,
+    h0: TridiagonalOperator | None = None,
 ) -> ResolventDifference:
     """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V.
 
-    h0 (default: discretize_h0 on the grid of V) must be tridiagonal.
+    h0 (default: discretize_h0 on the grid of V) must be a TridiagonalOperator.
     Raises SingularSystemError when the smallest |eigenvalue| of the
     symmetric 1 - Q(z) is at most SINGULAR_FLOOR.
     """
@@ -96,10 +90,9 @@ def assemble_resolvent_diff(
     if np.any(v.values < 0.0):
         raise ValueError("potential values must be nonnegative")
     grid = v.grid
-    if h0 is None:
-        h0 = discretize_h0(grid, d, m)
+    h0 = discretize_h0(grid, d, m) if h0 is None else TridiagonalOperator.require(h0)
     n = h0.n
-    r0 = _banded_inverse(*_tridiagonal_parts(h0), z)
+    r0 = h0.inverse(z)
     b = np.sqrt(v.values)
     q = (r0 * np.outer(b, b))
     one_minus_q = np.eye(n) - 0.5 * (q + q.T)
@@ -121,19 +114,17 @@ def direct_resolvent_diff(
     z: float,
     d: int = 3,
     m: float = 0.5,
-    h0: OperatorMatrix | None = None,
+    h0: TridiagonalOperator | None = None,
 ) -> ResolventDifference:
     """(H0 - V + z)^(-1) - (H0 + z)^(-1), each by one banded LU solve (oracle route).
 
-    h0 (default: discretize_h0 on the grid of V) must be tridiagonal.
+    h0 (default: discretize_h0 on the grid of V) must be a TridiagonalOperator.
     """
     _check_z(z)
     grid = v.grid
-    if h0 is None:
-        h0 = discretize_h0(grid, d, m)
-    diag, off = _tridiagonal_parts(h0)
-    full = _banded_inverse(diag, off, z - v.values)
-    free = _banded_inverse(diag, off, z)
+    h0 = discretize_h0(grid, d, m) if h0 is None else TridiagonalOperator.require(h0)
+    full = h0.inverse(z - v.values)
+    free = h0.inverse(z)
     diff = 0.5 * ((full - free) + (full - free).T)
     return ResolventDifference(OperatorMatrix(diff, grid, m, label="direct"), z, "direct")
 
@@ -209,17 +200,12 @@ def _refine(grid: RadialGrid) -> RadialGrid:
     return build_grid(2 * grid.n, grid.r_max, grid.spacing, r_min=grid.nodes[0] if grid.spacing == "logarithmic" else None)
 
 
-def negative_count_direct(h0: OperatorMatrix, v: GridFunction) -> int:
-    """Number of negative eigenvalues of the tridiagonal H0 - V, all eigenvalues by dsterf.
+def negative_count_direct(h0: TridiagonalOperator, v: GridFunction) -> int:
+    """Number of negative eigenvalues of H0 - V, from all eigenvalues of the tridiagonal.
 
-    dsterf on the two diagonals is where a dense eigenvalues-only eigh ends
-    up, bit for bit; not bisection (stebz), which misplaces levels of graded
-    matrices.  The count is independent of the Birman-Schwinger count it
-    checks.
+    The count is independent of the Birman-Schwinger count it checks.
     """
-    diag, off = _tridiagonal_parts(h0)
-    vals = eigvalsh_tridiagonal(diag - v.values, off, lapack_driver="sterf")
-    return int(np.sum(vals < 0.0))
+    return int(np.sum(TridiagonalOperator.require(h0).eigenvalues(-v.values) < 0.0))
 
 
 @dataclass
@@ -227,7 +213,6 @@ class IndependenceReport:
     epsilons: np.ndarray
     discrepancies: np.ndarray
     decreasing: bool
-    n_compared: int
 
 
 def independence_spectrum_check(
@@ -241,19 +226,19 @@ def independence_spectrum_check(
     grid: RadialGrid,
     d: int = 3,
     m: float = 0.5,
-    n_compare: int = 3,
 ) -> IndependenceReport:
     """Compare the spectrum of H0 - V1_eps - V2_eps - V3 with the additive
     resolvent prediction R0 + sum of single-potential differences.
 
-    Low-lying eigenvalues are extracted from both resolvents (E = 1/mu - z)
-    and the maximal discrepancy delta(eps) is reported along the ladder.
-    Every resolvent is one banded LU solve of the tridiagonal H0 - V + z.
+    The N_COMPARE lowest eigenvalues are extracted from both resolvents
+    (E = 1/mu - z) and the maximal discrepancy delta(eps) is reported along
+    the ladder.  Every resolvent is the banded inverse of the tridiagonal
+    H0 - V + z.
     """
     _check_z(z)
     eps_list = np.asarray(list(eps_list), dtype=float)
-    diag, off = _tridiagonal_parts(discretize_h0(grid, d, m))
-    r0 = _banded_inverse(diag, off, z)
+    h0 = discretize_h0(grid, d, m)
+    r0 = h0.inverse(z)
     deltas = []
     for eps in eps_list:
         parts = []
@@ -266,12 +251,12 @@ def independence_spectrum_check(
         if not parts:
             raise ValueError("need at least one potential")
         total = np.sum(parts, axis=0)
-        full = _banded_inverse(diag, off, z - total)
+        full = h0.inverse(z - total)
         pred = r0.copy()
         for p in parts:
-            pred += _banded_inverse(diag, off, z - p) - r0
-        e_full = _low_lying_from_resolvent(full, z, n_compare)
-        e_pred = _low_lying_from_resolvent(pred, z, n_compare)
+            pred += h0.inverse(z - p) - r0
+        e_full = _low_lying_from_resolvent(full, z, N_COMPARE)
+        e_pred = _low_lying_from_resolvent(pred, z, N_COMPARE)
         k = min(e_full.size, e_pred.size)
         if k == 0:
             deltas.append(0.0)
@@ -279,7 +264,7 @@ def independence_spectrum_check(
             deltas.append(float(np.max(np.abs(e_full[:k] - e_pred[:k]))))
     deltas = np.array(deltas)
     decreasing = bool(np.all(np.diff(deltas) < 0.0)) if deltas.size >= 2 else True
-    return IndependenceReport(eps_list, deltas, decreasing, n_compare)
+    return IndependenceReport(eps_list, deltas, decreasing)
 
 
 def _low_lying_from_resolvent(res: np.ndarray, z: float, k: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, resonance
 from .grids import GridFunction, RadialGrid
-from .operators import _gram_tridiagonal, _kinetic_diagonals, _tridiagonal_matrix
+from .operators import TridiagonalOperator, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 
@@ -73,11 +73,12 @@ class ProductFreeResolvent:
         self.grid = grid
         self.m = m
         self.a = (m + 1.0) / (2.0 * m)
-        # (diagonal, off-diagonal) of the tridiagonal a Kx and a Ky, K the d=3 kinetic at m = 1/2
-        self.kx = tuple(self.a * k for k in _gram_tridiagonal(*_kinetic_diagonals(grid.gx, 3, 0.5)))
-        self.ky = tuple(self.a * k for k in _gram_tridiagonal(*_kinetic_diagonals(grid.gy, 3, 0.5)))
-        self.mu_x, self.qx = np.linalg.eigh(_tridiagonal_matrix(*self.kx))
-        self.mu_y, self.qy = np.linalg.eigh(_tridiagonal_matrix(*self.ky))
+        # a Kx and a Ky, K the d=3 kinetic at m = 1/2: the kinetic at the reduced mass m/(m + 1)
+        kx, ky = discretize_h0(grid.gx, 3, 0.5), discretize_h0(grid.gy, 3, 0.5)
+        self.kx = TridiagonalOperator(self.a * kx.diag, self.a * kx.off, grid.gx, 0.5 / self.a, "a Kx")
+        self.ky = TridiagonalOperator(self.a * ky.diag, self.a * ky.off, grid.gy, 0.5 / self.a, "a Ky")
+        self.mu_x, self.qx = np.linalg.eigh(self.kx.entries)
+        self.mu_y, self.qy = np.linalg.eigh(self.ky.entries)
 
     def denom(self, z: float) -> np.ndarray:
         return self.mu_x[:, None] + self.mu_y[None, :] + z
@@ -304,13 +305,13 @@ def assemble_w_eps(
     split_sup = grid.flatten(split)[support]
     # H_eps + z in lower-banded storage: band[k, p] = (H_eps + z)[p + k, p]
     # with p = i ny + j; row 1 couples j to j + 1, row ny couples i to i + 1
-    (kx_diag, kx_off), (ky_diag, ky_off) = res.kx, res.ky
+    kx, ky = res.kx, res.ky
     nx, ny = gx.n, gy.n
     band = np.zeros((ny + 1, grid.n))
-    band[0] = (kx_diag[:, None] + ky_diag[None, :] + z).reshape(-1)
+    band[0] = (kx.diag[:, None] + ky.diag[None, :] + z).reshape(-1)
     band[0, support] -= b_sq
-    band[1] = np.tile(np.append(ky_off, 0.0), nx)
-    band[ny, : grid.n - ny] = np.repeat(kx_off, ny)
+    band[1] = np.tile(np.append(ky.off, 0.0), nx)
+    band[ny, : grid.n - ny] = np.repeat(kx.off, ny)
     try:
         cho = cholesky_banded(band, lower=True)
     except LinAlgError:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack, solve_banded
+from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, solve_banded
 from scipy.special import i0e, k0e
 
 from .grids import RadialGrid
@@ -81,6 +81,62 @@ def check_symmetric(m: np.ndarray, label: str = "matrix", rtol: float = SYMMETRY
 
 
 @dataclass
+class TridiagonalOperator:
+    """Symmetric tridiagonal matrix on weight-scaled reduced waves, carried as its two diagonals.
+
+    Every kinetic matrix K = F^T F is one, and so is K - V; the dense matrix is laid out only on request.
+    """
+
+    diag: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
+    grid: object  # RadialGrid or None
+    m: float = 0.5
+    label: str = ""
+
+    def __post_init__(self):
+        self.diag, self.off = np.asarray(self.diag, dtype=float), np.asarray(self.off, dtype=float)
+        n = self.diag.size
+        if self.diag.shape != (n,) or self.off.shape != (n - 1,):
+            raise ValueError("tridiagonal operator needs n >= 1 diagonal and n - 1 off-diagonal entries")
+        if self.grid is not None and n != self.grid.n:
+            raise ValueError("matrix dimension must match grid size")
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
+            raise ValueError(f"{self.label or 'operator'} has non-finite entries")
+
+    @property
+    def n(self) -> int:
+        return self.diag.size
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix, laid out anew on each access."""
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+
+    def eigenvalues(self, shift) -> np.ndarray:
+        """Ascending eigenvalues of T + diag(shift) by LAPACK dsterf, those of a dense eigh bit for bit.
+
+        Not bisection (stebz): on graded matrices such as the hyperradial operator (norm ~6e12) its
+        default tolerance misplaces shallow levels by up to 45 %.
+        """
+        return eigvalsh_tridiagonal(self.diag + shift, self.off, lapack_driver="sterf")
+
+    def inverse(self, shift) -> np.ndarray:
+        """(T + diag(shift))^(-1) by one banded LU solve against the identity: O(n^2), and LU, not
+        Cholesky, because T + shift may be indefinite."""
+        ab = np.zeros((3, self.n))
+        ab[0, 1:], ab[1], ab[2, :-1] = self.off, self.diag + shift, self.off
+        return solve_banded((1, 1), ab, np.eye(self.n), overwrite_ab=True, overwrite_b=True)
+
+    @staticmethod
+    def require(h) -> "TridiagonalOperator":
+        """h itself, or a ValueError when h is dense: its entries off the three diagonals would be dropped."""
+        if not isinstance(h, TridiagonalOperator):
+            label = getattr(h, "label", "") or "operator"
+            raise ValueError(f"{label} is dense: entries off its three diagonals would be dropped")
+        return h
+
+
+@dataclass
 class SpectrumReport:
     """Sorted eigenvalues with negative count and successive depth ratios."""
 
@@ -103,8 +159,8 @@ class SpectrumReport:
 # Every kinetic form here is a sum of squared weighted differences, so it is
 # K = F^T F for a bidiagonal factor F: (n+1) x n lower for d=3, n x n upper
 # for d=2 and the hyperradial form.  The two diagonals of F are closed forms
-# in the nodes, built in O(n); so are the two diagonals of the tridiagonal K,
-# which every dense K is laid out from (_gram_tridiagonal).  Eigenpairs
+# in the nodes, built in O(n); so are the two diagonals of the tridiagonal K
+# (_gram_tridiagonal), which is carried as a TridiagonalOperator.  Eigenpairs
 # of K taken through the SVD of F keep relative accuracy ~ cond(F) * eps, not
 # cond(K) * eps = cond(F)^2 * eps, and cond(K) can exceed 1e15 on the
 # scale-bracketing grids the Efimov studies need.  For d=3, n Givens
@@ -156,22 +212,16 @@ def _gram_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np
     return diag * diag + np.append(0.0, off * off), diag[:-1] * off
 
 
-def _tridiagonal_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix with the given diagonal and off-diagonal."""
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def discretize_h0(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix:
+def discretize_h0(grid: RadialGrid, d: int = 3, m: float = 0.5) -> TridiagonalOperator:
     """Kinetic operator -(1/2m) Laplacian reduced to the s-wave sector.
 
     Symmetric positive semidefinite by construction (a Gram matrix), with
     Dirichlet behavior at the origin (regular reduced wave) and at r_max.
     """
-    k = _gram_tridiagonal(*_kinetic_diagonals(grid, d, m))
-    return OperatorMatrix(_tridiagonal_matrix(*k), grid, m, label=f"H0[d={d}]")
+    return TridiagonalOperator(*_gram_tridiagonal(*_kinetic_diagonals(grid, d, m)), grid, m, label=f"H0[d={d}]")
 
 
-def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> OperatorMatrix:
+def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> TridiagonalOperator:
     """(1/mass_scale) times the 4-d hyperradial s-wave kinetic operator.
 
     The reduced wave u = r^(3/2) f carries the centrifugal 3/(4 r^2) term
@@ -180,7 +230,7 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> OperatorMa
     if not (math.isfinite(mass_scale) and mass_scale > 0.0):
         raise ValueError(f"mass_scale must be finite and positive, got {mass_scale!r}")
     k = _gram_tridiagonal(*_weighted_diagonals(grid, 3, np.sqrt(mass_scale)))
-    return OperatorMatrix(_tridiagonal_matrix(*k), grid, 0.5, label="H_hyper")
+    return TridiagonalOperator(*k, grid, 0.5, label="H_hyper")
 
 
 def _upper_bidiagonal(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,32 +324,6 @@ def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix
 # free resolvent
 
 
-def _tridiagonal_parts(h: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and first superdiagonal of a tridiagonal operator matrix.
-
-    Raises ValueError when the matrix has a nonzero entry off its three
-    diagonals, which a banded solve or a tridiagonal eigensolve would drop.
-    """
-    a = h.entries
-    diag, off = np.diag(a).copy(), np.diag(a, 1).copy()
-    if np.count_nonzero(a) != np.count_nonzero(diag) + np.count_nonzero(off) + np.count_nonzero(np.diag(a, -1)):
-        raise ValueError(f"{h.label or 'operator'} has nonzero entries off its three diagonals")
-    return diag, off
-
-
-def _banded_inverse(diag: np.ndarray, off: np.ndarray, shift) -> np.ndarray:
-    """(T + diag(shift))^(-1) for the symmetric tridiagonal T = (diag, off), shift a scalar or a vector.
-
-    One banded LU solve (solve_banded, partial pivoting) against the
-    identity: O(n^2), where a dense inverse is O(n^3).  LU, not Cholesky,
-    because T + shift may be indefinite.
-    """
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:], ab[1], ab[2, :-1] = off, diag + shift, off
-    return solve_banded((1, 1), ab, np.eye(n), overwrite_ab=True, overwrite_b=True)
-
-
 def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
     """Reduced s-wave kernel of (H0 + z)^(-1) on the whole space, H0 = -(1/2m) Lap.
 
@@ -323,8 +347,9 @@ def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
     if d == 3 and kappa == 0.0:
         val = 2.0 * m * lo
     elif d == 3:
-        # sinh(k lo) e^(-k hi) written stably as (e^(-k(hi-lo)) - e^(-k(hi+lo)))/2
-        val = 2.0 * m * (np.exp(-kappa * (hi - lo)) - np.exp(-kappa * (hi + lo))) / (2.0 * kappa)
+        # sinh(k lo) e^(-k hi) = e^(-k(hi-lo)) (1 - e^(-2k lo)) / 2, the bracket through
+        # expm1: no cancellation at small k lo, no overflow at large k hi
+        val = 2.0 * m * np.exp(-kappa * (hi - lo)) * -np.expm1(-2.0 * kappa * lo) / (2.0 * kappa)
     else:
         # i0e(x) = e^(-x) I0(x), k0e(x) = e^x K0(x); product decays as e^(lo-hi)
         val = 2.0 * m * np.sqrt(r * rp) * i0e(kappa * lo) * k0e(kappa * hi) * np.exp(-kappa * (hi - lo))

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,34 @@ def test_every_command_is_deterministic(command, tmp_path):
         assert all(f.exists() for f in files)
         outs.append([f.read_bytes() for f in files])
     assert outs[0] == outs[1]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_CONFIGS = json.loads((PERFBENCH / "cli_configs.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    # the benchmark's module, loaded read-only for its cell comparison
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("command", sorted(BENCH_CONFIGS))
+def test_benchmark_configs_reproduce_the_pinned_csvs(command, bench_workloads, tmp_path):
+    # the benchmark's configs against its pinned CSVs, cell by cell within
+    # its CLI_RTOL / CLI_ATOL: a change that moves a pinned cell fails here
+    ref = bench_workloads.load_reference()[f"cli.{command}"]
+    assert _run(command, BENCH_CONFIGS[command], tmp_path) == 0
+    rows = (tmp_path / f"{command.replace('-', '_')}.csv").read_text().splitlines()
+    assert rows[0] == ref[0]
+    assert len(rows) == len(ref)
+    for row, ref_row in zip(rows[1:], ref[1:]):
+        cells, ref_cells = row.split(","), ref_row.split(",")
+        assert len(cells) == len(ref_cells), f"{row} vs {ref_row}"
+        assert all(map(bench_workloads._cell_close, cells, ref_cells)), f"{row} vs {ref_row}"
 
 
 def test_missing_grid_field_names_it(tmp_path, capsys):

@@ -169,7 +169,7 @@ def test_thresholds_build_no_dense_factor_or_operator(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense side pass on the threshold path")
 
-    monkeypatch.setattr(operators, "_tridiagonal_matrix", forbidden)
+    monkeypatch.setattr(operators.TridiagonalOperator, "entries", property(forbidden))
     monkeypatch.setattr(operators, "check_symmetric", forbidden)
     monkeypatch.setattr(efimov, "effective_operator", forbidden)
     rep = find_thresholds("contact_image", 3, (0.1, 2.5), n=150)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from zrange import konno_kuroda
+from zrange import konno_kuroda, operators
 from zrange.birman_schwinger import bs_operator
 from zrange.grids import GridFunction, build_grid
-from zrange.operators import OperatorMatrix, SingularSystemError, _banded_inverse, discretize_h0
+from zrange.operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, discretize_h0
 from zrange.potentials import BasePotential, ScalingLaw, l1_norm
 from zrange.konno_kuroda import (
     DefectReport,
@@ -59,7 +59,7 @@ def test_bad_z_rejected_before_any_resolvent(box100, route, z, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("resolvent work started")
 
-    monkeypatch.setattr(konno_kuroda, "_tridiagonal_parts", forbidden)
+    monkeypatch.setattr(TridiagonalOperator, "inverse", forbidden)
     monkeypatch.setattr(konno_kuroda, "discretize_h0", forbidden)
     with pytest.raises(ValueError, match="finite and positive"):
         if route == "direct":
@@ -77,7 +77,7 @@ def test_banded_resolvent_matches_dense_inverse(spacing, z):
     h0 = discretize_h0(g, 3, 0.5)
     for v in (np.zeros(g.n), 3.0 * WELL(g.nodes)):
         ref = np.linalg.inv(h0.entries - np.diag(v) + z * np.eye(g.n))
-        r = _banded_inverse(np.diag(h0.entries), np.diag(h0.entries, 1), z - v)
+        r = h0.inverse(z - v)
         assert np.linalg.norm(r - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
 
@@ -87,13 +87,13 @@ def test_negative_count_eigenvalues_are_the_dense_eigenvalues_bit_for_bit(spacin
     h0 = discretize_h0(g, 3, 0.5)
     v = GridFunction(g, 9.0 * BasePotential("gaussian", 1.0, 2.0)(g.nodes))
     seen = []
-    tridiagonal = konno_kuroda.eigvalsh_tridiagonal
+    tridiagonal = operators.eigvalsh_tridiagonal
 
     def recording(*args, **kwargs):
         seen.append(tridiagonal(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(konno_kuroda, "eigvalsh_tridiagonal", recording)
+    monkeypatch.setattr(operators, "eigvalsh_tridiagonal", recording)
     dense = eigh(h0.entries - np.diag(v.values), eigvals_only=True)
     assert negative_count_direct(h0, v) == int(np.sum(dense < 0.0)) >= 2
     assert np.array_equal(seen[0], dense)

@@ -1,17 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 from zrange import operators
-from zrange.grids import build_grid
+from zrange.birman_schwinger import bs_operator
+from zrange.efimov import effective_operator, mass_sweep_2d
+from zrange.grids import GridFunction, build_grid
+from zrange.konno_kuroda import (
+    assemble_resolvent_diff,
+    direct_resolvent_diff,
+    independence_spectrum_check,
+    negative_count_direct,
+)
 from zrange.operators import (
     OperatorMatrix,
+    TridiagonalOperator,
     check_symmetric,
     discretize_h0,
     hyperradial_kinetic,
     radial_green_kernel,
     sqrt_kinetic,
 )
+from zrange.potentials import BasePotential
 
 from oracles import _factor_d3, _factor_weighted
 
@@ -141,7 +153,86 @@ def test_hyperradial_kinetic_psd_and_mass_scaling():
 
 
 # ---------------------------------------------------------------------------
+# TridiagonalOperator
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("part", ["diag", "off"])
+def test_tridiagonal_non_finite_entries_rejected(part, bad):
+    diag, off = np.ones(5), np.zeros(4)
+    (diag if part == "diag" else off)[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        TridiagonalOperator(diag, off, None)
+
+
+def test_tridiagonal_shape_and_grid_checked():
+    with pytest.raises(ValueError, match="n - 1 off-diagonal"):
+        TridiagonalOperator(np.ones(5), np.zeros(5), None)
+    with pytest.raises(ValueError, match="grid size"):
+        TridiagonalOperator(np.ones(9), np.zeros(8), build_grid(10, 1.0, "linear"))
+
+
+def test_kinetic_builders_and_three_body_operator_allocate_no_dense_matrix():
+    # two n-vectors where the dense layout held n^2 doubles (32 MB at n = 2000)
+    g = build_grid(2000, 5e2, "logarithmic", r_min=1e-4)
+    dense_bytes = 8 * g.n * g.n
+    for build in (
+        lambda: discretize_h0(g, 3, 0.5),
+        lambda: discretize_h0(g, 2, 0.5),
+        lambda: hyperradial_kinetic(g, 2.0),
+        lambda: effective_operator("three_body_2d", 1.0, 2, g, m=2.0),
+    ):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 20
+
+
+def test_tridiagonal_consumers_never_lay_out_the_dense_kinetic(monkeypatch):
+    # every consumer of H0 works on its two diagonals; mass_sweep_2d makes no
+    # dense symmetric operator either
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense layout of a tridiagonal operator")
+
+    g = build_grid(120, 12.0, "logarithmic", r_min=1e-3)
+    h0 = discretize_h0(g, 3, 0.5)
+    v = GridFunction(g, 4.0 * np.exp(-g.nodes**2))
+    monkeypatch.setattr(TridiagonalOperator, "entries", property(forbidden))
+    assert negative_count_direct(h0, v) >= 1
+    assemble_resolvent_diff(v, 1.0, h0=h0)
+    direct_resolvent_diff(v, 1.0, h0=h0)
+    direct_resolvent_diff(v, 1.0)
+    independence_spectrum_check(None, None, None, None, BasePotential("gaussian", 1.0, 1.0), [0.4, 0.2], 1.0, g)
+    bs_operator(v, 1.0, resolvent="grid", h0=h0)
+    bs_operator(v, 1.0, resolvent="grid")
+    monkeypatch.setattr(operators, "check_symmetric", forbidden)
+    sweep = mass_sweep_2d([1.0, 2.0], 1.0, build_grid(300, 5e2, "logarithmic", r_min=1e-4))
+    assert sweep.counts.min() >= 1
+
+
+# ---------------------------------------------------------------------------
 # radial_green_kernel
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double oracle")
+@pytest.mark.parametrize("z", [1e-8, 1e-4, 1.0])
+def test_d3_kernel_is_accurate_to_rounding_at_small_kappa_r(z):
+    # 2m sinh(k r<) e^(-k r>) / k against an 80-bit evaluation at the same
+    # kappa; the two-exponential difference cancels when k r< is small
+    # (measured 4.8e-10 relative at z = 1e-8), the expm1 form does not
+    m = 0.5
+    r = build_grid(800, 1.0, "linear").nodes
+    lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    kappa = np.sqrt(2.0 * m * z)
+    k, lo_l, hi_l = np.longdouble(kappa), lo.astype(np.longdouble), hi.astype(np.longdouble)
+    ref = 2 * np.longdouble(m) * np.sinh(k * lo_l) * np.exp(-k * hi_l) / k
+    got = radial_green_kernel(3, z, r[:, None], r[None, :], m)
+    assert float(np.max(np.abs((got - ref) / ref))) <= 1e-15
+
+
 
 
 @pytest.mark.parametrize("build", [hyperradial_kinetic])
