@@ -22,6 +22,7 @@ from zrange import (
     build_grid,
     cross_term_norm,
     direct_resolvent_diff,
+    discretize_h0,
     independence_spectrum_check,
 )
 
@@ -33,9 +34,10 @@ print("  factorized resolvent difference vs direct inversion")
 print("=" * 72)
 grid = build_grid(100, 12.0, "linear")
 v = BasePotential("square_well", 1.0, 1.0).on_grid(grid)
+h0 = discretize_h0(grid)
 for z in (0.5, 1.0, 2.0):
-    kk = assemble_resolvent_diff(v, z)
-    d = direct_resolvent_diff(v, z)
+    kk = assemble_resolvent_diff(v, z, h0)
+    d = direct_resolvent_diff(v, z, h0)
     rel = np.linalg.norm(kk.matrix.entries - d.matrix.entries, 2) / np.linalg.norm(d.matrix.entries, 2)
     print(f"  z = {z:4.1f}: relative operator-norm distance {rel:.2e}")
 
@@ -57,7 +59,7 @@ print("  spectral independence: combined vs additively composed resolvents")
 print("=" * 72)
 igrid = build_grid(300, 14.0, "logarithmic", r_min=1e-3)
 rep = independence_spectrum_check(
-    gauss, ScalingLaw(3, 1, 3), gauss, ScalingLaw(2, 1, 3), broad, [0.4, 0.2, 0.1], 1.0, igrid
+    gauss, ScalingLaw(3, 1, 3), gauss, ScalingLaw(2, 1, 3), broad, [0.4, 0.2, 0.1], 1.0, discretize_h0(igrid)
 )
 for e, delta in zip(rep.epsilons, rep.discrepancies):
     print(f"  eps = {e:5.2f}: max eigenvalue discrepancy {delta:.4e}")

@@ -46,7 +46,7 @@ print("  structure of the limit operator W(z)")
 print("=" * 72)
 ref = resonance(ScaledPotential(gauss, ScalingLaw(2, 0.05, 3)), g)
 v_ref = ScaledPotential(BasePotential("gaussian", ref.coupling, 1.0), ScalingLaw(2, 0.05, 3))
-w = limit_w(z, ref.psi, v_ref, pg, 1.0, resolvent=res)
+w = limit_w(z, ref.psi, v_ref, res)
 wm = w.matrix()
 sv = np.linalg.svd(wm, compute_uv=False)
 print(f"  denominator constant sqrt(z)/(4 pi) |<sqrt(V) psi>|^2 = {w.denominator_constant:.4e}")

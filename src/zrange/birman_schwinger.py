@@ -81,14 +81,15 @@ def bs_operator(
 ) -> OperatorMatrix:
     """Assemble Q(z) = sqrt(V) R0(z) sqrt(V) on the grid carrying V.
 
-    resolvent="exact" uses the whole-space Green kernel (best for resonance
-    work); resolvent="grid" uses the boxed discretized (H0 + z)^(-1), by one
-    banded LU solve of the tridiagonal H0 + z against the identity, which
-    keeps the eigenvalue count of Q consistent with the spectrum of that same
-    boxed H0 - V (the Birman-Schwinger principle then holds as a matrix
-    identity); h0 must then be a TridiagonalOperator.  z = 0 is exact for d=3 with
-    resolvent="exact" (kernel 2m min(r, r')); every other z must be finite
-    and at least Z_FLOOR.
+    resolvent="exact" uses the whole-space Green kernel of dimension d and
+    mass m (best for resonance work); resolvent="grid" uses the boxed
+    discretized (H0 + z)^(-1) of h0, a TridiagonalOperator built on the grid
+    of V that carries its own dimension and mass, by one banded LU solve of
+    the tridiagonal H0 + z against the identity, which keeps the eigenvalue
+    count of Q consistent with the spectrum of that same boxed H0 - V (the
+    Birman-Schwinger principle then holds as a matrix identity).  z = 0 is
+    exact for d=3 with resolvent="exact" (kernel 2m min(r, r')); every other
+    z must be finite and at least Z_FLOOR.
     """
     _check_z(z, d == 3 and resolvent == "exact")
     vals = v.values
@@ -99,8 +100,10 @@ def bs_operator(
     if resolvent == "exact":
         g = green_kernel_matrix(grid, d, z, m).entries
     elif resolvent == "grid":
-        h0 = discretize_h0(grid, d, m) if h0 is None else TridiagonalOperator.require(h0)
-        g = h0.inverse(z)
+        if h0 is None:
+            raise ValueError("resolvent='grid' needs h0, the boxed H0 on the grid of V")
+        h0 = TridiagonalOperator.require(h0, grid)
+        g, m = h0.inverse(z), h0.m
     else:
         raise ValueError("resolvent must be 'exact' or 'grid'")
     q = g * np.outer(sqv, sqv)

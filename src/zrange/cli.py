@@ -174,13 +174,12 @@ def _run_kk_verify(cfg):
     grid = _grid(cfg)
     z_sweep = [float(z) for z in _get(cfg, "sweep", [0.5, 1.0, 2.0])]
     v = ScaledPotential(pot, law).on_grid(grid)
-    d = law.d
-    h0 = discretize_h0(grid, d, float(_get(cfg, "mass", 0.5)))
+    h0 = discretize_h0(grid, law.d, float(_get(cfg, "mass", 0.5)))
     rows = []
     worst = 0.0
     for z in z_sweep:
-        kk = assemble_resolvent_diff(v, z, d, h0.m, h0=h0)
-        direct = direct_resolvent_diff(v, z, d, h0.m, h0=h0)
+        kk = assemble_resolvent_diff(v, z, h0)
+        direct = direct_resolvent_diff(v, z, h0)
         dist = float(
             np.linalg.norm(kk.matrix.entries - direct.matrix.entries, 2)
             / np.linalg.norm(direct.matrix.entries, 2)
@@ -236,6 +235,7 @@ def _run_additivity(cfg):
 
 def _run_independence(cfg):
     from .konno_kuroda import independence_spectrum_check
+    from .operators import discretize_h0
 
     grid = _grid(cfg)
     v1 = _potential(cfg, "potential") if _get(cfg, "potential") else None
@@ -245,7 +245,7 @@ def _run_independence(cfg):
     v3 = _potential(cfg, "v3_potential") if _get(cfg, "v3_potential") else None
     eps = [float(e) for e in _get(cfg, "sweep", [0.4, 0.2, 0.1])]
     z = float(_get(cfg, "z", 1.0))
-    rep = independence_spectrum_check(v1, law1, v2, law2, v3, eps, z, grid)
+    rep = independence_spectrum_check(v1, law1, v2, law2, v3, eps, z, discretize_h0(grid))
     rows = [
         ReportRow({"epsilon": e}, {"delta": d}) for e, d in zip(rep.epsilons, rep.discrepancies)
     ]

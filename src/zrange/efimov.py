@@ -27,7 +27,7 @@ from .grids import RadialGrid, build_grid
 from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _root_factor, hyperradial_kinetic
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
-THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # threshold bisection tolerance; node factor of the refined run
+THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # C1 bisection tolerance; node factor of the refined run
 GEOMETRIC_DEVIATION_TOL = 0.10  # largest relative spread of the inner depth ratios that is still geometric
 N_CHI, N_DELTA = 64, 128  # midpoint nodes of the hyperradial angular average (doubled for its flag)
 
@@ -158,14 +158,16 @@ def find_thresholds(
 
     Every count is #{mu < C} on the inertia spectrum mu of the grid (see
     _inertia_spectrum), so each grid costs one eigensolve whatever the
-    number of bisection steps.  C0 is bisected on positivity, C <= mu_min on
-    the r_min grid.  C1 is the transition point the bisection finds for
+    number of bisection steps.  C0, the positivity threshold, is mu_min of
+    the r_min grid itself: the contact image is positive exactly for
+    C <= mu_min.  C1 is the transition point the bisection finds for
     "the count gains at least one state per r_min decade, never falling,
     over a ladder of seven grids"; that predicate need not be monotone in C,
-    so C1 is not in general the infimum of the growing couplings.  Both are
-    bisected to THRESHOLD_REL_TOL, at n and at REFINE_FACTOR * n: the
-    refined values are returned, with no extrapolation, and their relative
-    drift is reported.
+    so C1 is not in general the infimum of the growing couplings, and it is
+    bisected to THRESHOLD_REL_TOL.  Both are taken at n and at
+    REFINE_FACTOR * n: the refined values are returned, with no
+    extrapolation, and their relative drift is reported.  The bracket must
+    hold mu_min in [lo, hi) and straddle the C1 transition.
     """
     if kind != "contact_image":
         raise ValueError(
@@ -183,7 +185,9 @@ def find_thresholds(
         # The factored kinetic keeps the deep-r_min grids accurate.
         ladder = [build_grid(n_run, r_max, "logarithmic", r_min=r_min * 10.0**-k) for k in range(7)]
         spectra = [_inertia_spectrum(d, g, m) for g in ladder]
-        c0 = _bisect_threshold(lambda c: c <= spectra[0][0], lo, hi, THRESHOLD_REL_TOL)
+        c0 = float(spectra[0][0])
+        if not lo <= c0 < hi:
+            raise ValueError(f"bracket does not straddle the transition: mu_min = {c0:g} is not in [{lo:g}, {hi:g})")
 
         def bounded(c: float) -> bool:
             counts = [int(np.searchsorted(mu, c)) for mu in spectra]

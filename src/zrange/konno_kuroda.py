@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, check_symmetric, discretize_h0
+from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, check_symmetric
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm
 
 SINGULAR_FLOOR = 1e-10
@@ -73,16 +73,10 @@ def _check_z(z: float):
         raise ValueError("z must be finite and positive")
 
 
-def assemble_resolvent_diff(
-    v: GridFunction,
-    z: float,
-    d: int = 3,
-    m: float = 0.5,
-    h0: TridiagonalOperator | None = None,
-) -> ResolventDifference:
+def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) -> ResolventDifference:
     """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V.
 
-    h0 (default: discretize_h0 on the grid of V) must be a TridiagonalOperator.
+    h0 must be a TridiagonalOperator built on the grid of V; the mass is h0.m.
     Raises SingularSystemError when the smallest |eigenvalue| of the
     symmetric 1 - Q(z) is at most SINGULAR_FLOOR.
     """
@@ -90,7 +84,7 @@ def assemble_resolvent_diff(
     if np.any(v.values < 0.0):
         raise ValueError("potential values must be nonnegative")
     grid = v.grid
-    h0 = discretize_h0(grid, d, m) if h0 is None else TridiagonalOperator.require(h0)
+    h0 = TridiagonalOperator.require(h0, grid)
     n = h0.n
     r0 = h0.inverse(z)
     b = np.sqrt(v.values)
@@ -105,28 +99,22 @@ def assemble_resolvent_diff(
     mid = np.linalg.solve(one_minus_q, left.T)
     diff = left @ mid
     diff = 0.5 * (diff + diff.T)
-    mat = OperatorMatrix(diff, grid, m, label=f"R-R0(z={z:g})")
+    mat = OperatorMatrix(diff, grid, h0.m, label=f"R-R0(z={z:g})")
     return ResolventDifference(mat, z, "konno_kuroda", smallest)
 
 
-def direct_resolvent_diff(
-    v: GridFunction,
-    z: float,
-    d: int = 3,
-    m: float = 0.5,
-    h0: TridiagonalOperator | None = None,
-) -> ResolventDifference:
+def direct_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) -> ResolventDifference:
     """(H0 - V + z)^(-1) - (H0 + z)^(-1), each by one banded LU solve (oracle route).
 
-    h0 (default: discretize_h0 on the grid of V) must be a TridiagonalOperator.
+    h0 must be a TridiagonalOperator built on the grid of V; the mass is h0.m.
     """
     _check_z(z)
     grid = v.grid
-    h0 = discretize_h0(grid, d, m) if h0 is None else TridiagonalOperator.require(h0)
+    h0 = TridiagonalOperator.require(h0, grid)
     full = h0.inverse(z - v.values)
     free = h0.inverse(z)
     diff = 0.5 * ((full - free) + (full - free).T)
-    return ResolventDifference(OperatorMatrix(diff, grid, m, label="direct"), z, "direct")
+    return ResolventDifference(OperatorMatrix(diff, grid, h0.m, label="direct"), z, "direct")
 
 
 def _defect_ladder(integrand, eps_list, grid: RadialGrid, d: int, refine_check: bool) -> DefectReport:
@@ -205,7 +193,7 @@ def negative_count_direct(h0: TridiagonalOperator, v: GridFunction) -> int:
 
     The count is independent of the Birman-Schwinger count it checks.
     """
-    return int(np.sum(TridiagonalOperator.require(h0).eigenvalues(-v.values) < 0.0))
+    return int(np.sum(TridiagonalOperator.require(h0, v.grid).eigenvalues(-v.values) < 0.0))
 
 
 @dataclass
@@ -223,21 +211,20 @@ def independence_spectrum_check(
     v3: BasePotential | None,
     eps_list,
     z: float,
-    grid: RadialGrid,
-    d: int = 3,
-    m: float = 0.5,
+    h0: TridiagonalOperator,
 ) -> IndependenceReport:
     """Compare the spectrum of H0 - V1_eps - V2_eps - V3 with the additive
     resolvent prediction R0 + sum of single-potential differences.
 
-    The N_COMPARE lowest eigenvalues are extracted from both resolvents
-    (E = 1/mu - z) and the maximal discrepancy delta(eps) is reported along
-    the ladder.  Every resolvent is the banded inverse of the tridiagonal
-    H0 - V + z.
+    The potentials are sampled on the grid of h0.  The N_COMPARE lowest
+    eigenvalues are extracted from both resolvents (E = 1/mu - z) and the
+    maximal discrepancy delta(eps) is reported along the ladder.  Every
+    resolvent is the banded inverse of the tridiagonal H0 - V + z.
     """
     _check_z(z)
+    grid = h0.grid
+    h0 = TridiagonalOperator.require(h0, grid)
     eps_list = np.asarray(list(eps_list), dtype=float)
-    h0 = discretize_h0(grid, d, m)
     r0 = h0.inverse(z)
     deltas = []
     for eps in eps_list:

@@ -67,7 +67,10 @@ class ProductGrid:
 
 
 class ProductFreeResolvent:
-    """(a Kx (+) a Ky + z)^(-1) through the single-coordinate eigenbases."""
+    """(a Kx (+) a Ky + z)^(-1) through the single-coordinate eigenbases.
+
+    It carries its product grid and mass m; assemble_w_eps and limit_w take both from it.
+    """
 
     def __init__(self, grid: ProductGrid, m: float = 1.0):
         self.grid = grid
@@ -109,22 +112,6 @@ class ProductFreeResolvent:
             units[cols[s:e], np.arange(e - s)] = 1.0
             out[:, s:e] = self.apply(z, units)[rows]
         return out
-
-
-def _same_radial_grid(a: RadialGrid, b: RadialGrid) -> bool:
-    return np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
-
-
-def _matching_resolvent(resolvent: ProductFreeResolvent | None, grid: ProductGrid, m: float) -> ProductFreeResolvent:
-    """The resolvent passed in, checked against grid and m, or a new one."""
-    if resolvent is None:
-        return ProductFreeResolvent(grid, m)
-    rg = resolvent.grid
-    if not (_same_radial_grid(rg.gx, grid.gx) and _same_radial_grid(rg.gy, grid.gy)):
-        raise ValueError("resolvent was built for another product grid")
-    if resolvent.m != m:
-        raise ValueError(f"resolvent was built for mass {resolvent.m!r}, not {m!r}")
-    return resolvent
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +160,19 @@ def limit_w(
     z: float,
     psi: GridFunction,
     v_scaled: ScaledPotential,
-    grid: ProductGrid,
-    m: float = 1.0,
-    resolvent: ProductFreeResolvent | None = None,
+    resolvent: ProductFreeResolvent,
 ) -> LimitResolvent:
     """Assemble the two-channel limit operator W(z) from G_z and sqrt(V).
 
-    psi is the two-body resonance profile on grid.gx, normalized so that
+    The product grid and the mass are those of resolvent.  psi is the
+    two-body resonance profile on its x grid, normalized so that
     <V, psi> = 4 pi int V psi r^2 dr = 1.  The channel factor is
     R0(z) applied to delta-line columns; the resonance enters through the
     projector and the denominator (sqrt(z)/4 pi) |<sqrt(V) psi>|^2, whose
-    psi dependence cancels exactly in the assembled operator.  The resolvent
-    passed in must have been built for grid and m.
+    psi dependence cancels exactly in the assembled operator.
     """
     _check_z(z)
+    grid = resolvent.grid
     gx, gy = grid.gx, grid.gy
     if psi.grid is not gx and not np.array_equal(psi.grid.nodes, gx.nodes):
         raise ValueError("psi must live on the x grid")
@@ -202,18 +188,17 @@ def limit_w(
         raise ValueError("degenerate denominator: <sqrt(V) psi> below 1e-12")
     den = (np.sqrt(z) / (4.0 * np.pi)) * overlap**2
 
-    res = _matching_resolvent(resolvent, grid, m)
     nx, ny = gx.n, gy.n
     cx = _line_source_scale(gx)
     cy = _line_source_scale(gy)
     # channel 1: sources on the x = 0 line, one column per y node
     src1 = np.zeros((grid.n, ny))
     src1[np.arange(ny), np.arange(ny)] = cx  # flattened (0, j) = j
-    l1 = res.apply(z, src1)
+    l1 = resolvent.apply(z, src1)
     # channel 2: sources on the y = 0 line
     src2 = np.zeros((grid.n, nx))
     src2[np.arange(nx) * ny, np.arange(nx)] = cy
-    l2 = res.apply(z, src2)
+    l2 = resolvent.apply(z, src2)
     # A (P/den (x) I) C = (overlap^2 / den) L L^T per channel
     coeff = overlap**2 / den  # = 4 pi / sqrt(z), psi dependence cancels
     return LimitResolvent(z, grid, float(den), float(coeff), l1, l2)
@@ -266,14 +251,8 @@ class FiniteEpsilonResolvent:
         return self.resolvent.apply(self.z, src).reshape(f.shape)
 
 
-def assemble_w_eps(
-    z: float,
-    v_scaled: ScaledPotential,
-    grid: ProductGrid,
-    m: float = 1.0,
-    resolvent: ProductFreeResolvent | None = None,
-) -> FiniteEpsilonResolvent:
-    """Konno-Kuroda assembly of W_eps(z) on the product grid.
+def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeResolvent) -> FiniteEpsilonResolvent:
+    """Konno-Kuroda assembly of W_eps(z) on the product grid of resolvent, at its mass.
 
     B = sqrt(V_eps(x) + V_eps(y)) is diagonal and supported on the L-shaped
     region where either potential is alive.  Q = B R0(z) B is positive
@@ -284,13 +263,12 @@ def assemble_w_eps(
     the flattened grid, and one banded Cholesky factorization of it is both
     the invertibility gate (no three-body level below -z) and the solver
     behind apply().  The dense block of Q and its top eigenvalue are computed
-    only when the factorization fails, for the error message.  The resolvent
-    passed in must have been built for grid and m.  The four-term split of
-    the outer factors (sqrt(V(x)) + sqrt(V(y)) instead of B) is available
-    through apply(four_term=True).
+    only when the factorization fails, for the error message.  The four-term
+    split of the outer factors (sqrt(V(x)) + sqrt(V(y)) instead of B) is
+    available through apply(four_term=True).
     """
     _check_z(z)
-    res = _matching_resolvent(resolvent, grid, m)
+    grid = resolvent.grid
     gx, gy = grid.gx, grid.gy
     vx = v_scaled(gx.nodes)
     vy = v_scaled(gy.nodes)
@@ -305,7 +283,7 @@ def assemble_w_eps(
     split_sup = grid.flatten(split)[support]
     # H_eps + z in lower-banded storage: band[k, p] = (H_eps + z)[p + k, p]
     # with p = i ny + j; row 1 couples j to j + 1, row ny couples i to i + 1
-    kx, ky = res.kx, res.ky
+    kx, ky = resolvent.kx, resolvent.ky
     nx, ny = gx.n, gy.n
     band = np.zeros((ny + 1, grid.n))
     band[0] = (kx.diag[:, None] + ky.diag[None, :] + z).reshape(-1)
@@ -315,7 +293,7 @@ def assemble_w_eps(
     try:
         cho = cholesky_banded(band, lower=True)
     except LinAlgError:
-        q = res.block(z, support, support)
+        q = resolvent.block(z, support, support)
         q *= b_sup[:, None]
         q *= b_sup[None, :]
         top_q = float(eigh(q, lower=True, eigvals_only=True, subset_by_index=[support.size - 1] * 2)[0])
@@ -331,7 +309,7 @@ def assemble_w_eps(
         support=support,
         b_support=b_sup,
         kernel_cho=cho,
-        resolvent=res,
+        resolvent=resolvent,
         split_outer=split_sup,
     )
 
@@ -416,7 +394,7 @@ def convergence_study(
     law_ref = ScalingLaw(2, eps_ref, 3)
     psi = resonance(ScaledPotential(potential, law_ref), grid.gx, channel_mass(m)).psi
     v_ref = ScaledPotential(BasePotential(potential.profile, couplings[eps_ref], potential.range), law_ref)
-    w_model = limit_w(z, psi, v_ref, grid, m, resolvent=res)
+    w_model = limit_w(z, psi, v_ref, res)
     # every test function is one column of a single (n, n_test) block
     cols = np.ascontiguousarray(fs.T)
     wf = w_model.apply(cols).T
@@ -427,7 +405,7 @@ def convergence_study(
         scaled = ScaledPotential(
             BasePotential(potential.profile, couplings[float(eps)], potential.range), ScalingLaw(2, eps, 3)
         )
-        w_eps_f[k] = assemble_w_eps(z, scaled, grid, m, resolvent=res).apply(cols).T
+        w_eps_f[k] = assemble_w_eps(z, scaled, res).apply(cols).T
         discrepancies[k] = np.linalg.norm(w_eps_f[k] - wf, axis=1) / norms
     monotone = bool(np.all(np.diff(discrepancies, axis=0) < 0.0))
     reduction = discrepancies[0] / discrepancies[-1]
@@ -450,24 +428,24 @@ def verify_limit_identity(
     h_plus_z_apply,
     z: float,
     test_functions: np.ndarray,
-    resolvent: ProductFreeResolvent | None = None,
+    resolvent: ProductFreeResolvent,
     dense_set: np.ndarray | None = None,
 ) -> IdentityReport:
     """Residual of ((H0 + z)^(-1) + W(z)) (H + z) f = f on test functions.
 
+    resolvent applies (H0 + z)^(-1), at the grid and mass W was built with.
     h_plus_z_apply maps a flattened vector to (H + z) times it; at desk scale
     H is the epsilon-extrapolated finite Hamiltonian, supplied operationally
     as the inverse of the extrapolated resolvent.  Residuals are reported in
     vector norm and, when a dense set of probe vectors is supplied, as
     quadratic forms |<g, (S_z (H+z) - 1) f>| / (|g| |f|).
     """
-    res = resolvent if resolvent is not None else ProductFreeResolvent(w.grid, 1.0)
     fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
     residuals = np.empty(fs.shape[0])
     quad = []
     for j, f in enumerate(fs):
         hf = h_plus_z_apply(f)
-        sf = res.apply(z, hf) + w.apply(hf)
+        sf = resolvent.apply(z, hf) + w.apply(hf)
         r = sf - f
         residuals[j] = np.linalg.norm(r) / np.linalg.norm(f)
         if dense_set is not None:

@@ -128,11 +128,18 @@ class TridiagonalOperator:
         return solve_banded((1, 1), ab, np.eye(self.n), overwrite_ab=True, overwrite_b=True)
 
     @staticmethod
-    def require(h) -> "TridiagonalOperator":
-        """h itself, or a ValueError when h is dense: its entries off the three diagonals would be dropped."""
+    def require(h, grid: RadialGrid) -> "TridiagonalOperator":
+        """h itself, or a ValueError when h is dense (its entries off the three diagonals would be
+        dropped), carries no grid, or was built on a grid whose nodes or weights differ from those of grid."""
+        label = getattr(h, "label", "") or "operator"
         if not isinstance(h, TridiagonalOperator):
-            label = getattr(h, "label", "") or "operator"
             raise ValueError(f"{label} is dense: entries off its three diagonals would be dropped")
+        own = h.grid
+        if own is None:
+            raise ValueError(f"{label} carries no grid")
+        same = own is grid or (np.array_equal(own.nodes, grid.nodes) and np.array_equal(own.weights, grid.weights))
+        if not same:
+            raise ValueError(f"{label} was built on another grid")
         return h
 
 

@@ -239,7 +239,7 @@ def w_eps_family(z, profile, couplings, resolvent, test_functions):
     family = []
     for eps, lam in couplings.items():
         v_eps = ScaledPotential(BasePotential(profile, lam, 1.0), ScalingLaw(2, eps, 3))
-        w_eps = assemble_w_eps(z, v_eps, resolvent.grid, 1.0, resolvent=resolvent)
+        w_eps = assemble_w_eps(z, v_eps, resolvent)
         family.append([w_eps.apply(f) for f in test_functions])
     return np.array(family)
 
@@ -262,7 +262,7 @@ def convergence_per_vector(z, potential, couplings, resolvent, test_functions):
     law = ScalingLaw(2, eps_ref, 3)
     psi = resonance(ScaledPotential(potential, law), grid.gx, channel_mass(1.0)).psi
     v_ref = ScaledPotential(BasePotential(potential.profile, couplings[eps_ref], potential.range), law)
-    w = limit_w(z, psi, v_ref, grid, 1.0, resolvent=resolvent)
+    w = limit_w(z, psi, v_ref, resolvent)
     disc = np.array(
         [[np.linalg.norm(wf - w.apply(f)) / np.linalg.norm(f) for wf, f in zip(rung, test_functions)] for rung in family]
     )

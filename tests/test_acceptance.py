@@ -198,7 +198,7 @@ def test_criterion_07_zero_range_limit():
     eps_ref = 0.025
     ref = resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps_ref, 3)), g)
     v_ref = ScaledPotential(BasePotential("gaussian", ref.coupling, 1.0), ScalingLaw(2, eps_ref, 3))
-    w = limit_w(z, ref.psi, v_ref, pg, 1.0, resolvent=res)
+    w = limit_w(z, ref.psi, v_ref, res)
     d = 1.0 / res.denom(z)
     m = np.kron(res.qx, res.qy)
     r0 = (m * d.reshape(-1)[None, :]) @ m.T

@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -129,6 +133,24 @@ def test_benchmark_configs_reproduce_the_pinned_csvs(command, bench_workloads, t
         cells, ref_cells = row.split(","), ref_row.split(",")
         assert len(cells) == len(ref_cells), f"{row} vs {ref_row}"
         assert all(map(bench_workloads._cell_close, cells, ref_cells)), f"{row} vs {ref_row}"
+
+
+@pytest.mark.parametrize("workload", ["limit-ladder", "efimov-thresholds"])
+def test_benchmark_tracer_runs_a_traced_pass(workload):
+    # the benchmark's tracer rebinds zrange functions and hot methods by name
+    # (ProductFreeResolvent.block among them), so a refactor that removes one
+    # of them fails here instead of in the benchmark
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"), env.get("PYTHONPATH")]))
+    argv = ["--workload", workload, "--seed", "11", "--trace", "--spawned-at", str(time.monotonic())]
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), *argv], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["checks_failed"] == 0 and report["errors"] == 0
+    assert all(study["error"] is None for study in report["studies"])
+    assert report["spans"]
 
 
 def test_missing_grid_field_names_it(tmp_path, capsys):

@@ -186,6 +186,13 @@ def test_c0_is_where_the_refined_grid_loses_positivity(thresholds_d3):
     assert above.count_negative >= 1
 
 
+def test_c0_is_the_smallest_inertia_eigenvalue_of_the_refined_grid(thresholds_d3):
+    # the contact image is positive exactly for C <= mu_min, so C0 is mu_min
+    # itself, not a bisection midpoint within THRESHOLD_REL_TOL of it
+    g = build_grid(500, 2e2, "logarithmic", r_min=1e-4)
+    assert thresholds_d3.C0 == pytest.approx(efimov._inertia_spectrum(3, g, 0.5)[0], rel=1e-12, abs=0.0)
+
+
 def test_threshold_bracket_validation():
     with pytest.raises(ValueError, match="straddle"):
         find_thresholds("contact_image", 3, (2.0, 2.5), n=250)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from zrange import konno_kuroda, operators
+from zrange import operators
 from zrange.birman_schwinger import bs_operator
 from zrange.grids import GridFunction, build_grid
 from zrange.operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, discretize_h0
@@ -60,12 +60,11 @@ def test_bad_z_rejected_before_any_resolvent(box100, route, z, monkeypatch):
         raise AssertionError("resolvent work started")
 
     monkeypatch.setattr(TridiagonalOperator, "inverse", forbidden)
-    monkeypatch.setattr(konno_kuroda, "discretize_h0", forbidden)
     with pytest.raises(ValueError, match="finite and positive"):
         if route == "direct":
             direct_resolvent_diff(GridFunction(g, WELL(g.nodes)), z, h0=h0)
         else:
-            independence_spectrum_check(None, None, None, None, GAUSS, [0.4, 0.2], z, g)
+            independence_spectrum_check(None, None, None, None, GAUSS, [0.4, 0.2], z, h0)
 
 
 @pytest.mark.parametrize("z", [1e-8, 1.0, 1e3])
@@ -113,6 +112,31 @@ def test_non_tridiagonal_h0_rejected(box100):
     ):
         with pytest.raises(ValueError, match="off its three diagonals"):
             call()
+
+
+def test_h0_built_on_another_grid_rejected(box100):
+    # same n, another r_max: the diagonals fit V's grid, and a square well of
+    # strength 5 on the 12-box counts 2 bound states against the H0 of a
+    # 30-box, 1 against its own
+    g, h0 = box100
+    other = discretize_h0(build_grid(100, 30.0, "linear"), 3, 0.5)
+    v = GridFunction(g, 5.0 * WELL(g.nodes))
+    assert negative_count_direct(h0, v) == 1
+    # an equal grid built anew is the same grid
+    assert negative_count_direct(discretize_h0(build_grid(100, 12.0, "linear"), 3, 0.5), v) == 1
+    for call in (
+        lambda: assemble_resolvent_diff(v, 1.0, h0=other),
+        lambda: direct_resolvent_diff(v, 1.0, h0=other),
+        lambda: negative_count_direct(other, v),
+        lambda: bs_operator(v, 1.0, resolvent="grid", h0=other),
+    ):
+        with pytest.raises(ValueError, match="another grid"):
+            call()
+    with pytest.raises(ValueError, match="needs h0"):
+        bs_operator(v, 1.0, resolvent="grid")
+    with pytest.raises(ValueError, match="carries no grid"):
+        bare = TridiagonalOperator(h0.diag, h0.off, None)
+        independence_spectrum_check(None, None, None, None, GAUSS, [0.4, 0.2], 1.0, bare)
 
 
 @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
@@ -268,20 +292,20 @@ def indep_grid():
 
 def test_single_potential_prediction_exact(indep_grid):
     rep = independence_spectrum_check(
-        GAUSS, ScalingLaw(3, 1, 3), None, None, None, [0.5, 0.25], 1.0, indep_grid
+        GAUSS, ScalingLaw(3, 1, 3), None, None, None, [0.5, 0.25], 1.0, discretize_h0(indep_grid)
     )
     assert np.all(rep.discrepancies < 1e-8)
 
 
 def test_weak_plus_regular_discrepancy_decreases(indep_grid):
     rep = independence_spectrum_check(
-        None, None, GAUSS, ScalingLaw(2, 1, 3), BROAD, [0.4, 0.2, 0.1], 1.0, indep_grid
+        None, None, GAUSS, ScalingLaw(2, 1, 3), BROAD, [0.4, 0.2, 0.1], 1.0, discretize_h0(indep_grid)
     )
     assert rep.decreasing
 
 
 def test_all_three_discrepancy_decreases(indep_grid):
     rep = independence_spectrum_check(
-        GAUSS, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), BROAD, [0.4, 0.2, 0.1], 1.0, indep_grid
+        GAUSS, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), BROAD, [0.4, 0.2, 0.1], 1.0, discretize_h0(indep_grid)
     )
     assert rep.decreasing

@@ -84,7 +84,7 @@ def test_batched_r0_apply_equals_column_applies_and_dense_kron():
 @pytest.mark.parametrize("four_term", [False, True])
 def test_batched_w_eps_apply_equals_column_applies(resonant_setup, four_term):
     pg, psi, v_ref, res = resonant_setup
-    w_eps = assemble_w_eps(2.0, v_ref, pg, 1.0, resolvent=res)
+    w_eps = assemble_w_eps(2.0, v_ref, res)
     fs = np.random.default_rng(22).standard_normal((pg.n, 5))
     block = w_eps.apply(fs, four_term=four_term)
     assert block.shape == fs.shape
@@ -94,7 +94,7 @@ def test_batched_w_eps_apply_equals_column_applies(resonant_setup, four_term):
 
 def test_batched_limit_apply_equals_column_applies(resonant_setup):
     pg, psi, v_ref, res = resonant_setup
-    w = limit_w(2.0, psi, v_ref, pg, 1.0, resolvent=res)
+    w = limit_w(2.0, psi, v_ref, res)
     fs = np.random.default_rng(23).standard_normal((pg.n, 5))
     block = w.apply(fs)
     assert block.shape == fs.shape
@@ -107,7 +107,7 @@ def test_batched_limit_apply_equals_column_applies(resonant_setup):
 
 def test_limit_w_symmetric_and_positive(resonant_setup):
     pg, psi, v_ref, res = resonant_setup
-    w = limit_w(2.0, psi, v_ref, pg, 1.0, resolvent=res)
+    w = limit_w(2.0, psi, v_ref, res)
     wm = w.matrix()
     assert np.abs(wm - wm.T).max() < 1e-10 * np.abs(wm).max()
     rng = np.random.default_rng(1)
@@ -118,7 +118,7 @@ def test_limit_w_symmetric_and_positive(resonant_setup):
 
 def test_limit_w_channel_swap_invariance(resonant_setup):
     pg, psi, v_ref, res = resonant_setup
-    w = limit_w(1.0, psi, v_ref, pg, 1.0, resolvent=res)
+    w = limit_w(1.0, psi, v_ref, res)
     nx = pg.gx.n
     f = np.random.default_rng(2).standard_normal(pg.n)
     f_swapped = f.reshape(nx, nx).T.reshape(-1)
@@ -128,15 +128,15 @@ def test_limit_w_channel_swap_invariance(resonant_setup):
 
 def test_limit_w_rank_bound(resonant_setup):
     pg, psi, v_ref, res = resonant_setup
-    w = limit_w(1.0, psi, v_ref, pg, 1.0, resolvent=res)
+    w = limit_w(1.0, psi, v_ref, res)
     sv = np.linalg.svd(w.matrix(), compute_uv=False)
     assert sv[w.numerical_rank_bound] < 1e-10 * sv[0]
 
 
 def test_limit_w_denominator_scales_as_sqrt_z(resonant_setup):
     pg, psi, v_ref, res = resonant_setup
-    w1 = limit_w(1.0, psi, v_ref, pg, 1.0, resolvent=res)
-    w2 = limit_w(2.0, psi, v_ref, pg, 1.0, resolvent=res)
+    w1 = limit_w(1.0, psi, v_ref, res)
+    w2 = limit_w(2.0, psi, v_ref, res)
     assert w2.denominator_constant / w1.denominator_constant == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
@@ -144,14 +144,14 @@ def test_limit_w_denominator_scales_as_sqrt_z(resonant_setup):
 def test_limit_w_rejects_bad_z(resonant_setup, z):
     pg, psi, v_ref, res = resonant_setup
     with pytest.raises(ValueError, match="finite and positive"):
-        limit_w(z, psi, v_ref, pg, 1.0, resolvent=res)
+        limit_w(z, psi, v_ref, res)
 
 
 def test_limit_w_rejects_unnormalized_psi(resonant_setup):
     pg, psi, v_ref, res = resonant_setup
     bad = GridFunction(psi.grid, 2.0 * psi.values)
     with pytest.raises(ValueError, match="not normalized"):
-        limit_w(1.0, bad, v_ref, pg, 1.0, resolvent=res)
+        limit_w(1.0, bad, v_ref, res)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_four_term_split_matches_single_b_up_to_overlap_defect(resonant_setup):
     for eps in (0.2, 0.1, 0.05):
         lam = resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps, 3)), pg.gx).coupling
         scaled = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
-        w_eps = assemble_w_eps(2.0, scaled, pg, 1.0, resolvent=res)
+        w_eps = assemble_w_eps(2.0, scaled, res)
         rels.append(
             [
                 np.linalg.norm(w_eps.apply(f) - w_eps.apply(f, four_term=True)) / np.linalg.norm(w_eps.apply(f))
@@ -191,7 +191,7 @@ def test_w_eps_detects_level_below_minus_z(small_product):
     pg = small_product
     deep = ScaledPotential(BasePotential("gaussian", 60.0, 1.0), ScalingLaw(2, 0.5, 3))
     with pytest.raises(ValueError, match="not invertible") as err:
-        assemble_w_eps(0.05, deep, pg, 1.0)
+        assemble_w_eps(0.05, deep, ProductFreeResolvent(pg, 1.0))
     assert _reported_top(err) >= 1.0
 
 
@@ -223,10 +223,10 @@ def test_w_eps_gate_is_exact_across_the_level_crossing(small_product):
             continue
         if top >= 1.0:
             with pytest.raises(ValueError, match="not invertible") as err:
-                assemble_w_eps(z, v, pg, 1.0, resolvent=res)
+                assemble_w_eps(z, v, res)
             assert _reported_top(err) == pytest.approx(top, abs=2e-6)
         else:
-            assemble_w_eps(z, v, pg, 1.0, resolvent=res)
+            assemble_w_eps(z, v, res)
         outcomes.add(bool(top >= 1.0))
     assert outcomes == {False, True}
 
@@ -237,7 +237,7 @@ def test_w_eps_matches_dense_konno_kuroda_form(resonant_setup):
     z = 2.0
     r0 = _dense_r0(res, z, pg)
     q, sup, b = _dense_q(res, z, v_ref, pg, r0)
-    w_eps = assemble_w_eps(z, v_ref, pg, 1.0, resolvent=res)
+    w_eps = assemble_w_eps(z, v_ref, res)
     for f in np.random.default_rng(12).standard_normal((3, pg.n)):
         g = np.linalg.solve(np.eye(sup.size) - q, b * (r0 @ f)[sup])
         ref = r0[:, sup] @ (b * g)
@@ -251,7 +251,7 @@ def test_w_eps_success_path_runs_no_eigensolve(resonant_setup, monkeypatch):
         raise AssertionError("eigensolve on the success path of assemble_w_eps")
 
     monkeypatch.setattr(limit_resolvent, "eigh", no_eigh)
-    w_eps = assemble_w_eps(2.0, v_ref, pg, 1.0, resolvent=res)
+    w_eps = assemble_w_eps(2.0, v_ref, res)
     f = np.random.default_rng(13).standard_normal(pg.n)
     assert np.all(np.isfinite(w_eps.apply(f)))
 
@@ -263,7 +263,7 @@ def test_w_eps_success_path_builds_no_dense_block(resonant_setup, monkeypatch):
         raise AssertionError("dense R0 block on the success path of assemble_w_eps")
 
     monkeypatch.setattr(ProductFreeResolvent, "block", no_block)
-    w_eps = assemble_w_eps(2.0, v_ref, pg, 1.0, resolvent=res)
+    w_eps = assemble_w_eps(2.0, v_ref, res)
     f = np.random.default_rng(14).standard_normal(pg.n)
     assert np.all(np.isfinite(w_eps.apply(f)))
     assert np.all(np.isfinite(w_eps.apply(f, four_term=True)))
@@ -279,7 +279,7 @@ def test_w_eps_matches_dense_kron_resolvent_difference():
     m, z, eps = 2.0, 1.5, 0.2
     lam = calibrate_couplings(GAUSS, [eps], gx, m)[eps]
     v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
-    w_eps = assemble_w_eps(z, v, pg, m, resolvent=ProductFreeResolvent(pg, m))
+    w_eps = assemble_w_eps(z, v, ProductFreeResolvent(pg, m))
     a = (m + 1.0) / (2.0 * m)
     kx = a * discretize_h0(gx, 3, 0.5).entries
     ky = a * discretize_h0(gy, 3, 0.5).entries
@@ -293,30 +293,11 @@ def test_w_eps_matches_dense_kron_resolvent_difference():
         assert np.linalg.norm(w_eps.apply(f) - r) <= 1e-10 * np.linalg.norm(r)
 
 
-@pytest.mark.parametrize("build", ["assemble_w_eps", "limit_w"])
-def test_resolvent_must_match_grid_and_mass(resonant_setup, build):
-    pg, psi, v_ref, res = resonant_setup
-
-    def run(grid, m, resolvent):
-        if build == "assemble_w_eps":
-            return assemble_w_eps(2.0, v_ref, grid, m, resolvent=resolvent)
-        return limit_w(2.0, psi, v_ref, grid, m, resolvent=resolvent)
-
-    other = build_grid(40, 40.0, "logarithmic", r_min=2e-3)
-    with pytest.raises(ValueError, match="another product grid"):
-        run(pg, 1.0, ProductFreeResolvent(ProductGrid(pg.gx, other), 1.0))
-    with pytest.raises(ValueError, match="mass"):
-        run(pg, 2.0, res)
-    # an equal grid built anew is the same grid
-    rebuilt = build_grid(40, 40.0, "logarithmic", r_min=1e-3)
-    run(ProductGrid(rebuilt, rebuilt), 1.0, res)
-
-
 @pytest.mark.parametrize("z", BAD_Z)
 def test_assemble_w_eps_rejects_bad_z(resonant_setup, z):
     pg, psi, v_ref, res = resonant_setup
     with pytest.raises(ValueError, match="finite and positive"):
-        assemble_w_eps(z, v_ref, pg, 1.0, resolvent=res)
+        assemble_w_eps(z, v_ref, res)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +309,14 @@ def test_w_annihilates_channel_orthogonal_vectors(resonant_setup):
     # W_eps f is just ||W_eps f||, which is small
     pg, psi, v_ref, res = resonant_setup
     z = 2.0
-    w = limit_w(z, psi, v_ref, pg, 1.0, resolvent=res)
+    w = limit_w(z, psi, v_ref, res)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(pg.n)
     basis = np.column_stack([w.l1, w.l2])
     q, _ = np.linalg.qr(basis)
     f -= q @ (q.T @ f)
     assert np.linalg.norm(w.apply(f)) < 1e-10 * np.linalg.norm(f)
-    w_eps = assemble_w_eps(z, v_ref, pg, 1.0, resolvent=res)
+    w_eps = assemble_w_eps(z, v_ref, res)
     assert np.linalg.norm(w_eps.apply(f)) < 0.05 * np.linalg.norm(f)
 
 
@@ -415,7 +396,7 @@ def test_limit_operator_is_reached_at_the_sqrt_eps_rate(fine_ladder, operator):
     else:
         law = ScalingLaw(2, ladder[-1], 3)
         r = resonance(ScaledPotential(GAUSS, law), res.grid.gx)
-        w = limit_w(z, r.psi, ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law), res.grid, 1.0, resolvent=res)
+        w = limit_w(z, r.psi, ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law), res)
         wf = np.stack([w.apply(f) for f in fs])
     orders = halving_orders(np.linalg.norm(family - wf[None], axis=-1))
     assert np.all(np.abs(orders - 0.5) <= 0.05), orders
@@ -484,7 +465,7 @@ def test_identity_with_defining_inverse(resonant_setup):
     # is then the numerical roundtrip of the construction
     pg, psi, v_ref, res = resonant_setup
     z = 2.0
-    w = limit_w(z, psi, v_ref, pg, 1.0, resolvent=res)
+    w = limit_w(z, psi, v_ref, res)
     r0 = _dense_r0(res, z, pg)
     s_z = r0 + w.matrix()
 

@@ -204,10 +204,8 @@ def test_tridiagonal_consumers_never_lay_out_the_dense_kinetic(monkeypatch):
     assert negative_count_direct(h0, v) >= 1
     assemble_resolvent_diff(v, 1.0, h0=h0)
     direct_resolvent_diff(v, 1.0, h0=h0)
-    direct_resolvent_diff(v, 1.0)
-    independence_spectrum_check(None, None, None, None, BasePotential("gaussian", 1.0, 1.0), [0.4, 0.2], 1.0, g)
+    independence_spectrum_check(None, None, None, None, BasePotential("gaussian", 1.0, 1.0), [0.4, 0.2], 1.0, h0)
     bs_operator(v, 1.0, resolvent="grid", h0=h0)
-    bs_operator(v, 1.0, resolvent="grid")
     monkeypatch.setattr(operators, "check_symmetric", forbidden)
     sweep = mass_sweep_2d([1.0, 2.0], 1.0, build_grid(300, 5e2, "logarithmic", r_min=1e-4))
     assert sweep.counts.min() >= 1

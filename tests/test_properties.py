@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from zrange.birman_schwinger import resonance, support_radius
 from zrange.grids import GridFunction, build_grid
 from zrange.konno_kuroda import assemble_resolvent_diff, direct_resolvent_diff
-from zrange.operators import SingularSystemError
+from zrange.operators import SingularSystemError, discretize_h0
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm, rollnik_norm
 
 from oracles import ladder_q0
@@ -103,9 +103,10 @@ def test_konno_kuroda_identity_holds_for_random_potentials(data, n, r_max, z):
     # on a small box; draws that put an eigenvalue of H0 - V at -z are skipped
     g = build_grid(n, r_max, "linear")
     v = GridFunction(g, data.draw(arrays(float, n, elements=st.floats(0.0, 20.0))))
+    h0 = discretize_h0(g)
     try:
-        kk = assemble_resolvent_diff(v, z).matrix.entries
+        kk = assemble_resolvent_diff(v, z, h0).matrix.entries
     except SingularSystemError:
         reject()
-    direct = direct_resolvent_diff(v, z).matrix.entries
+    direct = direct_resolvent_diff(v, z, h0).matrix.entries
     assert np.linalg.norm(kk - direct, 2) <= 1e-8 * np.linalg.norm(direct, 2)
