@@ -58,7 +58,6 @@ from .limit_resolvent import (
     assemble_w_eps,
     convergence_study,
     limit_w,
-    verify_limit_identity,
 )
 from .efimov import (
     EffectiveOperator,

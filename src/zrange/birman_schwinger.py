@@ -42,13 +42,12 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _dbdsdc, discretize_h0, green_kernel_matrix
+from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, discretize_h0, green_kernel_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 Z_FLOOR = 1e-8
 RESONANCE_TOL = 5e-3
 FIT_RESIDUAL_TOL = 1e-3  # relative rms misfit above which a boundary fit is non-asymptotic
-ITERATION_MAX, ITERATION_TOL = 200, 1e-12  # cap and relative step tolerance of solve_by_iteration
 # Nodes where V is at most this fraction of its peak carry no weight in Q.
 SUPPORT_FLOOR = 1e-14
 
@@ -208,8 +207,9 @@ def resonance(
     SUPPORT_FLOOR of the peak); the top eigenpair of Q(0) there, from its
     closed-form bidiagonal inverse root, gives q(0+) and phi.  psi lives on
     eval_grid (default: grid), where V is evaluated again for its
-    normalization.
+    normalization.  m is the reduced mass of the pair.
     """
+    _check_positive("mass m", m)
     eval_grid = grid if eval_grid is None else eval_grid
     v = _on_support(GridFunction(grid, np.asarray(potential(grid.nodes), dtype=float)))
     sub = v.grid
@@ -341,38 +341,8 @@ class TwoResonanceMatrix:
     off_diagonal: float
 
     @property
-    def entries(self) -> np.ndarray:
-        return np.array([[self.diagonal, self.off_diagonal], [self.off_diagonal, self.diagonal]])
-
-    @property
     def determinant(self) -> float:
         return self.diagonal**2 - self.off_diagonal**2
-
-    def solve_by_iteration(self, b: np.ndarray):
-        """Solve (I2 - Q2) x = b, inverting the off-diagonal block and
-        iterating on the vanishing diagonal deficit.
-
-        With M = I2 - Q2 = D + O, D = diag(-deficit), O the off-diagonal
-        part, the iteration x <- O^(-1) (b - D x) contracts at rate
-        |deficit| / |off_diagonal|, which is << 1 near z = 0.  Returns the
-        solution and the iteration count; raises if the off-diagonal part is
-        singular or the iteration does not contract.
-        """
-        o = self.off_diagonal
-        if o == 0.0:
-            raise ValueError("off-diagonal entry is zero; iteration undefined")
-        dia = -self.diagonal  # entries of D = (1 - q) I
-        rate = abs(dia) / abs(o)
-        if rate >= 1.0:
-            raise ValueError(f"iteration does not contract: |deficit|/|off| = {rate:.3e}")
-        o_inv = np.array([[0.0, -1.0 / o], [-1.0 / o, 0.0]])
-        x = np.zeros(2)
-        for it in range(1, ITERATION_MAX + 1):
-            x_new = o_inv @ (b - dia * x)
-            if np.linalg.norm(x_new - x) <= ITERATION_TOL * max(np.linalg.norm(x_new), 1e-300):
-                return x_new, it
-            x = x_new
-        raise ValueError("iteration failed to converge")
 
 
 def two_resonance_matrix(

@@ -82,6 +82,17 @@ def _law(cfg: dict, key: str = "law", required: bool = True) -> ScalingLaw:
         raise ConfigError(key, str(exc)) from None
 
 
+def _mass(cfg: dict, default: float) -> float:
+    raw = _get(cfg, "mass", default)
+    try:
+        m = float(raw)
+    except (TypeError, ValueError):
+        m = float("nan")
+    if not (np.isfinite(m) and m > 0.0):
+        raise ConfigError("mass", f"must be finite and positive, got {raw!r}")
+    return m
+
+
 def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -149,7 +160,7 @@ def _run_resonance(cfg):
     bracket = tuple(_get(cfg, "bracket", (0.1, 50.0)))
     n = int(_get(cfg, "grid.n", 800))
     _require_dense_fits(n, "grid.n")
-    rep = find_resonance_coupling(pot, law, bracket, n=n, m=float(_get(cfg, "mass", 0.5)))
+    rep = find_resonance_coupling(pot, law, bracket, n=n, m=_mass(cfg, 0.5))
     row = ReportRow(
         {"profile": pot.profile, "epsilon": law.epsilon},
         {
@@ -174,7 +185,7 @@ def _run_kk_verify(cfg):
     grid = _grid(cfg)
     z_sweep = [float(z) for z in _get(cfg, "sweep", [0.5, 1.0, 2.0])]
     v = ScaledPotential(pot, law).on_grid(grid)
-    h0 = discretize_h0(grid, law.d, float(_get(cfg, "mass", 0.5)))
+    h0 = discretize_h0(grid, law.d, _mass(cfg, 0.5))
     rows = []
     worst = 0.0
     for z in z_sweep:
@@ -265,18 +276,19 @@ def _run_limit_resolvent(cfg):
     _require_fits((n + 1) * n**2 + 2 * n**3 + 4 * n**2, "grid.n", f"the {n} x {n} product grid")
     pg = ProductGrid(grid, grid)
     pot = _potential(cfg)
+    m = _mass(cfg, 1.0)
     z = float(_get(cfg, "z", 2.0))
     eps = [float(e) for e in _get(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])]
     # the test block and the W_eps f family of the report
     _require_fits((len(eps) + 2) * n_test * n**2, "n_test_functions", f"{n_test} test functions")
     seed = int(_get(cfg, "seed", 11))
     rng = np.random.default_rng(seed)
-    res = ProductFreeResolvent(pg, float(_get(cfg, "mass", 1.0)))
+    res = ProductFreeResolvent(pg, m)
     cols = rng.standard_normal((n_test, pg.n)).T
     for _ in range(2):
         cols = res.apply(z, cols)
     fs = (cols / np.linalg.norm(cols, axis=0)).T
-    rep = convergence_study(z, pot, eps, pg, fs, float(_get(cfg, "mass", 1.0)))
+    rep = convergence_study(z, pot, eps, pg, fs, m)
     rows = [
         ReportRow(
             {"epsilon": e},

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .grids import RadialGrid, build_grid
-from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _root_factor, hyperradial_kinetic
+from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _root_factor, hyperradial_kinetic
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # C1 bisection tolerance; node factor of the refined run
@@ -85,8 +85,7 @@ def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float =
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
     if not (math.isfinite(C) and C >= 0.0):
         raise ValueError(f"coupling C must be finite and nonnegative (C = 0 is the free operator), got {C!r}")
-    if not (math.isfinite(m) and m > 0.0):
-        raise ValueError(f"mass m must be finite and positive, got {m!r}")
+    _check_positive("mass m", m)
     _require_scale_bracketing(grid)
     r = grid.nodes
     tail = 1.0 / r
@@ -351,8 +350,7 @@ def mass_sweep_2d(m_list, c: float, grid: RadialGrid) -> MassSweepReport:
         raise ValueError(f"masses must be finite and positive, got {m_list.tolist()}")
     if np.any(np.diff(m_list) <= 0.0):
         raise ValueError("mass ladder must be increasing")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"coupling c must be finite and positive, got {c!r}")
+    _check_positive("coupling c", c)
     spectra = []
     counts = []
     shallowest = []

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, check_symmetric
-from .potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm
+from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, _check_positive, check_symmetric
+from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder, l1_norm
 
 SINGULAR_FLOOR = 1e-10
 N_COMPARE = 3  # low-lying levels compared by independence_spectrum_check
@@ -52,10 +52,8 @@ class DefectReport:
     flags: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.epsilons = np.asarray(self.epsilons, dtype=float)
+        self.epsilons = _decreasing_ladder(self.epsilons)
         self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.epsilons) >= 0.0):
-            raise ValueError("epsilon ladder must be strictly decreasing")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0.0):
             raise ValueError("defect values must be finite and nonnegative")
 
@@ -68,11 +66,6 @@ def _fit_exponent(epsilons: np.ndarray, values: np.ndarray) -> float:
     return float(slope)
 
 
-def _check_z(z: float):
-    if not (np.isfinite(z) and z > 0.0):
-        raise ValueError("z must be finite and positive")
-
-
 def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) -> ResolventDifference:
     """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V.
 
@@ -80,7 +73,7 @@ def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) 
     Raises SingularSystemError when the smallest |eigenvalue| of the
     symmetric 1 - Q(z) is at most SINGULAR_FLOOR.
     """
-    _check_z(z)
+    _check_positive("z", z)
     if np.any(v.values < 0.0):
         raise ValueError("potential values must be nonnegative")
     grid = v.grid
@@ -108,7 +101,7 @@ def direct_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) ->
 
     h0 must be a TridiagonalOperator built on the grid of V; the mass is h0.m.
     """
-    _check_z(z)
+    _check_positive("z", z)
     grid = v.grid
     h0 = TridiagonalOperator.require(h0, grid)
     full = h0.inverse(z - v.values)
@@ -218,13 +211,14 @@ def independence_spectrum_check(
 
     The potentials are sampled on the grid of h0.  The N_COMPARE lowest
     eigenvalues are extracted from both resolvents (E = 1/mu - z) and the
-    maximal discrepancy delta(eps) is reported along the ladder.  Every
-    resolvent is the banded inverse of the tridiagonal H0 - V + z.
+    maximal discrepancy delta(eps) is reported along the ladder, which
+    must be strictly decreasing.  Every resolvent is the banded inverse of
+    the tridiagonal H0 - V + z.
     """
-    _check_z(z)
+    _check_positive("z", z)
     grid = h0.grid
     h0 = TridiagonalOperator.require(h0, grid)
-    eps_list = np.asarray(list(eps_list), dtype=float)
+    eps_list = _decreasing_ladder(eps_list)
     r0 = h0.inverse(z)
     deltas = []
     for eps in eps_list:

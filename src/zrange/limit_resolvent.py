@@ -20,13 +20,23 @@ H_eps + z = a Kx (+) a Ky + z - B^2 is banded on the flattened grid (the
 kinetic matrices are tridiagonal), so one banded Cholesky factorization
 both certifies 1 - Q > 0 and solves with it.
 
-The epsilon -> 0 limit of (H_eps + z)^(-1) - (H0 + z)^(-1) is the rank-
-structured two-channel operator W(z): each channel applies the free
-resolvent to sources concentrated on its contact line x = 0 (or y = 0),
-with the resonance projector and the denominator sqrt(z)/(4 pi)
-|<sqrt(V) psi>|^2.  The resonance normalization <V, psi> = 1 makes the
-construction well posed, and the <sqrt(V) psi> factors cancel between
-numerator and denominator, as they must for a universal limit.
+The candidate for the epsilon -> 0 limit of (H_eps + z)^(-1) - (H0 + z)^(-1)
+is the rank-structured two-channel operator
+
+    W(z) = (4 pi / sqrt(z)) (L1 L1^T + L2 L2^T),   Li = R0(z) tau_i,
+
+with tau_1 (tau_2) the reduced delta-line sources on the contact line x = 0
+(y = 0).  It is built from the free resolvent alone: a resonance profile psi
+would enter only through <sqrt(V) psi>^2 / ((sqrt(z) / 4 pi) <sqrt(V) psi>^2),
+which is the constant 4 pi / sqrt(z) whatever psi is.
+
+This W(z) is not yet the limit, and that is the open defect of ROADMAP
+item 4: its constant sqrt(z)/(4 pi) denominator and its uncoupled channels
+leave a floor in ||W_eps(z) f - W(z) f||, so the per-halving orders fall
+below 1/2 (test_limit_operator_is_reached_at_the_sqrt_eps_rate[limit_w] is
+red for it), and at m != 1 it carries no a^(3/2) factor.  The grid-exact
+Krein form that replaces it needs only the resolvent as well: tau, R0(z),
+R0(0) and the fibers of the single-coordinate eigenbasis.
 """
 
 from __future__ import annotations
@@ -37,14 +47,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, resonance
-from .grids import GridFunction, RadialGrid
-from .operators import TridiagonalOperator, discretize_h0
-from .potentials import BasePotential, ScaledPotential, ScalingLaw
-
-
-def _check_z(z: float) -> None:
-    if not (np.isfinite(z) and z > 0.0):
-        raise ValueError(f"z must be finite and positive, got {z!r}")
+from .grids import RadialGrid
+from .operators import TridiagonalOperator, _check_positive, discretize_h0
+from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,7 @@ class ProductFreeResolvent:
     """
 
     def __init__(self, grid: ProductGrid, m: float = 1.0):
+        _check_positive("mass m", m)
         self.grid = grid
         self.m = m
         self.a = (m + 1.0) / (2.0 * m)
@@ -120,16 +126,16 @@ class ProductFreeResolvent:
 
 @dataclass
 class LimitResolvent:
-    """Two-channel rank-structured limit of R(z) - R0(z).
+    """W(z) = coeff (L1 L1^T + L2 L2^T), coeff = 4 pi / sqrt(z).
 
-    channel1 = A (|psi><psi| / denominator (x) I_y) C with A, C built from
-    the product-grid G_z and sqrt(V); channel2 is the mirror image.  The
-    stored factors L1, L2 satisfy W = coeff (L1 L1^T + L2 L2^T).
+    Li = R0(z) tau_i are the free resolvent applied to the delta-line
+    sources of channel i, one column per node of its line.  The constant
+    coeff and the uncoupled channels are the open defect of ROADMAP item 4
+    (module docstring).
     """
 
     z: float
     grid: ProductGrid
-    denominator_constant: float
     coeff: float
     l1: np.ndarray = field(repr=False)
     l2: np.ndarray = field(repr=False)
@@ -144,10 +150,6 @@ class LimitResolvent:
         w = self.l1 @ self.l1.T + self.l2 @ self.l2.T
         return self.coeff * w
 
-    @property
-    def numerical_rank_bound(self) -> int:
-        return self.l1.shape[1] + self.l2.shape[1]
-
 
 def _line_source_scale(grid: RadialGrid) -> float:
     # Weight-scaled amplitude of the reduced delta line at x = 0: pairing
@@ -156,38 +158,18 @@ def _line_source_scale(grid: RadialGrid) -> float:
     return 1.0 / (np.sqrt(4.0 * np.pi) * grid.nodes[0] * np.sqrt(grid.weights[0]))
 
 
-def limit_w(
-    z: float,
-    psi: GridFunction,
-    v_scaled: ScaledPotential,
-    resolvent: ProductFreeResolvent,
-) -> LimitResolvent:
-    """Assemble the two-channel limit operator W(z) from G_z and sqrt(V).
+def limit_w(z: float, resolvent: ProductFreeResolvent) -> LimitResolvent:
+    """W(z) = (4 pi / sqrt(z)) (L1 L1^T + L2 L2^T) from the free resolvent alone.
 
-    The product grid and the mass are those of resolvent.  psi is the
-    two-body resonance profile on its x grid, normalized so that
-    <V, psi> = 4 pi int V psi r^2 dr = 1.  The channel factor is
-    R0(z) applied to delta-line columns; the resonance enters through the
-    projector and the denominator (sqrt(z)/4 pi) |<sqrt(V) psi>|^2, whose
-    psi dependence cancels exactly in the assembled operator.
+    The product grid and the mass are those of resolvent.  Li is R0(z)
+    applied to the delta-line sources on x = 0 (i = 1) or y = 0 (i = 2).
+    No resonance profile enters: it would cancel from W exactly.  The
+    constant denominator sqrt(z)/(4 pi) and the uncoupled channels are the
+    open defect of ROADMAP item 4, whose Krein form fills this signature.
     """
-    _check_z(z)
+    _check_positive("z", z)
     grid = resolvent.grid
     gx, gy = grid.gx, grid.gy
-    if psi.grid is not gx and not np.array_equal(psi.grid.nodes, gx.nodes):
-        raise ValueError("psi must live on the x grid")
-    v_vals = v_scaled(gx.nodes)
-    pairing = 4.0 * np.pi * gx.integrate(v_vals * psi.values * gx.nodes**2)
-    if abs(pairing - 1.0) > 1e-6:
-        raise ValueError(f"resonance not normalized: <V, psi> = {pairing:.8f}, expected 1")
-    # reduced <sqrt(V) psi> = sqrt(4 pi) int sqrt(V) u r dr, u = sqrt(4pi) r psi
-    v_row = np.sqrt(4.0 * np.pi) * np.sqrt(v_vals) * gx.nodes * np.sqrt(gx.weights)
-    psi_tilde = np.sqrt(4.0 * np.pi) * gx.nodes * psi.values * np.sqrt(gx.weights)
-    overlap = float(v_row @ psi_tilde)
-    if abs(overlap) < 1e-12:
-        raise ValueError("degenerate denominator: <sqrt(V) psi> below 1e-12")
-    den = (np.sqrt(z) / (4.0 * np.pi)) * overlap**2
-
     nx, ny = gx.n, gy.n
     cx = _line_source_scale(gx)
     cy = _line_source_scale(gy)
@@ -199,9 +181,7 @@ def limit_w(
     src2 = np.zeros((grid.n, nx))
     src2[np.arange(nx) * ny, np.arange(nx)] = cy
     l2 = resolvent.apply(z, src2)
-    # A (P/den (x) I) C = (overlap^2 / den) L L^T per channel
-    coeff = overlap**2 / den  # = 4 pi / sqrt(z), psi dependence cancels
-    return LimitResolvent(z, grid, float(den), float(coeff), l1, l2)
+    return LimitResolvent(z, grid, float(4.0 * np.pi / np.sqrt(z)), l1, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +247,7 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     split of the outer factors (sqrt(V(x)) + sqrt(V(y)) instead of B) is
     available through apply(four_term=True).
     """
-    _check_z(z)
+    _check_positive("z", z)
     grid = resolvent.grid
     gx, gy = grid.gx, grid.gy
     vx = v_scaled(gx.nodes)
@@ -316,6 +296,7 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
 
 def channel_mass(m: float) -> float:
     """Reduced mass of one two-body channel when the third particle has mass m."""
+    _check_positive("mass m", m)
     return m / (m + 1.0)
 
 
@@ -368,18 +349,16 @@ def convergence_study(
 
     Each rung of the decreasing epsilon ladder is assembled at its own
     critical coupling, so the two-body channel stays exactly resonant; the
-    limit W(z) is built from the resonance profile of the smallest rung.
-    Reported discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per test
-    function; the family W_eps(z) f itself is kept in the report.  The test
-    functions are applied as one block: one W(z) apply in all, and one
-    W_eps(z) apply per rung.
+    limit W(z) is limit_w(z, R0) and needs no resonance, so the study solves
+    one resonance per rung.  Reported discrepancies are
+    ||W_eps(z) f - W(z) f|| / ||f|| per test function; the family W_eps(z) f
+    itself is kept in the report.  The test functions are applied as one
+    block: one W(z) apply in all, and one W_eps(z) apply per rung.
     """
-    _check_z(z)
-    eps_list = np.asarray(list(eps_list), dtype=float)
+    _check_positive("z", z)
+    eps_list = _decreasing_ladder(eps_list)
     if eps_list.size == 0 or not np.all((eps_list > 0.0) & (eps_list <= 1.0)):
         raise ValueError(f"epsilon ladder must be non-empty with every rung finite and in (0, 1], got {eps_list}")
-    if np.any(np.diff(eps_list) >= 0.0):
-        raise ValueError("epsilon ladder must be strictly decreasing")
     fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
     if fs.ndim != 2 or fs.shape[1] != grid.n:
         raise ValueError(f"test functions must have length grid.n = {grid.n}, got shape {fs.shape}")
@@ -390,11 +369,7 @@ def convergence_study(
     if couplings is None:
         couplings = calibrate_couplings(potential, eps_list, grid.gx, m)
     res = ProductFreeResolvent(grid, m)
-    eps_ref = float(eps_list[-1])
-    law_ref = ScalingLaw(2, eps_ref, 3)
-    psi = resonance(ScaledPotential(potential, law_ref), grid.gx, channel_mass(m)).psi
-    v_ref = ScaledPotential(BasePotential(potential.profile, couplings[eps_ref], potential.range), law_ref)
-    w_model = limit_w(z, psi, v_ref, res)
+    w_model = limit_w(z, res)
     # every test function is one column of a single (n, n_test) block
     cols = np.ascontiguousarray(fs.T)
     wf = w_model.apply(cols).T
@@ -410,47 +385,3 @@ def convergence_study(
     monotone = bool(np.all(np.diff(discrepancies, axis=0) < 0.0))
     reduction = discrepancies[0] / discrepancies[-1]
     return ConvergenceReport(eps_list, discrepancies, w_eps_f, monotone, reduction, couplings)
-
-
-# ---------------------------------------------------------------------------
-# resolvent identity of the limit operator
-
-
-@dataclass
-class IdentityReport:
-    residuals: np.ndarray
-    quad_form_residuals: np.ndarray
-    max_residual: float
-
-
-def verify_limit_identity(
-    w: LimitResolvent,
-    h_plus_z_apply,
-    z: float,
-    test_functions: np.ndarray,
-    resolvent: ProductFreeResolvent,
-    dense_set: np.ndarray | None = None,
-) -> IdentityReport:
-    """Residual of ((H0 + z)^(-1) + W(z)) (H + z) f = f on test functions.
-
-    resolvent applies (H0 + z)^(-1), at the grid and mass W was built with.
-    h_plus_z_apply maps a flattened vector to (H + z) times it; at desk scale
-    H is the epsilon-extrapolated finite Hamiltonian, supplied operationally
-    as the inverse of the extrapolated resolvent.  Residuals are reported in
-    vector norm and, when a dense set of probe vectors is supplied, as
-    quadratic forms |<g, (S_z (H+z) - 1) f>| / (|g| |f|).
-    """
-    fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
-    residuals = np.empty(fs.shape[0])
-    quad = []
-    for j, f in enumerate(fs):
-        hf = h_plus_z_apply(f)
-        sf = resolvent.apply(z, hf) + w.apply(hf)
-        r = sf - f
-        residuals[j] = np.linalg.norm(r) / np.linalg.norm(f)
-        if dense_set is not None:
-            gs = np.atleast_2d(dense_set)
-            vals = np.abs(gs @ r) / (np.linalg.norm(gs, axis=1) * np.linalg.norm(f))
-            quad.append(float(vals.max()))
-    quad_arr = np.array(quad) if quad else np.full(fs.shape[0], np.nan)
-    return IdentityReport(residuals, quad_arr, float(residuals.max()))

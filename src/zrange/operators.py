@@ -69,6 +69,11 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def check_symmetric(m: np.ndarray, label: str = "matrix", rtol: float = SYMMETRY_RTOL):
     scale = np.abs(m).max()
     if not np.isfinite(scale):
@@ -202,8 +207,7 @@ def _kinetic_diagonals(grid: RadialGrid, d: int, m: float) -> tuple[np.ndarray, 
     """Diagonal of the kinetic factor F, and F[i+1, i] (d=3, n entries) or F[i, i+1] (d=2, n - 1)."""
     if d not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    if not (math.isfinite(m) and m > 0.0):
-        raise ValueError(f"mass m must be finite and positive, got {m!r}")
+    _check_positive("mass m", m)
     if d == 2:
         return _weighted_diagonals(grid, 1, np.sqrt(2.0 * m))
     # int u'^2 dr, Dirichlet at 0 (first cell [0, r_1]) and one last-cell width beyond r_n
@@ -234,8 +238,7 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
     The reduced wave u = r^(3/2) f carries the centrifugal 3/(4 r^2) term
     inside a manifestly nonnegative weighted first-derivative form.
     """
-    if not (math.isfinite(mass_scale) and mass_scale > 0.0):
-        raise ValueError(f"mass_scale must be finite and positive, got {mass_scale!r}")
+    _check_positive("mass_scale", mass_scale)
     k = _gram_tridiagonal(*_weighted_diagonals(grid, 3, np.sqrt(mass_scale)))
     return TridiagonalOperator(*k, grid, 0.5, label="H_hyper")
 

@@ -96,6 +96,14 @@ class ScalingLaw:
         return ScalingLaw(self.p, epsilon, self.d)
 
 
+def _decreasing_ladder(eps_list) -> np.ndarray:
+    """An epsilon ladder as a float array; it must be strictly decreasing."""
+    eps = np.asarray(list(eps_list), dtype=float)
+    if np.any(np.diff(eps) >= 0.0):
+        raise ValueError("epsilon ladder must be strictly decreasing")
+    return eps
+
+
 @dataclass(frozen=True)
 class ScaledPotential:
     """A base profile contracted by a scaling law; evaluates eps^(-p) V(r/eps)."""

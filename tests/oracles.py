@@ -247,22 +247,15 @@ def w_eps_family(z, profile, couplings, resolvent, test_functions):
 def convergence_per_vector(z, potential, couplings, resolvent, test_functions):
     """convergence_study's discrepancies and W_eps f family, one vector at a time.
 
-    Equal masses, as in w_eps_family.  The limit W(z) is built from the
-    resonance of the last rung, as convergence_study builds it, and W and
-    every W_eps(z) are applied to each test function separately.  Returns
-    (discrepancies of shape (n_rungs, n_test), family).
+    Equal masses, as in w_eps_family.  W(z) = limit_w(z, resolvent), as
+    convergence_study builds it, and W and every W_eps(z) are applied to
+    each test function separately.  Returns (discrepancies of shape
+    (n_rungs, n_test), family).
     """
-    from zrange.birman_schwinger import resonance
-    from zrange.limit_resolvent import channel_mass, limit_w
-    from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
+    from zrange.limit_resolvent import limit_w
 
     family = w_eps_family(z, potential.profile, couplings, resolvent, test_functions)
-    grid = resolvent.grid
-    eps_ref = list(couplings)[-1]
-    law = ScalingLaw(2, eps_ref, 3)
-    psi = resonance(ScaledPotential(potential, law), grid.gx, channel_mass(1.0)).psi
-    v_ref = ScaledPotential(BasePotential(potential.profile, couplings[eps_ref], potential.range), law)
-    w = limit_w(z, psi, v_ref, resolvent)
+    w = limit_w(z, resolvent)
     disc = np.array(
         [[np.linalg.norm(wf - w.apply(f)) / np.linalg.norm(f) for wf, f in zip(rung, test_functions)] for rung in family]
     )

@@ -12,12 +12,11 @@ from scipy.linalg import eigh
 
 from zrange.grids import GridFunction, build_grid
 from zrange.operators import discretize_h0
-from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
+from zrange.potentials import BasePotential, ScalingLaw
 from zrange.birman_schwinger import (
     bs_count_above_one,
     bs_operator,
     find_resonance_coupling,
-    resonance,
     two_resonance_matrix,
 )
 from zrange.konno_kuroda import (
@@ -27,13 +26,7 @@ from zrange.konno_kuroda import (
     direct_resolvent_diff,
     negative_count_direct,
 )
-from zrange.limit_resolvent import (
-    ProductFreeResolvent,
-    ProductGrid,
-    convergence_study,
-    limit_w,
-    verify_limit_identity,
-)
+from zrange.limit_resolvent import ProductFreeResolvent, ProductGrid, convergence_study
 from zrange.efimov import (
     effective_operator,
     find_thresholds,
@@ -191,29 +184,14 @@ def test_criterion_07_zero_range_limit():
     orders = successive_difference_orders(study.w_eps_f)
     order_dev = float(np.abs(orders - 0.5).max())
     w_orders = halving_orders(study.discrepancies)
-
-    # the limit operator is defined by the identity (R0 + W)(H + z) = I:
-    # build S_z = R0 + W, invert it as (H + z), and close the loop on the
-    # same test functions
-    eps_ref = 0.025
-    ref = resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps_ref, 3)), g)
-    v_ref = ScaledPotential(BasePotential("gaussian", ref.coupling, 1.0), ScalingLaw(2, eps_ref, 3))
-    w = limit_w(z, ref.psi, v_ref, res)
-    d = 1.0 / res.denom(z)
-    m = np.kron(res.qx, res.qy)
-    r0 = (m * d.reshape(-1)[None, :]) @ m.T
-    s_z = r0 + w.matrix()
-    h_plus_z = lambda f: np.linalg.solve(s_z, f)
-    identity = verify_limit_identity(w, h_plus_z, z, fs, resolvent=res)
     dt = time.time() - t0
-    ok = monotone and order_dev <= 0.05 and identity.max_residual < 1e-6 and dt < 60.0
+    ok = monotone and order_dev <= 0.05 and dt < 60.0
     assert _line(
         7,
         ok,
         f"monotone {monotone}, sqrt(eps) orders {orders.min():.3f}-{orders.max():.3f} "
         f"(|p - 0.5| <= 0.05), toward W(z): orders {w_orders.min():.3f}-{w_orders.max():.3f} and "
-        f"min reduction {min_reduction:.2f} (diagnostics), "
-        f"identity residual {identity.max_residual:.1e} (< 1e-6), {dt:.0f}s",
+        f"min reduction {min_reduction:.2f} (diagnostics), {dt:.0f}s",
     )
 
 

@@ -368,17 +368,6 @@ def test_two_resonance_off_diagonal_bounded_away_from_zero(two_res):
     assert m.determinant != 0.0
 
 
-def test_two_resonance_iteration_converges(two_res):
-    m = two_res[0]
-    rng = np.random.default_rng(0)
-    one_minus_q2 = -m.entries  # deficit form: 1 - Q2 has -diag on the diagonal
-    for _ in range(3):
-        b = rng.standard_normal(2)
-        x, its = m.solve_by_iteration(b)
-        assert np.allclose(x, np.linalg.solve(one_minus_q2, b), rtol=1e-9)
-        assert its < 50
-
-
 def test_two_resonance_z_floor_enforced():
     grid = build_grid(48, 30.0, "logarithmic", r_min=1e-3)
     with pytest.raises(ValueError, match="floor"):

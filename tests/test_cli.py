@@ -242,6 +242,18 @@ def test_bad_refine_factor_rejected_before_allocation(refine, tmp_path, capsys):
     assert peak < 2**18
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, -0.5, -3.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["resonance", "kk-verify", "limit-resolvent"])
+def test_bad_mass_rejected_at_the_config(command, mass, tmp_path, capfd):
+    # m = -3 once ran to ok rows (a = 1/3 and the channel mass 1.5 are both
+    # positive); m = 0 and -1 divided by zero, -0.5 and NaN reached LAPACK
+    code = _run(command, dict(CONFIGS[command], mass=mass), tmp_path)
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert "config error at mass" in err
+    assert "Traceback" not in out + err and "DLASCL" not in out + err
+
+
 def test_kernel22_pole_row_flagged(tmp_path):
     assert _run("kernel22", CONFIGS["kernel22"], tmp_path) == 0
     lines = (tmp_path / "kernel22.csv").read_text().strip().splitlines()

@@ -309,3 +309,12 @@ def test_all_three_discrepancy_decreases(indep_grid):
         GAUSS, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), BROAD, [0.4, 0.2, 0.1], 1.0, discretize_h0(indep_grid)
     )
     assert rep.decreasing
+
+
+@pytest.mark.parametrize("ladder", [[0.2, 0.4], [0.2, 0.2]])
+def test_independence_rejects_a_ladder_that_is_not_strictly_decreasing(indep_grid, ladder):
+    # the ladder rule of DefectReport and convergence_study, with their message
+    with pytest.raises(ValueError, match="epsilon ladder must be strictly decreasing"):
+        independence_spectrum_check(
+            None, None, GAUSS, ScalingLaw(2, 1, 3), BROAD, ladder, 1.0, discretize_h0(indep_grid)
+        )

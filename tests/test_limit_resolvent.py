@@ -12,12 +12,11 @@ from oracles import (
 )
 from zrange import limit_resolvent
 from zrange.birman_schwinger import resonance
-from zrange.grids import GridFunction, build_grid
+from zrange.grids import build_grid
 from zrange.operators import discretize_h0
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 from zrange.limit_resolvent import (
     SUPPORT_FLOOR,
-    LimitResolvent,
     ProductFreeResolvent,
     ProductGrid,
     assemble_w_eps,
@@ -25,7 +24,6 @@ from zrange.limit_resolvent import (
     channel_mass,
     convergence_study,
     limit_w,
-    verify_limit_identity,
 )
 
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
@@ -45,7 +43,7 @@ def resonant_setup(small_product):
     r = resonance(ScaledPotential(GAUSS, law), pg.gx)
     v_ref = ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law)
     res = ProductFreeResolvent(pg, 1.0)
-    return pg, r.psi, v_ref, res
+    return pg, v_ref, res
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +81,7 @@ def test_batched_r0_apply_equals_column_applies_and_dense_kron():
 
 @pytest.mark.parametrize("four_term", [False, True])
 def test_batched_w_eps_apply_equals_column_applies(resonant_setup, four_term):
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
     w_eps = assemble_w_eps(2.0, v_ref, res)
     fs = np.random.default_rng(22).standard_normal((pg.n, 5))
     block = w_eps.apply(fs, four_term=four_term)
@@ -93,12 +91,13 @@ def test_batched_w_eps_apply_equals_column_applies(resonant_setup, four_term):
 
 
 def test_batched_limit_apply_equals_column_applies(resonant_setup):
-    pg, psi, v_ref, res = resonant_setup
-    w = limit_w(2.0, psi, v_ref, res)
+    pg, v_ref, res = resonant_setup
+    w = limit_w(2.0, res)
     fs = np.random.default_rng(23).standard_normal((pg.n, 5))
     block = w.apply(fs)
     assert block.shape == fs.shape
     assert _rel(block, np.column_stack([w.apply(f) for f in fs.T])) <= 1e-14
+    assert _rel(block, w.matrix() @ fs) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +105,8 @@ def test_batched_limit_apply_equals_column_applies(resonant_setup):
 
 
 def test_limit_w_symmetric_and_positive(resonant_setup):
-    pg, psi, v_ref, res = resonant_setup
-    w = limit_w(2.0, psi, v_ref, res)
+    pg, v_ref, res = resonant_setup
+    w = limit_w(2.0, res)
     wm = w.matrix()
     assert np.abs(wm - wm.T).max() < 1e-10 * np.abs(wm).max()
     rng = np.random.default_rng(1)
@@ -117,8 +116,8 @@ def test_limit_w_symmetric_and_positive(resonant_setup):
 
 
 def test_limit_w_channel_swap_invariance(resonant_setup):
-    pg, psi, v_ref, res = resonant_setup
-    w = limit_w(1.0, psi, v_ref, res)
+    pg, v_ref, res = resonant_setup
+    w = limit_w(1.0, res)
     nx = pg.gx.n
     f = np.random.default_rng(2).standard_normal(pg.n)
     f_swapped = f.reshape(nx, nx).T.reshape(-1)
@@ -127,31 +126,17 @@ def test_limit_w_channel_swap_invariance(resonant_setup):
 
 
 def test_limit_w_rank_bound(resonant_setup):
-    pg, psi, v_ref, res = resonant_setup
-    w = limit_w(1.0, psi, v_ref, res)
+    pg, v_ref, res = resonant_setup
+    w = limit_w(1.0, res)
     sv = np.linalg.svd(w.matrix(), compute_uv=False)
-    assert sv[w.numerical_rank_bound] < 1e-10 * sv[0]
-
-
-def test_limit_w_denominator_scales_as_sqrt_z(resonant_setup):
-    pg, psi, v_ref, res = resonant_setup
-    w1 = limit_w(1.0, psi, v_ref, res)
-    w2 = limit_w(2.0, psi, v_ref, res)
-    assert w2.denominator_constant / w1.denominator_constant == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert sv[w.l1.shape[1] + w.l2.shape[1]] < 1e-10 * sv[0]
 
 
 @pytest.mark.parametrize("z", BAD_Z)
 def test_limit_w_rejects_bad_z(resonant_setup, z):
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
     with pytest.raises(ValueError, match="finite and positive"):
-        limit_w(z, psi, v_ref, res)
-
-
-def test_limit_w_rejects_unnormalized_psi(resonant_setup):
-    pg, psi, v_ref, res = resonant_setup
-    bad = GridFunction(psi.grid, 2.0 * psi.values)
-    with pytest.raises(ValueError, match="not normalized"):
-        limit_w(1.0, bad, v_ref, res)
+        limit_w(z, res)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +146,7 @@ def test_limit_w_rejects_unnormalized_psi(resonant_setup):
 def test_four_term_split_matches_single_b_up_to_overlap_defect(resonant_setup):
     # the outer factors sqrt(V(x)) + sqrt(V(y)) versus sqrt(V(x) + V(y))
     # differ only on the overlap corner, whose contribution dies with eps
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
     rng = np.random.default_rng(4)
     fs = rng.standard_normal((3, pg.n))
     rels = []
@@ -233,7 +218,7 @@ def test_w_eps_gate_is_exact_across_the_level_crossing(small_product):
 
 def test_w_eps_matches_dense_konno_kuroda_form(resonant_setup):
     # W_eps f = R0 B (1 - Q)^(-1) B R0 f with every piece dense
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
     z = 2.0
     r0 = _dense_r0(res, z, pg)
     q, sup, b = _dense_q(res, z, v_ref, pg, r0)
@@ -245,7 +230,7 @@ def test_w_eps_matches_dense_konno_kuroda_form(resonant_setup):
 
 
 def test_w_eps_success_path_runs_no_eigensolve(resonant_setup, monkeypatch):
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigensolve on the success path of assemble_w_eps")
@@ -257,7 +242,7 @@ def test_w_eps_success_path_runs_no_eigensolve(resonant_setup, monkeypatch):
 
 
 def test_w_eps_success_path_builds_no_dense_block(resonant_setup, monkeypatch):
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
 
     def no_block(*args, **kwargs):
         raise AssertionError("dense R0 block on the success path of assemble_w_eps")
@@ -295,21 +280,21 @@ def test_w_eps_matches_dense_kron_resolvent_difference():
 
 @pytest.mark.parametrize("z", BAD_Z)
 def test_assemble_w_eps_rejects_bad_z(resonant_setup, z):
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
     with pytest.raises(ValueError, match="finite and positive"):
         assemble_w_eps(z, v_ref, res)
 
 
 # ---------------------------------------------------------------------------
-# convergence study and identity
+# convergence study
 
 
 def test_w_annihilates_channel_orthogonal_vectors(resonant_setup):
     # f orthogonal to both channel ranges: W(z) f = 0 and the distance to
     # W_eps f is just ||W_eps f||, which is small
-    pg, psi, v_ref, res = resonant_setup
+    pg, v_ref, res = resonant_setup
     z = 2.0
-    w = limit_w(z, psi, v_ref, res)
+    w = limit_w(z, res)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(pg.n)
     basis = np.column_stack([w.l1, w.l2])
@@ -394,9 +379,7 @@ def test_limit_operator_is_reached_at_the_sqrt_eps_rate(fine_ladder, operator):
     if operator == "stm_oracle":
         wf = stm_limit_apply(z, res, fs)
     else:
-        law = ScalingLaw(2, ladder[-1], 3)
-        r = resonance(ScaledPotential(GAUSS, law), res.grid.gx)
-        w = limit_w(z, r.psi, ScaledPotential(BasePotential("gaussian", r.coupling, 1.0), law), res)
+        w = limit_w(z, res)
         wf = np.stack([w.apply(f) for f in fs])
     orders = halving_orders(np.linalg.norm(family - wf[None], axis=-1))
     assert np.all(np.abs(orders - 0.5) <= 0.05), orders
@@ -444,41 +427,6 @@ def test_convergence_study_independent_of_profile_strength():
     assert np.allclose(double.discrepancies, unit.discrepancies, rtol=1e-8, atol=0.0)
 
 
-def test_identity_free_case(resonant_setup):
-    # W = 0 and H = H0: ((H0+z)^(-1) + 0)(H0 + z) f = f to rounding
-    pg, psi, v_ref, res = resonant_setup
-    z = 1.5
-    zero_w = LimitResolvent(z, pg, float("nan"), 0.0, np.zeros((pg.n, 1)), np.zeros((pg.n, 1)))
-    mu = res.denom(z)
-
-    def h_plus_z(f):
-        t = res.qx.T @ f.reshape(pg.gx.n, pg.gy.n) @ res.qy
-        return (res.qx @ (t * mu) @ res.qy.T).reshape(-1)
-
-    fs = np.random.default_rng(3).standard_normal((4, pg.n))
-    rep = verify_limit_identity(zero_w, h_plus_z, z, fs, resolvent=res)
-    assert rep.max_residual < 1e-10
-
-
-def test_identity_with_defining_inverse(resonant_setup):
-    # H defined through the identity: (H + z) = (R0 + W)^(-1); the residual
-    # is then the numerical roundtrip of the construction
-    pg, psi, v_ref, res = resonant_setup
-    z = 2.0
-    w = limit_w(z, psi, v_ref, res)
-    r0 = _dense_r0(res, z, pg)
-    s_z = r0 + w.matrix()
-
-    def h_plus_z(f):
-        return np.linalg.solve(s_z, f)
-
-    fs = np.random.default_rng(5).standard_normal((3, pg.n))
-    dense = np.random.default_rng(6).standard_normal((6, pg.n))
-    rep = verify_limit_identity(w, h_plus_z, z, fs, resolvent=res, dense_set=dense)
-    assert rep.max_residual < 1e-8
-    assert np.all(rep.quad_form_residuals < 1e-8)
-
-
 def _dense_r0(res, z, pg):
     d = 1.0 / res.denom(z)
     m = np.kron(res.qx, res.qy)
@@ -500,6 +448,30 @@ def test_successive_difference_orders_recover_synthetic_rates():
         successive_difference_orders(family[:2])
     # distances to the limit itself give the same order, one per halving
     assert np.allclose(halving_orders(np.sqrt(eps)[:, None] * [1.0, 3.0]), 0.5, atol=1e-12)
+
+
+def test_convergence_study_solves_one_resonance_per_rung(small_product, monkeypatch):
+    # calibrate_couplings solves one resonance per rung, and W(z) needs none
+    calls = []
+    solve = limit_resolvent.resonance
+    monkeypatch.setattr(limit_resolvent, "resonance", lambda *args: calls.append(args) or solve(*args))
+    ladder = [0.2, 0.1, 0.05]
+    convergence_study(2.0, GAUSS, ladder, small_product, np.ones((1, small_product.n)))
+    assert len(calls) == len(ladder)
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0, -0.5, -3.0, float("nan"), float("inf")])
+def test_bad_mass_rejected_where_it_enters(small_product, m):
+    # at m = -3 both a = (m + 1) / (2 m) and m / (m + 1) are positive, so only
+    # the entry check stops it
+    entries = (
+        lambda: ProductFreeResolvent(small_product, m),
+        lambda: channel_mass(m),
+        lambda: resonance(GAUSS, small_product.gx, m),
+    )
+    for entry in entries:
+        with pytest.raises(ValueError, match="mass m must be finite and positive"):
+            entry()
 
 
 def test_calibrated_couplings_stable_in_epsilon(small_product):
