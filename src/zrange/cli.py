@@ -271,9 +271,9 @@ def _run_limit_resolvent(cfg):
         raise ConfigError("n_test_functions", f"must be a positive integer, got {n_test!r}")
     grid = _grid(cfg)
     n = grid.n
-    # the banded factor of H_eps + z, the two line-source blocks limit_w
-    # applies R0 to, and the two 1-d eigenbases with their kinetic matrices
-    _require_fits((n + 1) * n**2 + 2 * n**3 + 4 * n**2, "grid.n", f"the {n} x {n} product grid")
+    # limit_w's peak (two line-source blocks, one R0 image, two apply temporaries),
+    # then the free and channel 1-d eigenbases with their kinetic matrices
+    _require_fits(5 * n**3 + 6 * n**2, "grid.n", f"the {n} x {n} product grid")
     pg = ProductGrid(grid, grid)
     pot = _potential(cfg)
     m = _mass(cfg, 1.0)

@@ -15,10 +15,11 @@ four BLAS matrix products in the single-coordinate eigenbases for any b.
 
 At finite epsilon, (H_eps + z)^(-1) - (H0 + z)^(-1) is assembled in
 Konno-Kuroda form R0 B (1 - Q)^(-1) B R0 with Q = B R0 B, and the kernel
-is inverted through the exact identity (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B:
-H_eps + z = a Kx (+) a Ky + z - B^2 is banded on the flattened grid (the
-kinetic matrices are tridiagonal), so one banded Cholesky factorization
-both certifies 1 - Q > 0 and solves with it.
+is inverted through the identity (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.
+B^2 = V(x) + V(y), so H_eps + z = (a Kx - V(x)) (+) (a Ky - V(y)) + z is a
+Kronecker sum like H0 + z, solved in its two channel eigenbases by the same
+four products (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6
+(1964) 185); the sum of the two channel minima is its exact lowest level.
 
 The candidate for the epsilon -> 0 limit of (H_eps + z)^(-1) - (H0 + z)^(-1)
 is the rank-structured two-channel operator
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, resonance
 from .grids import RadialGrid
@@ -71,6 +72,23 @@ class ProductGrid:
 # separable free resolvent on the product grid (s (x) s sector)
 
 
+def _kronecker_sum_solve(qx: np.ndarray, qy: np.ndarray, denom: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(Hx (+) Hy + z)^(-1) f for one flattened vector or an (n, b) block of them.
+
+    qx and qy are the eigenvectors of Hx and Hy, and denom[i, j] is
+    lam_x[i] + lam_y[j] + z.  C-order (n, b) is (nx, ny * b) by a plain
+    reshape, so each x contraction is one matrix product, and each y
+    contraction is a qy product stacked over the nx rows.
+    """
+    f = np.asarray(f, dtype=float)
+    nx, ny = denom.shape
+    t = qx.T @ f.reshape(nx, -1)
+    t = np.matmul(qy.T, t.reshape(nx, ny, -1))
+    t /= denom[:, :, None]
+    t = np.matmul(qy, t).reshape(nx, -1)
+    return (qx @ t).reshape(f.shape)
+
+
 class ProductFreeResolvent:
     """(a Kx (+) a Ky + z)^(-1) through the single-coordinate eigenbases.
 
@@ -93,19 +111,8 @@ class ProductFreeResolvent:
         return self.mu_x[:, None] + self.mu_y[None, :] + z
 
     def apply(self, z: float, f: np.ndarray) -> np.ndarray:
-        """R0(z) f for one flattened vector, or for an (n, b) block of them.
-
-        C-order (n, b) is (nx, ny * b) by a plain reshape, so each x
-        contraction is one matrix product, and each y contraction is a qy
-        product stacked over the nx rows.
-        """
-        f = np.asarray(f, dtype=float)
-        nx, ny = self.grid.gx.n, self.grid.gy.n
-        t = self.qx.T @ f.reshape(nx, -1)
-        t = np.matmul(self.qy.T, t.reshape(nx, ny, -1))
-        t /= self.denom(z)[:, :, None]
-        t = np.matmul(self.qy, t).reshape(nx, -1)
-        return (self.qx @ t).reshape(f.shape)
+        """R0(z) f for one flattened vector, or for an (n, b) block of them."""
+        return _kronecker_sum_solve(self.qx, self.qy, self.denom(z), f)
 
     def block(self, z: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense R0(z) sub-block for flattened index sets rows x cols."""
@@ -194,11 +201,9 @@ class FiniteEpsilonResolvent:
 
     W_eps = R0 B (1 - Q)^(-1) B R0 with Q = B R0(z) B on the support, and
     the kernel is inverted through (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.
-    kernel_cho is the lower Cholesky factor of H_eps + z on the whole
-    flattened grid, in LAPACK lower-banded storage ((ny + 1) x n), as
-    returned by scipy.linalg.cholesky_banded: its existence certifies that
-    H_eps + z, and with it 1 - Q, is positive definite, and apply() solves
-    with it.
+    kernel_qx and kernel_qy are the eigenvectors of the channel operators
+    a Kx - V(x) and a Ky - V(y), and kernel_denom[i, j] = lam_x[i] +
+    lam_y[j] + z, all positive, is the spectrum of H_eps + z.
     """
 
     z: float
@@ -207,16 +212,18 @@ class FiniteEpsilonResolvent:
     grid: ProductGrid
     support: np.ndarray = field(repr=False)
     b_support: np.ndarray = field(repr=False)
-    kernel_cho: np.ndarray = field(repr=False)
+    kernel_qx: np.ndarray = field(repr=False)
+    kernel_qy: np.ndarray = field(repr=False)
+    kernel_denom: np.ndarray = field(repr=False)
     resolvent: ProductFreeResolvent = field(repr=False)
     split_outer: np.ndarray = field(repr=False)
 
     def apply(self, f: np.ndarray, four_term: bool = False) -> np.ndarray:
         """W_eps(z) f for one flattened vector or an (n, b) block of them:
-        one R0 apply, one multi-RHS banded solve and one more R0 apply.
-        four_term=True uses the split outer factors sqrt(V(x)) + sqrt(V(y))
-        of the four-term decomposition instead of B = sqrt(V(x) + V(y))
-        (they differ by the O(eps^3) overlap defect)."""
+        R0, (H_eps + z)^(-1) and R0 again, four products each.  four_term=True
+        uses the split outer factors sqrt(V(x)) + sqrt(V(y)) of the four-term
+        decomposition instead of B = sqrt(V(x) + V(y)) (they differ by the
+        O(eps^3) overlap defect)."""
         f = np.asarray(f, dtype=float)
         r0f = self.resolvent.apply(self.z, f).reshape(self.grid.n, -1)
         outer = (self.split_outer if four_term else self.b_support)[:, None]
@@ -225,7 +232,7 @@ class FiniteEpsilonResolvent:
         # g = (1 - Q)^(-1) u = u + B (H_eps + z)^(-1) B u
         src = np.zeros_like(r0f)
         src[self.support] = b * u
-        g = u + b * cho_solve_banded((self.kernel_cho, True), src)[self.support]
+        g = u + b * _kronecker_sum_solve(self.kernel_qx, self.kernel_qy, self.kernel_denom, src)[self.support]
         src[:] = 0.0
         src[self.support] = outer * g
         return self.resolvent.apply(self.z, src).reshape(f.shape)
@@ -238,14 +245,17 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     region where either potential is alive.  Q = B R0(z) B is positive
     semidefinite there, and by congruence 1 - Q is positive definite exactly
     when H_eps + z = a Kx (+) a Ky + z - B^2 is (the Birman-Schwinger
-    principle); then (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.  Each kinetic
-    matrix is tridiagonal, so H_eps + z is banded with half-bandwidth ny on
-    the flattened grid, and one banded Cholesky factorization of it is both
-    the invertibility gate (no three-body level below -z) and the solver
-    behind apply().  The dense block of Q and its top eigenvalue are computed
-    only when the factorization fails, for the error message.  The four-term
-    split of the outer factors (sqrt(V(x)) + sqrt(V(y)) instead of B) is
-    available through apply(four_term=True).
+    principle); then (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.  H_eps + z is
+    hx (+) hy + z with hx = a Kx - V(x), hy = a Ky - V(y), whose eigenvalues
+    are the sums lam_x[i] + lam_y[j] + z: two n-sized eigensolves give the
+    exact gate (no three-body level below -z iff lam_x[0] + lam_y[0] + z > 0)
+    and the solver behind apply().  The dense block of Q and its top
+    eigenvalue are computed only when the gate fails, for the error message,
+    next to the lowest level lam_x[0] + lam_y[0] of H_eps.  B is cut to the
+    support (V(x) + V(y) > SUPPORT_FLOOR times its peak) while hx (+) hy
+    subtracts V(x) + V(y) at every node: they differ by less than
+    SUPPORT_FLOOR of the peak per node.  apply(four_term=True) uses the
+    four-term split sqrt(V(x)) + sqrt(V(y)) of the outer factors.
     """
     _check_positive("z", z)
     grid = resolvent.grid
@@ -253,34 +263,22 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     vx = v_scaled(gx.nodes)
     vy = v_scaled(gy.nodes)
     v_sum = vx[:, None] + vy[None, :]
-    floor = SUPPORT_FLOOR * v_sum.max()
-    support = np.flatnonzero(grid.flatten(v_sum) > floor)
+    support = np.flatnonzero(grid.flatten(v_sum) > SUPPORT_FLOOR * v_sum.max())
     if support.size == 0:
         raise ValueError("potential vanishes on the product grid")
-    b_sq = grid.flatten(v_sum)[support]
-    b_sup = np.sqrt(b_sq)
-    split = np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :]
-    split_sup = grid.flatten(split)[support]
-    # H_eps + z in lower-banded storage: band[k, p] = (H_eps + z)[p + k, p]
-    # with p = i ny + j; row 1 couples j to j + 1, row ny couples i to i + 1
+    b_sup = np.sqrt(grid.flatten(v_sum)[support])
+    split_sup = grid.flatten(np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :])[support]
     kx, ky = resolvent.kx, resolvent.ky
-    nx, ny = gx.n, gy.n
-    band = np.zeros((ny + 1, grid.n))
-    band[0] = (kx.diag[:, None] + ky.diag[None, :] + z).reshape(-1)
-    band[0, support] -= b_sq
-    band[1] = np.tile(np.append(ky.off, 0.0), nx)
-    band[ny, : grid.n - ny] = np.repeat(kx.off, ny)
-    try:
-        cho = cholesky_banded(band, lower=True)
-    except LinAlgError:
-        q = resolvent.block(z, support, support)
-        q *= b_sup[:, None]
-        q *= b_sup[None, :]
+    lam_x, qx = np.linalg.eigh(TridiagonalOperator(kx.diag - vx, kx.off, gx, kx.m, "a Kx - V(x)").entries)
+    lam_y, qy = np.linalg.eigh(TridiagonalOperator(ky.diag - vy, ky.off, gy, ky.m, "a Ky - V(y)").entries)
+    lowest = float(lam_x[0] + lam_y[0])
+    if lowest + z <= 0.0:
+        q = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)
         top_q = float(eigh(q, lower=True, eigvals_only=True, subset_by_index=[support.size - 1] * 2)[0])
         raise ValueError(
             f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: "
-            f"top eigenvalue {top_q:.6f} (three-body level below -z)"
-        ) from None
+            f"top eigenvalue {top_q:.6f}, lowest level {lowest:.12g} of H_eps (three-body level below -z)"
+        )
     return FiniteEpsilonResolvent(
         z=z,
         epsilon=v_scaled.law.epsilon,
@@ -288,7 +286,9 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
         grid=grid,
         support=support,
         b_support=b_sup,
-        kernel_cho=cho,
+        kernel_qx=qx,
+        kernel_qy=qy,
+        kernel_denom=lam_x[:, None] + lam_y[None, :] + z,
         resolvent=resolvent,
         split_outer=split_sup,
     )

@@ -5,14 +5,16 @@ machinery: a plain RK4 shooting integrator for the radial zero-energy
 problem, the z -> 0+ Richardson ladder of the top Birman-Schwinger
 eigenvalue, a classical Jacobi rotation eigensolver, and brute-force
 quadrature helpers (the radial L1 trapezoid, and the Rollnik integral as the
-eight-term cell-pair sum on dense n x n arrays), and the kinetic difference
-factors assembled entry by entry in a loop.  The oracles stay
+eight-term cell-pair sum on dense n x n arrays), the kinetic difference
+factors assembled entry by entry in a loop, and the Mellin symbol of the
+contact image from the Gamma function.  The oracles stay
 independent of the code paths they check.  The helpers for the zero-range
 limit at the end take the package's product-grid free resolvent as given and
 build the rest themselves.
 """
 
 import numpy as np
+from scipy.special import loggamma
 
 
 def shoot_zero_energy(potential, coupling, r_end, n_steps=8000, two_m=1.0):
@@ -194,6 +196,17 @@ def rollnik_cell_pairs(values, nodes):
     )
     quad = float(f @ (plus - minus) @ f)
     return 8.0 * np.pi**2 * quad
+
+
+def contact_symbol(d, tau):
+    """Phi_d(tau) = 2 |Gamma((d+1)/4 + i tau/2)|^2 / |Gamma((d-1)/4 + i tau/2)|^2.
+
+    sqrt(-Lap) - C/r acts on r^(-(d-1)/2 + i tau) as multiplication by
+    Phi_d(tau) - C; Phi_d(0) is the sharp fractional Hardy constant (Herbst,
+    CMP 53 (1977) 285), and Phi_3(tau) = tau coth(pi tau / 2).
+    """
+    t = 0.5j * np.asarray(tau, dtype=float)
+    return 2.0 * np.exp(2.0 * (loggamma((d + 1) / 4 + t).real - loggamma((d - 1) / 4 + t).real))
 
 
 def halving_orders(distances):

@@ -187,8 +187,8 @@ def test_grid_beyond_physical_memory_rejected_before_allocation(command, cfg, fi
     [
         # a dense 400 x 400 Q(0) is 1.28 MB
         ("resonance", dict(CONFIGS["resonance"], grid=dict(CONFIGS["resonance"]["grid"], n=400)), "grid.n"),
-        # the 32 x 32 product grid: a 32 x 32 matrix fits, the banded factor
-        # and line-source blocks (about 0.8 MB) do not
+        # the 32 x 32 product grid: a 32 x 32 matrix fits, the line-source
+        # blocks and R0 temporaries of limit_w (about 1.4 MB) do not
         ("limit-resolvent", CONFIGS["limit-resolvent"], "grid.n"),
         # a 16 x 16 product grid fits; 100 test functions on it, kept for
         # each of the two rungs, are 0.8 MB

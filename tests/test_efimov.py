@@ -16,7 +16,7 @@ from zrange.efimov import (
     operator_spectrum,
 )
 
-from oracles import jacobi_eigenvalues
+from oracles import contact_symbol, jacobi_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +161,28 @@ def test_inertia_spectrum_matches_scaled_root(d, m):
     ref = np.linalg.eigvalsh(q[:, None] * sqrt_kinetic(g, d, m).entries * q[None, :])
     mu = _inertia_spectrum(d, g, m)
     assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_contact_symbol_closed_forms():
+    tau = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+    assert np.allclose(contact_symbol(3, tau), tau / np.tanh(0.5 * np.pi * tau), rtol=1e-13, atol=0.0)
+    assert contact_symbol(3, 0.0) == pytest.approx(2.0 / np.pi, rel=1e-14)
+    assert contact_symbol(2, 0.0) == pytest.approx(0.228473, rel=1e-5)
+
+
+@pytest.mark.parametrize("d", [3, 2])
+@pytest.mark.parametrize("n", [150, 300])
+def test_mu_min_lies_between_hardy_constant_and_box_symbol(d, n):
+    # on a log grid of width L = ln(r_max / r_min) the lowest inertia
+    # eigenvalue is the box value of the Mellin symbol: above the sharp
+    # Hardy constant Phi_d(0), at most Phi_d(pi / L), and falling as the box
+    # widens toward the continuum threshold
+    r_max, r_mins = 2e2, [1e-4, 1e-6, 1e-8, 1e-10]
+    mu_min = np.array([_inertia_spectrum(d, build_grid(n, r_max, "logarithmic", r_min=r), 0.5)[0] for r in r_mins])
+    widths = np.log(r_max / np.array(r_mins))
+    assert np.all(contact_symbol(d, 0.0) < mu_min)
+    assert np.all(mu_min <= contact_symbol(d, np.pi / widths))
+    assert np.all(np.diff(mu_min) < 0.0)
 
 
 def test_thresholds_build_no_dense_factor_or_operator(monkeypatch):

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     convergence_per_vector,
@@ -54,6 +56,19 @@ def _rel(a, b) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
+def _dense_h0_z(pg, m, z):
+    """a Kx (+) a Ky + z, a = (m + 1) / (2 m), assembled densely with np.kron."""
+    a = (m + 1.0) / (2.0 * m)
+    kx = a * discretize_h0(pg.gx, 3, 0.5).entries
+    ky = a * discretize_h0(pg.gy, 3, 0.5).entries
+    return np.kron(kx, np.eye(pg.gy.n)) + np.kron(np.eye(pg.gx.n), ky) + z * np.eye(pg.n)
+
+
+def _v_sum(pg, v_scaled):
+    """V(x) + V(y) on the flattened product grid."""
+    return (v_scaled(pg.gx.nodes)[:, None] + v_scaled(pg.gy.nodes)[None, :]).reshape(-1)
+
+
 def test_batched_r0_apply_equals_column_applies_and_dense_kron():
     # R0(z) on a block of columns against one column at a time, and against
     # (a Kx (+) a Ky + z)^(-1) assembled densely with np.kron, at m = 2 on a
@@ -68,11 +83,7 @@ def test_batched_r0_apply_equals_column_applies_and_dense_kron():
     assert block.shape == fs.shape
     columns = np.column_stack([res.apply(z, f) for f in fs.T])
     assert _rel(block, columns) <= 1e-14
-    a = (m + 1.0) / (2.0 * m)
-    kx = a * discretize_h0(gx, 3, 0.5).entries
-    ky = a * discretize_h0(gy, 3, 0.5).entries
-    h0_z = np.kron(kx, np.eye(gy.n)) + np.kron(np.eye(gx.n), ky) + z * np.eye(pg.n)
-    ref = np.linalg.solve(h0_z, fs)
+    ref = np.linalg.solve(_dense_h0_z(pg, m, z), fs)
     assert _rel(block, ref) <= 1e-12
     assert _rel(res.apply(z, fs[:, 0]), ref[:, 0]) <= 1e-12
     # a transposed (Fortran-ordered) block is the same block
@@ -172,12 +183,57 @@ def _reported_top(err) -> float:
 
 def test_w_eps_detects_level_below_minus_z(small_product):
     # a deep potential pushes a three-body level below -z and 1 - Q loses
-    # invertibility; the assembly reports it instead of returning garbage
+    # invertibility; the assembly reports it instead of returning garbage,
+    # with the lowest level of H_eps, which the dense kron H_eps confirms
     pg = small_product
+    z = 0.05
     deep = ScaledPotential(BasePotential("gaussian", 60.0, 1.0), ScalingLaw(2, 0.5, 3))
     with pytest.raises(ValueError, match="not invertible") as err:
-        assemble_w_eps(0.05, deep, ProductFreeResolvent(pg, 1.0))
+        assemble_w_eps(z, deep, ProductFreeResolvent(pg, 1.0))
     assert _reported_top(err) >= 1.0
+    level = float(re.search(r"lowest level ([-+0-9.e]+) of H_eps", str(err.value)).group(1))
+    dense_level = np.linalg.eigvalsh(_dense_h0_z(pg, 1.0, z) - np.diag(_v_sum(pg, deep)))[0] - z
+    assert level < -z
+    assert level == pytest.approx(dense_level, rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    nx=st.integers(8, 11),
+    ny=st.integers(12, 15),
+    m=st.sampled_from([0.5, 1.0, 2.0]),
+    z=st.floats(0.05, 5.0),
+    factor=st.floats(0.5, 2.0),
+)
+@example(nx=9, ny=12, m=2.0, z=0.7, factor=1.0 - 1e-8)
+@example(nx=9, ny=12, m=0.5, z=0.7, factor=1.0 + 1e-8)
+def test_w_eps_gate_matches_dense_kron_spectrum(nx, ny, m, z, factor):
+    # on product grids whose factors differ in size, spacing and extent, the
+    # coupling is drawn as a factor of the crossing, where the top eigenvalue
+    # of sqrt(V) (H0 + z)^(-1) sqrt(V) is 1: the assembly must raise exactly
+    # when the dense kron H_eps + z has an eigenvalue <= 0, and otherwise
+    # apply the dense resolvent difference
+    assume(abs(factor - 1.0) > 1e-9)
+    pg = ProductGrid(build_grid(nx, 6.0, "logarithmic", r_min=0.05), build_grid(ny, 4.0, "linear"))
+    law = ScalingLaw(2, 0.5, 3)
+    h0_z = _dense_h0_z(pg, m, z)
+    s = np.sqrt(_v_sum(pg, ScaledPotential(GAUSS, law)))
+    crossing = 1.0 / np.linalg.eigvalsh(s[:, None] * np.linalg.inv(h0_z) * s[None, :])[-1]
+    v = ScaledPotential(BasePotential("gaussian", factor * crossing, 1.0), law)
+    h_z = h0_z - np.diag(_v_sum(pg, v))
+    spectrum = np.linalg.eigvalsh(h_z)
+    res = ProductFreeResolvent(pg, m)
+    if spectrum[0] <= 0.0:
+        with pytest.raises(ValueError, match="not invertible"):
+            assemble_w_eps(z, v, res)
+        return
+    w_eps = assemble_w_eps(z, v, res)
+    fs = np.random.default_rng(24).standard_normal((pg.n, 3))
+    ref = np.linalg.solve(h_z, fs) - np.linalg.solve(h0_z, fs)
+    # both routes are backward stable, so near the crossing their difference
+    # grows like the rounding unit times cond(H_eps + z)
+    cond = np.abs(spectrum).max() / spectrum[0]
+    assert np.linalg.norm(w_eps.apply(fs) - ref) <= 1e-10 * max(1.0, cond / 1e6) * np.linalg.norm(ref)
 
 
 def _dense_q(res, z, v_scaled, pg, r0=None):
@@ -229,13 +285,22 @@ def test_w_eps_matches_dense_konno_kuroda_form(resonant_setup):
         assert np.linalg.norm(w_eps.apply(f) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_w_eps_success_path_runs_no_eigensolve(resonant_setup, monkeypatch):
+def test_w_eps_success_path_runs_no_support_sized_eigensolve(resonant_setup, monkeypatch):
+    # the gate and the solver are the eigensolves of the two channel
+    # operators, each n_x or n_y in size: nothing the size of the support
     pg, v_ref, res = resonant_setup
+    largest = max(pg.gx.n, pg.gy.n)
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("eigensolve on the success path of assemble_w_eps")
+    def capped(solve):
+        def checked(a, *args, **kwargs):
+            if np.shape(a)[0] > largest:
+                raise AssertionError(f"{np.shape(a)[0]}-sized eigensolve on the success path of assemble_w_eps")
+            return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(limit_resolvent, "eigh", no_eigh)
+        return checked
+
+    monkeypatch.setattr(limit_resolvent, "eigh", capped(limit_resolvent.eigh))
+    monkeypatch.setattr(limit_resolvent.np.linalg, "eigh", capped(np.linalg.eigh))
     w_eps = assemble_w_eps(2.0, v_ref, res)
     f = np.random.default_rng(13).standard_normal(pg.n)
     assert np.all(np.isfinite(w_eps.apply(f)))
@@ -265,11 +330,8 @@ def test_w_eps_matches_dense_kron_resolvent_difference():
     lam = calibrate_couplings(GAUSS, [eps], gx, m)[eps]
     v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
     w_eps = assemble_w_eps(z, v, ProductFreeResolvent(pg, m))
-    a = (m + 1.0) / (2.0 * m)
-    kx = a * discretize_h0(gx, 3, 0.5).entries
-    ky = a * discretize_h0(gy, 3, 0.5).entries
-    h0_z = np.kron(kx, np.eye(gy.n)) + np.kron(np.eye(gx.n), ky) + z * np.eye(pg.n)
-    v_sum = (v(gx.nodes)[:, None] + v(gy.nodes)[None, :]).reshape(-1)
+    h0_z = _dense_h0_z(pg, m, z)
+    v_sum = _v_sum(pg, v)
     b_sq = np.where(v_sum > SUPPORT_FLOOR * v_sum.max(), v_sum, 0.0)
     assert 0 < w_eps.support.size < pg.n
     fs = np.random.default_rng(15).standard_normal((3, pg.n))
