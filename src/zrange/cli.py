@@ -271,16 +271,15 @@ def _run_limit_resolvent(cfg):
         raise ConfigError("n_test_functions", f"must be a positive integer, got {n_test!r}")
     grid = _grid(cfg)
     n = grid.n
-    # limit_w's peak (two line-source blocks, one R0 image, two apply temporaries),
-    # then the free and channel 1-d eigenbases with their kinetic matrices
-    _require_fits(5 * n**3 + 6 * n**2, "grid.n", f"the {n} x {n} product grid")
+    # tracemalloc: the eigenbases, line weights, potentials and support of a rung
+    # take 9-11 n^2 floats, and each test function adds 9-10 n^2 plus n^2 per rung
+    _require_fits(11 * n**2, "grid.n", f"the {n} x {n} product grid")
     pg = ProductGrid(grid, grid)
     pot = _potential(cfg)
     m = _mass(cfg, 1.0)
     z = float(_get(cfg, "z", 2.0))
     eps = [float(e) for e in _get(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])]
-    # the test block and the W_eps f family of the report
-    _require_fits((len(eps) + 2) * n_test * n**2, "n_test_functions", f"{n_test} test functions")
+    _require_fits((11 + (len(eps) + 10) * n_test) * n**2, "n_test_functions", f"{n_test} test functions")
     seed = int(_get(cfg, "seed", 11))
     rng = np.random.default_rng(seed)
     res = ProductFreeResolvent(pg, m)

@@ -24,12 +24,15 @@ four products (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6
 The candidate for the epsilon -> 0 limit of (H_eps + z)^(-1) - (H0 + z)^(-1)
 is the rank-structured two-channel operator
 
-    W(z) = (4 pi / sqrt(z)) (L1 L1^T + L2 L2^T),   Li = R0(z) tau_i,
+    W(z) = (4 pi / sqrt(z)) (L1 L1^T + L2 L2^T) = (4 pi / sqrt(z)) R0(z) T R0(z),
 
-with tau_1 (tau_2) the reduced delta-line sources on the contact line x = 0
-(y = 0).  It is built from the free resolvent alone: a resonance profile psi
-would enter only through <sqrt(V) psi>^2 / ((sqrt(z) / 4 pi) <sqrt(V) psi>^2),
-which is the constant 4 pi / sqrt(z) whatever psi is.
+Li = R0(z) tau_i, with tau_1 (tau_2) the reduced delta-line sources on the
+contact line x = 0 (y = 0).  Their columns are scaled unit vectors, so
+T = tau_1 tau_1^T + tau_2 tau_2^T is diagonal on the nx + ny - 1 line nodes
+(the corner lies on both) and W(z), of that rank, is two R0 applies around a
+diagonal scaling.  It is built from the free resolvent alone: a resonance
+profile psi would enter only through <sqrt(V) psi>^2 / ((sqrt(z) / 4 pi)
+<sqrt(V) psi>^2), which is the constant 4 pi / sqrt(z) whatever psi is.
 
 This W(z) is not yet the limit, and that is the open defect of ROADMAP
 item 4: its constant sqrt(z)/(4 pi) denominator and its uncoupled channels
@@ -37,7 +40,8 @@ leave a floor in ||W_eps(z) f - W(z) f||, so the per-halving orders fall
 below 1/2 (test_limit_operator_is_reached_at_the_sqrt_eps_rate[limit_w] is
 red for it), and at m != 1 it carries no a^(3/2) factor.  The grid-exact
 Krein form that replaces it needs only the resolvent as well: tau, R0(z),
-R0(0) and the fibers of the single-coordinate eigenbasis.
+R0(0) and the fibers of the single-coordinate eigenbasis, and it applies
+as R0 tau (Theta - M)^(-1) tau^T R0: a line-space solve between two R0.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ class ProductFreeResolvent:
         self.kx = TridiagonalOperator(self.a * kx.diag, self.a * kx.off, grid.gx, 0.5 / self.a, "a Kx")
         self.ky = TridiagonalOperator(self.a * ky.diag, self.a * ky.off, grid.gy, 0.5 / self.a, "a Ky")
         self.mu_x, self.qx = np.linalg.eigh(self.kx.entries)
-        self.mu_y, self.qy = np.linalg.eigh(self.ky.entries)
+        # on a symmetric grid a Ky is a Kx entry for entry: one eigensolve serves both
+        self.mu_y, self.qy = (self.mu_x, self.qx) if grid.gy is grid.gx else np.linalg.eigh(self.ky.entries)
 
     def denom(self, z: float) -> np.ndarray:
         return self.mu_x[:, None] + self.mu_y[None, :] + z
@@ -133,29 +138,28 @@ class ProductFreeResolvent:
 
 @dataclass
 class LimitResolvent:
-    """W(z) = coeff (L1 L1^T + L2 L2^T), coeff = 4 pi / sqrt(z).
+    """W(z) = coeff R0(z) T R0(z), coeff = 4 pi / sqrt(z).
 
-    Li = R0(z) tau_i are the free resolvent applied to the delta-line
-    sources of channel i, one column per node of its line.  The constant
-    coeff and the uncoupled channels are the open defect of ROADMAP item 4
-    (module docstring).
+    T = tau_1 tau_1^T + tau_2 tau_2^T is the diagonal weights: cx^2 on the
+    x = 0 line, cy^2 on the y = 0 line, cx^2 + cy^2 at the corner on both,
+    0 elsewhere.  The constant coeff and the uncoupled channels are the open
+    defect of ROADMAP item 4 (module docstring).
     """
 
     z: float
     grid: ProductGrid
     coeff: float
-    l1: np.ndarray = field(repr=False)
-    l2: np.ndarray = field(repr=False)
+    resolvent: ProductFreeResolvent = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """W(z) f for one flattened vector or an (n, b) block of them."""
-        out = self.l1 @ (self.l1.T @ f)
-        out += self.l2 @ (self.l2.T @ f)
-        return self.coeff * out
+        """W(z) f for one flattened vector or an (n, b) block of them: R0, T, R0."""
+        f = np.asarray(f, dtype=float)
+        u = self.weights[:, None] * self.resolvent.apply(self.z, f).reshape(self.grid.n, -1)
+        return self.coeff * self.resolvent.apply(self.z, u).reshape(f.shape)
 
     def matrix(self) -> np.ndarray:
-        w = self.l1 @ self.l1.T + self.l2 @ self.l2.T
-        return self.coeff * w
+        return self.apply(np.eye(self.grid.n))
 
 
 def _line_source_scale(grid: RadialGrid) -> float:
@@ -166,29 +170,22 @@ def _line_source_scale(grid: RadialGrid) -> float:
 
 
 def limit_w(z: float, resolvent: ProductFreeResolvent) -> LimitResolvent:
-    """W(z) = (4 pi / sqrt(z)) (L1 L1^T + L2 L2^T) from the free resolvent alone.
+    """W(z) = (4 pi / sqrt(z)) R0(z) T R0(z) from the free resolvent alone.
 
-    The product grid and the mass are those of resolvent.  Li is R0(z)
-    applied to the delta-line sources on x = 0 (i = 1) or y = 0 (i = 2).
-    No resonance profile enters: it would cancel from W exactly.  The
-    constant denominator sqrt(z)/(4 pi) and the uncoupled channels are the
-    open defect of ROADMAP item 4, whose Krein form fills this signature.
+    The product grid and the mass are those of resolvent.  T, the sum of the
+    outer products of the delta-line sources on x = 0 and y = 0, is diagonal:
+    only its weights are built, no source or R0 image, and W(z) has rank
+    nx + ny - 1.  No resonance profile enters: it would cancel from W
+    exactly.  The constant denominator sqrt(z)/(4 pi) and the uncoupled
+    channels are the open defect of ROADMAP item 4, whose Krein form fills
+    this signature.
     """
     _check_positive("z", z)
     grid = resolvent.grid
-    gx, gy = grid.gx, grid.gy
-    nx, ny = gx.n, gy.n
-    cx = _line_source_scale(gx)
-    cy = _line_source_scale(gy)
-    # channel 1: sources on the x = 0 line, one column per y node
-    src1 = np.zeros((grid.n, ny))
-    src1[np.arange(ny), np.arange(ny)] = cx  # flattened (0, j) = j
-    l1 = resolvent.apply(z, src1)
-    # channel 2: sources on the y = 0 line
-    src2 = np.zeros((grid.n, nx))
-    src2[np.arange(nx) * ny, np.arange(nx)] = cy
-    l2 = resolvent.apply(z, src2)
-    return LimitResolvent(z, grid, float(4.0 * np.pi / np.sqrt(z)), l1, l2)
+    weights = np.zeros((grid.gx.n, grid.gy.n))
+    weights[0, :] = _line_source_scale(grid.gx) ** 2  # the x = 0 line
+    weights[:, 0] += _line_source_scale(grid.gy) ** 2  # the y = 0 line; the corner is on both
+    return LimitResolvent(z, grid, float(4.0 * np.pi / np.sqrt(z)), resolvent, grid.flatten(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +244,9 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     when H_eps + z = a Kx (+) a Ky + z - B^2 is (the Birman-Schwinger
     principle); then (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.  H_eps + z is
     hx (+) hy + z with hx = a Kx - V(x), hy = a Ky - V(y), whose eigenvalues
-    are the sums lam_x[i] + lam_y[j] + z: two n-sized eigensolves give the
-    exact gate (no three-body level below -z iff lam_x[0] + lam_y[0] + z > 0)
-    and the solver behind apply().  The dense block of Q and its top
+    are the sums lam_x[i] + lam_y[j] + z: two n-sized eigensolves (one when
+    gy is gx) give the exact gate (no three-body level below -z iff
+    lam_x[0] + lam_y[0] + z > 0) and the solver behind apply().  The dense block of Q and its top
     eigenvalue are computed only when the gate fails, for the error message,
     next to the lowest level lam_x[0] + lam_y[0] of H_eps.  B is cut to the
     support (V(x) + V(y) > SUPPORT_FLOOR times its peak) while hx (+) hy
@@ -270,7 +267,8 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     split_sup = grid.flatten(np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :])[support]
     kx, ky = resolvent.kx, resolvent.ky
     lam_x, qx = np.linalg.eigh(TridiagonalOperator(kx.diag - vx, kx.off, gx, kx.m, "a Kx - V(x)").entries)
-    lam_y, qy = np.linalg.eigh(TridiagonalOperator(ky.diag - vy, ky.off, gy, ky.m, "a Ky - V(y)").entries)
+    hy = TridiagonalOperator(ky.diag - vy, ky.off, gy, ky.m, "a Ky - V(y)")
+    lam_y, qy = (lam_x, qx) if gy is gx else np.linalg.eigh(hy.entries)  # hy is hx on a symmetric grid
     lowest = float(lam_x[0] + lam_y[0])
     if lowest + z <= 0.0:
         q = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)

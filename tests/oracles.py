@@ -275,6 +275,35 @@ def convergence_per_vector(z, potential, couplings, resolvent, test_functions):
     return disc, family
 
 
+def line_sources(grid):
+    """The reduced delta-line sources [tau_1 tau_2] as explicit one-hot columns.
+
+    tau_1 has one column per y node, on the contact line x = 0; tau_2 one per
+    x node, on y = 0.  The corner node (0, 0) carries one source of each.
+    Shape (nx ny, ny + nx), flattened in C order.
+    """
+    gx, gy = grid.gx, grid.gy
+    nx, ny = gx.n, gy.n
+    # weight-scaled amplitude of the reduced delta line at the first node
+    cx = 1.0 / (np.sqrt(4.0 * np.pi) * gx.nodes[0] * np.sqrt(gx.weights[0]))
+    cy = 1.0 / (np.sqrt(4.0 * np.pi) * gy.nodes[0] * np.sqrt(gy.weights[0]))
+    tau = np.zeros((nx * ny, ny + nx))
+    tau[np.arange(ny), np.arange(ny)] = cx  # (0, j), flattened j
+    tau[np.arange(nx) * ny, ny + np.arange(nx)] = cy  # (i, 0), flattened i ny
+    return tau
+
+
+def line_source_limit_apply(z, resolvent, f):
+    """(4 pi / sqrt(z)) (L1 L1^T + L2 L2^T) f, Li = R0(z) tau_i, from the line images.
+
+    The construction limit_w is checked against: the R0 images of every
+    one-hot line source are laid out, and W(z) is their Gram form.  f is one
+    flattened vector or an (n, b) block of them as columns, at any mass.
+    """
+    lines = resolvent.apply(z, line_sources(resolvent.grid))
+    return 4.0 * np.pi / np.sqrt(z) * (lines @ (lines.T @ f))
+
+
 def stm_limit_apply(z, resolvent, test_functions):
     """Zero-range limit W(z) f in Skorniakov-Ter-Martirosian form.
 
@@ -292,14 +321,8 @@ def stm_limit_apply(z, resolvent, test_functions):
     """
     if resolvent.a != 1.0:
         raise ValueError("the STM oracle is written for equal masses")
-    gx, gy = resolvent.grid.gx, resolvent.grid.gy
-    nx, ny = gx.n, gy.n
-    # weight-scaled amplitude of the reduced delta line at the first node
-    cx = 1.0 / (np.sqrt(4.0 * np.pi) * gx.nodes[0] * np.sqrt(gx.weights[0]))
-    cy = 1.0 / (np.sqrt(4.0 * np.pi) * gy.nodes[0] * np.sqrt(gy.weights[0]))
-    tau = np.zeros((nx * ny, ny + nx))
-    tau[np.arange(ny), np.arange(ny)] = cx  # (0, j), flattened j
-    tau[np.arange(nx) * ny, ny + np.arange(nx)] = cy  # (i, 0), flattened i ny
+    ny = resolvent.grid.gy.n
+    tau = line_sources(resolvent.grid)
     lines = resolvent.apply(z, tau)
     fiber_y = (resolvent.qy * np.sqrt(resolvent.mu_y + z)) @ resolvent.qy.T / (4.0 * np.pi)
     fiber_x = (resolvent.qx * np.sqrt(resolvent.mu_x + z)) @ resolvent.qx.T / (4.0 * np.pi)

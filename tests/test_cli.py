@@ -187,11 +187,15 @@ def test_grid_beyond_physical_memory_rejected_before_allocation(command, cfg, fi
     [
         # a dense 400 x 400 Q(0) is 1.28 MB
         ("resonance", dict(CONFIGS["resonance"], grid=dict(CONFIGS["resonance"]["grid"], n=400)), "grid.n"),
-        # the 32 x 32 product grid: a 32 x 32 matrix fits, the line-source
-        # blocks and R0 temporaries of limit_w (about 1.4 MB) do not
-        ("limit-resolvent", CONFIGS["limit-resolvent"], "grid.n"),
-        # a 16 x 16 product grid fits; 100 test functions on it, kept for
-        # each of the two rungs, are 0.8 MB
+        # the 96 x 96 product grid: its eigenbases, line weights and rung
+        # arrays (9-11 n^2 floats, about 0.7 MB under tracemalloc) do not fit
+        (
+            "limit-resolvent",
+            dict(CONFIGS["limit-resolvent"], grid=dict(CONFIGS["limit-resolvent"]["grid"], n=96)),
+            "grid.n",
+        ),
+        # a 16 x 16 product grid fits; 100 test functions on it, with their
+        # apply temporaries and the family of the two rungs, take 2.3 MB
         (
             "limit-resolvent",
             dict(CONFIGS["limit-resolvent"], grid=dict(CONFIGS["limit-resolvent"]["grid"], n=16), n_test_functions=100),

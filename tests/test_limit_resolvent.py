@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     convergence_per_vector,
     halving_orders,
+    line_source_limit_apply,
     stm_limit_apply,
     successive_difference_orders,
     w_eps_family,
@@ -137,10 +139,44 @@ def test_limit_w_channel_swap_invariance(resonant_setup):
 
 
 def test_limit_w_rank_bound(resonant_setup):
+    # T is supported on the nx + ny - 1 line nodes (the corner is on both
+    # lines).  Measured on this 40 x 40 grid: sv[78] / sv[0] = 4.5e-6,
+    # sv[79] / sv[0] = 1.1e-15
     pg, v_ref, res = resonant_setup
     w = limit_w(1.0, res)
     sv = np.linalg.svd(w.matrix(), compute_uv=False)
-    assert sv[w.l1.shape[1] + w.l2.shape[1]] < 1e-10 * sv[0]
+    rank = pg.gx.n + pg.gy.n - 1
+    assert sv[rank] < 1e-10 * sv[0] < sv[rank - 1]
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("z", [0.5, 2.0, 8.0])
+def test_limit_w_matches_line_source_oracle(m, z):
+    # R0 T R0 against the Gram form of the R0 images of every one-hot line
+    # source, on a product grid whose factors differ in size and spacing
+    gx = build_grid(14, 30.0, "logarithmic", r_min=1e-2)
+    gy = build_grid(11, 20.0, "linear")
+    res = ProductFreeResolvent(ProductGrid(gx, gy), m)
+    w = limit_w(z, res)
+    fs = np.random.default_rng(24).standard_normal((res.grid.n, 4))
+    assert _rel(w.apply(fs), line_source_limit_apply(z, res, fs)) <= 1e-12
+    assert _rel(w.apply(fs[:, 1]), line_source_limit_apply(z, res, fs[:, 1])) <= 1e-12
+
+
+def test_limit_w_and_one_block_apply_stay_within_eight_blocks():
+    # limit_w lays out no line source or R0 image (n^2 x n each): on the
+    # criterion-7 grid it and one apply to an (n^2, 5) block peak at about
+    # 0.6 MB under tracemalloc, where the images took 10.5 MB
+    g = build_grid(64, 160.0, "logarithmic", r_min=3e-4)
+    res = ProductFreeResolvent(ProductGrid(g, g), 1.0)
+    fs = np.random.default_rng(25).standard_normal((res.grid.n, 5))
+    tracemalloc.start()
+    try:
+        limit_w(2.0, res).apply(fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * fs.nbytes
 
 
 @pytest.mark.parametrize("z", BAD_Z)
@@ -359,7 +395,12 @@ def test_w_annihilates_channel_orthogonal_vectors(resonant_setup):
     w = limit_w(z, res)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(pg.n)
-    basis = np.column_stack([w.l1, w.l2])
+    # the range of W is R0 applied to the unit vectors on the two contact lines
+    nx, ny = pg.gx.n, pg.gy.n
+    on_lines = np.union1d(np.arange(ny), np.arange(nx) * ny)  # (0, j) and (i, 0)
+    units = np.zeros((pg.n, on_lines.size))
+    units[on_lines, np.arange(on_lines.size)] = 1.0
+    basis = res.apply(z, units)
     q, _ = np.linalg.qr(basis)
     f -= q @ (q.T @ f)
     assert np.linalg.norm(w.apply(f)) < 1e-10 * np.linalg.norm(f)
