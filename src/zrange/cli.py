@@ -82,14 +82,25 @@ def _law(cfg: dict, key: str = "law", required: bool = True) -> ScalingLaw:
         raise ConfigError(key, str(exc)) from None
 
 
+def _number(raw, field: str) -> float:
+    """raw as a float if it is a JSON number (not a bool), else ConfigError(field)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(field, f"must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _numbers(cfg: dict, field: str, default, length: int | None = None) -> list:
+    """The list of numbers at field (required when default is None), exactly length of them if given."""
+    raw = _get(cfg, field, default, required=default is None)
+    if not isinstance(raw, (list, tuple)) or length not in (None, len(raw)):
+        raise ConfigError(field, f"must be a list of {length or 'any number of'} numbers, got {raw!r}")
+    return [_number(v, field) for v in raw]
+
+
 def _mass(cfg: dict, default: float) -> float:
-    raw = _get(cfg, "mass", default)
-    try:
-        m = float(raw)
-    except (TypeError, ValueError):
-        m = float("nan")
+    m = _number(_get(cfg, "mass", default), "mass")
     if not (np.isfinite(m) and m > 0.0):
-        raise ConfigError("mass", f"must be finite and positive, got {raw!r}")
+        raise ConfigError("mass", f"must be finite and positive, got {m!r}")
     return m
 
 
@@ -130,7 +141,7 @@ def _run_scale_norms(cfg):
     pot = _potential(cfg)
     law = _law(cfg)
     grid = _grid(cfg)
-    eps_sweep = [float(e) for e in _get(cfg, "sweep", [law.epsilon])]
+    eps_sweep = _numbers(cfg, "sweep", [law.epsilon])
     d = law.d
     base = pot(grid.nodes)
     base_l1 = l1_norm(base, grid, d)
@@ -157,7 +168,7 @@ def _run_resonance(cfg):
 
     pot = _potential(cfg)
     law = _law(cfg, required=False)
-    bracket = tuple(_get(cfg, "bracket", (0.1, 50.0)))
+    bracket = tuple(_numbers(cfg, "bracket", (0.1, 50.0), length=2))
     n = int(_get(cfg, "grid.n", 800))
     _require_dense_fits(n, "grid.n")
     rep = find_resonance_coupling(pot, law, bracket, n=n, m=_mass(cfg, 0.5))
@@ -183,7 +194,7 @@ def _run_kk_verify(cfg):
     pot = _potential(cfg)
     law = _law(cfg, required=False)
     grid = _grid(cfg)
-    z_sweep = [float(z) for z in _get(cfg, "sweep", [0.5, 1.0, 2.0])]
+    z_sweep = _numbers(cfg, "sweep", [0.5, 1.0, 2.0])
     v = ScaledPotential(pot, law).on_grid(grid)
     h0 = discretize_h0(grid, law.d, _mass(cfg, 0.5))
     rows = []
@@ -211,7 +222,7 @@ def _run_cross_term(cfg):
     u = _potential(cfg, "u_potential") if _get(cfg, "u_potential") else v1
     law_u = _law(cfg, "u_law", required=False)
     grid = _grid(cfg)
-    eps = [float(e) for e in _get(cfg, "sweep", [0.2, 0.1, 0.05, 0.025, 0.0125])]
+    eps = _numbers(cfg, "sweep", [0.2, 0.1, 0.05, 0.025, 0.0125])
     rep = cross_term_norm(v1, law1, u, law_u, eps, grid)
     rows = [
         ReportRow(
@@ -231,7 +242,7 @@ def _run_additivity(cfg):
     law2 = _law(cfg, "law")
     v3 = _potential(cfg, "v3_potential") if _get(cfg, "v3_potential") else BasePotential("gaussian", 1.0, 2.0)
     grid = _grid(cfg)
-    eps = [float(e) for e in _get(cfg, "sweep", [0.2, 0.1, 0.05, 0.025, 0.0125])]
+    eps = _numbers(cfg, "sweep", [0.2, 0.1, 0.05, 0.025, 0.0125])
     rep = additivity_defect(v2, law2, v3, eps, grid)
     rows = [
         ReportRow(
@@ -254,8 +265,8 @@ def _run_independence(cfg):
     v2 = _potential(cfg, "v2_potential") if _get(cfg, "v2_potential") else None
     law2 = _law(cfg, "v2_law", required=False) if v2 else None
     v3 = _potential(cfg, "v3_potential") if _get(cfg, "v3_potential") else None
-    eps = [float(e) for e in _get(cfg, "sweep", [0.4, 0.2, 0.1])]
-    z = float(_get(cfg, "z", 1.0))
+    eps = _numbers(cfg, "sweep", [0.4, 0.2, 0.1])
+    z = _number(_get(cfg, "z", 1.0), "z")
     rep = independence_spectrum_check(v1, law1, v2, law2, v3, eps, z, discretize_h0(grid))
     rows = [
         ReportRow({"epsilon": e}, {"delta": d}) for e, d in zip(rep.epsilons, rep.discrepancies)
@@ -271,14 +282,15 @@ def _run_limit_resolvent(cfg):
         raise ConfigError("n_test_functions", f"must be a positive integer, got {n_test!r}")
     grid = _grid(cfg)
     n = grid.n
-    # tracemalloc: the eigenbases, line weights, potentials and support of a rung
-    # take 9-11 n^2 floats, and each test function adds 9-10 n^2 plus n^2 per rung
+    # tracemalloc over n = 32 ... 64: the eigenbases, line weights, potentials and
+    # support take 7.5-13 n^2 floats (the most at n = 32), and each test function
+    # 5-6 n^2 plus 1-1.3 n^2 per rung; the peak is 0.67-0.88 of the second request
     _require_fits(11 * n**2, "grid.n", f"the {n} x {n} product grid")
     pg = ProductGrid(grid, grid)
     pot = _potential(cfg)
     m = _mass(cfg, 1.0)
-    z = float(_get(cfg, "z", 2.0))
-    eps = [float(e) for e in _get(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])]
+    z = _number(_get(cfg, "z", 2.0), "z")
+    eps = _numbers(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])
     _require_fits((11 + (len(eps) + 10) * n_test) * n**2, "n_test_functions", f"{n_test} test functions")
     seed = int(_get(cfg, "seed", 11))
     rng = np.random.default_rng(seed)
@@ -312,7 +324,7 @@ def _run_efimov(cfg):
     grid = _grid(cfg)
     d = int(_get(cfg, "d", 3))
     kind = _get(cfg, "kind", "contact_image")
-    c_sweep = [float(c) for c in _get(cfg, "sweep", required=True)]
+    c_sweep = _numbers(cfg, "sweep", None)
     _require_dense_fits(refine * grid.n, "refine")
     rows = []
     for c in c_sweep:
@@ -346,8 +358,8 @@ def _run_thresholds(cfg):
     from .efimov import find_thresholds
 
     kind = _get(cfg, "kind", "contact_image")
-    dims = [int(d) for d in _get(cfg, "sweep", [2, 3])]
-    bracket = tuple(_get(cfg, "bracket", (0.05, 2.5)))
+    dims = [int(d) for d in _numbers(cfg, "sweep", [2, 3])]
+    bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
     n = int(_get(cfg, "grid.n", 300))
     _require_dense_fits(n, "grid.n")
     rows = []
@@ -387,8 +399,8 @@ def _run_mass_sweep(cfg):
     from .efimov import mass_sweep_2d
 
     grid = _grid(cfg)
-    c = float(_get(cfg, "c", 1.0))
-    masses = [float(m) for m in _get(cfg, "sweep", [1, 2, 4, 8, 16])]
+    c = _number(_get(cfg, "c", 1.0), "c")
+    masses = _numbers(cfg, "sweep", [1, 2, 4, 8, 16])
     rep = mass_sweep_2d(masses, c, grid)
     rows = []
     for k, m in enumerate(rep.masses):

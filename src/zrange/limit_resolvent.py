@@ -13,13 +13,14 @@ pairing <f, g> = 4 pi int f g r^2 dr.  Every apply (R0(z), W_eps(z), W(z))
 takes one flattened vector or an (n, b) block of them as columns; R0(z) is
 four BLAS matrix products in the single-coordinate eigenbases for any b.
 
-At finite epsilon, (H_eps + z)^(-1) - (H0 + z)^(-1) is assembled in
-Konno-Kuroda form R0 B (1 - Q)^(-1) B R0 with Q = B R0 B, and the kernel
-is inverted through the identity (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.
-B^2 = V(x) + V(y), so H_eps + z = (a Kx - V(x)) (+) (a Ky - V(y)) + z is a
+At finite epsilon, W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) is applied
+as that difference.  H_eps + z = (a Kx - V(x)) (+) (a Ky - V(y)) + z is a
 Kronecker sum like H0 + z, solved in its two channel eigenbases by the same
 four products (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6
 (1964) 185); the sum of the two channel minima is its exact lowest level.
+The Konno-Kuroda form R0 B (1 - Q)^(-1) B R0, with B^2 = V(x) + V(y) and
+Q = B R0 B, is the identity the tests check this difference against; its
+four-term split of the outer factors lives in tests/oracles.py.
 
 The candidate for the epsilon -> 0 limit of (H_eps + z)^(-1) - (H0 + z)^(-1)
 is the rank-structured two-channel operator
@@ -189,18 +190,17 @@ def limit_w(z: float, resolvent: ProductFreeResolvent) -> LimitResolvent:
 
 
 # ---------------------------------------------------------------------------
-# finite-epsilon assembly (four-term structure) and the convergence study
+# finite-epsilon resolvent difference and the convergence study
 
 
 @dataclass
 class FiniteEpsilonResolvent:
-    """W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) in factored form.
+    """W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1), the resolvent difference.
 
-    W_eps = R0 B (1 - Q)^(-1) B R0 with Q = B R0(z) B on the support, and
-    the kernel is inverted through (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.
     kernel_qx and kernel_qy are the eigenvectors of the channel operators
     a Kx - V(x) and a Ky - V(y), and kernel_denom[i, j] = lam_x[i] +
-    lam_y[j] + z, all positive, is the spectrum of H_eps + z.
+    lam_y[j] + z, all positive, is the spectrum of H_eps + z.  support holds
+    the flattened nodes where V(x) + V(y) exceeds SUPPORT_FLOOR times its peak.
     """
 
     z: float
@@ -208,69 +208,49 @@ class FiniteEpsilonResolvent:
     coupling: float
     grid: ProductGrid
     support: np.ndarray = field(repr=False)
-    b_support: np.ndarray = field(repr=False)
     kernel_qx: np.ndarray = field(repr=False)
     kernel_qy: np.ndarray = field(repr=False)
     kernel_denom: np.ndarray = field(repr=False)
     resolvent: ProductFreeResolvent = field(repr=False)
-    split_outer: np.ndarray = field(repr=False)
 
-    def apply(self, f: np.ndarray, four_term: bool = False) -> np.ndarray:
+    def apply(self, f: np.ndarray) -> np.ndarray:
         """W_eps(z) f for one flattened vector or an (n, b) block of them:
-        R0, (H_eps + z)^(-1) and R0 again, four products each.  four_term=True
-        uses the split outer factors sqrt(V(x)) + sqrt(V(y)) of the four-term
-        decomposition instead of B = sqrt(V(x) + V(y)) (they differ by the
-        O(eps^3) overlap defect)."""
-        f = np.asarray(f, dtype=float)
-        r0f = self.resolvent.apply(self.z, f).reshape(self.grid.n, -1)
-        outer = (self.split_outer if four_term else self.b_support)[:, None]
-        b = self.b_support[:, None]
-        u = outer * r0f[self.support]
-        # g = (1 - Q)^(-1) u = u + B (H_eps + z)^(-1) B u
-        src = np.zeros_like(r0f)
-        src[self.support] = b * u
-        g = u + b * _kronecker_sum_solve(self.kernel_qx, self.kernel_qy, self.kernel_denom, src)[self.support]
-        src[:] = 0.0
-        src[self.support] = outer * g
-        return self.resolvent.apply(self.z, src).reshape(f.shape)
+        (H_eps + z)^(-1) f - R0(z) f, four products each."""
+        w = _kronecker_sum_solve(self.kernel_qx, self.kernel_qy, self.kernel_denom, f)
+        w -= self.resolvent.apply(self.z, f)
+        return w
 
 
 def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeResolvent) -> FiniteEpsilonResolvent:
-    """Konno-Kuroda assembly of W_eps(z) on the product grid of resolvent, at its mass.
+    """W_eps(z) on the product grid of resolvent, at its mass.
 
-    B = sqrt(V_eps(x) + V_eps(y)) is diagonal and supported on the L-shaped
-    region where either potential is alive.  Q = B R0(z) B is positive
-    semidefinite there, and by congruence 1 - Q is positive definite exactly
-    when H_eps + z = a Kx (+) a Ky + z - B^2 is (the Birman-Schwinger
-    principle); then (1 - Q)^(-1) = 1 + B (H_eps + z)^(-1) B.  H_eps + z is
-    hx (+) hy + z with hx = a Kx - V(x), hy = a Ky - V(y), whose eigenvalues
-    are the sums lam_x[i] + lam_y[j] + z: two n-sized eigensolves (one when
-    gy is gx) give the exact gate (no three-body level below -z iff
-    lam_x[0] + lam_y[0] + z > 0) and the solver behind apply().  The dense block of Q and its top
-    eigenvalue are computed only when the gate fails, for the error message,
-    next to the lowest level lam_x[0] + lam_y[0] of H_eps.  B is cut to the
-    support (V(x) + V(y) > SUPPORT_FLOOR times its peak) while hx (+) hy
-    subtracts V(x) + V(y) at every node: they differ by less than
-    SUPPORT_FLOOR of the peak per node.  apply(four_term=True) uses the
-    four-term split sqrt(V(x)) + sqrt(V(y)) of the outer factors.
+    H_eps + z = hx (+) hy + z with hx = a Kx - V(x), hy = a Ky - V(y), whose
+    eigenvalues are the sums lam_x[i] + lam_y[j] + z: two n-sized
+    eigensolves (one when gy is gx) give the exact gate (no three-body level
+    below -z iff lam_x[0] + lam_y[0] + z > 0) and the solver behind apply().
+    By congruence the gate is the Birman-Schwinger principle: with
+    B = sqrt(V(x) + V(y)) on the support (V(x) + V(y) > SUPPORT_FLOOR times
+    its peak), 1 - Q, Q = B R0(z) B, is positive definite exactly when
+    H_eps + z is.  The dense block of Q and its top eigenvalue are computed
+    only when the gate fails, for the error message, next to the lowest
+    level lam_x[0] + lam_y[0] of H_eps.
     """
     _check_positive("z", z)
     grid = resolvent.grid
     gx, gy = grid.gx, grid.gy
     vx = v_scaled(gx.nodes)
     vy = v_scaled(gy.nodes)
-    v_sum = vx[:, None] + vy[None, :]
-    support = np.flatnonzero(grid.flatten(v_sum) > SUPPORT_FLOOR * v_sum.max())
+    v_sum = grid.flatten(vx[:, None] + vy[None, :])
+    support = np.flatnonzero(v_sum > SUPPORT_FLOOR * v_sum.max())
     if support.size == 0:
         raise ValueError("potential vanishes on the product grid")
-    b_sup = np.sqrt(grid.flatten(v_sum)[support])
-    split_sup = grid.flatten(np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :])[support]
     kx, ky = resolvent.kx, resolvent.ky
     lam_x, qx = np.linalg.eigh(TridiagonalOperator(kx.diag - vx, kx.off, gx, kx.m, "a Kx - V(x)").entries)
     hy = TridiagonalOperator(ky.diag - vy, ky.off, gy, ky.m, "a Ky - V(y)")
     lam_y, qy = (lam_x, qx) if gy is gx else np.linalg.eigh(hy.entries)  # hy is hx on a symmetric grid
     lowest = float(lam_x[0] + lam_y[0])
     if lowest + z <= 0.0:
+        b_sup = np.sqrt(v_sum[support])
         q = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)
         top_q = float(eigh(q, lower=True, eigvals_only=True, subset_by_index=[support.size - 1] * 2)[0])
         raise ValueError(
@@ -283,12 +263,10 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
         coupling=v_scaled.base.strength,
         grid=grid,
         support=support,
-        b_support=b_sup,
         kernel_qx=qx,
         kernel_qy=qy,
         kernel_denom=lam_x[:, None] + lam_y[None, :] + z,
         resolvent=resolvent,
-        split_outer=split_sup,
     )
 
 

@@ -10,7 +10,8 @@ factors assembled entry by entry in a loop, and the Mellin symbol of the
 contact image from the Gamma function.  The oracles stay
 independent of the code paths they check.  The helpers for the zero-range
 limit at the end take the package's product-grid free resolvent as given and
-build the rest themselves.
+build the rest themselves; the four-term Konno-Kuroda split of W_eps is built
+from its public applies.
 """
 
 import numpy as np
@@ -330,3 +331,28 @@ def stm_limit_apply(z, resolvent, test_functions):
     gamma = np.block([[fiber_y, -coupling], [-coupling.T, fiber_x]])
     fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
     return (lines @ np.linalg.solve(gamma, lines.T @ fs.T)).T
+
+
+def four_term_w_eps_apply(w_eps, v_scaled, f, split=True):
+    """W_eps(z) f in Konno-Kuroda form with the four-term split of the outer factors.
+
+    R0 s (1 - Q)^(-1) s R0 f, with (1 - Q)^(-1) = 1 + b R_eps b and
+    R_eps x = w_eps.apply(x) + R0(z) x, from public applies only:
+    b = sqrt(V(x) + V(y)) and s = sqrt(V(x)) + sqrt(V(y)) on w_eps.support
+    and 0 elsewhere.  split=False takes s = b, the unsplit Konno-Kuroda form
+    of W_eps itself; the split differs from it by the O(eps^3) overlap
+    defect.  f is one flattened vector or an (n, b) block of them as columns.
+    """
+    res, z = w_eps.resolvent, w_eps.z
+    grid = res.grid
+    vx, vy = v_scaled(grid.gx.nodes), v_scaled(grid.gy.nodes)
+    on_support = np.zeros(grid.n, dtype=bool)
+    on_support[w_eps.support] = True
+    b = np.where(on_support, np.sqrt(vx[:, None] + vy[None, :]).reshape(-1), 0.0)
+    s = np.where(on_support, (np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :]).reshape(-1), 0.0) if split else b
+    f = np.asarray(f, dtype=float)
+    b, s = (b, s) if f.ndim == 1 else (b[:, None], s[:, None])
+    u = s * res.apply(z, f)
+    bu = b * u
+    g = u + b * (w_eps.apply(bu) + res.apply(z, bu))
+    return res.apply(z, s * g)

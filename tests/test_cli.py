@@ -246,6 +246,55 @@ def test_bad_refine_factor_rejected_before_allocation(refine, tmp_path, capsys):
     assert peak < 2**18
 
 
+@pytest.mark.parametrize("rungs", [2, 5])
+@pytest.mark.parametrize("n_test", [1, 5])
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_limit_resolvent_memory_probe_bounds_its_peak(n, n_test, rungs, tmp_path, monkeypatch):
+    # the largest request to the physical-memory probe must cover what the
+    # run then allocates: measured 0.67-0.88 of it, where the Konno-Kuroda
+    # apply peaked at 1.04 of it on the 32 x 32 grid with one test function
+    requests = []
+    fits = cli._require_fits
+    monkeypatch.setattr(cli, "_require_fits", lambda n_floats, *args: requests.append(n_floats) or fits(n_floats, *args))
+    ladder = [0.4, 0.2, 0.1, 0.05, 0.025][-rungs:]
+    grid = dict(CONFIGS["limit-resolvent"]["grid"], n=n)
+    cfg = dict(CONFIGS["limit-resolvent"], grid=grid, sweep=ladder, n_test_functions=n_test)
+    tracemalloc.start()
+    try:
+        code = _run("limit-resolvent", cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 8 * max(requests)
+
+
+@pytest.mark.parametrize(
+    "command,field,value",
+    [
+        ("limit-resolvent", "sweep", 5),
+        ("limit-resolvent", "z", None),
+        ("limit-resolvent", "z", "abc"),
+        ("efimov", "sweep", 5),
+        ("thresholds", "bracket", 5),
+        ("kk-verify", "sweep", None),
+        ("scale-norms", "sweep", None),
+        ("independence", "z", [1]),
+        ("mass-sweep", "c", None),
+        ("resonance", "bracket", [1]),
+        ("cross-term", "sweep", ["0.2"]),
+        ("additivity", "sweep", [0.2, True]),
+    ],
+)
+def test_wrong_json_type_names_the_field(command, field, value, tmp_path, capfd):
+    # these once escaped as a raw TypeError or IndexError, or as "run failed"
+    code = _run(command, dict(CONFIGS[command], **{field: value}), tmp_path)
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert f"config error at {field}" in err
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("mass", [0.0, -1.0, -0.5, -3.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["resonance", "kk-verify", "limit-resolvent"])
 def test_bad_mass_rejected_at_the_config(command, mass, tmp_path, capfd):

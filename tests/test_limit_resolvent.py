@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     convergence_per_vector,
+    four_term_w_eps_apply,
     halving_orders,
     line_source_limit_apply,
     stm_limit_apply,
@@ -92,14 +93,13 @@ def test_batched_r0_apply_equals_column_applies_and_dense_kron():
     assert _rel(res.apply(z, np.ascontiguousarray(fs.T).T), block) <= 1e-15
 
 
-@pytest.mark.parametrize("four_term", [False, True])
-def test_batched_w_eps_apply_equals_column_applies(resonant_setup, four_term):
+def test_batched_w_eps_apply_equals_column_applies(resonant_setup):
     pg, v_ref, res = resonant_setup
     w_eps = assemble_w_eps(2.0, v_ref, res)
     fs = np.random.default_rng(22).standard_normal((pg.n, 5))
-    block = w_eps.apply(fs, four_term=four_term)
+    block = w_eps.apply(fs)
     assert block.shape == fs.shape
-    columns = np.column_stack([w_eps.apply(f, four_term=four_term) for f in fs.T])
+    columns = np.column_stack([w_eps.apply(f) for f in fs.T])
     assert _rel(block, columns) <= 1e-14
 
 
@@ -179,6 +179,26 @@ def test_limit_w_and_one_block_apply_stay_within_eight_blocks():
     assert peak < 8 * fs.nbytes
 
 
+def test_w_eps_assembly_and_one_block_apply_stay_within_five_blocks():
+    # W_eps f is two Kronecker-sum solves, with no support gather or
+    # scatter: on the criterion-7 grid at its last rung, the assembly and one
+    # apply to an (n^2, 5) block peak at 3.8 blocks under tracemalloc, where
+    # the Konno-Kuroda sandwich took 6.5
+    g = build_grid(64, 160.0, "logarithmic", r_min=3e-4)
+    res = ProductFreeResolvent(ProductGrid(g, g), 1.0)
+    eps = 0.025
+    lam = calibrate_couplings(GAUSS, [eps], g)[eps]
+    v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
+    fs = np.random.default_rng(26).standard_normal((res.grid.n, 5))
+    tracemalloc.start()
+    try:
+        assemble_w_eps(2.0, v, res).apply(fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * fs.nbytes
+
+
 @pytest.mark.parametrize("z", BAD_Z)
 def test_limit_w_rejects_bad_z(resonant_setup, z):
     pg, v_ref, res = resonant_setup
@@ -192,7 +212,8 @@ def test_limit_w_rejects_bad_z(resonant_setup, z):
 
 def test_four_term_split_matches_single_b_up_to_overlap_defect(resonant_setup):
     # the outer factors sqrt(V(x)) + sqrt(V(y)) versus sqrt(V(x) + V(y))
-    # differ only on the overlap corner, whose contribution dies with eps
+    # differ only on the overlap corner, whose contribution dies with eps;
+    # unsplit, the Konno-Kuroda form is the resolvent difference itself
     pg, v_ref, res = resonant_setup
     rng = np.random.default_rng(4)
     fs = rng.standard_normal((3, pg.n))
@@ -201,12 +222,10 @@ def test_four_term_split_matches_single_b_up_to_overlap_defect(resonant_setup):
         lam = resonance(ScaledPotential(GAUSS, ScalingLaw(2, eps, 3)), pg.gx).coupling
         scaled = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
         w_eps = assemble_w_eps(2.0, scaled, res)
-        rels.append(
-            [
-                np.linalg.norm(w_eps.apply(f) - w_eps.apply(f, four_term=True)) / np.linalg.norm(w_eps.apply(f))
-                for f in fs
-            ]
-        )
+        wf = w_eps.apply(fs.T)
+        assert _rel(four_term_w_eps_apply(w_eps, scaled, fs.T, split=False), wf) <= 1e-12
+        split = four_term_w_eps_apply(w_eps, scaled, fs.T)
+        rels.append(np.linalg.norm(wf - split, axis=0) / np.linalg.norm(wf, axis=0))
     rels = np.array(rels)
     assert np.all(rels < 0.12)
     assert np.all(np.diff(rels, axis=0) < 0.0)  # per function, each halving shrinks it
@@ -352,7 +371,6 @@ def test_w_eps_success_path_builds_no_dense_block(resonant_setup, monkeypatch):
     w_eps = assemble_w_eps(2.0, v_ref, res)
     f = np.random.default_rng(14).standard_normal(pg.n)
     assert np.all(np.isfinite(w_eps.apply(f)))
-    assert np.all(np.isfinite(w_eps.apply(f, four_term=True)))
 
 
 def test_w_eps_matches_dense_kron_resolvent_difference():
