@@ -83,8 +83,8 @@ def bs_operator(
     resolvent="exact" uses the whole-space Green kernel of dimension d and
     mass m (best for resonance work); resolvent="grid" uses the boxed
     discretized (H0 + z)^(-1) of h0, a TridiagonalOperator built on the grid
-    of V that carries its own dimension and mass, by one banded LU solve of
-    the tridiagonal H0 + z against the identity, which keeps the eigenvalue
+    of V whose entries carry its dimension and mass, by one banded LU solve
+    of the tridiagonal H0 + z against the identity, which keeps the eigenvalue
     count of Q consistent with the spectrum of that same boxed H0 - V (the
     Birman-Schwinger principle then holds as a matrix identity).  z = 0 is
     exact for d=3 with resolvent="exact" (kernel 2m min(r, r')); every other
@@ -102,18 +102,16 @@ def bs_operator(
         if h0 is None:
             raise ValueError("resolvent='grid' needs h0, the boxed H0 on the grid of V")
         h0 = TridiagonalOperator.require(h0, grid)
-        g, m = h0.inverse(z), h0.m
+        g = h0.inverse(z)
     else:
         raise ValueError("resolvent must be 'exact' or 'grid'")
     q = g * np.outer(sqv, sqv)
-    return OperatorMatrix(0.5 * (q + q.T), grid, m, label=f"Q(z={z:g})")
+    return OperatorMatrix(0.5 * (q + q.T), grid, label=f"Q(z={z:g})")
 
 
-def top_bs_eigenvalue(q: OperatorMatrix, k: int = 1) -> np.ndarray:
-    """Largest k eigenvalues of a Birman-Schwinger matrix, descending."""
-    n = q.n
-    vals = eigh(q.entries, eigvals_only=True, subset_by_index=[n - k, n - 1])
-    return vals[::-1]
+def top_bs_eigenvalue(q: OperatorMatrix) -> float:
+    """Largest eigenvalue of a Birman-Schwinger matrix."""
+    return float(eigh(q.entries, eigvals_only=True, subset_by_index=[q.n - 1] * 2)[0])
 
 
 def bs_count_above_one(q: OperatorMatrix) -> int:
@@ -351,19 +349,18 @@ def two_resonance_matrix(
     lambda_critical: float,
     z,
     grid: RadialGrid,
-    m: float = 0.5,
 ):
     """Assemble the 2x2 Birman-Schwinger matrix of the two-channel system.
 
-    Both channels live on identical grids with identical potentials.  The
-    supplied coupling must make each two-body subsystem resonant (top
-    eigenvalue of Q(0) within RESONANCE_TOL of 1), otherwise the channels are
-    flagged as off resonance.  Each z is 0 or at least Z_FLOOR.  The
-    diagonal deficits come from the top eigenvalue of the whole-space Q(z) of
-    the scaled potential's support, by the bidiagonal route of resonance().
-    z is one spectral parameter or a sequence of them; the resonance and the
-    single-coordinate eigenbasis do not depend on z and are computed once, and
-    a sequence returns one matrix per z.
+    Both channels live on identical grids with identical potentials, at
+    reduced mass 1/2.  The supplied coupling must make each two-body
+    subsystem resonant (top eigenvalue of Q(0) within RESONANCE_TOL of 1),
+    otherwise the channels are flagged as off resonance.  Each z is 0 or at
+    least Z_FLOOR.  The diagonal deficits come from the top eigenvalue of the
+    whole-space Q(z) of the scaled potential's support, by the bidiagonal
+    route of resonance().  z is one spectral parameter or a sequence of them;
+    the resonance and the single-coordinate eigenbasis do not depend on z and
+    are computed once, and a sequence returns one matrix per z.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     scaled = ScaledPotential(
@@ -371,8 +368,8 @@ def two_resonance_matrix(
     )
     qg = _resonance_quadrature_grid(potential, law, 800)
     v_qg = _on_support(scaled.on_grid(qg))
-    diags = [_whole_space_top(v_qg, zk, m)[0][0] - 1.0 for zk in zs]
-    res = resonance(scaled, qg, m, grid)
+    diags = [_whole_space_top(v_qg, zk, 0.5)[0][0] - 1.0 for zk in zs]
+    res = resonance(scaled, qg, eval_grid=grid)
     if abs(res.q0 - 1.0) > RESONANCE_TOL:
         raise ValueError(f"channels not at resonance: top BS eigenvalue of Q(0) {res.q0:.6f}")
 
@@ -390,7 +387,7 @@ def two_resonance_matrix(
     # Both sources are rank one, a (x) chi and chi (x) a, so in the eigenbasis
     # (mu, Q) of K the overlap through R0_prod = (Kx (+) Ky + z)^(-1) is
     # p^T D^(-1) p with p = (Q^T a) o (Q^T chi) and D_ij = mu_i + mu_j + z.
-    mu, vec = np.linalg.eigh(discretize_h0(grid, 3, m).entries)
+    mu, vec = np.linalg.eigh(discretize_h0(grid).entries)
     p = (vec.T @ a) * (vec.T @ chi)
     mats = []
     for zk, diag in zip(zs, diags):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import build_grid
+from .grids import MIN_GRID_NODES, build_grid
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm, scale_potential
 from .reports import ReportRow, write_report
 
@@ -75,9 +75,12 @@ def _law(cfg: dict, key: str = "law", required: bool = True) -> ScalingLaw:
     block = _get(cfg, key, required=required)
     if block is None:
         return ScalingLaw(None, 1.0, 3)
+    if not isinstance(block, dict):
+        raise ConfigError(key, f"must be an object, got {block!r}")
+    p = None if block.get("p") is None else _integer(block["p"], f"{key}.p", 1)
+    d = _integer(block.get("d", 3), f"{key}.d", 2)
     try:
-        p = block.get("p")
-        return ScalingLaw(None if p is None else int(p), float(block.get("epsilon", 1.0)), int(block.get("d", 3)))
+        return ScalingLaw(p, float(block.get("epsilon", 1.0)), d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from None
 
@@ -87,6 +90,13 @@ def _number(raw, field: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(field, f"must be a number, got {raw!r}")
     return float(raw)
+
+
+def _integer(raw, field: str, minimum: int) -> int:
+    """raw if it is a JSON integer (not a bool) of at least minimum, else ConfigError(field)."""
+    if type(raw) is not int or raw < minimum:
+        raise ConfigError(field, f"must be an integer >= {minimum}, got {raw!r}")
+    return raw
 
 
 def _numbers(cfg: dict, field: str, default, length: int | None = None) -> list:
@@ -120,15 +130,13 @@ def _require_dense_fits(n: int, field: str):
 
 
 def _grid(cfg: dict, key: str = "grid"):
-    n = _get(cfg, f"{key}.n", required=True)
+    n = _integer(_get(cfg, f"{key}.n", required=True), f"{key}.n", MIN_GRID_NODES)
     r_max = _get(cfg, f"{key}.r_max", required=True)
     spacing = _get(cfg, f"{key}.spacing", "logarithmic")
     r_min = _get(cfg, f"{key}.r_min")
+    _require_dense_fits(n, f"{key}.n")
     try:
-        _require_dense_fits(int(n), f"{key}.n")
-        return build_grid(int(n), float(r_max), spacing, None if r_min is None else float(r_min))
-    except ConfigError:
-        raise
+        return build_grid(n, float(r_max), spacing, None if r_min is None else float(r_min))
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from None
 
@@ -169,7 +177,7 @@ def _run_resonance(cfg):
     pot = _potential(cfg)
     law = _law(cfg, required=False)
     bracket = tuple(_numbers(cfg, "bracket", (0.1, 50.0), length=2))
-    n = int(_get(cfg, "grid.n", 800))
+    n = _integer(_get(cfg, "grid.n", 800), "grid.n", MIN_GRID_NODES)
     _require_dense_fits(n, "grid.n")
     rep = find_resonance_coupling(pot, law, bracket, n=n, m=_mass(cfg, 0.5))
     row = ReportRow(
@@ -277,9 +285,7 @@ def _run_independence(cfg):
 def _run_limit_resolvent(cfg):
     from .limit_resolvent import ProductGrid, ProductFreeResolvent, convergence_study
 
-    n_test = _get(cfg, "n_test_functions", 5)
-    if type(n_test) is not int or n_test < 1:  # bool and float are not counts
-        raise ConfigError("n_test_functions", f"must be a positive integer, got {n_test!r}")
+    n_test = _integer(_get(cfg, "n_test_functions", 5), "n_test_functions", 1)
     grid = _grid(cfg)
     n = grid.n
     # tracemalloc over n = 32 ... 64: the eigenbases, line weights, potentials and
@@ -292,7 +298,7 @@ def _run_limit_resolvent(cfg):
     z = _number(_get(cfg, "z", 2.0), "z")
     eps = _numbers(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])
     _require_fits((11 + (len(eps) + 10) * n_test) * n**2, "n_test_functions", f"{n_test} test functions")
-    seed = int(_get(cfg, "seed", 11))
+    seed = _integer(_get(cfg, "seed", 11), "seed", 0)
     rng = np.random.default_rng(seed)
     res = ProductFreeResolvent(pg, m)
     cols = rng.standard_normal((n_test, pg.n)).T
@@ -316,14 +322,14 @@ def _run_limit_resolvent(cfg):
 
 
 def _run_efimov(cfg):
-    from .efimov import effective_operator, geometric_ratio, operator_spectrum
+    from .efimov import KINDS, effective_operator, geometric_ratio, operator_spectrum
 
-    refine = _get(cfg, "refine", 0)
-    if type(refine) is not int or refine < 0:  # bool and float are not factors
-        raise ConfigError("refine", f"must be an integer >= 0, got {refine!r}")
+    refine = _integer(_get(cfg, "refine", 0), "refine", 0)
     grid = _grid(cfg)
-    d = int(_get(cfg, "d", 3))
+    d = _integer(_get(cfg, "d", 3), "d", 2)
     kind = _get(cfg, "kind", "contact_image")
+    if kind not in KINDS:
+        raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
     c_sweep = _numbers(cfg, "sweep", None)
     _require_dense_fits(refine * grid.n, "refine")
     rows = []
@@ -358,9 +364,12 @@ def _run_thresholds(cfg):
     from .efimov import find_thresholds
 
     kind = _get(cfg, "kind", "contact_image")
-    dims = [int(d) for d in _numbers(cfg, "sweep", [2, 3])]
+    dims = _get(cfg, "sweep", [2, 3])
+    if not isinstance(dims, list):
+        raise ConfigError("sweep", f"must be a list of dimensions, got {dims!r}")
+    dims = [_integer(d, "sweep", 2) for d in dims]
     bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
-    n = int(_get(cfg, "grid.n", 300))
+    n = _integer(_get(cfg, "grid.n", 300), "grid.n", MIN_GRID_NODES)
     _require_dense_fits(n, "grid.n")
     rows = []
     for d in dims:
@@ -380,10 +389,12 @@ def _run_kernel22(cfg):
     from .efimov import kernel22
 
     pairs = _get(cfg, "sweep", required=True)
+    two = lambda x: isinstance(x, list) and len(x) == 2
+    if not (isinstance(pairs, list) and all(two(pair) and all(map(two, pair)) for pair in pairs)):
+        raise ConfigError("sweep", f"must be a list of pairs of 2-vectors, got {pairs!r}")
     rows = []
     for pair in pairs:
-        q1 = np.asarray(pair[0], dtype=float)
-        q2 = np.asarray(pair[1], dtype=float)
+        q1, q2 = (np.array([_number(c, "sweep") for c in q]) for q in pair)
         val = kernel22(q1, q2)
         rows.append(
             ReportRow(

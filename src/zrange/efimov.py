@@ -28,6 +28,7 @@ from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _che
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # C1 bisection tolerance; node factor of the refined run
+THRESHOLD_R_MIN, THRESHOLD_R_MAX = 1e-4, 2e2  # ends of the threshold grid; the ladder deepens r_min by decades
 GEOMETRIC_DEVIATION_TOL = 0.10  # largest relative spread of the inner depth ratios that is still geometric
 N_CHI, N_DELTA = 64, 128  # midpoint nodes of the hyperradial angular average (doubled for its flag)
 
@@ -47,8 +48,6 @@ class ThresholdReport:
 
     C0: float
     C1: float
-    d: int
-    kind: str
     grid_refinement_drift: float
 
 
@@ -94,13 +93,13 @@ def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float =
         if d != 2:
             raise ValueError("three_body_2d is defined for d=2 constituents")
         kin = hyperradial_kinetic(grid, mass_scale=m)
-        return EffectiveOperator(kind, C, d, grid, TridiagonalOperator(kin.diag - C * tail, kin.off, grid, m, label))
+        return EffectiveOperator(kind, C, d, grid, TridiagonalOperator(kin.diag - C * tail, kin.off, grid, label))
     if kind == "weak_image":
         tail = np.where(r <= 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
     w = _root_factor(grid, d, m)
     mat = w @ w.T
     mat[np.diag_indices_from(mat)] -= C * tail  # in place: the matrix stays exactly symmetric
-    return EffectiveOperator(kind, C, d, grid, OperatorMatrix(mat, grid, m, label=label))
+    return EffectiveOperator(kind, C, d, grid, OperatorMatrix(mat, grid, label=label))
 
 
 def operator_spectrum(op: EffectiveOperator) -> SpectrumReport:
@@ -149,24 +148,21 @@ def find_thresholds(
     d: int,
     bracket: tuple = (0.05, 4.0),
     n: int = 400,
-    r_min: float = 1e-4,
-    r_max: float = 2e2,
-    m: float = 0.5,
 ) -> ThresholdReport:
     """Locate C0 (positivity threshold) and C1 (onset of unbounded counts).
 
     Every count is #{mu < C} on the inertia spectrum mu of the grid (see
-    _inertia_spectrum), so each grid costs one eigensolve whatever the
-    number of bisection steps.  C0, the positivity threshold, is mu_min of
-    the r_min grid itself: the contact image is positive exactly for
-    C <= mu_min.  C1 is the transition point the bisection finds for
-    "the count gains at least one state per r_min decade, never falling,
-    over a ladder of seven grids"; that predicate need not be monotone in C,
-    so C1 is not in general the infimum of the growing couplings, and it is
-    bisected to THRESHOLD_REL_TOL.  Both are taken at n and at
-    REFINE_FACTOR * n: the refined values are returned, with no
-    extrapolation, and their relative drift is reported.  The bracket must
-    hold mu_min in [lo, hi) and straddle the C1 transition.
+    _inertia_spectrum) at mass 1/2, so each grid costs one eigensolve
+    whatever the number of bisection steps.  C0, the positivity threshold,
+    is mu_min of the grid on [THRESHOLD_R_MIN, THRESHOLD_R_MAX]: the contact
+    image is positive exactly for C <= mu_min.  C1 is the transition point
+    the bisection finds for "the count gains at least one state per r_min
+    decade, never falling, over a ladder of seven grids"; that predicate
+    need not be monotone in C, so C1 is not in general the infimum of the
+    growing couplings, and it is bisected to THRESHOLD_REL_TOL.  Both are
+    taken at n and at REFINE_FACTOR * n: the refined values are returned,
+    with no extrapolation, and their relative drift is reported.  The
+    bracket must hold mu_min in [lo, hi) and straddle the C1 transition.
     """
     if kind != "contact_image":
         raise ValueError(
@@ -182,8 +178,8 @@ def find_thresholds(
         # short ladder the integer staircase phases of state entry oscillate
         # around the crossing and make the predicate non-monotone in C.
         # The factored kinetic keeps the deep-r_min grids accurate.
-        ladder = [build_grid(n_run, r_max, "logarithmic", r_min=r_min * 10.0**-k) for k in range(7)]
-        spectra = [_inertia_spectrum(d, g, m) for g in ladder]
+        ladder = [build_grid(n_run, THRESHOLD_R_MAX, "logarithmic", r_min=THRESHOLD_R_MIN * 10.0**-k) for k in range(7)]
+        spectra = [_inertia_spectrum(d, g, 0.5) for g in ladder]
         c0 = float(spectra[0][0])
         if not lo <= c0 < hi:
             raise ValueError(f"bracket does not straddle the transition: mu_min = {c0:g} is not in [{lo:g}, {hi:g})")
@@ -203,7 +199,7 @@ def find_thresholds(
     c0, c1 = c0_b, c1_b
     if c0 > c1:
         raise ValueError(f"threshold ordering violated: C0={c0:g} > C1={c1:g}")
-    return ThresholdReport(c0, c1, d, kind, float(drift))
+    return ThresholdReport(c0, c1, float(drift))
 
 
 # ---------------------------------------------------------------------------

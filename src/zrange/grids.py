@@ -50,6 +50,10 @@ class RadialGrid:
     def r_min(self) -> float:
         return float(self.nodes[0])
 
+    def matches(self, other: "RadialGrid") -> bool:
+        """True when other is this grid or has the same nodes and weights."""
+        return other is self or (np.array_equal(other.nodes, self.nodes) and np.array_equal(other.weights, self.weights))
+
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoid integral of node values over (0, r_max]."""
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))

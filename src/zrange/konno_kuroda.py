@@ -34,11 +34,10 @@ N_COMPARE = 3  # low-lying levels compared by independence_spectrum_check
 
 @dataclass
 class ResolventDifference:
-    """R(z) - R0(z) with its assembly route."""
+    """R(z) - R0(z), with the smallest |eigenvalue| of 1 - Q(z) when assembled through Q."""
 
     matrix: OperatorMatrix
     z: float
-    assembly: str  # "konno_kuroda" or "direct"
     smallest_one_minus_q: float = float("nan")
 
 
@@ -69,7 +68,7 @@ def _fit_exponent(epsilons: np.ndarray, values: np.ndarray) -> float:
 def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) -> ResolventDifference:
     """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V.
 
-    h0 must be a TridiagonalOperator built on the grid of V; the mass is h0.m.
+    h0 must be a TridiagonalOperator built on the grid of V.
     Raises SingularSystemError when the smallest |eigenvalue| of the
     symmetric 1 - Q(z) is at most SINGULAR_FLOOR.
     """
@@ -92,14 +91,14 @@ def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) 
     mid = np.linalg.solve(one_minus_q, left.T)
     diff = left @ mid
     diff = 0.5 * (diff + diff.T)
-    mat = OperatorMatrix(diff, grid, h0.m, label=f"R-R0(z={z:g})")
-    return ResolventDifference(mat, z, "konno_kuroda", smallest)
+    mat = OperatorMatrix(diff, grid, label=f"R-R0(z={z:g})")
+    return ResolventDifference(mat, z, smallest)
 
 
 def direct_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) -> ResolventDifference:
     """(H0 - V + z)^(-1) - (H0 + z)^(-1), each by one banded LU solve (oracle route).
 
-    h0 must be a TridiagonalOperator built on the grid of V; the mass is h0.m.
+    h0 must be a TridiagonalOperator built on the grid of V.
     """
     _check_positive("z", z)
     grid = v.grid
@@ -107,25 +106,24 @@ def direct_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) ->
     full = h0.inverse(z - v.values)
     free = h0.inverse(z)
     diff = 0.5 * ((full - free) + (full - free).T)
-    return ResolventDifference(OperatorMatrix(diff, grid, h0.m, label="direct"), z, "direct")
+    return ResolventDifference(OperatorMatrix(diff, grid, label="direct"), z)
 
 
-def _defect_ladder(integrand, eps_list, grid: RadialGrid, d: int, refine_check: bool) -> DefectReport:
+def _defect_ladder(integrand, eps_list, grid: RadialGrid, d: int) -> DefectReport:
     """L1 norms of integrand(eps, r) along the ladder, with their fitted exponent.
 
-    With refine_check, each norm is recomputed on a grid of twice the nodes
-    and a value that moves by more than 1% is flagged.
+    Each norm is recomputed on a grid of twice the nodes, and a value that
+    moves by more than 1% is flagged.
     """
     eps_list = np.asarray(list(eps_list), dtype=float)
-    fine = _refine(grid) if refine_check else None
+    fine = _refine(grid)
     values = []
     flags = []
     for eps in eps_list:
         val = l1_norm(integrand(eps, grid.nodes), grid, d)
-        if fine is not None:
-            val_f = l1_norm(integrand(eps, fine.nodes), fine, d)
-            if val > 0 and abs(val_f - val) > 0.01 * val:
-                flags.append(f"quadrature_not_converged@eps={eps:g}")
+        val_f = l1_norm(integrand(eps, fine.nodes), fine, d)
+        if val > 0 and abs(val_f - val) > 0.01 * val:
+            flags.append(f"quadrature_not_converged@eps={eps:g}")
         values.append(val)
     values = np.array(values)
     return DefectReport(eps_list, values, _fit_exponent(eps_list, values), flags)
@@ -138,7 +136,6 @@ def cross_term_norm(
     law_u: ScalingLaw,
     eps_list,
     grid: RadialGrid,
-    refine_check: bool = True,
 ) -> DefectReport:
     """L1 norm of sqrt(V1_eps) sqrt(U_eps) along a decreasing epsilon ladder.
 
@@ -152,7 +149,7 @@ def cross_term_norm(
         fu = ScaledPotential(u, law_u.with_epsilon(eps) if law_u.p is not None else law_u)(r)
         return np.sqrt(f1) * np.sqrt(fu)
 
-    return _defect_ladder(integrand, eps_list, grid, law1.d, refine_check)
+    return _defect_ladder(integrand, eps_list, grid, law1.d)
 
 
 def additivity_defect(
@@ -161,12 +158,11 @@ def additivity_defect(
     v3: BasePotential,
     eps_list,
     grid: RadialGrid,
-    refine_check: bool = True,
 ) -> DefectReport:
     """|| (sqrt(V2_eps) + sqrt(V3))^2 - V2_eps - V3 ||_1 = 2 || sqrt(V2_eps V3) ||_1.
 
-    V2 carries a weak-contact law, V3 is unscaled.  Both the algebraic form
-    and its identity reduction are evaluated; they agree to rounding.
+    V2 carries a weak-contact law, V3 is unscaled.  The algebraic form is
+    evaluated; a value that moves by more than 1% under grid doubling is flagged.
     """
 
     def integrand(eps, r):
@@ -174,7 +170,7 @@ def additivity_defect(
         f3 = v3(r)
         return (np.sqrt(f2) + np.sqrt(f3)) ** 2 - f2 - f3
 
-    return _defect_ladder(integrand, eps_list, grid, law2.d, refine_check)
+    return _defect_ladder(integrand, eps_list, grid, law2.d)
 
 
 def _refine(grid: RadialGrid) -> RadialGrid:

@@ -97,18 +97,19 @@ def _kronecker_sum_solve(qx: np.ndarray, qy: np.ndarray, denom: np.ndarray, f: n
 class ProductFreeResolvent:
     """(a Kx (+) a Ky + z)^(-1) through the single-coordinate eigenbases.
 
-    It carries its product grid and mass m; assemble_w_eps and limit_w take both from it.
+    It carries its product grid and, as a = (m + 1) / (2 m), the mass m: the one place
+    where the mass enters the product-grid layer.  assemble_w_eps, limit_w and
+    calibrate_couplings read both.
     """
 
     def __init__(self, grid: ProductGrid, m: float = 1.0):
         _check_positive("mass m", m)
         self.grid = grid
-        self.m = m
         self.a = (m + 1.0) / (2.0 * m)
-        # a Kx and a Ky, K the d=3 kinetic at m = 1/2: the kinetic at the reduced mass m/(m + 1)
+        # a Kx and a Ky, K the d=3 kinetic at m = 1/2: the kinetic at the reduced mass 1/(2a) = m/(m + 1)
         kx, ky = discretize_h0(grid.gx, 3, 0.5), discretize_h0(grid.gy, 3, 0.5)
-        self.kx = TridiagonalOperator(self.a * kx.diag, self.a * kx.off, grid.gx, 0.5 / self.a, "a Kx")
-        self.ky = TridiagonalOperator(self.a * ky.diag, self.a * ky.off, grid.gy, 0.5 / self.a, "a Ky")
+        self.kx = TridiagonalOperator(self.a * kx.diag, self.a * kx.off, grid.gx, "a Kx")
+        self.ky = TridiagonalOperator(self.a * ky.diag, self.a * ky.off, grid.gy, "a Ky")
         self.mu_x, self.qx = np.linalg.eigh(self.kx.entries)
         # on a symmetric grid a Ky is a Kx entry for entry: one eigensolve serves both
         self.mu_y, self.qy = (self.mu_x, self.qx) if grid.gy is grid.gx else np.linalg.eigh(self.ky.entries)
@@ -204,8 +205,6 @@ class FiniteEpsilonResolvent:
     """
 
     z: float
-    epsilon: float
-    coupling: float
     grid: ProductGrid
     support: np.ndarray = field(repr=False)
     kernel_qx: np.ndarray = field(repr=False)
@@ -245,8 +244,8 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     if support.size == 0:
         raise ValueError("potential vanishes on the product grid")
     kx, ky = resolvent.kx, resolvent.ky
-    lam_x, qx = np.linalg.eigh(TridiagonalOperator(kx.diag - vx, kx.off, gx, kx.m, "a Kx - V(x)").entries)
-    hy = TridiagonalOperator(ky.diag - vy, ky.off, gy, ky.m, "a Ky - V(y)")
+    lam_x, qx = np.linalg.eigh(TridiagonalOperator(kx.diag - vx, kx.off, gx, "a Kx - V(x)").entries)
+    hy = TridiagonalOperator(ky.diag - vy, ky.off, gy, "a Ky - V(y)")
     lam_y, qy = (lam_x, qx) if gy is gx else np.linalg.eigh(hy.entries)  # hy is hx on a symmetric grid
     lowest = float(lam_x[0] + lam_y[0])
     if lowest + z <= 0.0:
@@ -259,8 +258,6 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
         )
     return FiniteEpsilonResolvent(
         z=z,
-        epsilon=v_scaled.law.epsilon,
-        coupling=v_scaled.base.strength,
         grid=grid,
         support=support,
         kernel_qx=qx,
@@ -270,35 +267,25 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     )
 
 
-def channel_mass(m: float) -> float:
-    """Reduced mass of one two-body channel when the third particle has mass m."""
-    _check_positive("mass m", m)
-    return m / (m + 1.0)
-
-
-def calibrate_couplings(
-    potential: BasePotential,
-    eps_list,
-    grid_x: RadialGrid,
-    m: float = 1.0,
-) -> dict:
+def calibrate_couplings(potential: BasePotential, eps_list, resolvent: ProductFreeResolvent) -> dict:
     """Critical coupling of the node-sampled scaled channel at each epsilon.
 
-    The resonance is computed from the potential's values at the nodes of
-    grid_x, so the calibration matches exactly what a product-grid assembly
-    of the same samples sees; this is what keeps an epsilon ladder on
-    resonance when the scaled well is carried by a handful of log nodes.
-    The p=2 scaling preserves the zero-energy resonance exactly in the
-    continuum; per-rung recalibration on the sampled values removes the
-    residual discretization detuning, which would otherwise dominate the
-    distance to the limit operator.  Each value is the strength at which the
-    unit-strength profile is resonant, whatever the strength of potential.
+    The resonance is computed at the channel's reduced mass 1/(2a) = m/(m + 1)
+    from the potential's values at the x nodes of the resolvent's grid, so the
+    calibration matches exactly what a product-grid assembly of the same
+    samples sees; this is what keeps an epsilon ladder on resonance when the
+    scaled well is carried by a handful of log nodes.  The p=2 scaling
+    preserves the zero-energy resonance exactly in the continuum; per-rung
+    recalibration on the sampled values removes the residual discretization
+    detuning, which would otherwise dominate the distance to the limit
+    operator.  Each value is the strength at which the unit-strength profile
+    is resonant, whatever the strength of potential.
     """
-    m_ch = channel_mass(m)
+    m_ch = 0.5 / resolvent.a
     out = {}
     for eps in eps_list:
         scaled = ScaledPotential(potential, ScalingLaw(2, float(eps), 3))
-        out[float(eps)] = resonance(scaled, grid_x, m_ch).coupling * potential.strength
+        out[float(eps)] = resonance(scaled, resolvent.grid.gx, m_ch).coupling * potential.strength
     return out
 
 
@@ -309,7 +296,7 @@ class ConvergenceReport:
     w_eps_f: np.ndarray = field(repr=False)  # (n_eps, n_test, n): W_eps(z) f
     monotone: bool
     reduction_factors: np.ndarray
-    couplings: dict = field(default_factory=dict)
+    couplings: dict  # rung epsilon -> calibrated coupling
 
 
 def convergence_study(
@@ -319,19 +306,21 @@ def convergence_study(
     grid: ProductGrid,
     test_functions: np.ndarray,
     m: float = 1.0,
-    couplings: dict | None = None,
 ) -> ConvergenceReport:
     """Strong-convergence test of W_eps(z) toward the limit operator W(z).
 
     Each rung of the decreasing epsilon ladder is assembled at its own
     critical coupling, so the two-body channel stays exactly resonant; the
     limit W(z) is limit_w(z, R0) and needs no resonance, so the study solves
-    one resonance per rung.  Reported discrepancies are
-    ||W_eps(z) f - W(z) f|| / ||f|| per test function; the family W_eps(z) f
-    itself is kept in the report.  The test functions are applied as one
-    block: one W(z) apply in all, and one W_eps(z) apply per rung.
+    one resonance per rung, calibrated on the x factor, which the y factor must
+    equal.  Reported discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per
+    test function; the family W_eps(z) f itself is kept in the report.  The
+    test functions are applied as one block: one W(z) apply in all, and one
+    W_eps(z) apply per rung.
     """
     _check_positive("z", z)
+    if not grid.gx.matches(grid.gy):
+        raise ValueError("the product grid's y factor must equal its x factor: the rungs are calibrated on x")
     eps_list = _decreasing_ladder(eps_list)
     if eps_list.size == 0 or not np.all((eps_list > 0.0) & (eps_list <= 1.0)):
         raise ValueError(f"epsilon ladder must be non-empty with every rung finite and in (0, 1], got {eps_list}")
@@ -342,9 +331,8 @@ def convergence_study(
         raise ValueError("test functions must be finite (no NaN or inf)")
     if np.any(np.linalg.norm(fs, axis=1) == 0.0):
         raise ValueError("test functions must have nonzero norm")
-    if couplings is None:
-        couplings = calibrate_couplings(potential, eps_list, grid.gx, m)
     res = ProductFreeResolvent(grid, m)
+    couplings = calibrate_couplings(potential, eps_list, res)
     w_model = limit_w(z, res)
     # every test function is one column of a single (n, n_test) block
     cols = np.ascontiguousarray(fs.T)

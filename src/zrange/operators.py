@@ -48,11 +48,10 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 @dataclass
 class OperatorMatrix:
-    """Dense symmetric matrix acting on weight-scaled reduced waves."""
+    """Dense symmetric matrix acting on weight-scaled reduced waves; any mass is in its entries."""
 
     entries: np.ndarray = field(repr=False)
     grid: object  # RadialGrid or ProductGrid
-    m: float = 0.5
     label: str = ""
 
     def __post_init__(self):
@@ -95,7 +94,6 @@ class TridiagonalOperator:
     diag: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
     grid: object  # RadialGrid or None
-    m: float = 0.5
     label: str = ""
 
     def __post_init__(self):
@@ -139,11 +137,9 @@ class TridiagonalOperator:
         label = getattr(h, "label", "") or "operator"
         if not isinstance(h, TridiagonalOperator):
             raise ValueError(f"{label} is dense: entries off its three diagonals would be dropped")
-        own = h.grid
-        if own is None:
+        if h.grid is None:
             raise ValueError(f"{label} carries no grid")
-        same = own is grid or (np.array_equal(own.nodes, grid.nodes) and np.array_equal(own.weights, grid.weights))
-        if not same:
+        if not grid.matches(h.grid):
             raise ValueError(f"{label} was built on another grid")
         return h
 
@@ -229,7 +225,7 @@ def discretize_h0(grid: RadialGrid, d: int = 3, m: float = 0.5) -> TridiagonalOp
     Symmetric positive semidefinite by construction (a Gram matrix), with
     Dirichlet behavior at the origin (regular reduced wave) and at r_max.
     """
-    return TridiagonalOperator(*_gram_tridiagonal(*_kinetic_diagonals(grid, d, m)), grid, m, label=f"H0[d={d}]")
+    return TridiagonalOperator(*_gram_tridiagonal(*_kinetic_diagonals(grid, d, m)), grid, label=f"H0[d={d}]")
 
 
 def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> TridiagonalOperator:
@@ -240,7 +236,7 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
     """
     _check_positive("mass_scale", mass_scale)
     k = _gram_tridiagonal(*_weighted_diagonals(grid, 3, np.sqrt(mass_scale)))
-    return TridiagonalOperator(*k, grid, 0.5, label="H_hyper")
+    return TridiagonalOperator(*k, grid, label="H_hyper")
 
 
 def _upper_bidiagonal(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +323,7 @@ def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix
     as BLAS syrk and comes out exactly symmetric.
     """
     w = _root_factor(grid, d, m)
-    return OperatorMatrix(w @ w.T, grid, m, label=f"sqrt(H0[d={d}])")
+    return OperatorMatrix(w @ w.T, grid, label=f"sqrt(H0[d={d}])")
 
 
 # ---------------------------------------------------------------------------
@@ -371,4 +367,4 @@ def green_kernel_matrix(grid: RadialGrid, d: int, z: float, m: float = 0.5) -> O
     r = grid.nodes
     kern = radial_green_kernel(d, z, r[:, None], r[None, :], m)
     sw = np.sqrt(grid.weights)
-    return OperatorMatrix(kern * np.outer(sw, sw), grid, m, label=f"G[d={d},z={z:g}]")
+    return OperatorMatrix(kern * np.outer(sw, sw), grid, label=f"G[d={d},z={z:g}]")

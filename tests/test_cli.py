@@ -295,6 +295,40 @@ def test_wrong_json_type_names_the_field(command, field, value, tmp_path, capfd)
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize(
+    "command,field,value",
+    [
+        ("efimov", "d", None),
+        ("efimov", "d", "3"),
+        ("efimov", "kind", 5),
+        ("efimov", "grid.n", 200.5),
+        ("limit-resolvent", "seed", None),
+        ("limit-resolvent", "seed", 1.5),
+        ("resonance", "grid.n", None),
+        ("thresholds", "grid.n", "x"),
+        ("thresholds", "sweep", [3.5]),
+        ("scale-norms", "law.p", "2"),
+        ("cross-term", "u_law.d", 3.0),
+        ("kernel22", "sweep", 5),
+        ("kernel22", "sweep", [[[1.0, 0.0]]]),
+    ],
+)
+def test_integer_and_structured_fields_name_the_field(command, field, value, tmp_path, capfd):
+    # these once escaped as a raw TypeError or IndexError, exited 1 with
+    # "run failed", or were cut or accepted silently (seed 1.5 ran as 1)
+    cfg = json.loads(json.dumps(CONFIGS[command]))
+    *parents, leaf = field.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    code = _run(command, cfg, tmp_path)
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert f"config error at {field}" in err
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("mass", [0.0, -1.0, -0.5, -3.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["resonance", "kk-verify", "limit-resolvent"])
 def test_bad_mass_rejected_at_the_config(command, mass, tmp_path, capfd):

@@ -102,7 +102,7 @@ def test_non_tridiagonal_h0_rejected(box100):
     g, h0 = box100
     a = h0.entries.copy()
     a[0, 2] = a[2, 0] = 1e-3
-    wide = OperatorMatrix(a, g, 0.5, label="wide")
+    wide = OperatorMatrix(a, g, label="wide")
     v = GridFunction(g, WELL(g.nodes))
     for call in (
         lambda: assemble_resolvent_diff(v, 1.0, h0=wide),
@@ -233,9 +233,9 @@ def test_cross_term_unscaled_partner_has_steeper_decay(log_grid):
 
 
 def test_cross_term_homogeneity_in_couplings(log_grid):
-    rep1 = cross_term_norm(GAUSS, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), [0.1], log_grid, refine_check=False)
+    rep1 = cross_term_norm(GAUSS, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), [0.1], log_grid)
     strong = BasePotential("gaussian", 4.0, 1.0)
-    rep2 = cross_term_norm(strong, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), [0.1], log_grid, refine_check=False)
+    rep2 = cross_term_norm(strong, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), [0.1], log_grid)
     assert rep2.values[0] == pytest.approx(2.0 * rep1.values[0], rel=1e-12)
 
 
@@ -266,7 +266,7 @@ def test_cross_term_flags_unconverged_quadrature():
 
 def test_additivity_defect_algebraic_identity(log_grid):
     # (sqrt a + sqrt b)^2 - a - b = 2 sqrt(a b), checked at eps = 1
-    rep = additivity_defect(GAUSS, ScalingLaw(2, 1, 3), BROAD, [1.0], log_grid, refine_check=False)
+    rep = additivity_defect(GAUSS, ScalingLaw(2, 1, 3), BROAD, [1.0], log_grid)
     f2 = GAUSS(log_grid.nodes)
     f3 = BROAD(log_grid.nodes)
     expected = 2.0 * l1_norm(np.sqrt(f2 * f3), log_grid, 3)

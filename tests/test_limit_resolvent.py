@@ -26,7 +26,6 @@ from zrange.limit_resolvent import (
     ProductGrid,
     assemble_w_eps,
     calibrate_couplings,
-    channel_mass,
     convergence_study,
     limit_w,
 )
@@ -187,7 +186,7 @@ def test_w_eps_assembly_and_one_block_apply_stay_within_five_blocks():
     g = build_grid(64, 160.0, "logarithmic", r_min=3e-4)
     res = ProductFreeResolvent(ProductGrid(g, g), 1.0)
     eps = 0.025
-    lam = calibrate_couplings(GAUSS, [eps], g)[eps]
+    lam = calibrate_couplings(GAUSS, [eps], res)[eps]
     v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
     fs = np.random.default_rng(26).standard_normal((res.grid.n, 5))
     tracemalloc.start()
@@ -381,9 +380,10 @@ def test_w_eps_matches_dense_kron_resolvent_difference():
     gy = build_grid(24, 20.0, "linear")
     pg = ProductGrid(gx, gy)
     m, z, eps = 2.0, 1.5, 0.2
-    lam = calibrate_couplings(GAUSS, [eps], gx, m)[eps]
+    res = ProductFreeResolvent(pg, m)
+    lam = calibrate_couplings(GAUSS, [eps], res)[eps]
     v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
-    w_eps = assemble_w_eps(z, v, ProductFreeResolvent(pg, m))
+    w_eps = assemble_w_eps(z, v, res)
     h0_z = _dense_h0_z(pg, m, z)
     v_sum = _v_sum(pg, v)
     b_sq = np.where(v_sum > SUPPORT_FLOOR * v_sum.max(), v_sum, 0.0)
@@ -465,7 +465,7 @@ def test_sqrt_eps_order_rejects_detuned_ladder(small_product):
     ladder = [0.2, 0.1, 0.05]
     res = ProductFreeResolvent(pg, 1.0)
     fs = _smoothed_tests(res, z, 2)
-    couplings = calibrate_couplings(GAUSS, ladder, pg.gx)
+    couplings = calibrate_couplings(GAUSS, ladder, res)
 
     def orders(scale):
         scaled = {eps: scale * lam for eps, lam in couplings.items()}
@@ -484,7 +484,7 @@ def fine_ladder():
     ladder = [0.2, 0.1, 0.05, 0.025, 0.0125]
     res = ProductFreeResolvent(pg, 1.0)
     fs = _smoothed_tests(res, z, 2)
-    couplings = calibrate_couplings(GAUSS, ladder, g)
+    couplings = calibrate_couplings(GAUSS, ladder, res)
     return z, ladder, res, fs, w_eps_family(z, "gaussian", couplings, res, fs)
 
 
@@ -587,7 +587,6 @@ def test_bad_mass_rejected_where_it_enters(small_product, m):
     # the entry check stops it
     entries = (
         lambda: ProductFreeResolvent(small_product, m),
-        lambda: channel_mass(m),
         lambda: resonance(GAUSS, small_product.gx, m),
     )
     for entry in entries:
@@ -597,6 +596,47 @@ def test_bad_mass_rejected_where_it_enters(small_product, m):
 
 def test_calibrated_couplings_stable_in_epsilon(small_product):
     pg = small_product
-    cpl = calibrate_couplings(GAUSS, [0.2, 0.1], pg.gx)
+    cpl = calibrate_couplings(GAUSS, [0.2, 0.1], ProductFreeResolvent(pg, 1.0))
     assert cpl[0.2] == pytest.approx(cpl[0.1], rel=5e-3)
-    assert channel_mass(1.0) == pytest.approx(0.5)
+
+
+def test_convergence_study_rejects_a_y_factor_unlike_its_x_factor():
+    # the rungs are calibrated on gx alone: on these 32-node log grids with
+    # r_min 1e-4 and 1e-3 the y channel sits 1.29 % off its resonance, and
+    # the study still reported monotone
+    gx = build_grid(32, 40.0, "logarithmic", r_min=1e-4)
+    gy = build_grid(32, 40.0, "logarithmic", r_min=1e-3)
+    fs = np.ones((1, gx.n * gy.n))
+    with pytest.raises(ValueError, match="y factor must equal its x factor"):
+        convergence_study(2.0, GAUSS, [0.2, 0.1, 0.05], ProductGrid(gx, gy), fs)
+    # an equal copy of gx is accepted
+    copy = build_grid(32, 40.0, "logarithmic", r_min=1e-4)
+    assert convergence_study(2.0, GAUSS, [0.2, 0.1], ProductGrid(gx, copy), fs).monotone
+
+
+MASS_LAW_GRID = build_grid(24, 40.0, "logarithmic", r_min=1e-4)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(m=st.floats(0.05, 5.0), z=st.floats(0.3, 8.0), eps=st.sampled_from([0.2, 0.1]))
+@example(m=2.0, z=0.3, eps=0.2)
+@example(m=0.5, z=2.0, eps=0.2)
+@example(m=0.05, z=8.0, eps=0.1)
+@example(m=5.0, z=2.0, eps=0.1)
+def test_mass_is_a_dilation_of_z_on_the_product_grid(m, z, eps):
+    # a Kx (+) a Ky + z = a (Kx (+) Ky + z / a), a = (m + 1) / (2 m), and the
+    # channel resonance scales with a: so at calibrated couplings W_eps at
+    # mass m is the equal-mass W_eps at z / a, divided by a.  Measured on
+    # this 24^2 grid at m in {2, 0.5, 0.05, 5}, z in {0.3, 2, 8}, eps in
+    # {0.2, 0.1}: 1.1e-15 on the couplings and 2.9e-13 relative on W_eps f
+    pg = ProductGrid(MASS_LAW_GRID, MASS_LAW_GRID)
+    a = (m + 1.0) / (2.0 * m)
+    res_m, res_1 = ProductFreeResolvent(pg, m), ProductFreeResolvent(pg, 1.0)
+    lam_m = calibrate_couplings(GAUSS, [eps], res_m)[eps]
+    lam_1 = calibrate_couplings(GAUSS, [eps], res_1)[eps]
+    assert abs(lam_m - a * lam_1) <= 1e-12 * lam_m
+    law = ScalingLaw(2, eps, 3)
+    fs = np.random.default_rng(27).standard_normal((pg.n, 2))
+    w_m = assemble_w_eps(z, ScaledPotential(BasePotential("gaussian", lam_m, 1.0), law), res_m).apply(fs)
+    w_1 = assemble_w_eps(z / a, ScaledPotential(BasePotential("gaussian", lam_1, 1.0), law), res_1).apply(fs) / a
+    assert np.linalg.norm(w_m - w_1) <= 1e-10 * np.linalg.norm(w_1)
