@@ -21,23 +21,28 @@ from pathlib import Path
 
 import numpy as np
 
+from .birman_schwinger import find_resonance_coupling
+from .efimov import (
+    KINDS,
+    effective_operator,
+    find_thresholds,
+    geometric_ratio,
+    kernel22,
+    mass_sweep_2d,
+    operator_spectrum,
+)
 from .grids import MIN_GRID_NODES, build_grid
+from .konno_kuroda import (
+    additivity_defect,
+    assemble_resolvent_diff,
+    cross_term_norm,
+    direct_resolvent_diff,
+    independence_spectrum_check,
+)
+from .limit_resolvent import ProductFreeResolvent, ProductGrid, convergence_study
+from .operators import discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm, scale_potential
 from .reports import ReportRow, write_report
-
-COMMANDS = (
-    "scale-norms",
-    "resonance",
-    "kk-verify",
-    "cross-term",
-    "additivity",
-    "independence",
-    "limit-resolvent",
-    "efimov",
-    "thresholds",
-    "kernel22",
-    "mass-sweep",
-)
 
 
 class ConfigError(ValueError):
@@ -57,16 +62,52 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
+def _as_number(raw, field: str) -> float:
+    """raw as a float if it is a JSON number (not a bool), else ConfigError(field)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(field, f"must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _as_integer(raw, field: str, minimum: int) -> int:
+    """raw if it is a JSON integer (not a bool) of at least minimum, else ConfigError(field)."""
+    if type(raw) is not int or raw < minimum:
+        raise ConfigError(field, f"must be an integer >= {minimum}, got {raw!r}")
+    return raw
+
+
+def _number(cfg: dict, path: str, default) -> float:
+    """The number at path (required when default is None)."""
+    return _as_number(_get(cfg, path, default, required=default is None), path)
+
+
+def _integer(cfg: dict, path: str, default, minimum: int) -> int:
+    """The integer of at least minimum at path (required when default is None)."""
+    return _as_integer(_get(cfg, path, default, required=default is None), path, minimum)
+
+
+def _numbers(cfg: dict, path: str, default, length: int | None = None) -> list:
+    """The list of numbers at path (required when default is None), exactly length of them if given."""
+    raw = _get(cfg, path, default, required=default is None)
+    if not isinstance(raw, (list, tuple)) or length not in (None, len(raw)):
+        raise ConfigError(path, f"must be a list of {length or 'any number of'} numbers, got {raw!r}")
+    return [_as_number(v, path) for v in raw]
+
+
+def _mass(cfg: dict, default: float) -> float:
+    m = _number(cfg, "mass", default)
+    if not (np.isfinite(m) and m > 0.0):
+        raise ConfigError("mass", f"must be finite and positive, got {m!r}")
+    return m
+
+
 def _potential(cfg: dict, key: str = "potential") -> BasePotential:
-    block = _get(cfg, key, required=True)
+    _get(cfg, key, required=True)  # a missing block is named before its profile
+    profile = _get(cfg, f"{key}.profile", required=True)
+    strength = _number(cfg, f"{key}.strength", 1.0)
+    range_ = _number(cfg, f"{key}.range", 1.0)
     try:
-        return BasePotential(
-            profile=_get(cfg, f"{key}.profile", required=True),
-            strength=float(_get(cfg, f"{key}.strength", 1.0)),
-            range=float(_get(cfg, f"{key}.range", 1.0)),
-        )
-    except ConfigError:
-        raise
+        return BasePotential(profile, strength, range_)
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from None
 
@@ -77,41 +118,13 @@ def _law(cfg: dict, key: str = "law", required: bool = True) -> ScalingLaw:
         return ScalingLaw(None, 1.0, 3)
     if not isinstance(block, dict):
         raise ConfigError(key, f"must be an object, got {block!r}")
-    p = None if block.get("p") is None else _integer(block["p"], f"{key}.p", 1)
-    d = _integer(block.get("d", 3), f"{key}.d", 2)
+    p = None if block.get("p") is None else _integer(cfg, f"{key}.p", None, 1)
+    d = _integer(cfg, f"{key}.d", 3, 2)
+    epsilon = _number(cfg, f"{key}.epsilon", 1.0)
     try:
-        return ScalingLaw(p, float(block.get("epsilon", 1.0)), d)
-    except (TypeError, ValueError) as exc:
+        return ScalingLaw(p, epsilon, d)
+    except ValueError as exc:
         raise ConfigError(key, str(exc)) from None
-
-
-def _number(raw, field: str) -> float:
-    """raw as a float if it is a JSON number (not a bool), else ConfigError(field)."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(field, f"must be a number, got {raw!r}")
-    return float(raw)
-
-
-def _integer(raw, field: str, minimum: int) -> int:
-    """raw if it is a JSON integer (not a bool) of at least minimum, else ConfigError(field)."""
-    if type(raw) is not int or raw < minimum:
-        raise ConfigError(field, f"must be an integer >= {minimum}, got {raw!r}")
-    return raw
-
-
-def _numbers(cfg: dict, field: str, default, length: int | None = None) -> list:
-    """The list of numbers at field (required when default is None), exactly length of them if given."""
-    raw = _get(cfg, field, default, required=default is None)
-    if not isinstance(raw, (list, tuple)) or length not in (None, len(raw)):
-        raise ConfigError(field, f"must be a list of {length or 'any number of'} numbers, got {raw!r}")
-    return [_number(v, field) for v in raw]
-
-
-def _mass(cfg: dict, default: float) -> float:
-    m = _number(_get(cfg, "mass", default), "mass")
-    if not (np.isfinite(m) and m > 0.0):
-        raise ConfigError("mass", f"must be finite and positive, got {m!r}")
-    return m
 
 
 def _physical_memory() -> int:
@@ -125,20 +138,31 @@ def _require_fits(n_floats: int, field: str, what: str):
         raise ConfigError(field, f"{what} needs more than the {memory / 2**30:.3g} GiB of memory")
 
 
-def _require_dense_fits(n: int, field: str):
-    _require_fits(max(n, 0) ** 2, field, f"a dense {n} x {n} matrix")
+def _require_dense_fits(n: int, field: str, copies: int):
+    _require_fits(copies * max(n, 0) ** 2, field, f"{copies} x a dense {n} x {n} matrix")
 
 
-def _grid(cfg: dict, key: str = "grid"):
-    n = _integer(_get(cfg, f"{key}.n", required=True), f"{key}.n", MIN_GRID_NODES)
-    r_max = _get(cfg, f"{key}.r_max", required=True)
-    spacing = _get(cfg, f"{key}.spacing", "logarithmic")
-    r_min = _get(cfg, f"{key}.r_min")
-    _require_dense_fits(n, f"{key}.n")
+def _grid(cfg: dict, copies: int):
+    """The config's grid, once copies dense n x n matrices are known to fit."""
+    n = _integer(cfg, "grid.n", None, MIN_GRID_NODES)
+    r_max = _number(cfg, "grid.r_max", None)
+    spacing = _get(cfg, "grid.spacing", "logarithmic")
+    r_min = None if _get(cfg, "grid.r_min") is None else _number(cfg, "grid.r_min", None)
+    _require_dense_fits(n, "grid.n", copies)
     try:
-        return build_grid(n, float(r_max), spacing, None if r_min is None else float(r_min))
+        return build_grid(n, r_max, spacing, r_min)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc)) from None
+        raise ConfigError("grid", str(exc)) from None
+
+
+def _defect_rows(rep, metrics) -> list:
+    """One row per epsilon of a DefectReport, flagged where its quadrature did not converge."""
+    return [
+        ReportRow(
+            {"epsilon": e, **metrics(e, val)}, "flagged" if any(f"@eps={e:g}" in fl for fl in rep.flags) else "ok"
+        )
+        for e, val in zip(rep.epsilons, rep.values)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +172,7 @@ def _grid(cfg: dict, key: str = "grid"):
 def _run_scale_norms(cfg):
     pot = _potential(cfg)
     law = _law(cfg)
-    grid = _grid(cfg)
+    grid = _grid(cfg, 1)
     eps_sweep = _numbers(cfg, "sweep", [law.epsilon])
     d = law.d
     base = pot(grid.nodes)
@@ -156,33 +180,23 @@ def _run_scale_norms(cfg):
     rows = []
     for eps in eps_sweep:
         rep = scale_potential(pot, law.with_epsilon(eps), grid)
-        rows.append(
-            ReportRow(
-                {"epsilon": eps},
-                {
-                    "l1": rep["l1"],
-                    "l2": rep["l2"],
-                    "rollnik": rep["rollnik"],
-                    "l1_ratio": rep["l1"] / base_l1,
-                },
-            )
-        )
+        values = {"epsilon": eps, "l1": rep["l1"], "l2": rep["l2"], "rollnik": rep["rollnik"]}
+        rows.append(ReportRow({**values, "l1_ratio": rep["l1"] / base_l1}))
     cols = ["epsilon", "l1", "l2", "rollnik", "l1_ratio"]
     return cols, rows, {"d": d, "p": law.p, "base_l1": base_l1}
 
 
 def _run_resonance(cfg):
-    from .birman_schwinger import find_resonance_coupling
-
     pot = _potential(cfg)
     law = _law(cfg, required=False)
     bracket = tuple(_numbers(cfg, "bracket", (0.1, 50.0), length=2))
-    n = _integer(_get(cfg, "grid.n", 800), "grid.n", MIN_GRID_NODES)
-    _require_dense_fits(n, "grid.n")
+    n = _integer(cfg, "grid.n", 800, MIN_GRID_NODES)
+    _require_dense_fits(n, "grid.n", 1)
     rep = find_resonance_coupling(pot, law, bracket, n=n, m=_mass(cfg, 0.5))
     row = ReportRow(
-        {"profile": pot.profile, "epsilon": law.epsilon},
         {
+            "profile": pot.profile,
+            "epsilon": law.epsilon,
             "lambda_critical": rep.lambda_critical,
             "bs_top_eigenvalue": rep.bs_top_eigenvalue,
             "boundary_C": rep.boundary_C,
@@ -196,12 +210,10 @@ def _run_resonance(cfg):
 
 
 def _run_kk_verify(cfg):
-    from .konno_kuroda import assemble_resolvent_diff, direct_resolvent_diff
-    from .operators import discretize_h0
-
     pot = _potential(cfg)
     law = _law(cfg, required=False)
-    grid = _grid(cfg)
+    # tracemalloc peak over n = 80 ... 320: 10.0-10.7 n^2 floats
+    grid = _grid(cfg, 12)
     z_sweep = _numbers(cfg, "sweep", [0.5, 1.0, 2.0])
     v = ScaledPotential(pot, law).on_grid(grid)
     h0 = discretize_h0(grid, law.d, _mass(cfg, 0.5))
@@ -215,90 +227,63 @@ def _run_kk_verify(cfg):
             / np.linalg.norm(direct.matrix.entries, 2)
         )
         worst = max(worst, dist)
-        rows.append(
-            ReportRow({"z": z}, {"rel_distance": dist, "smallest_one_minus_q": kk.smallest_one_minus_q})
-        )
+        rows.append(ReportRow({"z": z, "rel_distance": dist, "smallest_one_minus_q": kk.smallest_one_minus_q}))
     cols = ["z", "rel_distance", "smallest_one_minus_q"]
     return cols, rows, {"max_rel_distance": worst}
 
 
 def _run_cross_term(cfg):
-    from .konno_kuroda import cross_term_norm
-
     v1 = _potential(cfg, "potential")
     law1 = _law(cfg, "law")
     u = _potential(cfg, "u_potential") if _get(cfg, "u_potential") else v1
     law_u = _law(cfg, "u_law", required=False)
-    grid = _grid(cfg)
+    grid = _grid(cfg, 1)
     eps = _numbers(cfg, "sweep", [0.2, 0.1, 0.05, 0.025, 0.0125])
     rep = cross_term_norm(v1, law1, u, law_u, eps, grid)
-    rows = [
-        ReportRow(
-            {"epsilon": e},
-            {"l1_cross": val},
-            status="flagged" if any(f"@eps={e:g}" in fl for fl in rep.flags) else "ok",
-        )
-        for e, val in zip(rep.epsilons, rep.values)
-    ]
+    rows = _defect_rows(rep, lambda e, val: {"l1_cross": val})
     return ["epsilon", "l1_cross"], rows, {"fitted_exponent": rep.fitted_exponent}
 
 
 def _run_additivity(cfg):
-    from .konno_kuroda import additivity_defect
-
     v2 = _potential(cfg, "potential")
     law2 = _law(cfg, "law")
     v3 = _potential(cfg, "v3_potential") if _get(cfg, "v3_potential") else BasePotential("gaussian", 1.0, 2.0)
-    grid = _grid(cfg)
+    grid = _grid(cfg, 1)
     eps = _numbers(cfg, "sweep", [0.2, 0.1, 0.05, 0.025, 0.0125])
     rep = additivity_defect(v2, law2, v3, eps, grid)
-    rows = [
-        ReportRow(
-            {"epsilon": e},
-            {"defect": val, "defect_over_eps": val / e},
-            status="flagged" if any(f"@eps={e:g}" in fl for fl in rep.flags) else "ok",
-        )
-        for e, val in zip(rep.epsilons, rep.values)
-    ]
+    rows = _defect_rows(rep, lambda e, val: {"defect": val, "defect_over_eps": val / e})
     return ["epsilon", "defect", "defect_over_eps"], rows, {"fitted_exponent": rep.fitted_exponent}
 
 
 def _run_independence(cfg):
-    from .konno_kuroda import independence_spectrum_check
-    from .operators import discretize_h0
-
-    grid = _grid(cfg)
+    # tracemalloc peak over n = 100 ... 300: 5.2-5.9 n^2 floats
+    grid = _grid(cfg, 7)
     v1 = _potential(cfg, "potential") if _get(cfg, "potential") else None
     law1 = _law(cfg, "law", required=False) if v1 else None
     v2 = _potential(cfg, "v2_potential") if _get(cfg, "v2_potential") else None
     law2 = _law(cfg, "v2_law", required=False) if v2 else None
     v3 = _potential(cfg, "v3_potential") if _get(cfg, "v3_potential") else None
     eps = _numbers(cfg, "sweep", [0.4, 0.2, 0.1])
-    z = _number(_get(cfg, "z", 1.0), "z")
+    z = _number(cfg, "z", 1.0)
     rep = independence_spectrum_check(v1, law1, v2, law2, v3, eps, z, discretize_h0(grid))
-    rows = [
-        ReportRow({"epsilon": e}, {"delta": d}) for e, d in zip(rep.epsilons, rep.discrepancies)
-    ]
+    rows = [ReportRow({"epsilon": e, "delta": d}) for e, d in zip(rep.epsilons, rep.discrepancies)]
     return ["epsilon", "delta"], rows, {"decreasing": rep.decreasing, "z": z}
 
 
 def _run_limit_resolvent(cfg):
-    from .limit_resolvent import ProductGrid, ProductFreeResolvent, convergence_study
-
-    n_test = _integer(_get(cfg, "n_test_functions", 5), "n_test_functions", 1)
-    grid = _grid(cfg)
-    n = grid.n
+    n_test = _integer(cfg, "n_test_functions", 5, 1)
     # tracemalloc over n = 32 ... 64: the eigenbases, line weights, potentials and
     # support take 7.5-13 n^2 floats (the most at n = 32), and each test function
     # 5-6 n^2 plus 1-1.3 n^2 per rung; the peak is 0.67-0.88 of the second request
-    _require_fits(11 * n**2, "grid.n", f"the {n} x {n} product grid")
+    grid = _grid(cfg, 11)
+    n = grid.n
     pg = ProductGrid(grid, grid)
     pot = _potential(cfg)
     m = _mass(cfg, 1.0)
-    z = _number(_get(cfg, "z", 2.0), "z")
+    z = _number(cfg, "z", 2.0)
     eps = _numbers(cfg, "sweep", [0.4, 0.2, 0.1, 0.05, 0.025])
     _require_fits((11 + (len(eps) + 10) * n_test) * n**2, "n_test_functions", f"{n_test} test functions")
-    seed = _integer(_get(cfg, "seed", 11), "seed", 0)
+    seed = _integer(cfg, "seed", 11, 0)
     rng = np.random.default_rng(seed)
     res = ProductFreeResolvent(pg, m)
     cols = rng.standard_normal((n_test, pg.n)).T
@@ -307,11 +292,8 @@ def _run_limit_resolvent(cfg):
     fs = (cols / np.linalg.norm(cols, axis=0)).T
     rep = convergence_study(z, pot, eps, pg, fs, m)
     rows = [
-        ReportRow(
-            {"epsilon": e},
-            {"mean_discrepancy": float(rep.discrepancies[k].mean()), "max_discrepancy": float(rep.discrepancies[k].max())},
-        )
-        for k, e in enumerate(rep.epsilons)
+        ReportRow({"epsilon": e, "mean_discrepancy": float(dis.mean()), "max_discrepancy": float(dis.max())})
+        for e, dis in zip(rep.epsilons, rep.discrepancies)
     ]
     agg = {
         "monotone": rep.monotone,
@@ -322,111 +304,93 @@ def _run_limit_resolvent(cfg):
 
 
 def _run_efimov(cfg):
-    from .efimov import KINDS, effective_operator, geometric_ratio, operator_spectrum
-
-    refine = _integer(_get(cfg, "refine", 0), "refine", 0)
-    grid = _grid(cfg)
-    d = _integer(_get(cfg, "d", 3), "d", 2)
+    refine = _integer(cfg, "refine", 0, 0)
+    # tracemalloc peak over n = 100 ... 400: 5.1-5.8 n^2 floats, 5.1-5.2 (refine n)^2 when refined
+    grid = _grid(cfg, 7)
+    if grid.spacing != "logarithmic":
+        raise ConfigError("grid.spacing", "the effective operators need a logarithmic grid")
     kind = _get(cfg, "kind", "contact_image")
     if kind not in KINDS:
         raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
+    d = _integer(cfg, "d", 3, 2)
+    if d > 3:
+        raise ConfigError("d", f"must be 2 or 3, got {d}")
+    if kind == "three_body_2d" and d != 2:
+        raise ConfigError("kind", f"three_body_2d needs d = 2, got d = {d}")
     c_sweep = _numbers(cfg, "sweep", None)
-    _require_dense_fits(refine * grid.n, "refine")
+    _require_dense_fits(refine * grid.n, "refine", 7)
+    fine = build_grid(refine * grid.n, grid.r_max, "logarithmic", r_min=grid.r_min) if refine else None
     rows = []
     for c in c_sweep:
-        op = effective_operator(kind, c, d, grid)
-        rep = operator_spectrum(op)
-        params = {"C": c}
-        metrics = {
-            "n_negative": rep.count_negative,
-            "grid_n": grid.n,
-            "r_min": grid.r_min,
-            "r_max": grid.r_max,
-        }
+        rep = operator_spectrum(effective_operator(kind, c, d, grid))
+        values = {"C": c, "n_negative": rep.count_negative, "grid_n": grid.n, "r_min": grid.r_min, "r_max": grid.r_max}
         try:
-            if refine:
-                fine = build_grid(refine * grid.n, grid.r_max, "logarithmic", r_min=grid.r_min)
-                rep_fine = operator_spectrum(effective_operator(kind, c, d, fine))
-                geo = geometric_ratio(rep_fine)
-            else:
-                geo = geometric_ratio(rep)
-            metrics.update({"ratio": geo.ratio, "deviation": geo.deviation, "classification": geo.classification})
+            geo = geometric_ratio(operator_spectrum(effective_operator(kind, c, d, fine)) if refine else rep)
+            values.update(ratio=geo.ratio, deviation=geo.deviation, classification=geo.classification)
             status = "ok"
         except ValueError:
-            metrics.update({"ratio": float("nan"), "deviation": float("nan"), "classification": "too_few_states"})
+            values.update(ratio=float("nan"), deviation=float("nan"), classification="too_few_states")
             status = "flagged"
-        rows.append(ReportRow(params, metrics, status))
+        rows.append(ReportRow(values, status))
     cols = ["C", "n_negative", "ratio", "deviation", "classification", "grid_n", "r_min", "r_max"]
     return cols, rows, {"kind": kind, "d": d}
 
 
 def _run_thresholds(cfg):
-    from .efimov import find_thresholds
-
     kind = _get(cfg, "kind", "contact_image")
+    if kind != "contact_image":
+        raise ConfigError("kind", f"only contact_image has thresholds, got {kind!r}")
     dims = _get(cfg, "sweep", [2, 3])
     if not isinstance(dims, list):
         raise ConfigError("sweep", f"must be a list of dimensions, got {dims!r}")
-    dims = [_integer(d, "sweep", 2) for d in dims]
+    dims = [_as_integer(d, "sweep", 2) for d in dims]
+    if any(d > 3 for d in dims):
+        raise ConfigError("sweep", f"dimensions must be 2 or 3, got {dims!r}")
     bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
-    n = _integer(_get(cfg, "grid.n", 300), "grid.n", MIN_GRID_NODES)
-    _require_dense_fits(n, "grid.n")
+    n = _integer(cfg, "grid.n", 300, MIN_GRID_NODES)
+    # tracemalloc peak over n = 100 ... 400: 20.2-22.0 n^2 floats, from the run at 2n
+    # and the U, V and 3n^2 workspace of its dbdsdc root
+    _require_dense_fits(n, "grid.n", 24)
     rows = []
     for d in dims:
         rep = find_thresholds(kind, d, bracket, n=n)
         status = "ok" if rep.grid_refinement_drift < 0.01 else "flagged"
-        rows.append(
-            ReportRow(
-                {"kind": kind, "d": d},
-                {"C0": rep.C0, "C1": rep.C1, "drift": rep.grid_refinement_drift},
-                status,
-            )
-        )
+        values = {"kind": kind, "d": d, "C0": rep.C0, "C1": rep.C1, "drift": rep.grid_refinement_drift}
+        rows.append(ReportRow(values, status))
     return ["kind", "d", "C0", "C1", "drift"], rows, {"bracket": list(bracket)}
 
 
 def _run_kernel22(cfg):
-    from .efimov import kernel22
-
     pairs = _get(cfg, "sweep", required=True)
     two = lambda x: isinstance(x, list) and len(x) == 2
     if not (isinstance(pairs, list) and all(two(pair) and all(map(two, pair)) for pair in pairs)):
         raise ConfigError("sweep", f"must be a list of pairs of 2-vectors, got {pairs!r}")
     rows = []
     for pair in pairs:
-        q1, q2 = (np.array([_number(c, "sweep") for c in q]) for q in pair)
+        q1, q2 = (np.array([_as_number(c, "sweep") for c in q]) for q in pair)
         val = kernel22(q1, q2)
-        rows.append(
-            ReportRow(
-                {"q1x": q1[0], "q1y": q1[1], "q2x": q2[0], "q2y": q2[1]},
-                {"value": val.value, "pole": val.pole},
-                status="flagged" if val.pole else "ok",
-            )
-        )
+        values = {"q1x": q1[0], "q1y": q1[1], "q2x": q2[0], "q2y": q2[1], "value": val.value, "pole": val.pole}
+        rows.append(ReportRow(values, status="flagged" if val.pole else "ok"))
     return ["q1x", "q1y", "q2x", "q2y", "value", "pole"], rows, {"n_poles": sum(r.status == "flagged" for r in rows)}
 
 
 def _run_mass_sweep(cfg):
-    from .efimov import mass_sweep_2d
-
-    grid = _grid(cfg)
-    c = _number(_get(cfg, "c", 1.0), "c")
+    grid = _grid(cfg, 1)
+    c = _number(cfg, "c", 1.0)
     masses = _numbers(cfg, "sweep", [1, 2, 4, 8, 16])
     rep = mass_sweep_2d(masses, c, grid)
-    rows = []
-    for k, m in enumerate(rep.masses):
-        status = "flagged" if any(f"@m={m:g}" in fl for fl in rep.flags) else "ok"
-        rows.append(
-            ReportRow(
-                {"m": float(m)},
-                {
-                    "n_negative": int(rep.counts[k]),
-                    "shallowest_abs_e": float(rep.shallowest_depth[k]),
-                    "deepest_abs_e": float(rep.deepest_depth[k]),
-                },
-                status,
-            )
+    rows = [
+        ReportRow(
+            {
+                "m": float(m),
+                "n_negative": int(rep.counts[k]),
+                "shallowest_abs_e": float(rep.shallowest_depth[k]),
+                "deepest_abs_e": float(rep.deepest_depth[k]),
+            },
+            "flagged" if any(f"@m={m:g}" in fl for fl in rep.flags) else "ok",
         )
+        for k, m in enumerate(rep.masses)
+    ]
     agg = {
         "c": c,
         "counts_nondecreasing": rep.counts_nondecreasing,
@@ -448,6 +412,7 @@ _RUNNERS = {
     "kernel22": _run_kernel22,
     "mass-sweep": _run_mass_sweep,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(config: dict, out_dir) -> int:

@@ -28,10 +28,9 @@ def fmt(value) -> str:
 
 @dataclass
 class ReportRow:
-    """One CSV row: parameter values, metric values, and a status tag."""
+    """One CSV row: its values by column name, and a status tag."""
 
-    parameters: dict
-    metrics: dict
+    values: dict
     status: str = "ok"
 
     def __post_init__(self):
@@ -55,8 +54,7 @@ def write_report(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns + ["status"])
         for row in rows:
-            merged = {**row.parameters, **row.metrics}
-            writer.writerow([fmt(merged.get(c, "")) for c in columns] + [row.status])
+            writer.writerow([fmt(row.values[c]) for c in columns] + [row.status])
     summary = {
         "command": command,
         "config": config_echo,

@@ -246,27 +246,55 @@ def test_bad_refine_factor_rejected_before_allocation(refine, tmp_path, capsys):
     assert peak < 2**18
 
 
-@pytest.mark.parametrize("rungs", [2, 5])
-@pytest.mark.parametrize("n_test", [1, 5])
-@pytest.mark.parametrize("n", [32, 48, 64])
-def test_limit_resolvent_memory_probe_bounds_its_peak(n, n_test, rungs, tmp_path, monkeypatch):
-    # the largest request to the physical-memory probe must cover what the
-    # run then allocates: measured 0.67-0.88 of it, where the Konno-Kuroda
-    # apply peaked at 1.04 of it on the 32 x 32 grid with one test function
+def _peak_within_probe(command, cfg, tmp_path, monkeypatch):
+    # the largest request to the physical-memory probe (in float64 values)
+    # must cover the tracemalloc peak (in bytes) of the run it admits
     requests = []
     fits = cli._require_fits
     monkeypatch.setattr(cli, "_require_fits", lambda n_floats, *args: requests.append(n_floats) or fits(n_floats, *args))
-    ladder = [0.4, 0.2, 0.1, 0.05, 0.025][-rungs:]
-    grid = dict(CONFIGS["limit-resolvent"]["grid"], n=n)
-    cfg = dict(CONFIGS["limit-resolvent"], grid=grid, sweep=ladder, n_test_functions=n_test)
     tracemalloc.start()
     try:
-        code = _run("limit-resolvent", cfg, tmp_path)
+        code = _run(command, cfg, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
     assert peak <= 8 * max(requests)
+
+
+@pytest.mark.parametrize("rungs", [2, 5])
+@pytest.mark.parametrize("n_test", [1, 5])
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_limit_resolvent_memory_probe_bounds_its_peak(n, n_test, rungs, tmp_path, monkeypatch):
+    # measured 0.67-0.88 of the request, where the Konno-Kuroda apply
+    # peaked at 1.04 of it on the 32 x 32 grid with one test function
+    ladder = [0.4, 0.2, 0.1, 0.05, 0.025][-rungs:]
+    grid = dict(CONFIGS["limit-resolvent"]["grid"], n=n)
+    cfg = dict(CONFIGS["limit-resolvent"], grid=grid, sweep=ladder, n_test_functions=n_test)
+    _peak_within_probe("limit-resolvent", cfg, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "command,n,refine",
+    [
+        ("thresholds", 100, 0),
+        ("thresholds", 200, 0),
+        ("kk-verify", 80, 0),
+        ("kk-verify", 160, 0),
+        ("efimov", 100, 0),
+        ("efimov", 200, 0),
+        ("efimov", 100, 2),
+        ("independence", 100, 0),
+        ("independence", 150, 0),
+    ],
+)
+def test_dense_memory_probe_bounds_its_peak(command, n, refine, tmp_path, monkeypatch):
+    # a probe for one n x n matrix once admitted runs that peaked at 5-22
+    # of them: thresholds runs at 2n, kk-verify keeps two resolvent
+    # differences and their operands, efimov and independence the
+    # operator, its root and the eigensolver workspace
+    cfg = dict(CONFIGS[command], grid=dict(CONFIGS[command]["grid"], n=n))
+    _peak_within_probe(command, dict(cfg, refine=refine) if refine else cfg, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -311,11 +339,23 @@ def test_wrong_json_type_names_the_field(command, field, value, tmp_path, capfd)
         ("cross-term", "u_law.d", 3.0),
         ("kernel22", "sweep", 5),
         ("kernel22", "sweep", [[[1.0, 0.0]]]),
+        ("scale-norms", "potential.strength", "2"),
+        ("scale-norms", "potential.range", "1"),
+        ("scale-norms", "law.epsilon", "0.5"),
+        ("scale-norms", "grid.r_max", "30"),
+        ("scale-norms", "grid.r_min", "1e-5"),
+        ("thresholds", "kind", 5),
+        ("thresholds", "kind", "weak_image"),
+        ("thresholds", "sweep", [4]),
+        ("efimov", "d", 4),
+        ("efimov", "grid.spacing", "linear"),
+        ("efimov", "kind", "three_body_2d"),
     ],
 )
 def test_integer_and_structured_fields_name_the_field(command, field, value, tmp_path, capfd):
     # these once escaped as a raw TypeError or IndexError, exited 1 with
-    # "run failed", or were cut or accepted silently (seed 1.5 ran as 1)
+    # "run failed", or were cut or accepted silently (seed 1.5 ran as 1,
+    # a strength "2" as 2.0)
     cfg = json.loads(json.dumps(CONFIGS[command]))
     *parents, leaf = field.split(".")
     node = cfg
@@ -325,7 +365,7 @@ def test_integer_and_structured_fields_name_the_field(command, field, value, tmp
     code = _run(command, cfg, tmp_path)
     out, err = capfd.readouterr()
     assert code == 2
-    assert f"config error at {field}" in err
+    assert f"config error at {field}:" in err and err.count("config error") == 1
     assert "Traceback" not in out + err
 
 
