@@ -24,6 +24,7 @@ import numpy as np
 from .birman_schwinger import find_resonance_coupling
 from .efimov import (
     KINDS,
+    _require_scale_bracketing,
     effective_operator,
     find_thresholds,
     geometric_ratio,
@@ -63,9 +64,9 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
 
 
 def _as_number(raw, field: str) -> float:
-    """raw as a float if it is a JSON number (not a bool), else ConfigError(field)."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(field, f"must be a number, got {raw!r}")
+    """raw as a float if it is a finite JSON number (not a bool, NaN or inf), else ConfigError(field)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not np.isfinite(raw):
+        raise ConfigError(field, f"must be a finite number, got {raw!r}")
     return float(raw)
 
 
@@ -96,8 +97,8 @@ def _numbers(cfg: dict, path: str, default, length: int | None = None) -> list:
 
 def _mass(cfg: dict, default: float) -> float:
     m = _number(cfg, "mass", default)
-    if not (np.isfinite(m) and m > 0.0):
-        raise ConfigError("mass", f"must be finite and positive, got {m!r}")
+    if m <= 0.0:
+        raise ConfigError("mass", f"must be positive, got {m!r}")
     return m
 
 
@@ -155,6 +156,16 @@ def _grid(cfg: dict, copies: int):
         raise ConfigError("grid", str(exc)) from None
 
 
+def _effective_grid(cfg: dict, copies: int):
+    """The config's grid, once it fits and the effective operators accept it (logarithmic, scale-bracketing)."""
+    grid = _grid(cfg, copies)
+    try:
+        _require_scale_bracketing(grid)
+    except ValueError as exc:
+        raise ConfigError("grid" if grid.spacing == "logarithmic" else "grid.spacing", str(exc)) from None
+    return grid
+
+
 def _defect_rows(rep, metrics) -> list:
     """One row per epsilon of a DefectReport, flagged where its quadrature did not converge."""
     return [
@@ -191,7 +202,9 @@ def _run_resonance(cfg):
     law = _law(cfg, required=False)
     bracket = tuple(_numbers(cfg, "bracket", (0.1, 50.0), length=2))
     n = _integer(cfg, "grid.n", 800, MIN_GRID_NODES)
-    _require_dense_fits(n, "grid.n", 1)
+    # tracemalloc peak over n = 800 ... 16000: 20.2-25.6 floats per node (the most on
+    # a first run at 800); below that a fixed 0.15 MB of the 600-node profile grid dominates
+    _require_fits(32 * n, "grid.n", f"a resonance run on {n} nodes")
     rep = find_resonance_coupling(pot, law, bracket, n=n, m=_mass(cfg, 0.5))
     row = ReportRow(
         {
@@ -306,9 +319,7 @@ def _run_limit_resolvent(cfg):
 def _run_efimov(cfg):
     refine = _integer(cfg, "refine", 0, 0)
     # tracemalloc peak over n = 100 ... 400: 5.1-5.8 n^2 floats, 5.1-5.2 (refine n)^2 when refined
-    grid = _grid(cfg, 7)
-    if grid.spacing != "logarithmic":
-        raise ConfigError("grid.spacing", "the effective operators need a logarithmic grid")
+    grid = _effective_grid(cfg, 7)
     kind = _get(cfg, "kind", "contact_image")
     if kind not in KINDS:
         raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
@@ -375,7 +386,7 @@ def _run_kernel22(cfg):
 
 
 def _run_mass_sweep(cfg):
-    grid = _grid(cfg, 1)
+    grid = _effective_grid(cfg, 1)
     c = _number(cfg, "c", 1.0)
     masses = _numbers(cfg, "sweep", [1, 2, 4, 8, 16])
     rep = mass_sweep_2d(masses, c, grid)

@@ -250,69 +250,72 @@ def geometric_ratio(
 # two-dimensional three-body pieces
 
 
+def _kernel22_formula(q1, q2):
+    """1 / ((q1^2 + q2^2 + (q1,q2)) (q1 + q2)^2) over the last axis of arrays of 2-vectors, without a pole test."""
+    dot = lambda x, y: np.sum(x * y, axis=-1)
+    return 1.0 / ((dot(q1, q1) + dot(q2, q2) + dot(q1, q2)) * dot(q1 + q2, q1 + q2))
+
+
 def kernel22(q1, q2) -> Kernel22Value:
-    """Momentum kernel 1 / ((q1^2 + q2^2 + (q1,q2)) (q1 + q2)^2) for q in R^2."""
+    """Momentum kernel 1 / ((q1^2 + q2^2 + (q1,q2)) (q1 + q2)^2) for finite q in R^2."""
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     if q1.shape != (2,) or q2.shape != (2,):
         raise ValueError("q1 and q2 must be 2-vectors")
-    a = float(q1 @ q1 + q2 @ q2 + q1 @ q2)
+    if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
+        raise ValueError(f"momenta must be finite, got {q1.tolist()} and {q2.tolist()}")
     s = q1 + q2
-    b = float(s @ s)
-    scale = float(q1 @ q1 + q2 @ q2)
-    if b <= 1e-14 * max(scale, 1e-300):
+    if s @ s <= 1e-14 * max(float(q1 @ q1 + q2 @ q2), 1e-300):
         return Kernel22Value(float("inf"), True)
-    return Kernel22Value(1.0 / (a * b), False)
+    return Kernel22Value(float(_kernel22_formula(q1, q2)), False)
 
 
 def _slice_average(n_chi: int, n_delta: int, rho: float) -> float:
-    """Midpoint S^3 average of |Q|^4 K over the slice |Q| = rho.
+    """Midpoint S^3 average of |Q|^4 K over the slice |Q| = rho, K from kernel22's formula.
 
-    Parametrize q1 = rho cos(chi) w1, q2 = rho sin(chi) w2; the measure is
-    sin(chi) cos(chi) dchi dalpha dbeta and the kernel depends on the angles
-    through delta = alpha - beta only.  The average has an integrable-looking
-    but logarithmically divergent ridge at (q1+q2)^2 = 0, so it grows slowly
-    under angular refinement; callers are expected to flag that.
+    Parametrize q1 = rho cos(chi) (1, 0), q2 = rho sin(chi) (cos delta, sin
+    delta): the measure is sin(chi) cos(chi) dchi dalpha dbeta, and K depends
+    on the angles through delta = alpha - beta only.  The result does not
+    depend on rho exactly when K is homogeneous of degree -4.  The average
+    has a logarithmically divergent ridge at (q1+q2)^2 = 0, so it grows
+    slowly under angular refinement; callers are expected to flag that.
     """
     chi = (np.arange(n_chi) + 0.5) * (0.5 * np.pi / n_chi)
     delta = (np.arange(n_delta) + 0.5) * (2.0 * np.pi / n_delta)
-    s = np.sin(2.0 * chi)[:, None]
-    c = np.cos(delta)[None, :]
-    # kernel evaluated on the slice: (q1^2+q2^2+(q1,q2)) = rho^2 (1 + s c / 2),
-    # (q1+q2)^2 = rho^2 (1 + s c)
-    kern = 1.0 / (rho**2 * (1.0 + 0.5 * s * c) * rho**2 * (1.0 + s * c))
-    w_chi = (0.5 * s) * (0.5 * np.pi / n_chi)  # sin cos dchi
-    avg = float(np.sum(kern * w_chi) * (2.0 * np.pi / n_delta) * 2.0 * np.pi / (2.0 * np.pi**2))
-    return rho**4 * avg  # |Q|^4 K, dimensionless and scale free
+    q1 = (rho * np.cos(chi))[:, None, None] * np.array([1.0, 0.0])
+    q2 = (rho * np.sin(chi))[:, None, None] * np.stack([np.cos(delta), np.sin(delta)], axis=-1)
+    w_chi = (0.5 * np.sin(2.0 * chi)[:, None]) * (0.5 * np.pi / n_chi)  # sin cos dchi
+    avg = float(np.sum(_kernel22_formula(q1, q2) * w_chi) * (2.0 * np.pi / n_delta) * 2.0 * np.pi / (2.0 * np.pi**2))
+    return rho**4 * avg
 
 
 def hyperradial_reduce(r_list) -> dict:
     """Angular average of the three-body 2-d kernel at fixed hyperradius.
 
-    Momentum slices |Q| = 1/r stand in for position hyperradius r; the kernel
-    is homogeneous of degree -4, so the reduced profile carries the single
-    power law prefactor / r with a negative (attractive) prefactor.  The
-    exact angular average diverges logarithmically on the back-to-back circle
-    (q1 = -q2), so growth above 1% under doubled angular nodes is flagged
-    rather than treated as convergence failure.
+    Momentum slices |Q| = 1/r stand in for position hyperradius r: each
+    profile point is -(the slice average of |Q|^4 K at |Q| = 1/r) / r.  K has
+    degree -4, so the profile is prefactor / r with a negative (attractive)
+    prefactor; a kernel of degree -4 + k would fit the exponent -1 - k.  The
+    radii must be finite, positive and span two decades.  The exact angular
+    average diverges logarithmically on the back-to-back circle (q1 = -q2),
+    so growth above 1% under doubled angular nodes is flagged rather than
+    treated as convergence failure.
     """
     r_list = np.asarray(list(r_list), dtype=float)
+    if not np.all(np.isfinite(r_list) & (r_list > 0.0)):
+        raise ValueError(f"radii must be finite and positive, got {r_list.tolist()}")
     if r_list.size < 3 or np.log10(r_list.max() / r_list.min()) < 2.0:
         raise ValueError("r_list must span at least two decades")
     profile = np.array([-_slice_average(N_CHI, N_DELTA, 1.0 / r) / r for r in r_list])
     slope, logpref = np.polyfit(np.log(r_list), np.log(-profile), 1)
-    slope = float(slope)  # power of r carried by the profile, -1 by homogeneity
-    flags = []
-    coarse = -_slice_average(N_CHI, N_DELTA, 1.0)
-    fine = -_slice_average(2 * N_CHI, 2 * N_DELTA, 1.0)
-    if abs(fine - coarse) > 0.01 * abs(coarse):
-        flags.append("angular_quadrature_not_converged")
+    coarse = _slice_average(N_CHI, N_DELTA, 1.0)
+    fine = _slice_average(2 * N_CHI, 2 * N_DELTA, 1.0)
     return {
         "r": r_list,
         "profile": profile,
-        "fitted_exponent": slope,
+        "fitted_exponent": float(slope),
         "prefactor": -float(np.exp(logpref)),
-        "flags": flags,
+        "flags": ["angular_quadrature_not_converged"] if abs(fine - coarse) > 0.01 * abs(coarse) else [],
     }
 
 

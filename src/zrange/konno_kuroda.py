@@ -19,7 +19,7 @@ limit: the L1 cross term
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -109,26 +109,6 @@ def direct_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) ->
     return ResolventDifference(OperatorMatrix(diff, grid, label="direct"), z)
 
 
-def _defect_ladder(integrand, eps_list, grid: RadialGrid, d: int) -> DefectReport:
-    """L1 norms of integrand(eps, r) along the ladder, with their fitted exponent.
-
-    Each norm is recomputed on a grid of twice the nodes, and a value that
-    moves by more than 1% is flagged.
-    """
-    eps_list = np.asarray(list(eps_list), dtype=float)
-    fine = _refine(grid)
-    values = []
-    flags = []
-    for eps in eps_list:
-        val = l1_norm(integrand(eps, grid.nodes), grid, d)
-        val_f = l1_norm(integrand(eps, fine.nodes), fine, d)
-        if val > 0 and abs(val_f - val) > 0.01 * val:
-            flags.append(f"quadrature_not_converged@eps={eps:g}")
-        values.append(val)
-    values = np.array(values)
-    return DefectReport(eps_list, values, _fit_exponent(eps_list, values), flags)
-
-
 def cross_term_norm(
     v1: BasePotential,
     law1: ScalingLaw,
@@ -140,8 +120,9 @@ def cross_term_norm(
     """L1 norm of sqrt(V1_eps) sqrt(U_eps) along a decreasing epsilon ladder.
 
     V1 carries the contact law; U carries the weak law or stays unscaled
-    (law_u.p None).  The report includes the fitted power-law exponent; a
-    value that moves by more than 1% under grid doubling is flagged.
+    (law_u.p None).  The report includes the fitted power-law exponent.
+    Each norm is recomputed on a grid of twice the nodes, and a value that
+    moves by more than 1% is flagged.
     """
 
     def integrand(eps, r):
@@ -149,7 +130,18 @@ def cross_term_norm(
         fu = ScaledPotential(u, law_u.with_epsilon(eps) if law_u.p is not None else law_u)(r)
         return np.sqrt(f1) * np.sqrt(fu)
 
-    return _defect_ladder(integrand, eps_list, grid, law1.d)
+    eps_list = np.asarray(list(eps_list), dtype=float)
+    fine = _refine(grid)
+    values = []
+    flags = []
+    for eps in eps_list:
+        val = l1_norm(integrand(eps, grid.nodes), grid, law1.d)
+        val_f = l1_norm(integrand(eps, fine.nodes), fine, law1.d)
+        if val > 0 and abs(val_f - val) > 0.01 * val:
+            flags.append(f"quadrature_not_converged@eps={eps:g}")
+        values.append(val)
+    values = np.array(values)
+    return DefectReport(eps_list, values, _fit_exponent(eps_list, values), flags)
 
 
 def additivity_defect(
@@ -161,16 +153,11 @@ def additivity_defect(
 ) -> DefectReport:
     """|| (sqrt(V2_eps) + sqrt(V3))^2 - V2_eps - V3 ||_1 = 2 || sqrt(V2_eps V3) ||_1.
 
-    V2 carries a weak-contact law, V3 is unscaled.  The algebraic form is
-    evaluated; a value that moves by more than 1% under grid doubling is flagged.
+    V2 carries a weak-contact law, V3 is unscaled.  The right-hand side is evaluated, as twice
+    the cross term of V2 with the unscaled V3, with the cross term's flags and fitted exponent.
     """
-
-    def integrand(eps, r):
-        f2 = ScaledPotential(v2, law2.with_epsilon(eps))(r)
-        f3 = v3(r)
-        return (np.sqrt(f2) + np.sqrt(f3)) ** 2 - f2 - f3
-
-    return _defect_ladder(integrand, eps_list, grid, law2.d)
+    rep = cross_term_norm(v2, law2, v3, ScalingLaw(None, 1.0, law2.d), eps_list, grid)
+    return replace(rep, values=2.0 * rep.values)
 
 
 def _refine(grid: RadialGrid) -> RadialGrid:

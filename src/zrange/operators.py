@@ -171,10 +171,11 @@ class SpectrumReport:
 # (_gram_tridiagonal), which is carried as a TridiagonalOperator.  Eigenpairs
 # of K taken through the SVD of F keep relative accuracy ~ cond(F) * eps, not
 # cond(K) * eps = cond(F)^2 * eps, and cond(K) can exceed 1e15 on the
-# scale-bracketing grids the Efimov studies need.  For d=3, n Givens
-# rotations (O(n)) fold F into an n x n upper bidiagonal B, B^T B = F^T F.
-# LAPACK's bidiagonal divide-and-conquer SVD (dbdsdc) gives singular values S
-# and right vectors V, and sqrt(K) = V S V^T = W W^T with the root factor
+# scale-bracketing grids the Efimov studies need.  LAPACK's bidiagonal
+# divide-and-conquer SVD (dbdsdc) gives singular values S and right vectors V;
+# for d=3 it takes F padded with a zero column as a square lower bidiagonal,
+# which it folds to upper form by Givens rotations from the left (V is kept).
+# sqrt(K) = V S V^T = W W^T with the root factor
 # W = V S^(1/2); numpy hands W @ W.T to BLAS syrk, half the flops of a
 # general product and exactly symmetric.  No dense O(n^3) Householder
 # reduction or back-transform is spent on a bidiagonal matrix.
@@ -239,22 +240,6 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
     return TridiagonalOperator(*k, grid, label="H_hyper")
 
 
-def _upper_bidiagonal(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of the n x n upper bidiagonal B with B^T B = F^T F, F (n+1) x n lower.
-
-    The Givens rotation of rows i and i+1 folds F[i+1, i] = sub[i] into the
-    diagonal entry (i, i); its fill-in at (i, i+1) is the superdiagonal.
-    """
-    f_diag, out_diag, out_super = diag.tolist(), [], []
-    a = f_diag[0]
-    for b, c in zip(sub.tolist(), f_diag[1:] + [0.0]):  # no row below the last
-        r = math.hypot(a, b)
-        out_diag.append(r)
-        out_super.append(b / r * c)
-        a = a / r * c
-    return np.array(out_diag), np.array(out_super[:-1])
-
-
 @functools.cache
 def _dbdsdc_routine():
     """LAPACK dbdsdc as a ctypes function, from scipy.linalg.cython_lapack's capsule table (built on first use)."""
@@ -268,47 +253,55 @@ def _dbdsdc_routine():
     )
 
 
-def _dbdsdc(diag: np.ndarray, superdiag: np.ndarray, vectors: bool = True):
-    """Singular values s and right singular vectors V of an upper bidiagonal B.
+def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
+    """Singular values s, descending, and right singular vectors V of a bidiagonal F = U diag(s) V^T.
 
-    B = U diag(s) V^T with s descending; V is returned with the vectors as
-    columns.  With vectors=False only s is computed (COMPQ = 'N', LAPACK's
-    dqds, O(n^2) and accurate to a few ulps relative in every singular
-    value) and returned alone.  Raises LinAlgError when dbdsdc does not
-    converge, as np.linalg.svd does.
+    F is n x n upper bidiagonal when off holds its n - 1 superdiagonal
+    entries, or (n+1) x n lower bidiagonal when off holds the n entries
+    F[i+1, i] (the d=3 kinetic factor).  The lower one is padded with a zero
+    column, a square lower bidiagonal that LAPACK folds itself (UPLO = 'L');
+    the padded singular value (0, lifted by dbdsdc to 0.9 * 2^-53 times the
+    largest entry) sorts last and is dropped with its vector and with V's
+    padded row, which is exactly 0.  V is returned with
+    the vectors as columns.  With vectors=False only s is computed (COMPQ =
+    'N', LAPACK's dqds, O(n^2) and accurate to a few ulps relative in every
+    singular value) and returned alone.  Raises LinAlgError when dbdsdc does
+    not converge, as np.linalg.svd does.
     """
     n = diag.size
-    if n < 1 or superdiag.shape != (n - 1,):
-        raise ValueError("bidiagonal needs n >= 1 diagonal and n - 1 superdiagonal entries")
+    if n < 1 or off.shape not in ((n - 1,), (n,)):
+        raise ValueError("bidiagonal needs n >= 1 diagonal and n - 1 (upper) or n (lower) off-diagonal entries")
+    lower = off.size == n
     dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
-    s = np.array(diag, dtype=float)  # overwritten by the singular values
-    e = np.array(superdiag, dtype=float)
+    nb = n + lower
+    s = np.zeros(nb)  # diag, then the padding 0 of the lower layout; overwritten by the singular values
+    s[:n] = diag
+    e = np.array(off, dtype=float)
     # Column-major VT read in C order is V itself.  U, VT, Q and IQ are not
     # referenced when COMPQ = 'N', and Q and IQ not when COMPQ = 'I'.
-    k = n if vectors else 1
+    k = nb if vectors else 1
+    # WORK before U and VT: in the other order, the (n+1)^2 blocks of the d=3
+    # calls fragment the heap, and find_thresholds' peak RSS grew by 5 MB at n = 600
+    work = np.empty(3 * nb * nb + 4 * nb if vectors else 4 * nb)
     u, v, q = np.empty((k, k)), np.empty((k, k)), np.empty(1)
     iq = np.empty(1, dtype=np.intc)
-    work = np.empty(3 * n * n + 4 * n if vectors else 4 * n)
-    iwork = np.empty(8 * n, dtype=np.intc)
-    size, lead = ctypes.c_int(n), ctypes.c_int(k)
+    iwork = np.empty(8 * nb, dtype=np.intc)
+    size, lead = ctypes.c_int(nb), ctypes.c_int(k)
     info = ctypes.c_int(0)
     _dbdsdc_routine()(
-        b"U", b"I" if vectors else b"N", ctypes.byref(size), s.ctypes.data_as(dp), e.ctypes.data_as(dp),
-        u.ctypes.data_as(dp), ctypes.byref(lead), v.ctypes.data_as(dp), ctypes.byref(lead),
+        b"L" if lower else b"U", b"I" if vectors else b"N", ctypes.byref(size), s.ctypes.data_as(dp),
+        e.ctypes.data_as(dp), u.ctypes.data_as(dp), ctypes.byref(lead), v.ctypes.data_as(dp), ctypes.byref(lead),
         q.ctypes.data_as(dp), iq.ctypes.data_as(ip), work.ctypes.data_as(dp), iwork.ctypes.data_as(ip),
         ctypes.byref(info),
     )
     if info.value != 0:
         raise np.linalg.LinAlgError(f"bidiagonal SVD did not converge (dbdsdc info {info.value})")
-    return (s, v) if vectors else s
+    return (s[:n], v[:n, :n]) if vectors else s[:n]
 
 
 def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
     """W = V S^(1/2), a fresh array, from the bidiagonal SVD F = U S V^T: sqrt(H0) = W W^T."""
-    diag, off = _kinetic_diagonals(grid, d, m)
-    if off.size == diag.size:
-        diag, off = _upper_bidiagonal(diag, off)
-    s, v = _dbdsdc(diag, off)
+    s, v = _dbdsdc(*_kinetic_diagonals(grid, d, m))
     v *= np.sqrt(s)
     return v
 
@@ -317,7 +310,7 @@ def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix
     """sqrt of the kinetic matrix as W W^T, with W = V S^(1/2) the root factor.
 
     S and V come from LAPACK's bidiagonal SVD of F = U S V^T on the O(n)
-    diagonals of F (d=2) or of their Givens reduction (d=3): no dense O(n^3)
+    diagonals of F (for d=3 LAPACK folds the lower factor itself): no dense O(n^3)
     bidiagonalization or back-transform, and S keeps full relative accuracy
     even when cond(H0) is near 1/eps, which eigh of H0 loses.  W @ W.T runs
     as BLAS syrk and comes out exactly symmetric.

@@ -27,6 +27,7 @@ from zrange.konno_kuroda import (
     negative_count_direct,
 )
 from zrange.limit_resolvent import ProductFreeResolvent, ProductGrid, convergence_study
+from zrange import efimov
 from zrange.efimov import (
     effective_operator,
     find_thresholds,
@@ -303,6 +304,18 @@ def test_criterion_11_hyperradial_reduction():
         f"angular-averaged kernel exponent {rep['fitted_exponent']:.4f} (-1 +/- 0.05), "
         f"prefactor {rep['prefactor']:.3f} < 0, {dt:.1f}s",
     )
+
+
+@pytest.mark.parametrize("degree", [-3, -5])
+def test_criterion_11_fails_for_a_kernel_of_another_degree(degree, monkeypatch):
+    # kernel22's formula times |Q|^(degree + 4): the slice average samples
+    # it at |Q| = 1/r, so the profile carries r^(-degree - 5), not 1/r
+    formula = efimov._kernel22_formula
+    norm = lambda q1, q2: np.sqrt(np.sum(q1 * q1 + q2 * q2, axis=-1))
+    monkeypatch.setattr(efimov, "_kernel22_formula", lambda q1, q2: formula(q1, q2) * norm(q1, q2) ** (degree + 4))
+    rep = hyperradial_reduce(np.geomspace(0.01, 10.0, 12))
+    assert abs(rep["fitted_exponent"] + 1.0) > 0.05
+    assert rep["fitted_exponent"] == pytest.approx(-degree - 5, abs=1e-6)
 
 
 def test_criterion_12_cli_determinism(tmp_path):

@@ -185,8 +185,8 @@ def test_grid_beyond_physical_memory_rejected_before_allocation(command, cfg, fi
 @pytest.mark.parametrize(
     "command,cfg,field",
     [
-        # a dense 400 x 400 Q(0) is 1.28 MB
-        ("resonance", dict(CONFIGS["resonance"], grid=dict(CONFIGS["resonance"]["grid"], n=400)), "grid.n"),
+        # the run on 8000 nodes peaks at 1.3 MB under tracemalloc (20 floats per node)
+        ("resonance", dict(CONFIGS["resonance"], grid=dict(CONFIGS["resonance"]["grid"], n=8000)), "grid.n"),
         # the 96 x 96 product grid: its eigenbases, line weights and rung
         # arrays (9-11 n^2 floats, about 0.7 MB under tracemalloc) do not fit
         (
@@ -297,6 +297,15 @@ def test_dense_memory_probe_bounds_its_peak(command, n, refine, tmp_path, monkey
     _peak_within_probe(command, dict(cfg, refine=refine) if refine else cfg, tmp_path, monkeypatch)
 
 
+@pytest.mark.parametrize("n", [800, 3200])
+def test_resonance_memory_probe_bounds_its_peak(n, tmp_path, monkeypatch):
+    # the run is O(n), so it fits in 64 MiB, where a probe for a dense
+    # n x n matrix (82 MB at n = 3200) once refused it
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**26)
+    cfg = dict(CONFIGS["resonance"], grid=dict(CONFIGS["resonance"]["grid"], n=n))
+    _peak_within_probe("resonance", cfg, tmp_path, monkeypatch)
+
+
 @pytest.mark.parametrize(
     "command,field,value",
     [
@@ -350,6 +359,10 @@ def test_wrong_json_type_names_the_field(command, field, value, tmp_path, capfd)
         ("efimov", "d", 4),
         ("efimov", "grid.spacing", "linear"),
         ("efimov", "kind", "three_body_2d"),
+        ("kernel22", "sweep", [[[float("nan"), 0.0], [1.0, 0.0]]]),
+        ("efimov", "sweep", [1.0, float("inf")]),
+        ("efimov", "grid", dict(SMALL_LOG_GRID, r_max=10.0, r_min=1e-3)),
+        ("mass-sweep", "grid.spacing", "linear"),
     ],
 )
 def test_integer_and_structured_fields_name_the_field(command, field, value, tmp_path, capfd):

@@ -322,6 +322,13 @@ def test_kernel22_pole_flag():
     assert v.pole
 
 
+@pytest.mark.parametrize("q1", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+def test_kernel22_rejects_non_finite_momenta(q1):
+    # NaN once came back as the value nan with pole False, inf as a pole
+    with pytest.raises(ValueError, match="finite"):
+        kernel22(np.array(q1), np.array([1.0, 0.0]))
+
+
 def test_kernel22_homogeneity_degree_minus_four():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -344,6 +351,14 @@ def test_hyperradial_profile_inverse_r_with_negative_prefactor():
 def test_hyperradial_requires_two_decades():
     with pytest.raises(ValueError, match="decades"):
         hyperradial_reduce(np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("r_list", [[-1.0, 0.01, 10.0], [np.nan, 0.01, 10.0], [0.0, 0.01, 10.0], [0.01, 1.0, np.inf]])
+def test_hyperradial_rejects_bad_radii(r_list):
+    # these passed the two-decade check (its log10 was NaN) and ended in
+    # np.polyfit as a LinAlgError
+    with pytest.raises(ValueError, match="radii must be finite and positive"):
+        hyperradial_reduce(np.array(r_list))
 
 
 def test_hyperradial_angular_divergence_flagged():

@@ -342,8 +342,5 @@ def test_sqrt_kinetic_matches_dense_svd_of_factor(d):
     root = sqrt_kinetic(g, d, 0.5).entries
     assert np.array_equal(root, root.T)
     assert np.abs(root - ref).max() <= 1e-13 * np.abs(ref).max()
-    diag, off = operators._kinetic_diagonals(g, d, 0.5)
-    if d == 3:
-        diag, off = operators._upper_bidiagonal(diag, off)
-    s, _ = operators._dbdsdc(diag, off)
+    s, _ = operators._dbdsdc(*operators._kinetic_diagonals(g, d, 0.5))
     assert np.all(np.abs(s - s_ref) <= 1e-12 * s_ref)
