@@ -2,12 +2,12 @@
 """The zero-range limit of the two-channel resolvent on a product grid.
 
 Assembles W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) for a resonant
-weak-contact family on the product of two radial grids, and compares it with
-the rank-structured operator W(z) = (4 pi / sqrt(z)) (L1 L1^T + L2 L2^T),
-Li = R0(z) applied to the delta-line sources of channel i, which is built
-from the free resolvent alone and applied as R0(z) T R0(z), T the diagonal
-of line weights on the nx + ny - 1 nodes of the two contact lines.  The
-family W_eps(z) f converges at the sqrt(eps) rate.  W(z) is not yet its
+weak-contact family on the square product of one n-node radial grid, and
+compares it with the rank-structured operator W(z) = (4 pi / sqrt(z))
+(L1 L1^T + L2 L2^T), Li = R0(z) applied to the delta-line sources of
+channel i, which is built from the free resolvent alone and applied as
+R0(z) T R0(z), T the diagonal of line weights on the 2n - 1 nodes of the
+two contact lines.  The family W_eps(z) f converges at the sqrt(eps) rate.  W(z) is not yet its
 limit: its constant denominator and uncoupled channels leave a floor in the
 discrepancy (ROADMAP item 4).
 """
@@ -43,7 +43,7 @@ print("=" * 72)
 w = limit_w(z, res)
 wm = w.matrix()
 sv = np.linalg.svd(wm, compute_uv=False)
-rank = pg.gx.n + pg.gy.n - 1  # the line nodes; the corner is on both lines
+rank = 2 * g.n - 1  # the line nodes; the corner is on both lines
 print(f"  symmetric to {np.abs(wm - wm.T).max():.1e}; rank bound {rank} "
       f"(next singular value {sv[rank] / sv[0]:.1e} of top)")
 f = rng.standard_normal(pg.n)

@@ -60,7 +60,6 @@ from .limit_resolvent import (
     limit_w,
 )
 from .efimov import (
-    EffectiveOperator,
     GeometricRatio,
     MassSweepReport,
     ThresholdReport,

@@ -34,15 +34,6 @@ N_CHI, N_DELTA = 64, 128  # midpoint nodes of the hyperradial angular average (d
 
 
 @dataclass
-class EffectiveOperator:
-    kind: str
-    C: float
-    d: int
-    grid: RadialGrid
-    matrix: OperatorMatrix | TridiagonalOperator = field(repr=False)  # tridiagonal for three_body_2d
-
-
-@dataclass
 class ThresholdReport:
     """Critical couplings C0 (positivity) and C1 (unbounded state count)."""
 
@@ -78,8 +69,10 @@ def _require_scale_bracketing(grid: RadialGrid):
         )
 
 
-def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float = 0.5) -> EffectiveOperator:
-    """Assemble one of the effective singular operators on a log grid."""
+def effective_operator(
+    kind: str, C: float, d: int, grid: RadialGrid, m: float = 0.5
+) -> OperatorMatrix | TridiagonalOperator:
+    """Assemble one of the effective singular operators on a log grid (tridiagonal for three_body_2d)."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
     if not (math.isfinite(C) and C >= 0.0):
@@ -93,20 +86,20 @@ def effective_operator(kind: str, C: float, d: int, grid: RadialGrid, m: float =
         if d != 2:
             raise ValueError("three_body_2d is defined for d=2 constituents")
         kin = hyperradial_kinetic(grid, mass_scale=m)
-        return EffectiveOperator(kind, C, d, grid, TridiagonalOperator(kin.diag - C * tail, kin.off, grid, label))
+        return TridiagonalOperator(kin.diag - C * tail, kin.off, grid, label)
     if kind == "weak_image":
         tail = np.where(r <= 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
     w = _root_factor(grid, d, m)
     mat = w @ w.T
     mat[np.diag_indices_from(mat)] -= C * tail  # in place: the matrix stays exactly symmetric
-    return EffectiveOperator(kind, C, d, grid, OperatorMatrix(mat, grid, label=label))
+    return OperatorMatrix(mat, grid, label=label)
 
 
-def operator_spectrum(op: EffectiveOperator) -> SpectrumReport:
-    if isinstance(op.matrix, TridiagonalOperator):
-        vals = op.matrix.eigenvalues(0.0)
+def operator_spectrum(op: OperatorMatrix | TridiagonalOperator) -> SpectrumReport:
+    if isinstance(op, TridiagonalOperator):
+        vals = op.eigenvalues(0.0)
     else:
-        vals = eigh(op.matrix.entries, eigvals_only=True)
+        vals = eigh(op.entries, eigvals_only=True)
     return SpectrumReport.from_eigenvalues(vals)
 
 
@@ -227,7 +220,7 @@ def geometric_ratio(
     if neg.size < 4:
         raise ValueError(f"need at least 4 negative eigenvalues, have {neg.size}")
     depths = np.abs(neg)  # ascending eigenvalues -> decreasing depth
-    ratios = depths[1:] / depths[:-1]
+    ratios = spectrum.ratios
     inner = ratios[1:-1] if ratios.size > 2 else ratios
     ratio = float(np.exp(np.mean(np.log(inner))))
     deviation = float(np.max(np.abs(inner / ratio - 1.0)))

@@ -3,21 +3,23 @@
 Setting: two identical particles, each feeling the same short-range
 attractive potential of a third one, in the weak-contact regime (d=3, p=2)
 with the two-body subsystem at its zero-energy resonance.  In the coordinates
-x = x1 - x3, y = x2 - x3 the free operator of the equal-mass system,
-restricted to the s (x) s sector, is Kx + Ky: the cross-gradient term maps
-out of the sector, so its in-sector block vanishes.
+x = x1 - x3, y = x2 - x3 the free operator, restricted to the s (x) s sector,
+is K (+) K on a square product grid, both channels sharing the one kinetic K
+at the channel's reduced mass: the cross-gradient term maps out of the
+sector, so its in-sector block vanishes.
 
 Everything acts on weight-scaled reduced waves U(r_x, r_y) flattened in C
 order; the reduction conventions are those of operators.py, with the d=3
 pairing <f, g> = 4 pi int f g r^2 dr.  Every apply (R0(z), W_eps(z), W(z))
 takes one flattened vector or an (n, b) block of them as columns; R0(z) is
-four BLAS matrix products in the single-coordinate eigenbases for any b.
+four BLAS matrix products in the eigenbasis of K for any b.
 
 At finite epsilon, W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) is applied
-as that difference.  H_eps + z = (a Kx - V(x)) (+) (a Ky - V(y)) + z is a
-Kronecker sum like H0 + z, solved in its two channel eigenbases by the same
-four products (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6
-(1964) 185); the sum of the two channel minima is its exact lowest level.
+as that difference.  H_eps + z = (K - V(x)) (+) (K - V(y)) + z is a
+Kronecker sum like H0 + z, solved in the one eigenbasis of its channel
+operator K - V by the same four products (fast diagonalization: Lynch,
+Rice & Thomas, Numer. Math. 6 (1964) 185); twice the channel minimum is its
+exact lowest level.
 The Konno-Kuroda form R0 B (1 - Q)^(-1) B R0, with B^2 = V(x) + V(y) and
 Q = B R0 B, is the identity the tests check this difference against; its
 four-term split of the outer factors lives in tests/oracles.py.
@@ -29,7 +31,7 @@ is the rank-structured two-channel operator
 
 Li = R0(z) tau_i, with tau_1 (tau_2) the reduced delta-line sources on the
 contact line x = 0 (y = 0).  Their columns are scaled unit vectors, so
-T = tau_1 tau_1^T + tau_2 tau_2^T is diagonal on the nx + ny - 1 line nodes
+T = tau_1 tau_1^T + tau_2 tau_2^T is diagonal on the 2n - 1 line nodes
 (the corner lies on both) and W(z), of that rank, is two R0 applies around a
 diagonal scaling.  It is built from the free resolvent alone: a resonance
 profile psi would enter only through <sqrt(V) psi>^2 / ((sqrt(z) / 4 pi)
@@ -41,7 +43,7 @@ leave a floor in ||W_eps(z) f - W(z) f||, so the per-halving orders fall
 below 1/2 (test_limit_operator_is_reached_at_the_sqrt_eps_rate[limit_w] is
 red for it), and at m != 1 it carries no a^(3/2) factor.  The grid-exact
 Krein form that replaces it needs only the resolvent as well: tau, R0(z),
-R0(0) and the fibers of the single-coordinate eigenbasis, and it applies
+R0(0) and the fibers of the eigenbasis of K, and it applies
 as R0 tau (Theta - M)^(-1) tau^T R0: a line-space solve between two R0.
 """
 
@@ -60,10 +62,14 @@ from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_
 
 @dataclass(frozen=True)
 class ProductGrid:
-    """Tensor product of two radial grids, x factor fastest-varying last."""
+    """Square product of one radial grid (y fastest): the particles are identical, so gy must match gx."""
 
     gx: RadialGrid
     gy: RadialGrid
+
+    def __post_init__(self):
+        if not self.gx.matches(self.gy):
+            raise ValueError("the product grid's y factor must equal its x factor: the rungs are calibrated on x")
 
     @property
     def n(self) -> int:
@@ -77,49 +83,45 @@ class ProductGrid:
 # separable free resolvent on the product grid (s (x) s sector)
 
 
-def _kronecker_sum_solve(qx: np.ndarray, qy: np.ndarray, denom: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(Hx (+) Hy + z)^(-1) f for one flattened vector or an (n, b) block of them.
+def _kronecker_sum_solve(q: np.ndarray, denom: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(H (+) H + z)^(-1) f for one flattened vector or an (n^2, b) block of them.
 
-    qx and qy are the eigenvectors of Hx and Hy, and denom[i, j] is
-    lam_x[i] + lam_y[j] + z.  C-order (n, b) is (nx, ny * b) by a plain
-    reshape, so each x contraction is one matrix product, and each y
-    contraction is a qy product stacked over the nx rows.
+    q holds the eigenvectors of H, and denom[i, j] is lam[i] + lam[j] + z.
+    C-order (n^2, b) is (n, n * b) by a plain reshape, so each x contraction
+    is one matrix product, and each y contraction is a q product stacked over
+    the n rows.
     """
     f = np.asarray(f, dtype=float)
-    nx, ny = denom.shape
-    t = qx.T @ f.reshape(nx, -1)
-    t = np.matmul(qy.T, t.reshape(nx, ny, -1))
+    n = q.shape[0]
+    t = q.T @ f.reshape(n, -1)
+    t = np.matmul(q.T, t.reshape(n, n, -1))
     t /= denom[:, :, None]
-    t = np.matmul(qy, t).reshape(nx, -1)
-    return (qx @ t).reshape(f.shape)
+    t = np.matmul(q, t).reshape(n, -1)
+    return (q @ t).reshape(f.shape)
 
 
 class ProductFreeResolvent:
-    """(a Kx (+) a Ky + z)^(-1) through the single-coordinate eigenbases.
+    """(K (+) K + z)^(-1) through the one eigenbasis (mu, q) of the channel kinetic K.
 
-    It carries its product grid and, as a = (m + 1) / (2 m), the mass m: the one place
-    where the mass enters the product-grid layer.  assemble_w_eps, limit_w and
-    calibrate_couplings read both.
+    K is the d=3 kinetic at the channel's reduced mass m / (m + 1).  The
+    resolvent carries its product grid and that reduced mass: the one place
+    where the mass enters the product-grid layer.  assemble_w_eps, limit_w
+    and calibrate_couplings read both.
     """
 
     def __init__(self, grid: ProductGrid, m: float = 1.0):
         _check_positive("mass m", m)
         self.grid = grid
-        self.a = (m + 1.0) / (2.0 * m)
-        # a Kx and a Ky, K the d=3 kinetic at m = 1/2: the kinetic at the reduced mass 1/(2a) = m/(m + 1)
-        kx, ky = discretize_h0(grid.gx, 3, 0.5), discretize_h0(grid.gy, 3, 0.5)
-        self.kx = TridiagonalOperator(self.a * kx.diag, self.a * kx.off, grid.gx, "a Kx")
-        self.ky = TridiagonalOperator(self.a * ky.diag, self.a * ky.off, grid.gy, "a Ky")
-        self.mu_x, self.qx = np.linalg.eigh(self.kx.entries)
-        # on a symmetric grid a Ky is a Kx entry for entry: one eigensolve serves both
-        self.mu_y, self.qy = (self.mu_x, self.qx) if grid.gy is grid.gx else np.linalg.eigh(self.ky.entries)
+        self.reduced_mass = m / (m + 1.0)
+        self.kinetic = discretize_h0(grid.gx, 3, self.reduced_mass)
+        self.mu, self.q = np.linalg.eigh(self.kinetic.entries)
 
     def denom(self, z: float) -> np.ndarray:
-        return self.mu_x[:, None] + self.mu_y[None, :] + z
+        return self.mu[:, None] + self.mu[None, :] + z
 
     def apply(self, z: float, f: np.ndarray) -> np.ndarray:
         """R0(z) f for one flattened vector, or for an (n, b) block of them."""
-        return _kronecker_sum_solve(self.qx, self.qy, self.denom(z), f)
+        return _kronecker_sum_solve(self.q, self.denom(z), f)
 
     def block(self, z: float, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense R0(z) sub-block for flattened index sets rows x cols."""
@@ -142,9 +144,9 @@ class ProductFreeResolvent:
 class LimitResolvent:
     """W(z) = coeff R0(z) T R0(z), coeff = 4 pi / sqrt(z).
 
-    T = tau_1 tau_1^T + tau_2 tau_2^T is the diagonal weights: cx^2 on the
-    x = 0 line, cy^2 on the y = 0 line, cx^2 + cy^2 at the corner on both,
-    0 elsewhere.  The constant coeff and the uncoupled channels are the open
+    T = tau_1 tau_1^T + tau_2 tau_2^T is the diagonal weights: c^2 on the
+    x = 0 line and on the y = 0 line, 2 c^2 at the corner on both, 0
+    elsewhere.  The constant coeff and the uncoupled channels are the open
     defect of ROADMAP item 4 (module docstring).
     """
 
@@ -177,16 +179,17 @@ def limit_w(z: float, resolvent: ProductFreeResolvent) -> LimitResolvent:
     The product grid and the mass are those of resolvent.  T, the sum of the
     outer products of the delta-line sources on x = 0 and y = 0, is diagonal:
     only its weights are built, no source or R0 image, and W(z) has rank
-    nx + ny - 1.  No resonance profile enters: it would cancel from W
+    2n - 1.  No resonance profile enters: it would cancel from W
     exactly.  The constant denominator sqrt(z)/(4 pi) and the uncoupled
     channels are the open defect of ROADMAP item 4, whose Krein form fills
     this signature.
     """
     _check_positive("z", z)
     grid = resolvent.grid
-    weights = np.zeros((grid.gx.n, grid.gy.n))
-    weights[0, :] = _line_source_scale(grid.gx) ** 2  # the x = 0 line
-    weights[:, 0] += _line_source_scale(grid.gy) ** 2  # the y = 0 line; the corner is on both
+    line = _line_source_scale(grid.gx) ** 2
+    weights = np.zeros((grid.gx.n, grid.gx.n))
+    weights[0, :] = line  # the x = 0 line
+    weights[:, 0] += line  # the y = 0 line; the corner is on both
     return LimitResolvent(z, grid, float(4.0 * np.pi / np.sqrt(z)), resolvent, grid.flatten(weights))
 
 
@@ -198,24 +201,23 @@ def limit_w(z: float, resolvent: ProductFreeResolvent) -> LimitResolvent:
 class FiniteEpsilonResolvent:
     """W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1), the resolvent difference.
 
-    kernel_qx and kernel_qy are the eigenvectors of the channel operators
-    a Kx - V(x) and a Ky - V(y), and kernel_denom[i, j] = lam_x[i] +
-    lam_y[j] + z, all positive, is the spectrum of H_eps + z.  support holds
-    the flattened nodes where V(x) + V(y) exceeds SUPPORT_FLOOR times its peak.
+    kernel_q holds the eigenvectors of the channel operator K - V, and
+    kernel_denom[i, j] = lam[i] + lam[j] + z, all positive, is the spectrum
+    of H_eps + z.  support holds the flattened nodes where V(x) + V(y)
+    exceeds SUPPORT_FLOOR times its peak.
     """
 
     z: float
     grid: ProductGrid
     support: np.ndarray = field(repr=False)
-    kernel_qx: np.ndarray = field(repr=False)
-    kernel_qy: np.ndarray = field(repr=False)
+    kernel_q: np.ndarray = field(repr=False)
     kernel_denom: np.ndarray = field(repr=False)
     resolvent: ProductFreeResolvent = field(repr=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """W_eps(z) f for one flattened vector or an (n, b) block of them:
         (H_eps + z)^(-1) f - R0(z) f, four products each."""
-        w = _kronecker_sum_solve(self.kernel_qx, self.kernel_qy, self.kernel_denom, f)
+        w = _kronecker_sum_solve(self.kernel_q, self.kernel_denom, f)
         w -= self.resolvent.apply(self.z, f)
         return w
 
@@ -223,35 +225,31 @@ class FiniteEpsilonResolvent:
 def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeResolvent) -> FiniteEpsilonResolvent:
     """W_eps(z) on the product grid of resolvent, at its mass.
 
-    H_eps + z = hx (+) hy + z with hx = a Kx - V(x), hy = a Ky - V(y), whose
-    eigenvalues are the sums lam_x[i] + lam_y[j] + z: two n-sized
-    eigensolves (one when gy is gx) give the exact gate (no three-body level
-    below -z iff lam_x[0] + lam_y[0] + z > 0) and the solver behind apply().
+    H_eps + z = h (+) h + z with the channel operator h = K - V, whose
+    eigenvalues are the sums lam[i] + lam[j] + z: one n-sized eigensolve
+    gives the exact gate (no three-body level below -z iff
+    2 lam[0] + z > 0) and the solver behind apply().
     By congruence the gate is the Birman-Schwinger principle: with
     B = sqrt(V(x) + V(y)) on the support (V(x) + V(y) > SUPPORT_FLOOR times
     its peak), 1 - Q, Q = B R0(z) B, is positive definite exactly when
     H_eps + z is.  The dense block of Q and its top eigenvalue are computed
     only when the gate fails, for the error message, next to the lowest
-    level lam_x[0] + lam_y[0] of H_eps.
+    level 2 lam[0] of H_eps.
     """
     _check_positive("z", z)
     grid = resolvent.grid
-    gx, gy = grid.gx, grid.gy
-    vx = v_scaled(gx.nodes)
-    vy = v_scaled(gy.nodes)
-    v_sum = grid.flatten(vx[:, None] + vy[None, :])
+    v = v_scaled(grid.gx.nodes)
+    v_sum = grid.flatten(v[:, None] + v[None, :])
     support = np.flatnonzero(v_sum > SUPPORT_FLOOR * v_sum.max())
     if support.size == 0:
         raise ValueError("potential vanishes on the product grid")
-    kx, ky = resolvent.kx, resolvent.ky
-    lam_x, qx = np.linalg.eigh(TridiagonalOperator(kx.diag - vx, kx.off, gx, "a Kx - V(x)").entries)
-    hy = TridiagonalOperator(ky.diag - vy, ky.off, gy, "a Ky - V(y)")
-    lam_y, qy = (lam_x, qx) if gy is gx else np.linalg.eigh(hy.entries)  # hy is hx on a symmetric grid
-    lowest = float(lam_x[0] + lam_y[0])
+    k = resolvent.kinetic
+    lam, q = np.linalg.eigh(TridiagonalOperator(k.diag - v, k.off, grid.gx, "K - V").entries)
+    lowest = float(2.0 * lam[0])
     if lowest + z <= 0.0:
         b_sup = np.sqrt(v_sum[support])
-        q = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)
-        top_q = float(eigh(q, lower=True, eigvals_only=True, subset_by_index=[support.size - 1] * 2)[0])
+        q_sup = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)
+        top_q = float(eigh(q_sup, lower=True, eigvals_only=True, subset_by_index=[support.size - 1] * 2)[0])
         raise ValueError(
             f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: "
             f"top eigenvalue {top_q:.6f}, lowest level {lowest:.12g} of H_eps (three-body level below -z)"
@@ -260,9 +258,8 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
         z=z,
         grid=grid,
         support=support,
-        kernel_qx=qx,
-        kernel_qy=qy,
-        kernel_denom=lam_x[:, None] + lam_y[None, :] + z,
+        kernel_q=q,
+        kernel_denom=lam[:, None] + lam[None, :] + z,
         resolvent=resolvent,
     )
 
@@ -270,8 +267,8 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
 def calibrate_couplings(potential: BasePotential, eps_list, resolvent: ProductFreeResolvent) -> dict:
     """Critical coupling of the node-sampled scaled channel at each epsilon.
 
-    The resonance is computed at the channel's reduced mass 1/(2a) = m/(m + 1)
-    from the potential's values at the x nodes of the resolvent's grid, so the
+    The resonance is computed at the channel's reduced mass m / (m + 1) from
+    the potential's values at the nodes of the resolvent's radial grid, so the
     calibration matches exactly what a product-grid assembly of the same
     samples sees; this is what keeps an epsilon ladder on resonance when the
     scaled well is carried by a handful of log nodes.  The p=2 scaling
@@ -281,11 +278,11 @@ def calibrate_couplings(potential: BasePotential, eps_list, resolvent: ProductFr
     operator.  Each value is the strength at which the unit-strength profile
     is resonant, whatever the strength of potential.
     """
-    m_ch = 0.5 / resolvent.a
+    grid, m_ch = resolvent.grid.gx, resolvent.reduced_mass
     out = {}
     for eps in eps_list:
         scaled = ScaledPotential(potential, ScalingLaw(2, float(eps), 3))
-        out[float(eps)] = resonance(scaled, resolvent.grid.gx, m_ch).coupling * potential.strength
+        out[float(eps)] = resonance(scaled, grid, m_ch).coupling * potential.strength
     return out
 
 
@@ -312,15 +309,13 @@ def convergence_study(
     Each rung of the decreasing epsilon ladder is assembled at its own
     critical coupling, so the two-body channel stays exactly resonant; the
     limit W(z) is limit_w(z, R0) and needs no resonance, so the study solves
-    one resonance per rung, calibrated on the x factor, which the y factor must
-    equal.  Reported discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per
-    test function; the family W_eps(z) f itself is kept in the report.  The
-    test functions are applied as one block: one W(z) apply in all, and one
-    W_eps(z) apply per rung.
+    one resonance per rung, on the grid's one radial factor.  Reported
+    discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per test function; the
+    family W_eps(z) f itself is kept in the report.  The test functions are
+    applied as one block: one W(z) apply in all, and one W_eps(z) apply per
+    rung.
     """
     _check_positive("z", z)
-    if not grid.gx.matches(grid.gy):
-        raise ValueError("the product grid's y factor must equal its x factor: the rungs are calibrated on x")
     eps_list = _decreasing_ladder(eps_list)
     if eps_list.size == 0 or not np.all((eps_list > 0.0) & (eps_list <= 1.0)):
         raise ValueError(f"epsilon ladder must be non-empty with every rung finite and in (0, 1], got {eps_list}")

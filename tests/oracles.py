@@ -281,16 +281,15 @@ def line_sources(grid):
 
     tau_1 has one column per y node, on the contact line x = 0; tau_2 one per
     x node, on y = 0.  The corner node (0, 0) carries one source of each.
-    Shape (nx ny, ny + nx), flattened in C order.
+    Shape (n^2, 2n) for the square grid of n-node factors, flattened in C order.
     """
-    gx, gy = grid.gx, grid.gy
-    nx, ny = gx.n, gy.n
+    g = grid.gx
+    n = g.n
     # weight-scaled amplitude of the reduced delta line at the first node
-    cx = 1.0 / (np.sqrt(4.0 * np.pi) * gx.nodes[0] * np.sqrt(gx.weights[0]))
-    cy = 1.0 / (np.sqrt(4.0 * np.pi) * gy.nodes[0] * np.sqrt(gy.weights[0]))
-    tau = np.zeros((nx * ny, ny + nx))
-    tau[np.arange(ny), np.arange(ny)] = cx  # (0, j), flattened j
-    tau[np.arange(nx) * ny, ny + np.arange(nx)] = cy  # (i, 0), flattened i ny
+    c = 1.0 / (np.sqrt(4.0 * np.pi) * g.nodes[0] * np.sqrt(g.weights[0]))
+    tau = np.zeros((n * n, 2 * n))
+    tau[np.arange(n), np.arange(n)] = c  # (0, j), flattened j
+    tau[np.arange(n) * n, n + np.arange(n)] = c  # (i, 0), flattened i n
     return tau
 
 
@@ -308,27 +307,26 @@ def line_source_limit_apply(z, resolvent, f):
 def stm_limit_apply(z, resolvent, test_functions):
     """Zero-range limit W(z) f in Skorniakov-Ter-Martirosian form.
 
-    Equal masses (the resolvent's kinetic factor a = 1).  With tau_1, tau_2
+    Equal masses (the resolvent's reduced mass 1/2).  With tau_1, tau_2
     the reduced delta sources on the contact lines x = 0 and y = 0, one
     column per node of the other coordinate, W = L Gamma^(-1) L^T with
     L = R0 [tau_1 tau_2] and
 
-        Gamma = [[ sqrt(z + K_y) / 4 pi,  -tau_1^T R0 tau_2 ],
-                 [ -tau_2^T R0 tau_1,      sqrt(z + K_x) / 4 pi ]]:
+        Gamma = [[ sqrt(z + K) / 4 pi,   -tau_1^T R0 tau_2 ],
+                 [ -tau_2^T R0 tau_1,    sqrt(z + K) / 4 pi ]]:
 
     a resonant pair at rest relative to its spectator sees sqrt(z)/4 pi, a
     moving one the spectator's kinetic energy K added to z, and the two
     channels couple through the free propagator between the lines.
     """
-    if resolvent.a != 1.0:
+    if resolvent.reduced_mass != 0.5:
         raise ValueError("the STM oracle is written for equal masses")
-    ny = resolvent.grid.gy.n
+    n = resolvent.grid.gx.n
     tau = line_sources(resolvent.grid)
     lines = resolvent.apply(z, tau)
-    fiber_y = (resolvent.qy * np.sqrt(resolvent.mu_y + z)) @ resolvent.qy.T / (4.0 * np.pi)
-    fiber_x = (resolvent.qx * np.sqrt(resolvent.mu_x + z)) @ resolvent.qx.T / (4.0 * np.pi)
-    coupling = tau[:, :ny].T @ lines[:, ny:]
-    gamma = np.block([[fiber_y, -coupling], [-coupling.T, fiber_x]])
+    fiber = (resolvent.q * np.sqrt(resolvent.mu + z)) @ resolvent.q.T / (4.0 * np.pi)
+    coupling = tau[:, :n].T @ lines[:, n:]
+    gamma = np.block([[fiber, -coupling], [-coupling.T, fiber]])
     fs = np.atleast_2d(np.asarray(test_functions, dtype=float))
     return (lines @ np.linalg.solve(gamma, lines.T @ fs.T)).T
 
@@ -345,11 +343,11 @@ def four_term_w_eps_apply(w_eps, v_scaled, f, split=True):
     """
     res, z = w_eps.resolvent, w_eps.z
     grid = res.grid
-    vx, vy = v_scaled(grid.gx.nodes), v_scaled(grid.gy.nodes)
+    v = v_scaled(grid.gx.nodes)
     on_support = np.zeros(grid.n, dtype=bool)
     on_support[w_eps.support] = True
-    b = np.where(on_support, np.sqrt(vx[:, None] + vy[None, :]).reshape(-1), 0.0)
-    s = np.where(on_support, (np.sqrt(vx)[:, None] + np.sqrt(vy)[None, :]).reshape(-1), 0.0) if split else b
+    b = np.where(on_support, np.sqrt(v[:, None] + v[None, :]).reshape(-1), 0.0)
+    s = np.where(on_support, (np.sqrt(v)[:, None] + np.sqrt(v)[None, :]).reshape(-1), 0.0) if split else b
     f = np.asarray(f, dtype=float)
     b, s = (b, s) if f.ndim == 1 else (b[:, None], s[:, None])
     u = s * res.apply(z, f)

@@ -164,13 +164,14 @@ def test_missing_grid_field_names_it(tmp_path, capsys):
     "command,cfg,field",
     [
         ("efimov", dict(CONFIGS["efimov"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
-        ("mass-sweep", dict(CONFIGS["mass-sweep"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
+        ("mass-sweep", dict(CONFIGS["mass-sweep"], grid=dict(SMALL_LOG_GRID, n=10**12)), "grid.n"),
         ("efimov", dict(CONFIGS["efimov"], refine=5 * 10**4), "refine"),
         ("thresholds", dict(CONFIGS["thresholds"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
     ],
 )
 def test_grid_beyond_physical_memory_rejected_before_allocation(command, cfg, field, tmp_path, capsys):
-    # one dense 10^7 x 10^7 matrix is 800 TB: refused before any array is built
+    # one dense 10^7 x 10^7 matrix is 800 TB, and the 16 floats per node of a
+    # mass sweep on 10^12 nodes 128 TB: refused before any array is built
     tracemalloc.start()
     try:
         code = _run(command, cfg, tmp_path)
@@ -304,6 +305,15 @@ def test_resonance_memory_probe_bounds_its_peak(n, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 2**26)
     cfg = dict(CONFIGS["resonance"], grid=dict(CONFIGS["resonance"]["grid"], n=n))
     _peak_within_probe("resonance", cfg, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("command", ["scale-norms", "cross-term", "additivity", "mass-sweep"])
+def test_linear_memory_probe_bounds_its_peak(command, tmp_path, monkeypatch):
+    # these runs are O(n) (0.3-9.7 MB at n = 3200), so they fit in 64 MiB,
+    # where a probe for a dense n x n matrix (82 MB) once refused them
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**26)
+    cfg = dict(CONFIGS[command], grid=dict(CONFIGS[command]["grid"], n=3200))
+    _peak_within_probe(command, cfg, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize(

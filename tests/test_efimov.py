@@ -36,8 +36,8 @@ def thresholds_d3():
 
 def test_free_operator_positive(log_grid):
     op = effective_operator("contact_image", 0.0, 3, log_grid)
-    low = eigh(op.matrix.entries, eigvals_only=True, subset_by_index=[0, 0])[0]
-    assert low > -1e-10 * np.abs(op.matrix.entries).max()
+    low = eigh(op.entries, eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert low > -1e-10 * np.abs(op.entries).max()
     with pytest.raises(ValueError, match="nonnegative"):
         effective_operator("contact_image", -1.0, 3, log_grid)
 
@@ -81,7 +81,7 @@ def test_contact_image_scale_covariance(log_grid):
 def test_operator_spectrum_matches_jacobi_oracle():
     g = build_grid(40, 1e2, "logarithmic", r_min=1e-4)
     op = effective_operator("contact_image", 1.5, 3, g)
-    oracle = jacobi_eigenvalues(op.matrix.entries)
+    oracle = jacobi_eigenvalues(op.entries)
     e = operator_spectrum(op).eigenvalues
     assert np.max(np.abs(e - oracle)) < 1e-10 * np.abs(oracle).max()
 
@@ -408,7 +408,7 @@ def test_three_body_spectrum_is_the_dense_spectrum_bit_for_bit(sweep_grid, m):
     # dsterf on the two diagonals is where the dense eigensolve ends up; the
     # bisection route (stebz) is off by about 5 % on this graded matrix
     op = effective_operator("three_body_2d", 1.0, 2, sweep_grid, m=m)
-    dense = eigh(op.matrix.entries, eigvals_only=True)
+    dense = eigh(op.entries, eigvals_only=True)
     assert np.array_equal(operator_spectrum(op).eigenvalues, dense)
 
 

@@ -59,37 +59,44 @@ def _rel(a, b) -> float:
 
 
 def _dense_h0_z(pg, m, z):
-    """a Kx (+) a Ky + z, a = (m + 1) / (2 m), assembled densely with np.kron."""
+    """a K (+) a K + z, a = (m + 1) / (2 m), K the kinetic at mass 1/2, assembled densely with np.kron."""
     a = (m + 1.0) / (2.0 * m)
-    kx = a * discretize_h0(pg.gx, 3, 0.5).entries
-    ky = a * discretize_h0(pg.gy, 3, 0.5).entries
-    return np.kron(kx, np.eye(pg.gy.n)) + np.kron(np.eye(pg.gx.n), ky) + z * np.eye(pg.n)
+    k = a * discretize_h0(pg.gx, 3, 0.5).entries
+    eye = np.eye(pg.gx.n)
+    return np.kron(k, eye) + np.kron(eye, k) + z * np.eye(pg.n)
 
 
 def _v_sum(pg, v_scaled):
     """V(x) + V(y) on the flattened product grid."""
-    return (v_scaled(pg.gx.nodes)[:, None] + v_scaled(pg.gy.nodes)[None, :]).reshape(-1)
+    v = v_scaled(pg.gx.nodes)
+    return (v[:, None] + v[None, :]).reshape(-1)
+
+
+def _square_grids(n_log, n_linear):
+    """One square product grid per spacing: a log grid and a linear one of other size and extent."""
+    return (
+        ProductGrid(*[build_grid(n_log, 30.0, "logarithmic", r_min=1e-2)] * 2),
+        ProductGrid(*[build_grid(n_linear, 20.0, "linear")] * 2),
+    )
 
 
 def test_batched_r0_apply_equals_column_applies_and_dense_kron():
     # R0(z) on a block of columns against one column at a time, and against
-    # (a Kx (+) a Ky + z)^(-1) assembled densely with np.kron, at m = 2 on a
-    # product grid whose two factors differ in size, spacing and extent
-    gx = build_grid(20, 30.0, "logarithmic", r_min=1e-2)
-    gy = build_grid(24, 20.0, "linear")
-    pg = ProductGrid(gx, gy)
+    # (a K (+) a K + z)^(-1) assembled densely with np.kron, at m = 2 on a
+    # square log grid and a square linear one
     m, z = 2.0, 1.5
-    res = ProductFreeResolvent(pg, m)
-    fs = np.random.default_rng(21).standard_normal((pg.n, 7))
-    block = res.apply(z, fs)
-    assert block.shape == fs.shape
-    columns = np.column_stack([res.apply(z, f) for f in fs.T])
-    assert _rel(block, columns) <= 1e-14
-    ref = np.linalg.solve(_dense_h0_z(pg, m, z), fs)
-    assert _rel(block, ref) <= 1e-12
-    assert _rel(res.apply(z, fs[:, 0]), ref[:, 0]) <= 1e-12
-    # a transposed (Fortran-ordered) block is the same block
-    assert _rel(res.apply(z, np.ascontiguousarray(fs.T).T), block) <= 1e-15
+    for pg in _square_grids(20, 24):
+        res = ProductFreeResolvent(pg, m)
+        fs = np.random.default_rng(21).standard_normal((pg.n, 7))
+        block = res.apply(z, fs)
+        assert block.shape == fs.shape
+        columns = np.column_stack([res.apply(z, f) for f in fs.T])
+        assert _rel(block, columns) <= 1e-14
+        ref = np.linalg.solve(_dense_h0_z(pg, m, z), fs)
+        assert _rel(block, ref) <= 1e-12
+        assert _rel(res.apply(z, fs[:, 0]), ref[:, 0]) <= 1e-12
+        # a transposed (Fortran-ordered) block is the same block
+        assert _rel(res.apply(z, np.ascontiguousarray(fs.T).T), block) <= 1e-15
 
 
 def test_batched_w_eps_apply_equals_column_applies(resonant_setup):
@@ -128,23 +135,34 @@ def test_limit_w_symmetric_and_positive(resonant_setup):
 
 
 def test_limit_w_channel_swap_invariance(resonant_setup):
+    # the particles are identical, so R0(z), W_eps(z) and W(z) each commute
+    # with the transposition x <-> y of the flattened product grid, at m = 1
+    # and m = 2.  Mutants this fails: a denominator
+    # mu[:, None] + 1.01 mu[None, :], V(y) entering H_eps with a factor 1.01,
+    # and a y = 0 line weight 1.01 times the x = 0 one
     pg, v_ref, res = resonant_setup
-    w = limit_w(1.0, res)
-    nx = pg.gx.n
-    f = np.random.default_rng(2).standard_normal(pg.n)
-    f_swapped = f.reshape(nx, nx).T.reshape(-1)
-    out_swapped = w.apply(f_swapped).reshape(nx, nx).T.reshape(-1)
-    assert np.allclose(out_swapped, w.apply(f), rtol=1e-12, atol=1e-14)
+    n, z, eps = pg.gx.n, 1.0, 0.05
+
+    def swap(f):
+        return f.reshape(n, n, -1).transpose(1, 0, 2).reshape(f.shape)
+
+    fs = np.random.default_rng(2).standard_normal((pg.n, 3))
+    for m in (1.0, 2.0):
+        res_m = ProductFreeResolvent(pg, m)
+        lam = calibrate_couplings(GAUSS, [eps], res_m)[eps]
+        w_eps = assemble_w_eps(z, ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3)), res_m)
+        for apply in (lambda f: res_m.apply(z, f), w_eps.apply, limit_w(z, res_m).apply):
+            assert np.allclose(swap(apply(swap(fs))), apply(fs), rtol=1e-12, atol=1e-14)
 
 
 def test_limit_w_rank_bound(resonant_setup):
-    # T is supported on the nx + ny - 1 line nodes (the corner is on both
+    # T is supported on the 2n - 1 line nodes (the corner is on both
     # lines).  Measured on this 40 x 40 grid: sv[78] / sv[0] = 4.5e-6,
     # sv[79] / sv[0] = 1.1e-15
     pg, v_ref, res = resonant_setup
     w = limit_w(1.0, res)
     sv = np.linalg.svd(w.matrix(), compute_uv=False)
-    rank = pg.gx.n + pg.gy.n - 1
+    rank = 2 * pg.gx.n - 1
     assert sv[rank] < 1e-10 * sv[0] < sv[rank - 1]
 
 
@@ -152,14 +170,13 @@ def test_limit_w_rank_bound(resonant_setup):
 @pytest.mark.parametrize("z", [0.5, 2.0, 8.0])
 def test_limit_w_matches_line_source_oracle(m, z):
     # R0 T R0 against the Gram form of the R0 images of every one-hot line
-    # source, on a product grid whose factors differ in size and spacing
-    gx = build_grid(14, 30.0, "logarithmic", r_min=1e-2)
-    gy = build_grid(11, 20.0, "linear")
-    res = ProductFreeResolvent(ProductGrid(gx, gy), m)
-    w = limit_w(z, res)
-    fs = np.random.default_rng(24).standard_normal((res.grid.n, 4))
-    assert _rel(w.apply(fs), line_source_limit_apply(z, res, fs)) <= 1e-12
-    assert _rel(w.apply(fs[:, 1]), line_source_limit_apply(z, res, fs[:, 1])) <= 1e-12
+    # source, on a square log grid and a square linear one
+    for pg in _square_grids(14, 11):
+        res = ProductFreeResolvent(pg, m)
+        w = limit_w(z, res)
+        fs = np.random.default_rng(24).standard_normal((res.grid.n, 4))
+        assert _rel(w.apply(fs), line_source_limit_apply(z, res, fs)) <= 1e-12
+        assert _rel(w.apply(fs[:, 1]), line_source_limit_apply(z, res, fs[:, 1])) <= 1e-12
 
 
 def test_limit_w_and_one_block_apply_stay_within_eight_blocks():
@@ -253,22 +270,23 @@ def test_w_eps_detects_level_below_minus_z(small_product):
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
-    nx=st.integers(8, 11),
-    ny=st.integers(12, 15),
+    n=st.integers(8, 15),
+    spacing=st.sampled_from(["logarithmic", "linear"]),
     m=st.sampled_from([0.5, 1.0, 2.0]),
     z=st.floats(0.05, 5.0),
     factor=st.floats(0.5, 2.0),
 )
-@example(nx=9, ny=12, m=2.0, z=0.7, factor=1.0 - 1e-8)
-@example(nx=9, ny=12, m=0.5, z=0.7, factor=1.0 + 1e-8)
-def test_w_eps_gate_matches_dense_kron_spectrum(nx, ny, m, z, factor):
-    # on product grids whose factors differ in size, spacing and extent, the
-    # coupling is drawn as a factor of the crossing, where the top eigenvalue
-    # of sqrt(V) (H0 + z)^(-1) sqrt(V) is 1: the assembly must raise exactly
+@example(n=9, spacing="logarithmic", m=2.0, z=0.7, factor=1.0 - 1e-8)
+@example(n=12, spacing="linear", m=0.5, z=0.7, factor=1.0 + 1e-8)
+def test_w_eps_gate_matches_dense_kron_spectrum(n, spacing, m, z, factor):
+    # on square log and linear product grids of drawn size, the coupling is
+    # drawn as a factor of the crossing, where the top eigenvalue of
+    # sqrt(V) (H0 + z)^(-1) sqrt(V) is 1: the assembly must raise exactly
     # when the dense kron H_eps + z has an eigenvalue <= 0, and otherwise
     # apply the dense resolvent difference
     assume(abs(factor - 1.0) > 1e-9)
-    pg = ProductGrid(build_grid(nx, 6.0, "logarithmic", r_min=0.05), build_grid(ny, 4.0, "linear"))
+    g = build_grid(n, 6.0, "logarithmic", r_min=0.05) if spacing == "logarithmic" else build_grid(n, 4.0, "linear")
+    pg = ProductGrid(g, g)
     law = ScalingLaw(2, 0.5, 3)
     h0_z = _dense_h0_z(pg, m, z)
     s = np.sqrt(_v_sum(pg, ScaledPotential(GAUSS, law)))
@@ -292,9 +310,7 @@ def test_w_eps_gate_matches_dense_kron_spectrum(nx, ny, m, z, factor):
 
 def _dense_q(res, z, v_scaled, pg, r0=None):
     """Independent Q = B R0(z) B on the support, symmetrized, and its pieces."""
-    vx = v_scaled(pg.gx.nodes)
-    vy = v_scaled(pg.gy.nodes)
-    v_sum = (vx[:, None] + vy[None, :]).reshape(-1)
+    v_sum = _v_sum(pg, v_scaled)
     sup = np.flatnonzero(v_sum > SUPPORT_FLOOR * v_sum.max())
     b = np.sqrt(v_sum[sup])
     block = res.block(z, sup, sup) if r0 is None else r0[np.ix_(sup, sup)]
@@ -340,14 +356,15 @@ def test_w_eps_matches_dense_konno_kuroda_form(resonant_setup):
 
 
 def test_w_eps_success_path_runs_no_support_sized_eigensolve(resonant_setup, monkeypatch):
-    # the gate and the solver are the eigensolves of the two channel
-    # operators, each n_x or n_y in size: nothing the size of the support
+    # the gate and the solver are one eigensolve of the channel operator,
+    # n in size: nothing the size of the support
     pg, v_ref, res = resonant_setup
-    largest = max(pg.gx.n, pg.gy.n)
+    sizes = []
 
     def capped(solve):
         def checked(a, *args, **kwargs):
-            if np.shape(a)[0] > largest:
+            sizes.append(np.shape(a)[0])
+            if np.shape(a)[0] > pg.gx.n:
                 raise AssertionError(f"{np.shape(a)[0]}-sized eigensolve on the success path of assemble_w_eps")
             return solve(a, *args, **kwargs)
 
@@ -356,6 +373,7 @@ def test_w_eps_success_path_runs_no_support_sized_eigensolve(resonant_setup, mon
     monkeypatch.setattr(limit_resolvent, "eigh", capped(limit_resolvent.eigh))
     monkeypatch.setattr(limit_resolvent.np.linalg, "eigh", capped(np.linalg.eigh))
     w_eps = assemble_w_eps(2.0, v_ref, res)
+    assert sizes == [pg.gx.n]
     f = np.random.default_rng(13).standard_normal(pg.n)
     assert np.all(np.isfinite(w_eps.apply(f)))
 
@@ -374,24 +392,22 @@ def test_w_eps_success_path_builds_no_dense_block(resonant_setup, monkeypatch):
 
 def test_w_eps_matches_dense_kron_resolvent_difference():
     # W_eps f = (H_eps + z)^(-1) f - (H0 + z)^(-1) f with both operators
-    # assembled densely from np.kron of the kinetic matrices, on a product
-    # grid whose two factors differ in size, spacing and extent, at m = 2
-    gx = build_grid(20, 30.0, "logarithmic", r_min=1e-2)
-    gy = build_grid(24, 20.0, "linear")
-    pg = ProductGrid(gx, gy)
+    # assembled densely from np.kron of the kinetic matrices, on a square
+    # log grid and a square linear one, at m = 2
     m, z, eps = 2.0, 1.5, 0.2
-    res = ProductFreeResolvent(pg, m)
-    lam = calibrate_couplings(GAUSS, [eps], res)[eps]
-    v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
-    w_eps = assemble_w_eps(z, v, res)
-    h0_z = _dense_h0_z(pg, m, z)
-    v_sum = _v_sum(pg, v)
-    b_sq = np.where(v_sum > SUPPORT_FLOOR * v_sum.max(), v_sum, 0.0)
-    assert 0 < w_eps.support.size < pg.n
-    fs = np.random.default_rng(15).standard_normal((3, pg.n))
-    ref = np.linalg.solve(h0_z - np.diag(b_sq), fs.T).T - np.linalg.solve(h0_z, fs.T).T
-    for f, r in zip(fs, ref):
-        assert np.linalg.norm(w_eps.apply(f) - r) <= 1e-10 * np.linalg.norm(r)
+    for pg in _square_grids(20, 24):
+        res = ProductFreeResolvent(pg, m)
+        lam = calibrate_couplings(GAUSS, [eps], res)[eps]
+        v = ScaledPotential(BasePotential("gaussian", lam, 1.0), ScalingLaw(2, eps, 3))
+        w_eps = assemble_w_eps(z, v, res)
+        h0_z = _dense_h0_z(pg, m, z)
+        v_sum = _v_sum(pg, v)
+        b_sq = np.where(v_sum > SUPPORT_FLOOR * v_sum.max(), v_sum, 0.0)
+        assert 0 < w_eps.support.size < pg.n
+        fs = np.random.default_rng(15).standard_normal((3, pg.n))
+        ref = np.linalg.solve(h0_z - np.diag(b_sq), fs.T).T - np.linalg.solve(h0_z, fs.T).T
+        for f, r in zip(fs, ref):
+            assert np.linalg.norm(w_eps.apply(f) - r) <= 1e-10 * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("z", BAD_Z)
@@ -414,8 +430,8 @@ def test_w_annihilates_channel_orthogonal_vectors(resonant_setup):
     rng = np.random.default_rng(9)
     f = rng.standard_normal(pg.n)
     # the range of W is R0 applied to the unit vectors on the two contact lines
-    nx, ny = pg.gx.n, pg.gy.n
-    on_lines = np.union1d(np.arange(ny), np.arange(nx) * ny)  # (0, j) and (i, 0)
+    n = pg.gx.n
+    on_lines = np.union1d(np.arange(n), np.arange(n) * n)  # (0, j) and (i, 0)
     units = np.zeros((pg.n, on_lines.size))
     units[on_lines, np.arange(on_lines.size)] = 1.0
     basis = res.apply(z, units)
@@ -550,7 +566,7 @@ def test_convergence_study_independent_of_profile_strength():
 
 def _dense_r0(res, z, pg):
     d = 1.0 / res.denom(z)
-    m = np.kron(res.qx, res.qy)
+    m = np.kron(res.q, res.q)
     return (m * d.reshape(-1)[None, :]) @ m.T
 
 
@@ -602,11 +618,13 @@ def test_calibrated_couplings_stable_in_epsilon(small_product):
 
 def test_convergence_study_rejects_a_y_factor_unlike_its_x_factor():
     # the rungs are calibrated on gx alone: on these 32-node log grids with
-    # r_min 1e-4 and 1e-3 the y channel sits 1.29 % off its resonance, and
-    # the study still reported monotone
+    # r_min 1e-4 and 1e-3 the y channel sat 1.29 % off its resonance, and
+    # the study still reported monotone.  The product grid refuses them
     gx = build_grid(32, 40.0, "logarithmic", r_min=1e-4)
     gy = build_grid(32, 40.0, "logarithmic", r_min=1e-3)
     fs = np.ones((1, gx.n * gy.n))
+    with pytest.raises(ValueError, match="y factor must equal its x factor"):
+        ProductGrid(gx, gy)
     with pytest.raises(ValueError, match="y factor must equal its x factor"):
         convergence_study(2.0, GAUSS, [0.2, 0.1, 0.05], ProductGrid(gx, gy), fs)
     # an equal copy of gx is accepted
@@ -624,7 +642,7 @@ MASS_LAW_GRID = build_grid(24, 40.0, "logarithmic", r_min=1e-4)
 @example(m=0.05, z=8.0, eps=0.1)
 @example(m=5.0, z=2.0, eps=0.1)
 def test_mass_is_a_dilation_of_z_on_the_product_grid(m, z, eps):
-    # a Kx (+) a Ky + z = a (Kx (+) Ky + z / a), a = (m + 1) / (2 m), and the
+    # a K (+) a K + z = a (K (+) K + z / a), a = (m + 1) / (2 m), and the
     # channel resonance scales with a: so at calibrated couplings W_eps at
     # mass m is the equal-mass W_eps at z / a, divided by a.  Measured on
     # this 24^2 grid at m in {2, 0.5, 0.05, 5}, z in {0.3, 2, 8}, eps in
