@@ -387,7 +387,7 @@ def two_resonance_matrix(
     # Both sources are rank one, a (x) chi and chi (x) a, so in the eigenbasis
     # (mu, Q) of K the overlap through R0_prod = (Kx (+) Ky + z)^(-1) is
     # p^T D^(-1) p with p = (Q^T a) o (Q^T chi) and D_ij = mu_i + mu_j + z.
-    mu, vec = np.linalg.eigh(discretize_h0(grid).entries)
+    mu, vec = discretize_h0(grid).eigenpairs(0.0)
     p = (vec.T @ a) * (vec.T @ chi)
     mats = []
     for zk, diag in zip(zs, diags):

@@ -12,14 +12,16 @@ Everything acts on weight-scaled reduced waves U(r_x, r_y) flattened in C
 order; the reduction conventions are those of operators.py, with the d=3
 pairing <f, g> = 4 pi int f g r^2 dr.  Every apply (R0(z), W_eps(z), W(z))
 takes one flattened vector or an (n, b) block of them as columns; R0(z) is
-four BLAS matrix products in the eigenbasis of K for any b.
+four BLAS matrix products in the eigenbasis of K for any b (LAPACK dstevd
+on the two diagonals of K, as for K - V below).
 
 At finite epsilon, W_eps(z) = (H_eps + z)^(-1) - (H0 + z)^(-1) is applied
 as that difference.  H_eps + z = (K - V(x)) (+) (K - V(y)) + z is a
 Kronecker sum like H0 + z, solved in the one eigenbasis of its channel
 operator K - V by the same four products (fast diagonalization: Lynch,
 Rice & Thomas, Numer. Math. 6 (1964) 185); twice the channel minimum is its
-exact lowest level.
+exact lowest level.  W(z) and W_eps(z) share the image R0(z) f, solved once
+per study: 2 + len(eps) Kronecker-sum solves of its block of test functions.
 The Konno-Kuroda form R0 B (1 - Q)^(-1) B R0, with B^2 = V(x) + V(y) and
 Q = B R0 B, is the identity the tests check this difference against; its
 four-term split of the outer factors lives in tests/oracles.py.
@@ -56,7 +58,7 @@ from scipy.linalg import eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, resonance
 from .grids import RadialGrid
-from .operators import TridiagonalOperator, _check_positive, discretize_h0
+from .operators import _check_positive, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder
 
 
@@ -114,7 +116,7 @@ class ProductFreeResolvent:
         self.grid = grid
         self.reduced_mass = m / (m + 1.0)
         self.kinetic = discretize_h0(grid.gx, 3, self.reduced_mass)
-        self.mu, self.q = np.linalg.eigh(self.kinetic.entries)
+        self.mu, self.q = self.kinetic.eigenpairs(0.0)
 
     def denom(self, z: float) -> np.ndarray:
         return self.mu[:, None] + self.mu[None, :] + z
@@ -158,9 +160,12 @@ class LimitResolvent:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """W(z) f for one flattened vector or an (n, b) block of them: R0, T, R0."""
-        f = np.asarray(f, dtype=float)
-        u = self.weights[:, None] * self.resolvent.apply(self.z, f).reshape(self.grid.n, -1)
-        return self.coeff * self.resolvent.apply(self.z, u).reshape(f.shape)
+        return self.apply_image(self.resolvent.apply(self.z, f))
+
+    def apply_image(self, r0f: np.ndarray) -> np.ndarray:
+        """W(z) f from the image r0f = R0(z) f: T, then R0."""
+        u = self.weights[:, None] * r0f.reshape(self.grid.n, -1)
+        return self.coeff * self.resolvent.apply(self.z, u).reshape(r0f.shape)
 
     def matrix(self) -> np.ndarray:
         return self.apply(np.eye(self.grid.n))
@@ -215,11 +220,12 @@ class FiniteEpsilonResolvent:
     resolvent: ProductFreeResolvent = field(repr=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """W_eps(z) f for one flattened vector or an (n, b) block of them:
-        (H_eps + z)^(-1) f - R0(z) f, four products each."""
-        w = _kronecker_sum_solve(self.kernel_q, self.kernel_denom, f)
-        w -= self.resolvent.apply(self.z, f)
-        return w
+        """W_eps(z) f for one flattened vector or an (n, b) block of them: (H_eps + z)^(-1) f - R0(z) f."""
+        return self.apply_image(f, self.resolvent.apply(self.z, f))
+
+    def apply_image(self, f: np.ndarray, r0f: np.ndarray) -> np.ndarray:
+        """W_eps(z) f given the image r0f = R0(z) f: one Kronecker-sum solve of H_eps + z."""
+        return _kronecker_sum_solve(self.kernel_q, self.kernel_denom, f) - r0f
 
 
 def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeResolvent) -> FiniteEpsilonResolvent:
@@ -243,8 +249,7 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     support = np.flatnonzero(v_sum > SUPPORT_FLOOR * v_sum.max())
     if support.size == 0:
         raise ValueError("potential vanishes on the product grid")
-    k = resolvent.kinetic
-    lam, q = np.linalg.eigh(TridiagonalOperator(k.diag - v, k.off, grid.gx, "K - V").entries)
+    lam, q = resolvent.kinetic.eigenpairs(-v)
     lowest = float(2.0 * lam[0])
     if lowest + z <= 0.0:
         b_sup = np.sqrt(v_sum[support])
@@ -312,8 +317,8 @@ def convergence_study(
     one resonance per rung, on the grid's one radial factor.  Reported
     discrepancies are ||W_eps(z) f - W(z) f|| / ||f|| per test function; the
     family W_eps(z) f itself is kept in the report.  The test functions are
-    applied as one block: one W(z) apply in all, and one W_eps(z) apply per
-    rung.
+    applied as one block, and its one image R0(z) f serves W(z) and every
+    rung: 2 + len(eps_list) Kronecker-sum solves of the block in all.
     """
     _check_positive("z", z)
     eps_list = _decreasing_ladder(eps_list)
@@ -329,9 +334,10 @@ def convergence_study(
     res = ProductFreeResolvent(grid, m)
     couplings = calibrate_couplings(potential, eps_list, res)
     w_model = limit_w(z, res)
-    # every test function is one column of a single (n, n_test) block
+    # every test function is one column of a single (n, n_test) block, with one R0(z) image
     cols = np.ascontiguousarray(fs.T)
-    wf = w_model.apply(cols).T
+    r0f = res.apply(z, cols)
+    wf = w_model.apply_image(r0f).T
     norms = np.linalg.norm(fs, axis=1)
     discrepancies = np.empty((eps_list.size, fs.shape[0]))
     w_eps_f = np.empty((eps_list.size, *fs.shape))
@@ -339,7 +345,7 @@ def convergence_study(
         scaled = ScaledPotential(
             BasePotential(potential.profile, couplings[float(eps)], potential.range), ScalingLaw(2, eps, 3)
         )
-        w_eps_f[k] = assemble_w_eps(z, scaled, res).apply(cols).T
+        w_eps_f[k] = assemble_w_eps(z, scaled, res).apply_image(cols, r0f).T
         discrepancies[k] = np.linalg.norm(w_eps_f[k] - wf, axis=1) / norms
     monotone = bool(np.all(np.diff(discrepancies, axis=0) < 0.0))
     reduction = discrepancies[0] / discrepancies[-1]

@@ -18,7 +18,7 @@ from oracles import (
 from zrange import limit_resolvent
 from zrange.birman_schwinger import resonance
 from zrange.grids import build_grid
-from zrange.operators import discretize_h0
+from zrange.operators import TridiagonalOperator, discretize_h0
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 from zrange.limit_resolvent import (
     SUPPORT_FLOOR,
@@ -356,22 +356,23 @@ def test_w_eps_matches_dense_konno_kuroda_form(resonant_setup):
 
 
 def test_w_eps_success_path_runs_no_support_sized_eigensolve(resonant_setup, monkeypatch):
-    # the gate and the solver are one eigensolve of the channel operator,
-    # n in size: nothing the size of the support
+    # the gate and the solver are one eigensolve of the channel operator
+    # K - V on its two diagonals, n in size: nothing the size of the support,
+    # and no dense eigh
     pg, v_ref, res = resonant_setup
     sizes = []
+    pairs = TridiagonalOperator.eigenpairs
 
-    def capped(solve):
-        def checked(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
-            if np.shape(a)[0] > pg.gx.n:
-                raise AssertionError(f"{np.shape(a)[0]}-sized eigensolve on the success path of assemble_w_eps")
-            return solve(a, *args, **kwargs)
+    def counted(self, shift):
+        sizes.append(self.n)
+        return pairs(self, shift)
 
-        return checked
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigh on the success path of assemble_w_eps")
 
-    monkeypatch.setattr(limit_resolvent, "eigh", capped(limit_resolvent.eigh))
-    monkeypatch.setattr(limit_resolvent.np.linalg, "eigh", capped(np.linalg.eigh))
+    monkeypatch.setattr(TridiagonalOperator, "eigenpairs", counted)
+    monkeypatch.setattr(limit_resolvent, "eigh", dense)
+    monkeypatch.setattr(limit_resolvent.np.linalg, "eigh", dense)
     w_eps = assemble_w_eps(2.0, v_ref, res)
     assert sizes == [pg.gx.n]
     f = np.random.default_rng(13).standard_normal(pg.n)
@@ -595,6 +596,19 @@ def test_convergence_study_solves_one_resonance_per_rung(small_product, monkeypa
     ladder = [0.2, 0.1, 0.05]
     convergence_study(2.0, GAUSS, ladder, small_product, np.ones((1, small_product.n)))
     assert len(calls) == len(ladder)
+
+
+def test_convergence_study_solves_with_one_r0_image_of_the_block(small_product, monkeypatch):
+    # R0(z) f is solved once for the block of test functions: W(z) adds one
+    # R0 solve and each rung one solve of H_eps + z, 2 + len(eps) in all,
+    # where applying W and every W_eps to the block on its own takes 2 + 2 len(eps)
+    shapes = []
+    solve = limit_resolvent._kronecker_sum_solve
+    monkeypatch.setattr(limit_resolvent, "_kronecker_sum_solve", lambda *a: shapes.append(a[2].shape) or solve(*a))
+    ladder = [0.2, 0.1, 0.05]
+    fs = np.random.default_rng(27).standard_normal((3, small_product.n))
+    convergence_study(2.0, GAUSS, ladder, small_product, fs)
+    assert shapes == [(small_product.n, 3)] * (2 + len(ladder))
 
 
 @pytest.mark.parametrize("m", [0.0, -1.0, -0.5, -3.0, float("nan"), float("inf")])

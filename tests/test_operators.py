@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from zrange import operators
-from zrange.birman_schwinger import bs_operator
+from zrange.birman_schwinger import bs_operator, find_resonance_coupling, two_resonance_matrix
 from zrange.efimov import effective_operator, mass_sweep_2d
 from zrange.grids import GridFunction, build_grid
 from zrange.konno_kuroda import (
@@ -23,7 +23,8 @@ from zrange.operators import (
     radial_green_kernel,
     sqrt_kinetic,
 )
-from zrange.potentials import BasePotential
+from zrange.limit_resolvent import ProductFreeResolvent, ProductGrid, assemble_w_eps
+from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 
 from oracles import _factor_d3, _factor_weighted
 
@@ -172,6 +173,23 @@ def test_tridiagonal_shape_and_grid_checked():
         TridiagonalOperator(np.ones(9), np.zeros(8), build_grid(10, 1.0, "linear"))
 
 
+@pytest.mark.parametrize("spacing", sorted(FACTOR_GRIDS))
+@pytest.mark.parametrize("form", [3, 2, "hyperradial", "K - V"])
+def test_eigenpairs_match_dense_eigh_of_the_entries(form, spacing):
+    # dstevd on the two diagonals against a dense eigh of the laid-out
+    # matrix: values within 1e-12 of the spectral radius, vectors within
+    # 1e-12 up to sign, and the vectors C-contiguous
+    g = FACTOR_GRIDS[spacing]
+    op = hyperradial_kinetic(g, 2.0) if form == "hyperradial" else discretize_h0(g, 2 if form == 2 else 3, 0.5)
+    shift = -4.0 * np.exp(-g.nodes**2) if form == "K - V" else 0.0
+    vals, vecs = op.eigenpairs(shift)
+    want_vals, want_vecs = np.linalg.eigh(op.entries + np.diag(np.broadcast_to(shift, g.n)))
+    assert vecs.flags.c_contiguous
+    assert np.abs(vals - want_vals).max() <= 1e-12 * np.abs(want_vals).max()
+    signs = np.sign(np.sum(vecs * want_vecs, axis=0))
+    assert np.abs(vecs * signs - want_vecs).max() <= 1e-12
+
+
 def test_kinetic_builders_and_three_body_operator_allocate_no_dense_matrix():
     # two n-vectors where the dense layout held n^2 doubles (32 MB at n = 2000)
     g = build_grid(2000, 5e2, "logarithmic", r_min=1e-4)
@@ -192,15 +210,21 @@ def test_kinetic_builders_and_three_body_operator_allocate_no_dense_matrix():
 
 
 def test_tridiagonal_consumers_never_lay_out_the_dense_kinetic(monkeypatch):
-    # every consumer of H0 works on its two diagonals; mass_sweep_2d makes no
-    # dense symmetric operator either
+    # every consumer of H0 works on its two diagonals, the channel eigenbases
+    # of K and K - V included; mass_sweep_2d makes no dense symmetric operator either
     def forbidden(*args, **kwargs):
         raise AssertionError("dense layout of a tridiagonal operator")
 
     g = build_grid(120, 12.0, "logarithmic", r_min=1e-3)
     h0 = discretize_h0(g, 3, 0.5)
     v = GridFunction(g, 4.0 * np.exp(-g.nodes**2))
+    law, well = ScalingLaw(2, 0.1, 3), BasePotential("square_well", 1.0, 1.0)
+    lam = find_resonance_coupling(well, law).lambda_critical
     monkeypatch.setattr(TridiagonalOperator, "entries", property(forbidden))
+    small = build_grid(24, 20.0, "logarithmic", r_min=1e-3)
+    res = ProductFreeResolvent(ProductGrid(small, small), 2.0)
+    assemble_w_eps(2.0, ScaledPotential(BasePotential("gaussian", 0.1, 1.0), law), res)
+    two_resonance_matrix(well, law, lam, 1.0, small)
     assert negative_count_direct(h0, v) >= 1
     assemble_resolvent_diff(v, 1.0, h0=h0)
     direct_resolvent_diff(v, 1.0, h0=h0)
