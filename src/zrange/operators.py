@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dstevd
 from scipy.special import i0e, k0e
 
 from .grids import RadialGrid
@@ -127,10 +126,12 @@ class TridiagonalOperator:
     def eigenpairs(self, shift):
         """Ascending eigenvalues and C-contiguous eigenvectors (columns) of T + diag(shift) by LAPACK dstevd: divide
         and conquer on the two diagonals (Gu & Eisenstat, SIMAX 16 (1995) 172), a dense eigh's bit for bit."""
-        vals, vecs, info = dstevd(self.diag + shift, self.off)
+        vals, off, z = self.diag + shift, np.array(self.off, dtype=float), np.empty((self.n, self.n))
+        work, iwork = np.empty(1 + 4 * self.n + self.n**2), np.empty(3 + 5 * self.n, dtype=np.intc)
+        info = _lapack("dstevd", b"V", self.n, vals, off, z, self.n, work, work.size, iwork, iwork.size)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal eigensolve did not converge (dstevd info {info})")
-        return vals, np.ascontiguousarray(vecs)
+        return vals, np.ascontiguousarray(z.T)  # column-major Z read in C order is Z^T
 
     def inverse(self, shift) -> np.ndarray:
         """(T + diag(shift))^(-1) by one banded LU solve against the identity: O(n^2), and LU, not
@@ -250,16 +251,22 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
 
 
 @functools.cache
-def _dbdsdc_routine():
-    """LAPACK dbdsdc as a ctypes function, from scipy.linalg.cython_lapack's capsule table (built on first use)."""
-    capsule = cython_lapack.__pyx_capi__["dbdsdc"]
+def _lapack_routine(name: str, nargs: int):
+    """LAPACK `name` as a ctypes function of nargs pointers, from scipy.linalg.cython_lapack's capsule table."""
+    capsule = cython_lapack.__pyx_capi__[name]
     api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
+    cname = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
-    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, ip, dp, dp, dp, ip, dp, ip, dp, ip, dp, ip, ip)(
-        get_pointer(capsule, name)
-    )
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(get_pointer(capsule, cname))
+
+
+def _lapack(name: str, *args) -> int:
+    """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
+    pointer: pass bytes for a character, an int for an integer and a contiguous array, overwritten in place, for
+    the rest.  cython_lapack's table lists dstevd and dbdsdc at every scipy>=1.10; the f2py wrappers need not."""
+    refs = [np.array(a, dtype=np.intc) if isinstance(a, int) else a for a in (*args, 0)]
+    _lapack_routine(name, len(refs))(*(r if isinstance(r, bytes) else r.ctypes.data for r in refs))
+    return int(refs[-1])
 
 
 def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
@@ -281,7 +288,6 @@ def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
     if n < 1 or off.shape not in ((n - 1,), (n,)):
         raise ValueError("bidiagonal needs n >= 1 diagonal and n - 1 (upper) or n (lower) off-diagonal entries")
     lower = off.size == n
-    dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
     nb = n + lower
     s = np.zeros(nb)  # diag, then the padding 0 of the lower layout; overwritten by the singular values
     s[:n] = diag
@@ -295,16 +301,10 @@ def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
     u, v, q = np.empty((k, k)), np.empty((k, k)), np.empty(1)
     iq = np.empty(1, dtype=np.intc)
     iwork = np.empty(8 * nb, dtype=np.intc)
-    size, lead = ctypes.c_int(nb), ctypes.c_int(k)
-    info = ctypes.c_int(0)
-    _dbdsdc_routine()(
-        b"L" if lower else b"U", b"I" if vectors else b"N", ctypes.byref(size), s.ctypes.data_as(dp),
-        e.ctypes.data_as(dp), u.ctypes.data_as(dp), ctypes.byref(lead), v.ctypes.data_as(dp), ctypes.byref(lead),
-        q.ctypes.data_as(dp), iq.ctypes.data_as(ip), work.ctypes.data_as(dp), iwork.ctypes.data_as(ip),
-        ctypes.byref(info),
-    )
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"bidiagonal SVD did not converge (dbdsdc info {info.value})")
+    uplo, compq = b"L" if lower else b"U", b"I" if vectors else b"N"
+    info = _lapack("dbdsdc", uplo, compq, nb, s, e, u, k, v, k, q, iq, work, iwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"bidiagonal SVD did not converge (dbdsdc info {info})")
     return (s[:n], v[:n, :n]) if vectors else s[:n]
 
 

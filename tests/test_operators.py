@@ -190,6 +190,20 @@ def test_eigenpairs_match_dense_eigh_of_the_entries(form, spacing):
     assert np.abs(vecs * signs - want_vecs).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenpairs_of_the_smallest_operators(n):
+    # n = 1 has an empty off-diagonal, which scipy's f2py dstevd wrapper
+    # refuses; the LAPACK routine itself takes it
+    rng = np.random.default_rng(n)
+    op = TridiagonalOperator(rng.normal(size=n), rng.normal(size=n - 1), None)
+    vals, vecs = op.eigenpairs(0.5)
+    want_vals, want_vecs = np.linalg.eigh(op.entries + 0.5 * np.eye(n))
+    assert vals.shape == (n,) and vecs.shape == (n, n) and vecs.flags.c_contiguous
+    assert np.abs(vals - want_vals).max() <= 1e-12 * np.abs(want_vals).max()
+    signs = np.sign(np.sum(vecs * want_vecs, axis=0))
+    assert np.abs(vecs * signs - want_vecs).max() <= 1e-12
+
+
 def test_kinetic_builders_and_three_body_operator_allocate_no_dense_matrix():
     # two n-vectors where the dense layout held n^2 doubles (32 MB at n = 2000)
     g = build_grid(2000, 5e2, "logarithmic", r_min=1e-4)
