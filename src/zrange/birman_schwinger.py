@@ -39,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, discretize_h0, green_kernel_matrix
+from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _lapack, discretize_h0, green_kernel_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw
 
 Z_FLOOR = 1e-8
@@ -83,14 +82,15 @@ def bs_operator(
     resolvent="exact" uses the whole-space Green kernel of dimension d and
     mass m (best for resonance work); resolvent="grid" uses the boxed
     discretized (H0 + z)^(-1) of h0, a TridiagonalOperator built on the grid
-    of V whose entries carry its dimension and mass, by one banded LU solve
-    of the tridiagonal H0 + z against the identity, which keeps the eigenvalue
+    of V whose entries carry its dimension and mass, by LAPACK dgtsv on the
+    tridiagonal H0 + z against the identity, which keeps the eigenvalue
     count of Q consistent with the spectrum of that same boxed H0 - V (the
     Birman-Schwinger principle then holds as a matrix identity).  z = 0 is
     exact for d=3 with resolvent="exact" (kernel 2m min(r, r')); every other
-    z must be finite and at least Z_FLOOR.
+    z must be finite and at least Z_FLOOR.  m must be finite and positive.
     """
     _check_z(z, d == 3 and resolvent == "exact")
+    _check_positive("mass m", m)
     vals = v.values
     if np.any(vals < 0.0):
         raise ValueError("potential values must be nonnegative (attractive convention)")
@@ -176,19 +176,22 @@ def _whole_space_top(v: GridFunction, z: float, m: float):
     top = 1.0 / sing[::-1][:2] ** 2
     if sing.size == 1:
         return top, np.ones(1)
-    # inverse iteration on the tridiagonal B^T B - sigma_min^2, factored once;
-    # three solves, one more than it takes to agree with dense eigh to rounding
-    shift = sing[-1] ** 2
+    # inverse iteration on the tridiagonal B^T B - sigma_min^2, factored once by
+    # LAPACK dgttrf; three dgttrs solves, one more than it takes to agree with
+    # dense eigh to rounding
+    n, shift = sing.size, sing[-1] ** 2
     off = sub * diag[1:]
-    *lu, _ = dgttrf(off, diag**2 + np.append(sub**2, 0.0) - shift, off)
+    dl, d, du = off.copy(), diag**2 + np.append(sub**2, 0.0) - shift, off.copy()
+    du2, ipiv = np.empty(n - 2), np.empty(n, dtype=np.intc)
+    _lapack("dgttrf", n, dl, d, du, du2, ipiv)
     # The shifted matrix is singular to working precision, so a pivot can
     # come out exactly zero (dgttrf info > 0, seen on drawn gaussians).  A
     # pivot of eps * shift in its place, far below the spectral gap, still
     # returns the null vector.
-    lu[1][lu[1] == 0.0] = np.finfo(float).eps * shift
+    d[d == 0.0] = np.finfo(float).eps * shift
     phi = e / np.linalg.norm(e)
     for _ in range(3):
-        phi = dgttrs(*lu, phi)[0]
+        _lapack("dgttrs", b"N", n, 1, dl, d, du, du2, ipiv, phi, n)
         phi /= np.linalg.norm(phi)
     return top, phi if phi.sum() > 0.0 else -phi
 

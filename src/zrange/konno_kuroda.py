@@ -65,6 +65,12 @@ def _fit_exponent(epsilons: np.ndarray, values: np.ndarray) -> float:
     return float(slope)
 
 
+def _potential_values(v: GridFunction) -> np.ndarray:
+    if not np.isfinite(v.values).all():
+        raise ValueError("potential V has non-finite values (NaN or inf)")
+    return v.values
+
+
 def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) -> ResolventDifference:
     """Assemble R(z) - R0(z) = R0 B (1 - Q)^(-1) B R0 on the grid of V.
 
@@ -73,7 +79,7 @@ def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) 
     symmetric 1 - Q(z) is at most SINGULAR_FLOOR.
     """
     _check_positive("z", z)
-    if np.any(v.values < 0.0):
+    if np.any(_potential_values(v) < 0.0):
         raise ValueError("potential values must be nonnegative")
     grid = v.grid
     h0 = TridiagonalOperator.require(h0, grid)
@@ -103,7 +109,7 @@ def direct_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) ->
     _check_positive("z", z)
     grid = v.grid
     h0 = TridiagonalOperator.require(h0, grid)
-    full = h0.inverse(z - v.values)
+    full = h0.inverse(z - _potential_values(v))
     free = h0.inverse(z)
     diff = 0.5 * ((full - free) + (full - free).T)
     return ResolventDifference(OperatorMatrix(diff, grid, label="direct"), z)
@@ -169,7 +175,7 @@ def negative_count_direct(h0: TridiagonalOperator, v: GridFunction) -> int:
 
     The count is independent of the Birman-Schwinger count it checks.
     """
-    return int(np.sum(TridiagonalOperator.require(h0, v.grid).eigenvalues(-v.values) < 0.0))
+    return int(np.sum(TridiagonalOperator.require(h0, v.grid).eigenvalues(-_potential_values(v)) < 0.0))
 
 
 @dataclass

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack, eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import cython_lapack
 from scipy.special import i0e, k0e
 
 from .grids import RadialGrid
@@ -89,6 +89,8 @@ class TridiagonalOperator:
     """Symmetric tridiagonal matrix on weight-scaled reduced waves, carried as its two diagonals.
 
     Every kinetic matrix K = F^T F is one, and so is K - V; the dense matrix is laid out only on request.
+    eigenvalues, eigenpairs and inverse act on T + diag(shift) through LAPACK; a shift that is not a finite
+    scalar or n-vector raises ValueError, naming the operator's label, before LAPACK reads it.
     """
 
     diag: np.ndarray = field(repr=False)
@@ -115,18 +117,29 @@ class TridiagonalOperator:
         """The dense n x n matrix, laid out anew on each access."""
         return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
+    def _shifted(self, shift) -> np.ndarray:
+        """A fresh diag + shift: LAPACK reads exactly n entries from it and checks none."""
+        shift = np.asarray(shift, dtype=float)
+        if shift.shape not in ((), (self.n,)) or not np.isfinite(shift).all():
+            raise ValueError(f"{self.label or 'operator'}: shift must be a finite scalar or {self.n} finite entries")
+        return self.diag + shift
+
     def eigenvalues(self, shift) -> np.ndarray:
         """Ascending eigenvalues of T + diag(shift) by LAPACK dsterf, those of a dense eigh bit for bit.
 
         Not bisection (stebz): on graded matrices such as the hyperradial operator (norm ~6e12) its
         default tolerance misplaces shallow levels by up to 45 %.
         """
-        return eigvalsh_tridiagonal(self.diag + shift, self.off, lapack_driver="sterf")
+        vals = self._shifted(shift)
+        info = _lapack("dsterf", self.n, vals, self.off.copy())
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal eigensolve did not converge (dsterf info {info})")
+        return vals
 
     def eigenpairs(self, shift):
         """Ascending eigenvalues and C-contiguous eigenvectors (columns) of T + diag(shift) by LAPACK dstevd: divide
         and conquer on the two diagonals (Gu & Eisenstat, SIMAX 16 (1995) 172), a dense eigh's bit for bit."""
-        vals, off, z = self.diag + shift, np.array(self.off, dtype=float), np.empty((self.n, self.n))
+        vals, off, z = self._shifted(shift), self.off.copy(), np.empty((self.n, self.n))
         work, iwork = np.empty(1 + 4 * self.n + self.n**2), np.empty(3 + 5 * self.n, dtype=np.intc)
         info = _lapack("dstevd", b"V", self.n, vals, off, z, self.n, work, work.size, iwork, iwork.size)
         if info != 0:
@@ -134,11 +147,13 @@ class TridiagonalOperator:
         return vals, np.ascontiguousarray(z.T)  # column-major Z read in C order is Z^T
 
     def inverse(self, shift) -> np.ndarray:
-        """(T + diag(shift))^(-1) by one banded LU solve against the identity: O(n^2), and LU, not
-        Cholesky, because T + shift may be indefinite."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:], ab[1], ab[2, :-1] = self.off, self.diag + shift, self.off
-        return solve_banded((1, 1), ab, np.eye(self.n), overwrite_ab=True, overwrite_b=True)
+        """(T + diag(shift))^(-1) by LAPACK dgtsv against the identity: one tridiagonal LU with partial
+        pivoting, O(n^2), and LU, not Cholesky, because T + shift may be indefinite."""
+        x = np.eye(self.n)
+        info = _lapack("dgtsv", self.n, self.n, self.off.copy(), self._shifted(shift), self.off.copy(), x, self.n)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"{self.label or 'operator'} + diag(shift) is singular (dgtsv info {info})")
+        return x.T  # column-major X read in C order is X^T
 
     @staticmethod
     def require(h, grid: RadialGrid) -> "TridiagonalOperator":
@@ -165,6 +180,8 @@ class SpectrumReport:
     @classmethod
     def from_eigenvalues(cls, eigenvalues) -> "SpectrumReport":
         ev = np.sort(np.asarray(eigenvalues, dtype=float))
+        if not np.isfinite(ev).all():
+            raise ValueError("spectrum report needs finite eigenvalues")
         neg = ev[ev < 0.0]
         # Deepest state first; each ratio compares the next shallower level.
         ratios = np.abs(neg[1:]) / np.abs(neg[:-1]) if neg.size >= 2 else np.empty(0)
@@ -262,11 +279,23 @@ def _lapack_routine(name: str, nargs: int):
 
 def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
-    pointer: pass bytes for a character, an int for an integer and a contiguous array, overwritten in place, for
-    the rest.  cython_lapack's table lists dstevd and dbdsdc at every scipy>=1.10; the f2py wrappers need not."""
-    refs = [np.array(a, dtype=np.intc) if isinstance(a, int) else a for a in (*args, 0)]
-    _lapack_routine(name, len(refs))(*(r if isinstance(r, bytes) else r.ctypes.data for r in refs))
-    return int(refs[-1])
+    pointer: pass bytes for a character, an int for an integer, and a C-contiguous, writable array, overwritten
+    in place, for the rest (any other array raises TypeError).  No size is checked: each caller sizes its arrays.
+    The package's tridiagonal and bidiagonal kernels all come this way, from cython_lapack's table, which lists
+    dbdsdc, dgtsv, dgttrf, dgttrs, dstevd and dsterf at every scipy>=1.10; the f2py wrappers need not."""
+    info = ctypes.c_int()
+    _lapack_routine(name, len(args) + 1)(*map(_by_reference, args), ctypes.byref(info))
+    return info.value
+
+
+def _by_reference(a):
+    if isinstance(a, bytes):
+        return a
+    if isinstance(a, int):
+        return ctypes.byref(ctypes.c_int(a))
+    # an empty array goes as NULL: LAPACK reads no entry of an array sized 0 (n = 1 off-diagonals, dgttrf's
+    # DU2 at n = 2)
+    return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
 
 
 def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from scipy.special import jn_zeros
 
 from zrange.grids import GridFunction, RadialGrid, build_grid
 from zrange.operators import discretize_h0
-from zrange.potentials import BasePotential, ScalingLaw
+from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 from zrange import birman_schwinger, operators
 from zrange.birman_schwinger import (
     bs_count_above_one,
@@ -217,6 +218,69 @@ def test_resonance_vector_survives_an_exactly_zero_pivot():
     vecs = scipy.linalg.eigh(bs_operator(v, 0.0, m=m).entries)[1]
     phi = resonance(pot, g, m).phi
     assert np.abs(phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-10
+
+
+def _f2py_whole_space_top(v, z, m):
+    # the route _whole_space_top replaced: the same closed-form B, then scipy's
+    # f2py dgttrf/dgttrs wrappers (which refuse n = 2) for the inverse iteration
+    e = np.sqrt(2.0 * m * v.grid.weights * v.values)
+    h = np.diff(v.grid.nodes, prepend=0.0)
+    x = 2.0 * np.sqrt(2.0 * m * z) * h
+    diag2, sub2 = (1.0 / h, 1.0 / h) if z == 0.0 else (x / -np.expm1(-x) / h, x / np.expm1(x) / h)
+    diag, sub = np.sqrt(diag2) / e, -np.sqrt(sub2[1:]) / e[:-1]
+    sing = operators._dbdsdc(diag, sub, vectors=False)
+    shift, off = sing[-1] ** 2, sub * diag[1:]
+    *lu, _ = scipy.linalg.lapack.dgttrf(off, diag**2 + np.append(sub**2, 0.0) - shift, off)
+    lu[1][lu[1] == 0.0] = np.finfo(float).eps * shift
+    phi = e / np.linalg.norm(e)
+    for _ in range(3):
+        phi = scipy.linalg.lapack.dgttrs(*lu, phi)[0]
+        phi /= np.linalg.norm(phi)
+    return 1.0 / sing[::-1][:2] ** 2, phi if phi.sum() > 0.0 else -phi
+
+
+@pytest.mark.parametrize("n", [48, 300, 800])
+@pytest.mark.parametrize("prof", ["gaussian", "square_well", "exponential"])
+def test_whole_space_top_matches_the_f2py_route_bit_for_bit(prof, n):
+    pot = BasePotential(prof, 1.0, 1.0)
+    g = build_grid(n, support_radius(pot), "linear")
+    v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
+    for z in (0.0, 1e-8, 1.0):
+        top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
+        want_top, want_phi = _f2py_whole_space_top(v, z, 0.5)
+        assert np.array_equal(top, want_top) and np.array_equal(phi, want_phi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("z", [0.0, 1.0])
+def test_smallest_supports_match_dense_eigh(n, z):
+    # scipy's f2py dgttrf refused n = 2 ("unexpected array size")
+    g = RadialGrid(np.array([0.5, 0.9, 1.2][:n]), np.array([0.3, 0.35, 0.3][:n]), "linear", 2.0)
+    v = GridFunction(g, np.array([2.0, 1.5, 0.7][:n]))
+    vals, vecs = scipy.linalg.eigh(bs_operator(v, z).entries)
+    top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
+    assert np.abs(top - vals[::-1][:2]).max() <= 1e-12 * vals[-1]
+    assert np.abs(phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-12
+
+
+def test_resonance_on_a_two_node_support():
+    # the scaled gaussian at eps = 0.4 covers two nodes of this grid
+    g = build_grid(24, 20.0, "linear")
+    pot = ScaledPotential(GAUSS, ScalingLaw(2, 0.4, 3))
+    v = birman_schwinger._on_support(pot.on_grid(g))
+    assert v.grid.n == 2
+    vals, vecs = scipy.linalg.eigh(bs_operator(v, 0.0).entries)
+    res = resonance(pot, g)
+    assert res.coupling == pytest.approx(1.0 / vals[-1], rel=1e-12, abs=0.0)
+    assert np.abs(res.phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-12
+    assert np.all(np.isfinite(res.psi.values)) and res.simple_top
+
+
+@pytest.mark.parametrize("m", [0.0, -1.0, float("nan"), float("inf")])
+def test_bs_operator_names_a_bad_mass(m):
+    g = build_grid(50, 1.0, "linear")
+    with pytest.raises(ValueError, match="mass m must be finite and positive"):
+        bs_operator(GridFunction(g, np.ones(50)), 0.1, m=m)
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0])

@@ -135,7 +135,7 @@ def test_benchmark_configs_reproduce_the_pinned_csvs(command, bench_workloads, t
         assert all(map(bench_workloads._cell_close, cells, ref_cells)), f"{row} vs {ref_row}"
 
 
-@pytest.mark.parametrize("workload", ["limit-ladder", "efimov-thresholds"])
+@pytest.mark.parametrize("workload", ["limit-ladder", "efimov-thresholds", "study-batch"])
 def test_benchmark_tracer_runs_a_traced_pass(workload):
     # the benchmark's tracer rebinds zrange functions and hot methods by name
     # (ProductFreeResolvent.block among them), so a refactor that removes one

@@ -86,6 +86,13 @@ def test_operator_spectrum_matches_jacobi_oracle():
     assert np.max(np.abs(e - oracle)) < 1e-10 * np.abs(oracle).max()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_report_refuses_non_finite_eigenvalues(bad):
+    # geometric_ratio classified a spectrum with a NaN level as efimov
+    with pytest.raises(ValueError, match="finite eigenvalues"):
+        SpectrumReport.from_eigenvalues(np.array([-4.0, -1.0, bad, -0.25, -0.0625]))
+
+
 def test_spectrum_report_counts_negatives_and_ratios():
     rep = SpectrumReport.from_eigenvalues(np.array([3.0, -1.0, -2.0]))
     assert np.array_equal(rep.eigenvalues, [-2.0, -1.0, 3.0])

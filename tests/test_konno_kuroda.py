@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from zrange import operators
 from zrange.birman_schwinger import bs_operator
 from zrange.grids import GridFunction, build_grid
 from zrange.operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, discretize_h0
@@ -86,16 +85,32 @@ def test_negative_count_eigenvalues_are_the_dense_eigenvalues_bit_for_bit(spacin
     h0 = discretize_h0(g, 3, 0.5)
     v = GridFunction(g, 9.0 * BasePotential("gaussian", 1.0, 2.0)(g.nodes))
     seen = []
-    tridiagonal = operators.eigvalsh_tridiagonal
+    eigenvalues = TridiagonalOperator.eigenvalues
 
-    def recording(*args, **kwargs):
-        seen.append(tridiagonal(*args, **kwargs))
+    def recording(self, shift):
+        seen.append(eigenvalues(self, shift))
         return seen[-1]
 
-    monkeypatch.setattr(operators, "eigvalsh_tridiagonal", recording)
+    monkeypatch.setattr(TridiagonalOperator, "eigenvalues", recording)
     dense = eigh(h0.entries - np.diag(v.values), eigvals_only=True)
     assert negative_count_direct(h0, v) == int(np.sum(dense < 0.0)) >= 2
     assert np.array_equal(seen[0], dense)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["assemble", "direct", "count"])
+def test_non_finite_potential_is_refused_naming_it(box100, route, bad):
+    g, h0 = box100
+    vals = WELL(g.nodes)
+    vals[3] = bad
+    v = GridFunction(g, vals)
+    call = {
+        "assemble": lambda: assemble_resolvent_diff(v, 1.0, h0=h0),
+        "direct": lambda: direct_resolvent_diff(v, 1.0, h0=h0),
+        "count": lambda: negative_count_direct(h0, v),
+    }[route]
+    with pytest.raises(ValueError, match="potential V has non-finite values"):
+        call()
 
 
 def test_non_tridiagonal_h0_rejected(box100):

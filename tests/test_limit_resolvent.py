@@ -611,6 +611,20 @@ def test_convergence_study_solves_with_one_r0_image_of_the_block(small_product, 
     assert shapes == [(small_product.n, 3)] * (2 + len(ladder))
 
 
+def test_convergence_study_runs_on_a_two_node_support():
+    # rung 0.4 of this ladder covers two nodes of the 24-node grid, where
+    # scipy's f2py dgttrf refused ("unexpected array size"); at 0.025 the
+    # gaussian underflows on every node, a separate, named ValueError
+    g = build_grid(24, 20.0, "linear")
+    v = ScaledPotential(GAUSS, ScalingLaw(2, 0.4, 3))(g.nodes)
+    assert np.sum(v > SUPPORT_FLOOR * v.max()) == 2
+    pg = ProductGrid(g, g)
+    fs = np.random.default_rng(24).standard_normal((2, pg.n))
+    rep = convergence_study(2.0, GAUSS, [0.4, 0.2, 0.1], pg, fs)
+    assert rep.discrepancies.shape == (3, 2) and np.all(np.isfinite(rep.discrepancies))
+    assert all(np.isfinite(c) and c > 0.0 for c in rep.couplings.values())
+
+
 @pytest.mark.parametrize("m", [0.0, -1.0, -0.5, -3.0, float("nan"), float("inf")])
 def test_bad_mass_rejected_where_it_enters(small_product, m):
     # at m = -3 both a = (m + 1) / (2 m) and m / (m + 1) are positive, so only

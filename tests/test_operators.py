@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal, solve_banded
 
 from zrange import operators
 from zrange.birman_schwinger import bs_operator, find_resonance_coupling, two_resonance_matrix
@@ -202,6 +202,78 @@ def test_eigenpairs_of_the_smallest_operators(n):
     assert np.abs(vals - want_vals).max() <= 1e-12 * np.abs(want_vals).max()
     signs = np.sign(np.sum(vecs * want_vecs, axis=0))
     assert np.abs(vecs * signs - want_vecs).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tridiagonal_lapack_routes_of_the_smallest_operators(n):
+    # _lapack passes raw pointers, so each routine is run at the sizes where
+    # an off-by-one in its caller's arrays would show: dsterf (eigenvalues),
+    # dgtsv (inverse) and the dgttrf/dgttrs pair of the resonance inverse
+    # iteration, each against dense numpy
+    rng = np.random.default_rng(10 + n)
+    op = TridiagonalOperator(rng.normal(size=n), rng.normal(size=n - 1), None)
+    dense = op.entries + 0.5 * np.eye(n)
+    want = np.linalg.eigvalsh(dense)
+    assert np.abs(op.eigenvalues(0.5) - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(op.inverse(0.5) @ dense - np.eye(n)).max() <= 1e-12
+    dl, d, du = op.off.copy(), op.diag + 0.5, op.off.copy()
+    du2, ipiv = np.empty(max(n - 2, 0)), np.empty(n, dtype=np.intc)
+    assert operators._lapack("dgttrf", n, dl, d, du, du2, ipiv) == 0
+    b = rng.normal(size=n)
+    x = b.copy()
+    assert operators._lapack("dgttrs", b"N", n, 1, dl, d, du, du2, ipiv, x, n) == 0
+    assert np.abs(x - np.linalg.solve(dense, b)).max() <= 1e-12 * np.abs(x).max()
+
+
+def _scipy_eigenvalues(op, shift):
+    # the scipy helper TridiagonalOperator.eigenvalues replaced
+    return eigvalsh_tridiagonal(op.diag + shift, op.off, lapack_driver="sterf")
+
+
+def _scipy_inverse(op, shift):
+    # the scipy helper TridiagonalOperator.inverse replaced
+    ab = np.zeros((3, op.n))
+    ab[0, 1:], ab[1], ab[2, :-1] = op.off, op.diag + shift, op.off
+    return solve_banded((1, 1), ab, np.eye(op.n), overwrite_ab=True, overwrite_b=True)
+
+
+@pytest.mark.parametrize("n", [8, 48, 300])
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_tridiagonal_lapack_routes_match_the_scipy_helpers_bit_for_bit(spacing, n):
+    g = build_grid(n, 12.0, spacing, r_min=1e-3 if spacing == "logarithmic" else None)
+    h0 = discretize_h0(g, 3, 0.5)
+    rng = np.random.default_rng(n)
+    for shift in (-rng.uniform(0.0, 10.0, n), -rng.uniform(0.0, 1e3, n)):
+        assert np.array_equal(h0.eigenvalues(shift), _scipy_eigenvalues(h0, shift))
+        inv, want = h0.inverse(shift), _scipy_inverse(h0, shift)
+        assert np.array_equal(inv, want) and inv.flags.f_contiguous == want.flags.f_contiguous
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["eigenvalues", "eigenpairs", "inverse"])
+def test_non_finite_shift_is_refused_naming_the_operator(method, bad):
+    # without the check, dstevd returned NaN eigenvalues for a NaN shift
+    h0 = discretize_h0(build_grid(50, 10.0, "linear"), 3, 0.5)
+    shift = np.zeros(h0.n)
+    shift[17] = bad
+    for s in (shift, bad):
+        with pytest.raises(ValueError, match=r"H0\[d=3\]: shift must be a finite scalar"):
+            getattr(h0, method)(s)
+
+
+@pytest.mark.parametrize("method", ["eigenvalues", "eigenpairs", "inverse"])
+def test_mis_sized_shift_is_refused_before_lapack(method):
+    # LAPACK reads exactly n diagonal entries, unchecked
+    h0 = discretize_h0(build_grid(50, 10.0, "linear"), 3, 0.5)
+    for shift in (np.zeros((h0.n, 1)), np.zeros(h0.n + 1)):
+        with pytest.raises(ValueError, match=r"H0\[d=3\]: shift must be a finite scalar or 50 finite entries"):
+            getattr(h0, method)(shift)
+
+
+def test_singular_shifted_operator_raises_on_inverse():
+    op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]), None, label="T")
+    with pytest.raises(np.linalg.LinAlgError, match="T \\+ diag\\(shift\\) is singular"):
+        op.inverse(0.0)
 
 
 def test_kinetic_builders_and_three_body_operator_allocate_no_dense_matrix():
