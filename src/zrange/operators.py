@@ -268,13 +268,14 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
 
 
 @functools.cache
-def _lapack_routine(name: str, nargs: int):
-    """LAPACK `name` as a ctypes function of nargs pointers, from scipy.linalg.cython_lapack's capsule table."""
+def _lapack_routine(name: str):
+    """LAPACK `name` as a ctypes function, from scipy.linalg.cython_lapack's capsule table.  It declares no
+    argument types: every argument _lapack passes is already a pointer, and ctypes converts none on the way."""
     capsule = cython_lapack.__pyx_capi__[name]
     api = ctypes.pythonapi
     cname = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(get_pointer(capsule, cname))
+    return ctypes.CFUNCTYPE(None)(get_pointer(capsule, cname))
 
 
 def _lapack(name: str, *args) -> int:
@@ -284,7 +285,7 @@ def _lapack(name: str, *args) -> int:
     The package's tridiagonal and bidiagonal kernels all come this way, from cython_lapack's table, which lists
     dbdsdc, dgtsv, dgttrf, dgttrs, dstevd and dsterf at every scipy>=1.10; the f2py wrappers need not."""
     info = ctypes.c_int()
-    _lapack_routine(name, len(args) + 1)(*map(_by_reference, args), ctypes.byref(info))
+    _lapack_routine(name)(*map(_by_reference, args), ctypes.byref(info))
     return info.value
 
 
