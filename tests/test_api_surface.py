@@ -1,10 +1,18 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 import zrange
-from zrange.operators import OperatorMatrix, TridiagonalOperator
+from zrange.grids import build_grid
+from zrange.operators import OperatorMatrix, TridiagonalOperator, radial_green_kernel
+from zrange.potentials import rollnik_norm
 
 MAX_OPTIONS = 30
 
@@ -47,3 +55,31 @@ def test_operators_carry_no_mass_field():
     # the mass is in an operator's entries; a field beside them could disagree
     for cls in (OperatorMatrix, TridiagonalOperator):
         assert "m" not in {f.name for f in dataclasses.fields(cls)}
+
+
+_COLD_START = """
+import sys
+import numpy as np
+import zrange, zrange.cli
+from zrange.grids import build_grid
+from zrange.operators import radial_green_kernel
+from zrange.potentials import rollnik_norm
+print("scipy.special" in sys.modules)
+g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
+print(repr(rollnik_norm(np.exp(-g.nodes**2), g)))
+print(repr(radial_green_kernel(2, 0.3, g.nodes[:, None], g.nodes[None, :]).tolist()))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_import_leaves_scipy_special_to_first_use():
+    # scipy.special costs every process about 29 ms and 3.5 MB; only the d=2
+    # Bessel kernel and the Rollnik norm need it, and they import it on first use
+    src = str(Path(zrange.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, check=True)
+    before, rollnik, kernel, after = out.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
+    assert rollnik == repr(rollnik_norm(np.exp(-g.nodes**2), g))
+    assert kernel == repr(radial_green_kernel(2, 0.3, g.nodes[:, None], g.nodes[None, :]).tolist())

@@ -27,6 +27,7 @@ GAUSS = BasePotential("gaussian", 1.0, 1.0)
 UNSCALED = ScalingLaw(None, 1.0, 3)
 LAMBDA_C_WELL = np.pi**2 / 4.0
 NON_FINITE = [float("nan"), float("inf")]
+BAD_SAMPLES = [float("nan"), float("inf"), -float("inf")]
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +282,56 @@ def test_bs_operator_names_a_bad_mass(m):
     g = build_grid(50, 1.0, "linear")
     with pytest.raises(ValueError, match="mass m must be finite and positive"):
         bs_operator(GridFunction(g, np.ones(50)), 0.1, m=m)
+
+
+# ---------------------------------------------------------------------------
+# a non-finite V is named where it enters; GridFunction accepts NaN and inf
+
+
+def _with_bad_sample(values, bad):
+    return np.where(np.arange(values.size) == 7, bad, values)
+
+
+@pytest.fixture
+def poisoned_scaled_potential(monkeypatch):
+    # find_resonance_coupling and two_resonance_matrix rebuild the well from
+    # its profile, so the bad sample goes into every ScaledPotential evaluation
+    def poison(bad):
+        sample = ScaledPotential.__call__
+        monkeypatch.setattr(ScaledPotential, "__call__", lambda self, r: _with_bad_sample(sample(self, r), bad))
+
+    return poison
+
+
+@pytest.mark.parametrize("resolvent", ["exact", "grid"])
+@pytest.mark.parametrize("bad", BAD_SAMPLES)
+def test_bs_operator_names_a_non_finite_potential(bad, resolvent):
+    # before: "Q(z=0.1) has non-finite entries", with either resolvent
+    g = build_grid(20, 1.0, "linear")
+    v = GridFunction(g, _with_bad_sample(GAUSS(g.nodes), bad))
+    with pytest.raises(ValueError, match="potential V has non-finite values"):
+        bs_operator(v, 0.1, resolvent=resolvent, h0=discretize_h0(g))
+
+
+@pytest.mark.parametrize("bad", BAD_SAMPLES)
+def test_resonance_names_a_non_finite_potential(bad):
+    # before: NaN read as "must be nonnegative and not vanish", +inf as an empty grid
+    with pytest.raises(ValueError, match="potential V has non-finite values"):
+        resonance(lambda r: _with_bad_sample(GAUSS(r), bad), build_grid(20, 1.0, "linear"))
+
+
+@pytest.mark.parametrize("bad", BAD_SAMPLES)
+def test_find_resonance_coupling_names_a_non_finite_potential(bad, poisoned_scaled_potential):
+    poisoned_scaled_potential(bad)
+    with pytest.raises(ValueError, match="potential V has non-finite values"):
+        find_resonance_coupling(WELL, UNSCALED, (1.0, 5.0), n=100)
+
+
+@pytest.mark.parametrize("bad", BAD_SAMPLES)
+def test_two_resonance_matrix_names_a_non_finite_potential(bad, poisoned_scaled_potential):
+    poisoned_scaled_potential(bad)
+    with pytest.raises(ValueError, match="potential V has non-finite values"):
+        two_resonance_matrix(WELL, UNSCALED, LAMBDA_C_WELL, 0.01, build_grid(48, 30.0, "logarithmic", r_min=1e-3))
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0])

@@ -375,6 +375,18 @@ def test_hyperradial_angular_divergence_flagged():
     assert "angular_quadrature_not_converged" in rep["flags"]
 
 
+def test_angular_divergence_has_its_closed_form_coefficient():
+    # Near the back-to-back circle q1 = -q2 on |Q| = rho, with x = chi - pi/4
+    # and y = delta - pi, the kernel's first factor is rho^2/2, |q1 + q2|^2 is
+    # rho^2 (2 x^2 + y^2/2) and the weight sin(chi) cos(chi) is 1/2.  So
+    # rho^4 times the average is (1/pi) of the integral of du dv / (u^2 + v^2)
+    # (u = sqrt(2) x, v = y / sqrt(2)): 2 ln(1/h) for a node spacing h, which
+    # grows by 2 ln 2 per doubling of both node counts
+    avgs = [efimov._slice_average(k * efimov.N_CHI, k * efimov.N_DELTA, 1.0) for k in (1, 2, 4, 8)]
+    steps = np.diff(avgs)
+    assert np.all(np.abs(steps - 2.0 * np.log(2.0)) <= 1e-3), steps
+
+
 # ---------------------------------------------------------------------------
 # mass_sweep_2d
 

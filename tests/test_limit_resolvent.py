@@ -589,10 +589,10 @@ def test_successive_difference_orders_recover_synthetic_rates():
 
 
 def test_convergence_study_solves_one_resonance_per_rung(small_product, monkeypatch):
-    # calibrate_couplings solves one resonance per rung, and W(z) needs none
+    # calibrate_couplings solves one critical coupling per rung, and W(z) needs none
     calls = []
-    solve = limit_resolvent.resonance
-    monkeypatch.setattr(limit_resolvent, "resonance", lambda *args: calls.append(args) or solve(*args))
+    solve = limit_resolvent._critical_coupling
+    monkeypatch.setattr(limit_resolvent, "_critical_coupling", lambda *args: calls.append(args) or solve(*args))
     ladder = [0.2, 0.1, 0.05]
     convergence_study(2.0, GAUSS, ladder, small_product, np.ones((1, small_product.n)))
     assert len(calls) == len(ladder)
@@ -623,6 +623,35 @@ def test_convergence_study_runs_on_a_two_node_support():
     rep = convergence_study(2.0, GAUSS, [0.4, 0.2, 0.1], pg, fs)
     assert rep.discrepancies.shape == (3, 2) and np.all(np.isfinite(rep.discrepancies))
     assert all(np.isfinite(c) and c > 0.0 for c in rep.couplings.values())
+
+
+@pytest.mark.parametrize("log_grid", [False, True])
+def test_calibrated_couplings_are_the_resonance_couplings_bit_for_bit(log_grid):
+    # calibrate_couplings stops at the singular values; resonance() goes on
+    # to the vector and the profile.  On the 24-node linear grid rung 0.4
+    # covers two nodes, the smallest support with an inverse iteration
+    g = build_grid(64, 20.0, "logarithmic", r_min=1e-3) if log_grid else build_grid(24, 20.0, "linear")
+    ladder = [0.4, 0.2, 0.1, 0.05, 0.025] if log_grid else [0.4, 0.2, 0.1]
+    pot = BasePotential("gaussian", 1.3, 1.0)
+    res = ProductFreeResolvent(ProductGrid(g, g), 1.0)
+    got = calibrate_couplings(pot, ladder, res)
+    want = [resonance(ScaledPotential(pot, ScalingLaw(2, eps, 3)), g, res.reduced_mass).coupling * 1.3 for eps in ladder]
+    assert np.array_equal(list(got.values()), want)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_calibrate_couplings_names_a_non_finite_potential(small_product, bad, monkeypatch):
+    # one bad sample of the scaled well, which GridFunction accepts
+    sample = ScaledPotential.__call__
+
+    def poisoned(self, r):
+        v = sample(self, r)
+        v[0] = bad
+        return v
+
+    monkeypatch.setattr(ScaledPotential, "__call__", poisoned)
+    with pytest.raises(ValueError, match="potential V has non-finite values"):
+        calibrate_couplings(GAUSS, [0.2], ProductFreeResolvent(small_product, 1.0))
 
 
 @pytest.mark.parametrize("m", [0.0, -1.0, -0.5, -3.0, float("nan"), float("inf")])
