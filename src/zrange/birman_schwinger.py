@@ -38,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _lapack, discretize_h0, green_kernel_matrix
+from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _eigvalsh, _lapack, discretize_h0, green_kernel_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _potential_values
 
 Z_FLOOR = 1e-8
@@ -111,12 +110,12 @@ def bs_operator(
 
 def top_bs_eigenvalue(q: OperatorMatrix) -> float:
     """Largest eigenvalue of a Birman-Schwinger matrix."""
-    return float(eigh(q.entries, eigvals_only=True, subset_by_index=[q.n - 1] * 2)[0])
+    return _eigvalsh(q.entries, top=True)
 
 
 def bs_count_above_one(q: OperatorMatrix) -> int:
     """Number of Birman-Schwinger eigenvalues exceeding 1."""
-    vals = eigh(q.entries, eigvals_only=True)
+    vals = _eigvalsh(q.entries)
     return int(np.sum(vals > 1.0))
 
 

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .grids import RadialGrid, build_grid
-from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _root_factor, hyperradial_kinetic
+from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _eigvalsh, _root_factor, hyperradial_kinetic
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # C1 bisection tolerance; node factor of the refined run
@@ -99,7 +98,7 @@ def operator_spectrum(op: OperatorMatrix | TridiagonalOperator) -> SpectrumRepor
     if isinstance(op, TridiagonalOperator):
         vals = op.eigenvalues(0.0)
     else:
-        vals = eigh(op.entries, eigvals_only=True)
+        vals = _eigvalsh(op.entries)
     return SpectrumReport.from_eigenvalues(vals)
 
 
@@ -118,7 +117,7 @@ def _inertia_spectrum(d: int, grid: RadialGrid, m: float) -> np.ndarray:
     _require_scale_bracketing(grid)
     x = _root_factor(grid, d, m)
     x *= np.sqrt(grid.nodes)[:, None]
-    return eigh(x @ x.T, eigvals_only=True, overwrite_a=True)
+    return _eigvalsh(x @ x.T)
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:

@@ -54,11 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .birman_schwinger import SUPPORT_FLOOR, _critical_coupling
 from .grids import RadialGrid
-from .operators import _check_positive, discretize_h0
+from .operators import _check_positive, _eigvalsh, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder
 
 
@@ -254,7 +253,7 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     if lowest + z <= 0.0:
         b_sup = np.sqrt(v_sum[support])
         q_sup = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)
-        top_q = float(eigh(q_sup, lower=True, eigvals_only=True, subset_by_index=[support.size - 1] * 2)[0])
+        top_q = _eigvalsh(q_sup, top=True)
         raise ValueError(
             f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: "
             f"top eigenvalue {top_q:.6f}, lowest level {lowest:.12g} of H_eps (three-body level below -z)"

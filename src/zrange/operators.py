@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack
+import scipy
 
 from .grids import RadialGrid
 
@@ -266,6 +269,25 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
     return TridiagonalOperator(*k, grid, label="H_hyper")
 
 
+def _lapack_table():
+    """scipy.linalg.cython_lapack, LAPACK's capsule table, loaded from its own extension file unless it is
+    imported already: an import by name first runs scipy.linalg's package init (about 0.1 s, mostly a numpy
+    clone for the array API) for functions this package never calls."""
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [f"{scipy.__path__[0]}/linalg"])
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    # Cython enters the module in sys.modules itself.  Without that entry a later import by name runs in
+    # full, gets this same module object back from Cython and binds it as scipy.linalg's attribute.
+    sys.modules.pop(name, None)
+    return table
+
+
+cython_lapack = _lapack_table()
+
+
 @functools.cache
 def _lapack_routine(name: str):
     """LAPACK `name` as a ctypes function, from scipy.linalg.cython_lapack's capsule table.  It declares no
@@ -279,10 +301,10 @@ def _lapack_routine(name: str):
 
 def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
-    pointer: pass bytes for a character, an int for an integer, and a C-contiguous, writable array, overwritten
-    in place, for the rest (any other array raises TypeError).  No size is checked: each caller sizes its arrays.
-    The package's tridiagonal and bidiagonal kernels all come this way, from cython_lapack's table, which lists
-    dbdsdc, dgtsv, dgttrf, dgttrs, dstevd and dsterf at every scipy>=1.10; the f2py wrappers need not."""
+    pointer: pass bytes for a character, an int for an integer, a float for a double, and a C-contiguous,
+    writable array, overwritten in place, for the rest (any other array raises TypeError).  No size is checked:
+    each caller sizes its arrays.  Every LAPACK kernel of the package comes this way, from cython_lapack's
+    table, which lists dbdsdc, dgtsv, dgttrf, dgttrs, dstevd, dsterf and dsyevr at every scipy>=1.10."""
     info = ctypes.c_int()
     _lapack_routine(name)(*map(_by_reference, args), ctypes.byref(info))
     return info.value
@@ -293,9 +315,33 @@ def _by_reference(a):
         return a
     if isinstance(a, int):
         return ctypes.byref(ctypes.c_int(a))
+    if isinstance(a, float):
+        return ctypes.byref(ctypes.c_double(a))
     # an empty array goes as NULL: LAPACK reads no entry of an array sized 0 (n = 1 off-diagonals, dgttrf's
     # DU2 at n = 2)
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
+
+
+def _eigvalsh(a: np.ndarray, top: bool = False):
+    """Ascending eigenvalues of the symmetric matrix a from its lower triangle, or with top=True its largest
+    eigenvalue as a float, by LAPACK dsyevr: scipy.linalg.eigh(a, eigvals_only=True) bit for bit, down to the
+    workspace size (dsytrd's blocking depends on it).  Raises LinAlgError when dsyevr fails."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if n < 1 or a.shape != (n, n):
+        raise ValueError(f"symmetric eigensolve needs a nonempty square matrix, got shape {a.shape}")
+    vals, found = np.empty(n), np.empty(1, dtype=np.intc)
+    # the C order of a^T is the Fortran order of a; Z and ISUPPZ are not referenced when JOBZ = 'N'
+    args = (b"N", b"I" if top else b"A", b"L", n, a.T.copy(), n, 0.0, 0.0, n if top else 1, n, 0.0,
+            found, vals, np.empty(1), 1, np.empty(2, dtype=np.intc))
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.intc)
+    info = _lapack("dsyevr", *args, work, -1, iwork, -1)  # the workspace query: sizes in work[0], iwork[0]
+    if info == 0:
+        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
+        info = _lapack("dsyevr", *args, work, work.size, iwork, iwork.size)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"symmetric eigensolve failed (dsyevr info {info})")
+    return float(vals[0]) if top else vals
 
 
 def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
@@ -388,7 +434,7 @@ def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
         # expm1: no cancellation at small k lo, no overflow at large k hi
         val = 2.0 * m * np.exp(-kappa * (hi - lo)) * -np.expm1(-2.0 * kappa * lo) / (2.0 * kappa)
     else:
-        # imported here: scipy.special costs every process about 29 ms and 3.5 MB, and most studies never need it
+        # imported here: scipy.special costs a process about 0.12-0.14 s, and only this kernel needs it
         from scipy.special import i0e, k0e
 
         # i0e(x) = e^(-x) I0(x), k0e(x) = e^x K0(x); product decays as e^(lo-hi)

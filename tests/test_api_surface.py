@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import zrange
+from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
 from zrange.operators import OperatorMatrix, TridiagonalOperator, radial_green_kernel
 from zrange.potentials import rollnik_norm
@@ -61,25 +63,59 @@ _COLD_START = """
 import sys
 import numpy as np
 import zrange, zrange.cli
+from zrange import operators
+from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
 from zrange.operators import radial_green_kernel
 from zrange.potentials import rollnik_norm
-print("scipy.special" in sys.modules)
+
+def loaded():
+    print(*(name in sys.modules for name in ("scipy.linalg", "scipy.special")))
+
+loaded()
 g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
 print(repr(rollnik_norm(np.exp(-g.nodes**2), g)))
+ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
+print(repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist()))
+loaded()
 print(repr(radial_green_kernel(2, 0.3, g.nodes[:, None], g.nodes[None, :]).tolist()))
-print("scipy.special" in sys.modules)
+loaded()
+import scipy.linalg.cython_lapack
+print(operators.cython_lapack is sys.modules["scipy.linalg.cython_lapack"] is scipy.linalg.cython_lapack)
+"""
+
+_SCIPY_FIRST = """
+import sys
+import {}
+from zrange import operators
+print(operators.cython_lapack is sys.modules["scipy.linalg.cython_lapack"] is scipy.linalg.cython_lapack)
 """
 
 
-def test_import_leaves_scipy_special_to_first_use():
-    # scipy.special costs every process about 29 ms and 3.5 MB; only the d=2
-    # Bessel kernel and the Rollnik norm need it, and they import it on first use
+def _fresh_interpreter(script: str) -> list:
+    """The lines a fresh interpreter prints running script, with this checkout's src first on its path."""
     src = str(Path(zrange.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, check=True)
-    before, rollnik, kernel, after = out.stdout.splitlines()
-    assert (before, after) == ("False", "True")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def test_import_leaves_scipy_special_to_first_use():
+    # zrange reads LAPACK from cython_lapack's own file and eigensolves through
+    # dsyevr, so scipy.linalg's package init (about 0.1 s) never runs; only the
+    # d=2 Bessel kernel loads scipy.special, on first use
+    before, rollnik, spectrum, during, kernel, after, same_table = _fresh_interpreter(_COLD_START)
+    assert (before, during, after) == ("False False", "False False", "False True")
     g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
     assert rollnik == repr(rollnik_norm(np.exp(-g.nodes**2), g))
+    ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
+    assert spectrum == repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist())
     assert kernel == repr(radial_green_kernel(2, 0.3, g.nodes[:, None], g.nodes[None, :]).tolist())
+    assert same_table == "True"
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "scipy.linalg.cython_lapack"])
+def test_lapack_table_is_scipys_own_when_scipy_comes_first(first):
+    # scipy.linalg imports the table itself; zrange takes that module object
+    # and leaves its sys.modules entry and package attribute in place
+    assert _fresh_interpreter(_SCIPY_FIRST.format(first)) == ["True"]

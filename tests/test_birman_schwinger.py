@@ -6,7 +6,7 @@ from scipy.special import jn_zeros
 
 from zrange.grids import GridFunction, RadialGrid, build_grid
 from zrange.operators import discretize_h0
-from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
+from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw, ScalingLawError
 from zrange import birman_schwinger, operators
 from zrange.birman_schwinger import (
     bs_count_above_one,
@@ -172,7 +172,7 @@ def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
     for module, name in [
         (birman_schwinger, "bs_operator"),
         (birman_schwinger, "green_kernel_matrix"),
-        (birman_schwinger, "eigh"),
+        (birman_schwinger, "_eigvalsh"),
         (operators, "green_kernel_matrix"),
         (operators, "radial_green_kernel"),
         (np.linalg, "eigh"),
@@ -318,6 +318,13 @@ def test_resonance_names_a_non_finite_potential(bad):
     # before: NaN read as "must be nonnegative and not vanish", +inf as an empty grid
     with pytest.raises(ValueError, match="potential V has non-finite values"):
         resonance(lambda r: _with_bad_sample(GAUSS(r), bad), build_grid(20, 1.0, "linear"))
+
+
+def test_find_resonance_coupling_refuses_an_overflowing_epsilon():
+    # 1e-160 ** -2 overflows a float: the law refuses it by name, where it
+    # once surfaced as a bare OverflowError from ScaledPotential
+    with pytest.raises(ScalingLawError, match=r"epsilon=1e-160 is too small for p=2"):
+        find_resonance_coupling(GAUSS, ScalingLaw(2, 1e-160, 3), n=50)
 
 
 @pytest.mark.parametrize("bad", BAD_SAMPLES)

@@ -171,6 +171,14 @@ def test_inertia_spectrum_matches_scaled_root(d, m):
     assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("d", [3, 2])
+def test_inertia_spectrum_is_scipy_eigh_bit_for_bit(d):
+    # the dsyevr route on the inertia matrix X X^T, X = r^(1/2) W
+    g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
+    x = operators._root_factor(g, d, 0.5) * np.sqrt(g.nodes)[:, None]
+    assert np.array_equal(_inertia_spectrum(d, g, 0.5), eigh(x @ x.T, eigvals_only=True))
+
+
 def test_contact_symbol_closed_forms():
     tau = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
     assert np.allclose(contact_symbol(3, tau), tau / np.tanh(0.5 * np.pi * tau), rtol=1e-13, atol=0.0)

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
+from zrange import potentials
 from zrange.grids import RadialGrid, build_grid
 from zrange.potentials import (
     BasePotential,
@@ -176,6 +178,59 @@ def test_rollnik_memory_is_row_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def _xlogy_terms(a, b):
+    # s log s and q log q as scipy.special.xlogy forms them, 0 log 0 = 0
+    s, q = np.add.outer(a, b) ** 2, np.subtract.outer(a, b) ** 2
+    return xlogy(s, s), xlogy(q, q)
+
+
+def _xlogy_edge_kernel(a, b):
+    s_log_s, q_log_q = _xlogy_terms(a, b)
+    return s_log_s + q_log_q
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 128])
+def test_edge_kernel_matches_xlogy(rows):
+    # numpy's log and libm's differ by at most an ulp, so each entry is
+    # within a few ulps of its two terms; the zeros (0 log 0 at the origin,
+    # 1 log 1) are exact.  Row counts not divisible by 4 leave a short
+    # last quarter
+    a = np.concatenate(([0.0], np.geomspace(1e-3, 7.0, rows - 1)))
+    b = np.concatenate((a, np.linspace(0.5, 9.0, 11)))
+    s_log_s, q_log_q = _xlogy_terms(a, b)
+    k = potentials._edge_kernel(a, b)
+    assert k.shape == (rows, b.size)
+    assert np.all(np.abs(k - (s_log_s + q_log_q)) <= 1e-15 * (np.abs(s_log_s) + np.abs(q_log_q)))
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "square_well", "exponential"])
+@pytest.mark.parametrize("spacing,eps", [("linear", 1.0), ("logarithmic", 1.0), ("logarithmic", 0.05)])
+def test_rollnik_norm_matches_the_xlogy_kernel(profile, spacing, eps, monkeypatch):
+    grid = build_grid(700, 12.0, spacing, r_min=1e-5 if spacing == "logarithmic" else None)
+    v = ScaledPotential(BasePotential(profile, 1.3, 0.8), ScalingLaw(2, eps, 3))(grid.nodes)
+    norm = rollnik_norm(v, grid)
+    monkeypatch.setattr(potentials, "_edge_kernel", _xlogy_edge_kernel)
+    assert norm == pytest.approx(rollnik_norm(v, grid), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("p,eps,d", [(3, 1e-110, 3), (2, 1e-160, 3), (3, np.float64(1e-105), 3), (1, 1e-309, 2)])
+def test_overflowing_epsilon_is_refused_by_name(p, eps, d):
+    # eps^(-p) once escaped ScaledPotential as a bare OverflowError (a
+    # Python float) or as inf values (a numpy float)
+    for make in (lambda: ScalingLaw(p, eps, d), lambda: ScalingLaw(p, 0.1, d).with_epsilon(eps)):
+        with pytest.raises(ScalingLawError, match=rf"epsilon={eps:g} is too small for p={p}"):
+            make()
+
+
+def test_scale_potential_refuses_an_overflowing_epsilon():
+    grid = build_grid(100, 10.0, "linear")
+    with pytest.raises(ScalingLawError, match=r"epsilon=1e-110 is too small for p=3"):
+        scale_potential(GAUSS, ScalingLaw(3, 1e-110, 3), grid)
+    # the smallest decade that still fits: 1e-102 ** -3 = 1e306
+    rep = scale_potential(GAUSS, ScalingLaw(3, 1e-102, 3), grid)
+    assert np.isfinite(rep["l1"])
 
 
 SMALL = build_grid(16, 2.0, "linear")
