@@ -16,7 +16,6 @@ from .operators import (
     green_kernel_matrix,
     hyperradial_kinetic,
     radial_green_kernel,
-    sqrt_kinetic,
 )
 from .potentials import (
     BasePotential,
@@ -38,7 +37,6 @@ from .birman_schwinger import (
     bs_operator,
     find_resonance_coupling,
     resonance,
-    top_bs_eigenvalue,
     two_resonance_matrix,
 )
 from .konno_kuroda import (

@@ -108,11 +108,6 @@ def bs_operator(
     return OperatorMatrix(0.5 * (q + q.T), grid, label=f"Q(z={z:g})")
 
 
-def top_bs_eigenvalue(q: OperatorMatrix) -> float:
-    """Largest eigenvalue of a Birman-Schwinger matrix."""
-    return _eigvalsh(q.entries, top=True)
-
-
 def bs_count_above_one(q: OperatorMatrix) -> int:
     """Number of Birman-Schwinger eigenvalues exceeding 1."""
     vals = _eigvalsh(q.entries)

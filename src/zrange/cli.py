@@ -184,8 +184,8 @@ def _defect_rows(rep, metrics) -> list:
 def _run_scale_norms(cfg):
     pot = _potential(cfg)
     law = _law(cfg)
-    # tracemalloc peak over n = 100 ... 32000: 345-387 floats per node (the Rollnik row blocks)
-    grid = _grid(cfg, per_node=400)
+    # tracemalloc peak over n = 100 ... 32000: 135-203 floats per node, the most at n = 100 (Rollnik row blocks)
+    grid = _grid(cfg, per_node=225)
     eps_sweep = _numbers(cfg, "sweep", [law.epsilon])
     d = law.d
     base = pot(grid.nodes)

@@ -97,6 +97,8 @@ def build_grid(n: int, r_max: float, spacing: str = "linear", r_min: float | Non
     are geometric from r_min (default r_max * 1e-4) to r_max; they are
     mandatory whenever a 1/r or log r term must be resolved across scales.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise GridError(f"n={n!r} must be an integer node count")
     if n < MIN_GRID_NODES:
         raise GridError(f"n={n} too small, need at least {MIN_GRID_NODES} nodes")
     if not (np.isfinite(r_max) and r_max > 0.0):

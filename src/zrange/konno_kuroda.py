@@ -200,15 +200,15 @@ def independence_spectrum_check(
     _check_positive("z", z)
     grid = h0.grid
     h0 = TridiagonalOperator.require(h0, grid)
+    scaled = ((v1, law1), (v2, law2))
+    for i, (v, law) in enumerate(scaled, 1):
+        if v is not None and law is None:
+            raise ValueError(f"v{i} is given without its scaling law: law{i} is None")
     eps_list = _decreasing_ladder(eps_list)
     r0 = h0.inverse(z)
     deltas = []
     for eps in eps_list:
-        parts = []
-        if v1 is not None:
-            parts.append(ScaledPotential(v1, law1.with_epsilon(eps))(grid.nodes))
-        if v2 is not None:
-            parts.append(ScaledPotential(v2, law2.with_epsilon(eps))(grid.nodes))
+        parts = [ScaledPotential(v, law.with_epsilon(eps))(grid.nodes) for v, law in scaled if v is not None]
         if v3 is not None:
             parts.append(v3(grid.nodes))
         if not parts:

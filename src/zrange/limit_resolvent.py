@@ -152,7 +152,6 @@ class LimitResolvent:
     """
 
     z: float
-    grid: ProductGrid
     coeff: float
     resolvent: ProductFreeResolvent = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -163,11 +162,11 @@ class LimitResolvent:
 
     def apply_image(self, r0f: np.ndarray) -> np.ndarray:
         """W(z) f from the image r0f = R0(z) f: T, then R0."""
-        u = self.weights[:, None] * r0f.reshape(self.grid.n, -1)
+        u = self.weights[:, None] * r0f.reshape(self.resolvent.grid.n, -1)
         return self.coeff * self.resolvent.apply(self.z, u).reshape(r0f.shape)
 
     def matrix(self) -> np.ndarray:
-        return self.apply(np.eye(self.grid.n))
+        return self.apply(np.eye(self.resolvent.grid.n))
 
 
 def _line_source_scale(grid: RadialGrid) -> float:
@@ -194,7 +193,7 @@ def limit_w(z: float, resolvent: ProductFreeResolvent) -> LimitResolvent:
     weights = np.zeros((grid.gx.n, grid.gx.n))
     weights[0, :] = line  # the x = 0 line
     weights[:, 0] += line  # the y = 0 line; the corner is on both
-    return LimitResolvent(z, grid, float(4.0 * np.pi / np.sqrt(z)), resolvent, grid.flatten(weights))
+    return LimitResolvent(z, float(4.0 * np.pi / np.sqrt(z)), resolvent, grid.flatten(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,6 @@ class FiniteEpsilonResolvent:
     """
 
     z: float
-    grid: ProductGrid
     support: np.ndarray = field(repr=False)
     kernel_q: np.ndarray = field(repr=False)
     kernel_denom: np.ndarray = field(repr=False)
@@ -253,14 +251,12 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
     if lowest + z <= 0.0:
         b_sup = np.sqrt(v_sum[support])
         q_sup = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)
-        top_q = _eigvalsh(q_sup, top=True)
         raise ValueError(
-            f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: "
-            f"top eigenvalue {top_q:.6f}, lowest level {lowest:.12g} of H_eps (three-body level below -z)"
+            f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: top eigenvalue "
+            f"{_eigvalsh(q_sup)[-1]:.6f}, lowest level {lowest:.12g} of H_eps (three-body level below -z)"
         )
     return FiniteEpsilonResolvent(
         z=z,
-        grid=grid,
         support=support,
         kernel_q=q,
         kernel_denom=lam[:, None] + lam[None, :] + z,

@@ -322,18 +322,18 @@ def _by_reference(a):
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
 
 
-def _eigvalsh(a: np.ndarray, top: bool = False):
-    """Ascending eigenvalues of the symmetric matrix a from its lower triangle, or with top=True its largest
-    eigenvalue as a float, by LAPACK dsyevr: scipy.linalg.eigh(a, eigvals_only=True) bit for bit, down to the
-    workspace size (dsytrd's blocking depends on it).  Raises LinAlgError when dsyevr fails."""
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix a from its lower triangle by LAPACK dsyevr:
+    scipy.linalg.eigh(a, eigvals_only=True) bit for bit, down to the workspace size (dsytrd's blocking
+    depends on it).  Raises LinAlgError when dsyevr fails."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if n < 1 or a.shape != (n, n):
         raise ValueError(f"symmetric eigensolve needs a nonempty square matrix, got shape {a.shape}")
     vals, found = np.empty(n), np.empty(1, dtype=np.intc)
     # the C order of a^T is the Fortran order of a; Z and ISUPPZ are not referenced when JOBZ = 'N'
-    args = (b"N", b"I" if top else b"A", b"L", n, a.T.copy(), n, 0.0, 0.0, n if top else 1, n, 0.0,
-            found, vals, np.empty(1), 1, np.empty(2, dtype=np.intc))
+    args = (b"N", b"A", b"L", n, a.T.copy(), n, 0.0, 0.0, 1, n, 0.0, found, vals, np.empty(1), 1,
+            np.empty(2, dtype=np.intc))
     work, iwork = np.zeros(1), np.zeros(1, dtype=np.intc)
     info = _lapack("dsyevr", *args, work, -1, iwork, -1)  # the workspace query: sizes in work[0], iwork[0]
     if info == 0:
@@ -341,7 +341,7 @@ def _eigvalsh(a: np.ndarray, top: bool = False):
         info = _lapack("dsyevr", *args, work, work.size, iwork, iwork.size)
     if info != 0:
         raise np.linalg.LinAlgError(f"symmetric eigensolve failed (dsyevr info {info})")
-    return float(vals[0]) if top else vals
+    return vals
 
 
 def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
@@ -390,19 +390,6 @@ def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
     return v
 
 
-def sqrt_kinetic(grid: RadialGrid, d: int = 3, m: float = 0.5) -> OperatorMatrix:
-    """sqrt of the kinetic matrix as W W^T, with W = V S^(1/2) the root factor.
-
-    S and V come from LAPACK's bidiagonal SVD of F = U S V^T on the O(n)
-    diagonals of F (for d=3 LAPACK folds the lower factor itself): no dense O(n^3)
-    bidiagonalization or back-transform, and S keeps full relative accuracy
-    even when cond(H0) is near 1/eps, which eigh of H0 loses.  W @ W.T runs
-    as BLAS syrk and comes out exactly symmetric.
-    """
-    w = _root_factor(grid, d, m)
-    return OperatorMatrix(w @ w.T, grid, label=f"sqrt(H0[d={d}])")
-
-
 # ---------------------------------------------------------------------------
 # free resolvent
 
@@ -420,6 +407,7 @@ def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
         raise ValueError("dimension must be 2 or 3")
     if not (np.isfinite(z) and (z > 0.0 or (z == 0.0 and d == 3))):
         raise ValueError("spectral parameter z must be real, finite and positive (z = 0 only in d=3)")
+    _check_positive("mass m", m)
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
     if not (np.all(np.isfinite(r) & (r > 0.0)) and np.all(np.isfinite(rp) & (rp > 0.0))):

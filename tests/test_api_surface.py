@@ -16,7 +16,7 @@ from zrange.grids import build_grid
 from zrange.operators import OperatorMatrix, TridiagonalOperator, radial_green_kernel
 from zrange.potentials import rollnik_norm
 
-MAX_OPTIONS = 30
+MAX_OPTIONS = 28
 
 
 def _options():
@@ -48,7 +48,7 @@ def _defaulted(fn):
     return [p for p, v in inspect.signature(fn).parameters.items() if v.default is not inspect.Parameter.empty]
 
 
-def test_option_count_stays_at_most_thirty():
+def test_option_count_stays_within_max_options():
     options = _options()
     assert len(options) <= MAX_OPTIONS, options
 

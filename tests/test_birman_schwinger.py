@@ -15,7 +15,6 @@ from zrange.birman_schwinger import (
     find_resonance_coupling,
     resonance,
     support_radius,
-    top_bs_eigenvalue,
     two_resonance_matrix,
 )
 from zrange.konno_kuroda import negative_count_direct
@@ -28,6 +27,11 @@ UNSCALED = ScalingLaw(None, 1.0, 3)
 LAMBDA_C_WELL = np.pi**2 / 4.0
 NON_FINITE = [float("nan"), float("inf")]
 BAD_SAMPLES = [float("nan"), float("inf"), -float("inf")]
+
+
+def _top(q):
+    # the largest eigenvalue of a Birman-Schwinger matrix, from a dense eigvalsh
+    return scipy.linalg.eigvalsh(q.entries)[-1]
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +85,8 @@ def test_top_eigenvalue_linear_in_coupling():
     g = build_grid(300, 1.0, "linear")
     v1 = GridFunction(g, WELL(g.nodes))
     v2 = GridFunction(g, 2.0 * WELL(g.nodes))
-    t1 = top_bs_eigenvalue(bs_operator(v1, 1e-6))
-    t2 = top_bs_eigenvalue(bs_operator(v2, 1e-6))
+    t1 = _top(bs_operator(v1, 1e-6))
+    t2 = _top(bs_operator(v2, 1e-6))
     assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
 
 
@@ -90,14 +94,14 @@ def test_square_well_top_eigenvalue_matches_critical_coupling():
     # at lam = 1 and z -> 0 the top eigenvalue is 1/lambda_c = 4/pi^2
     g = build_grid(800, 1.0, "linear")
     v = GridFunction(g, WELL(g.nodes))
-    top = top_bs_eigenvalue(bs_operator(v, 1e-8))
+    top = _top(bs_operator(v, 1e-8))
     assert top == pytest.approx(4.0 / np.pi**2, rel=1e-3)
 
 
 def test_top_eigenvalue_nonincreasing_in_z():
     g = build_grid(300, 1.0, "linear")
     v = GridFunction(g, 3.0 * WELL(g.nodes))
-    tops = [top_bs_eigenvalue(bs_operator(v, z)) for z in (1e-6, 0.1, 1.0, 10.0)]
+    tops = [_top(bs_operator(v, z)) for z in (1e-6, 0.1, 1.0, 10.0)]
     assert np.all(np.diff(tops) < 0)
 
 
@@ -140,7 +144,7 @@ def test_half_critical_coupling_gives_half_top_eigenvalue(well_resonance):
     g = build_grid(800, 1.0, "linear")
     lam = well_resonance.lambda_critical / 2.0
     v = GridFunction(g, lam * WELL(g.nodes))
-    top = top_bs_eigenvalue(bs_operator(v, 1e-8))
+    top = _top(bs_operator(v, 1e-8))
     assert top == pytest.approx(0.5, rel=1e-4)
 
 
@@ -358,7 +362,7 @@ def test_two_resonance_diagonal_matches_dense_top_eigenvalue(well_resonance):
     v = GridFunction(g, lam * WELL(g.nodes))
     # q_top is 1 to 1e-3 here, so this is 1e-12 relative on q_top (measured 6e-14)
     for mat, z in zip(mats, TWO_RES_ZS):
-        top = top_bs_eigenvalue(bs_operator(v, z))
+        top = _top(bs_operator(v, z))
         assert mat.diagonal == pytest.approx(top - 1.0, rel=0.0, abs=1e-12)
 
 

@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 from zrange import efimov, operators
 from zrange.grids import build_grid
-from zrange.operators import SpectrumReport, sqrt_kinetic
+from zrange.operators import SpectrumReport
 from zrange.efimov import (
     _inertia_spectrum,
     effective_operator,
@@ -165,8 +165,8 @@ def test_inertia_spectrum_counts_negative_eigenvalues(d):
 @pytest.mark.parametrize("d,m", [(3, 0.5), (2, 2.0)])
 def test_inertia_spectrum_matches_scaled_root(d, m):
     g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
-    q = np.sqrt(g.nodes)
-    ref = np.linalg.eigvalsh(q[:, None] * sqrt_kinetic(g, d, m).entries * q[None, :])
+    q, w = np.sqrt(g.nodes), operators._root_factor(g, d, m)
+    ref = np.linalg.eigvalsh(q[:, None] * (w @ w.T) * q[None, :])
     mu = _inertia_spectrum(d, g, m)
     assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref).max()
 

@@ -21,6 +21,13 @@ def test_too_few_nodes_rejected():
         build_grid(4, 1.0, "linear")
 
 
+@pytest.mark.parametrize("n", [8.5, 16.0, "16"])
+def test_non_integer_node_count_rejected(n):
+    # 8.5 once escaped as numpy's bare TypeError from linspace
+    with pytest.raises(GridError, match=f"n={n!r} must be an integer"):
+        build_grid(n, 1.0, "linear")
+
+
 def test_bad_r_max_rejected():
     with pytest.raises(GridError):
         build_grid(16, -1.0, "linear")

@@ -326,6 +326,16 @@ def test_all_three_discrepancy_decreases(indep_grid):
     assert rep.decreasing
 
 
+@pytest.mark.parametrize("which", [1, 2])
+def test_independence_names_a_missing_scaling_law(indep_grid, which):
+    # a scaled potential without its law once raised AttributeError:
+    # 'NoneType' object has no attribute 'with_epsilon'
+    args = [None, None, None, None]
+    args[2 * which - 2] = GAUSS
+    with pytest.raises(ValueError, match=f"v{which} is given without its scaling law: law{which} is None"):
+        independence_spectrum_check(*args, BROAD, [0.4, 0.2], 1.0, discretize_h0(indep_grid))
+
+
 @pytest.mark.parametrize("ladder", [[0.2, 0.4], [0.2, 0.2]])
 def test_independence_rejects_a_ladder_that_is_not_strictly_decreasing(indep_grid, ladder):
     # the ladder rule of DefectReport and convergence_study, with their message

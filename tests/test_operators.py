@@ -19,9 +19,9 @@ from zrange.operators import (
     TridiagonalOperator,
     check_symmetric,
     discretize_h0,
+    green_kernel_matrix,
     hyperradial_kinetic,
     radial_green_kernel,
-    sqrt_kinetic,
 )
 from zrange.limit_resolvent import ProductFreeResolvent, ProductGrid, assemble_w_eps
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
@@ -273,10 +273,9 @@ def test_mis_sized_shift_is_refused_before_lapack(method):
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 600])
 def test_dsyevr_route_matches_scipy_eigh_bit_for_bit(n):
     # _eigvalsh runs dsyevr through _lapack with eigh's arguments and
-    # workspace: all eigenvalues (RANGE = 'A') and the top one alone
-    # (RANGE = 'I', IL = IU = n).  The skewed copy carries an asymmetry of
-    # 1e-13 relative in its upper triangle, which check_symmetric admits:
-    # both routes read the lower one
+    # workspace, all eigenvalues (RANGE = 'A').  The skewed copy carries an
+    # asymmetry of 1e-13 relative in its upper triangle, which
+    # check_symmetric admits: both routes read the lower one
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n))
     sym = 0.5 * (x + x.T)
@@ -285,8 +284,6 @@ def test_dsyevr_route_matches_scipy_eigh_bit_for_bit(n):
     for a in (sym, skew):
         before = a.copy()
         assert np.array_equal(operators._eigvalsh(a), eigh(a, eigvals_only=True))
-        top = operators._eigvalsh(a, top=True)
-        assert type(top) is float and top == eigh(a, eigvals_only=True, subset_by_index=[n - 1] * 2)[0]
         assert np.array_equal(a, before)
 
 
@@ -423,6 +420,17 @@ def test_kernel_rejects_non_finite_z(z):
         radial_green_kernel(3, z, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("m", [-1.0, 0.0, float("nan"), float("inf")])
+def test_kernel_rejects_a_bad_mass(m):
+    # m = -1 once gave a negative kernel (-1.24e-6 at [0, 0]), m = 0 a zero
+    # one and m = NaN a NaN one
+    g = build_grid(50, 10.0, "linear")
+    with pytest.raises(ValueError, match="mass m must be finite and positive"):
+        radial_green_kernel(3, 1.0, 1.0, 2.0, m)
+    with pytest.raises(ValueError, match="mass m must be finite and positive"):
+        green_kernel_matrix(g, 3, 0.0, m)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_kernel_rejects_non_finite_radii(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -459,14 +467,20 @@ def test_kernel_grid_refinement_converges():
 
 
 # ---------------------------------------------------------------------------
-# sqrt_kinetic
+# the kinetic square root W W^T
+
+
+def _kinetic_root(g, d, m):
+    # sqrt(H0) = W W^T from the root factor W = V S^(1/2)
+    w = operators._root_factor(g, d, m)
+    return w @ w.T
 
 
 def test_sqrt_kinetic_agrees_with_generic_route():
     g = build_grid(120, 20.0, "logarithmic", r_min=1e-2)
     vals, vecs = eigh(discretize_h0(g, 3, 0.5).entries)
     a = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T)
-    b = sqrt_kinetic(g, 3, 0.5).entries
+    b = _kinetic_root(g, 3, 0.5)
     assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
 
@@ -476,7 +490,7 @@ def test_sqrt_kinetic_matches_dense_svd_of_factor(d):
     g = build_grid(600, 2e2, "logarithmic", r_min=1e-10)
     _, s_ref, vt = np.linalg.svd(_oracle_factor(g, d, 0.5), full_matrices=False)
     ref = vt.T @ (s_ref[:, None] * vt)
-    root = sqrt_kinetic(g, d, 0.5).entries
+    root = _kinetic_root(g, d, 0.5)
     assert np.array_equal(root, root.T)
     assert np.abs(root - ref).max() <= 1e-13 * np.abs(ref).max()
     s, _ = operators._dbdsdc(*operators._kinetic_diagonals(g, d, 0.5))

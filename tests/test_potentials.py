@@ -195,8 +195,7 @@ def _xlogy_edge_kernel(a, b):
 def test_edge_kernel_matches_xlogy(rows):
     # numpy's log and libm's differ by at most an ulp, so each entry is
     # within a few ulps of its two terms; the zeros (0 log 0 at the origin,
-    # 1 log 1) are exact.  Row counts not divisible by 4 leave a short
-    # last quarter
+    # 1 log 1) are exact
     a = np.concatenate(([0.0], np.geomspace(1e-3, 7.0, rows - 1)))
     b = np.concatenate((a, np.linspace(0.5, 9.0, 11)))
     s_log_s, q_log_q = _xlogy_terms(a, b)
@@ -251,6 +250,15 @@ SMALL = build_grid(16, 2.0, "linear")
 def test_norms_reject_bad_values(norm, values, message):
     with pytest.raises(ValueError, match=message):
         norm(values, SMALL)
+
+
+@pytest.mark.parametrize("norm", [l1_norm, l2_norm])
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_norms_reject_a_dimension_other_than_2_or_3(norm, d):
+    # the sphere area of d = 2 once stood in for every d != 3: l1_norm of
+    # ones in d = 4 returned 982.1, with no error
+    with pytest.raises(ValueError, match=f"dimension d must be 2 or 3, got {d}"):
+        norm(np.ones(16), SMALL, d)
 
 
 def test_rollnik_rejects_one_node_grid():
