@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _eigvalsh, _lapack, discretize_h0, green_kernel_matrix
+from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _lapack, discretize_h0, green_kernel_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _potential_values
 
 Z_FLOOR = 1e-8
@@ -54,9 +54,9 @@ SUPPORT_FLOOR = 1e-14
 _SUPPORT_CUT = {"gaussian": 5.8, "square_well": 1.0, "exponential": 33.0}
 
 
-def support_radius(potential: BasePotential, law: ScalingLaw | None = None) -> float:
+def support_radius(potential: BasePotential, law: ScalingLaw) -> float:
     """Radius beyond which the (scaled) profile is numerically negligible."""
-    eps = 1.0 if law is None or law.p is None else law.epsilon
+    eps = 1.0 if law.p is None else law.epsilon
     return _SUPPORT_CUT[potential.profile] * potential.range * eps
 
 
@@ -81,10 +81,11 @@ def bs_operator(
     resolvent="exact" uses the whole-space Green kernel of dimension d and
     mass m (best for resonance work); resolvent="grid" uses the boxed
     discretized (H0 + z)^(-1) of h0, a TridiagonalOperator built on the grid
-    of V whose entries carry its dimension and mass, by LAPACK dgtsv on the
-    tridiagonal H0 + z against the identity, which keeps the eigenvalue
-    count of Q consistent with the spectrum of that same boxed H0 - V (the
-    Birman-Schwinger principle then holds as a matrix identity).  z = 0 is
+    of V whose entries carry its dimension and mass (so this route refuses a
+    d or m other than the defaults), by LAPACK dgtsv on the tridiagonal H0 + z
+    against the identity, which keeps the eigenvalue count of Q consistent
+    with the spectrum of that same boxed H0 - V (the Birman-Schwinger
+    principle then holds as a matrix identity).  z = 0 is
     exact for d=3 with resolvent="exact" (kernel 2m min(r, r')); every other
     z must be finite and at least Z_FLOOR.  m must be finite and positive.
     """
@@ -100,6 +101,9 @@ def bs_operator(
     elif resolvent == "grid":
         if h0 is None:
             raise ValueError("resolvent='grid' needs h0, the boxed H0 on the grid of V")
+        for name, value, default in (("d", d, 3), ("m", m, 0.5)):
+            if value != default:
+                raise ValueError(f"resolvent='grid' takes {name} from h0, which carries it: got {name}={value!r}")
         h0 = TridiagonalOperator.require(h0, grid)
         g = h0.inverse(z)
     else:
@@ -110,7 +114,7 @@ def bs_operator(
 
 def bs_count_above_one(q: OperatorMatrix) -> int:
     """Number of Birman-Schwinger eigenvalues exceeding 1."""
-    vals = _eigvalsh(q.entries)
+    vals = np.linalg.eigvalsh(q.entries)
     return int(np.sum(vals > 1.0))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import RadialGrid, build_grid
-from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _eigvalsh, _root_factor, hyperradial_kinetic
+from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _root_factor, hyperradial_kinetic
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # C1 bisection tolerance; node factor of the refined run
@@ -57,11 +57,13 @@ class Kernel22Value:
 def _require_scale_bracketing(grid: RadialGrid):
     # canonical anchors r_min <= 1e-4, r_max >= 1e2 for unit-scale couplings;
     # a dilated copy of a valid grid stays valid through the width clause
-    # (the operators are scale covariant, so only the ratio is intrinsic)
+    # (the operators are scale covariant, so only the ratio is intrinsic); the
+    # width is read to 4 ulps, since dilating rounds r_min and r_max and can
+    # move a ratio of exactly 1e6 down by 2
     if grid.spacing != "logarithmic":
         raise ValueError("effective operators require a logarithmic grid")
     anchored = grid.r_min <= 1e-4 and grid.r_max >= 1e2
-    if not anchored and grid.r_max / grid.r_min < 1e6:
+    if not anchored and grid.r_max / grid.r_min < 1e6 - 4 * math.ulp(1e6):
         raise ValueError(
             f"scale bracket [{grid.r_min:g}, {grid.r_max:g}] too narrow; "
             "need r_min <= 1e-4 and r_max >= 1e2, or six decades of width"
@@ -98,7 +100,7 @@ def operator_spectrum(op: OperatorMatrix | TridiagonalOperator) -> SpectrumRepor
     if isinstance(op, TridiagonalOperator):
         vals = op.eigenvalues(0.0)
     else:
-        vals = _eigvalsh(op.entries)
+        vals = np.linalg.eigvalsh(op.entries)
     return SpectrumReport.from_eigenvalues(vals)
 
 
@@ -117,7 +119,7 @@ def _inertia_spectrum(d: int, grid: RadialGrid, m: float) -> np.ndarray:
     _require_scale_bracketing(grid)
     x = _root_factor(grid, d, m)
     x *= np.sqrt(grid.nodes)[:, None]
-    return _eigvalsh(x @ x.T)
+    return np.linalg.eigvalsh(x @ x.T)
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:

@@ -301,10 +301,10 @@ def _lapack_routine(name: str):
 
 def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
-    pointer: pass bytes for a character, an int for an integer, a float for a double, and a C-contiguous,
-    writable array, overwritten in place, for the rest (any other array raises TypeError).  No size is checked:
-    each caller sizes its arrays.  Every LAPACK kernel of the package comes this way, from cython_lapack's
-    table, which lists dbdsdc, dgtsv, dgttrf, dgttrs, dstevd, dsterf and dsyevr at every scipy>=1.10."""
+    pointer: pass bytes for a character, an int for an integer, and a C-contiguous, writable array, overwritten
+    in place, for the rest (any other array raises TypeError).  No size is checked: each caller sizes its
+    arrays.  It serves the LAPACK kernels numpy does not wrap, dbdsdc, dgtsv, dgttrf, dgttrs, dstevd and
+    dsterf, all listed in cython_lapack's table at every scipy>=1.10."""
     info = ctypes.c_int()
     _lapack_routine(name)(*map(_by_reference, args), ctypes.byref(info))
     return info.value
@@ -315,33 +315,9 @@ def _by_reference(a):
         return a
     if isinstance(a, int):
         return ctypes.byref(ctypes.c_int(a))
-    if isinstance(a, float):
-        return ctypes.byref(ctypes.c_double(a))
     # an empty array goes as NULL: LAPACK reads no entry of an array sized 0 (n = 1 off-diagonals, dgttrf's
     # DU2 at n = 2)
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix a from its lower triangle by LAPACK dsyevr:
-    scipy.linalg.eigh(a, eigvals_only=True) bit for bit, down to the workspace size (dsytrd's blocking
-    depends on it).  Raises LinAlgError when dsyevr fails."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n < 1 or a.shape != (n, n):
-        raise ValueError(f"symmetric eigensolve needs a nonempty square matrix, got shape {a.shape}")
-    vals, found = np.empty(n), np.empty(1, dtype=np.intc)
-    # the C order of a^T is the Fortran order of a; Z and ISUPPZ are not referenced when JOBZ = 'N'
-    args = (b"N", b"A", b"L", n, a.T.copy(), n, 0.0, 0.0, 1, n, 0.0, found, vals, np.empty(1), 1,
-            np.empty(2, dtype=np.intc))
-    work, iwork = np.zeros(1), np.zeros(1, dtype=np.intc)
-    info = _lapack("dsyevr", *args, work, -1, iwork, -1)  # the workspace query: sizes in work[0], iwork[0]
-    if info == 0:
-        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
-        info = _lapack("dsyevr", *args, work, work.size, iwork, iwork.size)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"symmetric eigensolve failed (dsyevr info {info})")
-    return vals
 
 
 def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):

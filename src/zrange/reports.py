@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-TOOLKIT_VERSION = "0.1.0"
+from . import __version__
 
 
 def fmt(value) -> str:
@@ -61,7 +61,7 @@ def write_report(
         "aggregates": {k: (fmt(v) if isinstance(v, float) else v) for k, v in aggregates.items()},
         "n_rows": len(rows),
         "statuses": sorted({r.status for r in rows}),
-        "toolkit_version": TOOLKIT_VERSION,
+        "toolkit_version": __version__,
     }
     json_path = out_dir / f"{command.replace('-', '_')}_summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -1,8 +1,10 @@
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,9 @@ from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
 from zrange.operators import OperatorMatrix, TridiagonalOperator, radial_green_kernel
 from zrange.potentials import rollnik_norm
+from zrange.reports import ReportRow, write_report
 
-MAX_OPTIONS = 28
+MAX_OPTIONS = 27
 
 
 def _options():
@@ -51,6 +54,14 @@ def _defaulted(fn):
 def test_option_count_stays_within_max_options():
     options = _options()
     assert len(options) <= MAX_OPTIONS, options
+
+
+def test_one_version_string(tmp_path):
+    # the project metadata, the package and every summary name one version
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = re.search(r'^version = "(.*)"$', pyproject, re.M).group(1)
+    _, summary = write_report(tmp_path, "probe", ["x"], [ReportRow({"x": 1.0})], {}, {})
+    assert project == zrange.__version__ == json.loads(summary.read_text())["toolkit_version"]
 
 
 def test_operators_carry_no_mass_field():
@@ -102,7 +113,7 @@ def _fresh_interpreter(script: str) -> list:
 
 def test_import_leaves_scipy_special_to_first_use():
     # zrange reads LAPACK from cython_lapack's own file and eigensolves through
-    # dsyevr, so scipy.linalg's package init (about 0.1 s) never runs; only the
+    # numpy, so scipy.linalg's package init (about 0.1 s) never runs; only the
     # d=2 Bessel kernel loads scipy.special, on first use
     before, rollnik, spectrum, during, kernel, after, same_table = _fresh_interpreter(_COLD_START)
     assert (before, during, after) == ("False False", "False False", "False True")

@@ -120,6 +120,16 @@ def test_birman_schwinger_principle_exact_counts():
             assert bs_count_above_one(q) == negative_count_direct(h0, v)
 
 
+@pytest.mark.parametrize("kwargs,name", [({"d": 2}, "d"), ({"m": 7.0}, "m"), ({"d": 2, "m": 7.0}, "d")])
+def test_grid_route_refuses_the_dimension_and_mass_that_h0_carries(kwargs, name):
+    # h0 fixes both on the grid route: d=2, m=7 once returned the d=3, m=1/2
+    # matrix of h0 bit for bit (top eigenvalue 0.2576, the exact kernel's 2.9968)
+    g = build_grid(50, 5.0, "linear")
+    v = GridFunction(g, GAUSS(g.nodes))
+    with pytest.raises(ValueError, match=rf"resolvent='grid' takes {name} from h0, which carries it"):
+        bs_operator(v, 0.1, resolvent="grid", h0=discretize_h0(g, 3, 0.5), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # find_resonance_coupling
 
@@ -176,7 +186,7 @@ def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
     for module, name in [
         (birman_schwinger, "bs_operator"),
         (birman_schwinger, "green_kernel_matrix"),
-        (birman_schwinger, "_eigvalsh"),
+        (np.linalg, "eigvalsh"),
         (operators, "green_kernel_matrix"),
         (operators, "radial_green_kernel"),
         (np.linalg, "eigh"),
@@ -198,9 +208,9 @@ def test_bidiagonal_top_eigenpair_matches_dense_eigh(prof, spacing, z):
     # kernel loses digits to cancellation at kappa r ~ 1e-7.
     pot = BasePotential(prof, 1.0, 1.0)
     if spacing == "linear":
-        g = build_grid(800, support_radius(pot), "linear")
+        g = build_grid(800, support_radius(pot, UNSCALED), "linear")
     else:
-        g = build_grid(1000, support_radius(pot), "logarithmic", r_min=1e-6)
+        g = build_grid(1000, support_radius(pot, UNSCALED), "logarithmic", r_min=1e-6)
     v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
     k = v.grid.n
     vals, vecs = scipy.linalg.eigh(bs_operator(v, z).entries, subset_by_index=[k - 2, k - 1])
@@ -218,7 +228,7 @@ def test_resonance_vector_survives_an_exactly_zero_pivot():
     # on this grid and mass the LU of B^T B - sigma_min^2 ends on an exactly
     # zero pivot (dgttrf info > 0)
     pot, m = BasePotential("gaussian", 1.0, 0.5), 0.8793811931913805
-    g = build_grid(160, support_radius(pot), "linear")
+    g = build_grid(160, support_radius(pot, UNSCALED), "linear")
     v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
     vecs = scipy.linalg.eigh(bs_operator(v, 0.0, m=m).entries)[1]
     phi = resonance(pot, g, m).phi
@@ -248,7 +258,7 @@ def _f2py_whole_space_top(v, z, m):
 @pytest.mark.parametrize("prof", ["gaussian", "square_well", "exponential"])
 def test_whole_space_top_matches_the_f2py_route_bit_for_bit(prof, n):
     pot = BasePotential(prof, 1.0, 1.0)
-    g = build_grid(n, support_radius(pot), "linear")
+    g = build_grid(n, support_radius(pot, UNSCALED), "linear")
     v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
     for z in (0.0, 1e-8, 1.0):
         top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
@@ -358,7 +368,7 @@ def test_two_resonance_diagonal_matches_dense_top_eigenvalue(well_resonance):
     grid = build_grid(48, 30.0, "logarithmic", r_min=1e-3)
     lam = well_resonance.lambda_critical
     mats = two_resonance_matrix(WELL, UNSCALED, lam, TWO_RES_ZS, grid)
-    g = build_grid(800, support_radius(WELL), "linear")
+    g = build_grid(800, support_radius(WELL, UNSCALED), "linear")
     v = GridFunction(g, lam * WELL(g.nodes))
     # q_top is 1 to 1e-3 here, so this is 1e-12 relative on q_top (measured 6e-14)
     for mat, z in zip(mats, TWO_RES_ZS):

@@ -60,6 +60,20 @@ def test_requires_logarithmic_scale_bracketing():
         effective_operator("contact_image", 1.0, 3, narrow)
 
 
+def test_dilated_six_decade_grids_keep_their_bracket():
+    # for 23 of these 41 factors r_max / r_min of the dilated grid reads
+    # 999999.9999999999, 1 or 2 ulps short of six decades; a width 1e-12
+    # short is still refused
+    g = build_grid(200, 1e2, "logarithmic", r_min=1e-4)
+    short = build_grid(200, 1e2, "logarithmic", r_min=1e-4 * (1.0 + 1e-12))
+    factors = np.geomspace(0.01, 100.0, 41)
+    assert any(g.dilate(s).r_max / g.dilate(s).r_min < 1e6 for s in factors)
+    for s in factors:
+        effective_operator("contact_image", 1.0, 3, g.dilate(s))
+        with pytest.raises(ValueError, match="too narrow"):
+            effective_operator("contact_image", 1.0, 3, short.dilate(s))
+
+
 def test_unknown_kind_rejected(log_grid):
     with pytest.raises(ValueError, match="kind"):
         effective_operator("magic", 1.0, 3, log_grid)
@@ -172,11 +186,11 @@ def test_inertia_spectrum_matches_scaled_root(d, m):
 
 
 @pytest.mark.parametrize("d", [3, 2])
-def test_inertia_spectrum_is_scipy_eigh_bit_for_bit(d):
-    # the dsyevr route on the inertia matrix X X^T, X = r^(1/2) W
+def test_inertia_spectrum_is_numpy_eigvalsh_bit_for_bit(d):
+    # numpy's eigensolve on the inertia matrix X X^T, X = r^(1/2) W
     g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
     x = operators._root_factor(g, d, 0.5) * np.sqrt(g.nodes)[:, None]
-    assert np.array_equal(_inertia_spectrum(d, g, 0.5), eigh(x @ x.T, eigvals_only=True))
+    assert np.array_equal(_inertia_spectrum(d, g, 0.5), np.linalg.eigvalsh(x @ x.T))
 
 
 def test_contact_symbol_closed_forms():

@@ -270,30 +270,6 @@ def test_mis_sized_shift_is_refused_before_lapack(method):
             getattr(h0, method)(shift)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 600])
-def test_dsyevr_route_matches_scipy_eigh_bit_for_bit(n):
-    # _eigvalsh runs dsyevr through _lapack with eigh's arguments and
-    # workspace, all eigenvalues (RANGE = 'A').  The skewed copy carries an
-    # asymmetry of 1e-13 relative in its upper triangle, which
-    # check_symmetric admits: both routes read the lower one
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((n, n))
-    sym = 0.5 * (x + x.T)
-    skew = sym + 1e-13 * np.abs(sym).max() * np.triu(rng.standard_normal((n, n)), 1)
-    check_symmetric(skew)
-    for a in (sym, skew):
-        before = a.copy()
-        assert np.array_equal(operators._eigvalsh(a), eigh(a, eigvals_only=True))
-        assert np.array_equal(a, before)
-
-
-def test_dsyevr_route_refuses_a_matrix_it_would_misread():
-    # dsyevr reads n x n entries through a raw pointer, unchecked
-    for a in (np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)):
-        with pytest.raises(ValueError, match="nonempty square matrix"):
-            operators._eigvalsh(a)
-
-
 def test_singular_shifted_operator_raises_on_inverse():
     op = TridiagonalOperator(np.array([1.0, 1.0]), np.array([1.0]), None, label="T")
     with pytest.raises(np.linalg.LinAlgError, match="T \\+ diag\\(shift\\) is singular"):

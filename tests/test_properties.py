@@ -1,5 +1,5 @@
-"""Property tests of the scaling laws, the zero-energy resonance and the
-Konno-Kuroda identity.
+"""Property tests of the scaling laws, the zero-energy resonance, the
+Konno-Kuroda identity and the dilation covariance of the contact image.
 
 The paper's invariants, checked on drawn inputs.
 """
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zrange.birman_schwinger import resonance, support_radius
+from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import GridFunction, build_grid
 from zrange.konno_kuroda import assemble_resolvent_diff, direct_resolvent_diff
 from zrange.operators import SingularSystemError, discretize_h0
@@ -29,7 +30,7 @@ EPSILONS = st.floats(1e-3, 1e3)
 
 
 def _grid(pot, n):
-    return build_grid(n, support_radius(pot), "linear")
+    return build_grid(n, support_radius(pot, ScalingLaw(None, 1.0, 3)), "linear")
 
 
 @FEW
@@ -110,3 +111,17 @@ def test_konno_kuroda_identity_holds_for_random_potentials(data, n, r_max, z):
         reject()
     direct = direct_resolvent_diff(v, z, h0).matrix.entries
     assert np.linalg.norm(kk - direct, 2) <= 1e-8 * np.linalg.norm(direct, 2)
+
+
+@FEW
+@given(d=st.sampled_from([2, 3]), c=st.floats(0.8, 3.0), s=st.floats(0.01, 100.0))
+@example(d=3, c=2.0, s=0.01)  # r_max / r_min of the dilated grid reads 999999.9999999999
+def test_contact_image_levels_scale_inversely_with_a_dilation(d, c, s):
+    # sqrt(-Lap) - C/r is homogeneous of degree -1: on the grid dilated by s
+    # the negative count is the same and every level E becomes E/s
+    g = build_grid(200, 1e2, "logarithmic", r_min=1e-4)
+    base = operator_spectrum(effective_operator("contact_image", c, d, g))
+    dilated = operator_spectrum(effective_operator("contact_image", c, d, g.dilate(s)))
+    k = base.count_negative
+    assert dilated.count_negative == k > 0
+    assert np.allclose(s * dilated.eigenvalues[:k], base.eigenvalues[:k], rtol=1e-9, atol=0.0)
