@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _lapack, discretize_h0, green_kernel_matrix
+from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _dense_eigenvalues, _lapack, discretize_h0, green_kernel_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _potential_values
 
 Z_FLOOR = 1e-8
@@ -79,13 +79,13 @@ def bs_operator(
     """Assemble Q(z) = sqrt(V) R0(z) sqrt(V) on the grid carrying V.
 
     resolvent="exact" uses the whole-space Green kernel of dimension d and
-    mass m (best for resonance work); resolvent="grid" uses the boxed
-    discretized (H0 + z)^(-1) of h0, a TridiagonalOperator built on the grid
-    of V whose entries carry its dimension and mass (so this route refuses a
-    d or m other than the defaults), by LAPACK dgtsv on the tridiagonal H0 + z
-    against the identity, which keeps the eigenvalue count of Q consistent
-    with the spectrum of that same boxed H0 - V (the Birman-Schwinger
-    principle then holds as a matrix identity).  z = 0 is
+    mass m (best for resonance work) and refuses an h0; resolvent="grid"
+    uses the boxed discretized (H0 + z)^(-1) of h0, a TridiagonalOperator
+    built on the grid of V whose entries carry its dimension and mass (so
+    this route refuses a d or m other than the defaults), by LAPACK dgtsv on
+    the tridiagonal H0 + z against the identity, which keeps the eigenvalue
+    count of Q consistent with the spectrum of that same boxed H0 - V (the
+    Birman-Schwinger principle then holds as a matrix identity).  z = 0 is
     exact for d=3 with resolvent="exact" (kernel 2m min(r, r')); every other
     z must be finite and at least Z_FLOOR.  m must be finite and positive.
     """
@@ -97,6 +97,8 @@ def bs_operator(
     grid = v.grid
     sqv = np.sqrt(vals)
     if resolvent == "exact":
+        if h0 is not None:
+            raise ValueError("resolvent='exact' applies the whole-space kernel and takes no h0: use resolvent='grid'")
         g = green_kernel_matrix(grid, d, z, m).entries
     elif resolvent == "grid":
         if h0 is None:
@@ -114,7 +116,7 @@ def bs_operator(
 
 def bs_count_above_one(q: OperatorMatrix) -> int:
     """Number of Birman-Schwinger eigenvalues exceeding 1."""
-    vals = np.linalg.eigvalsh(q.entries)
+    vals = _dense_eigenvalues(q.entries)
     return int(np.sum(vals > 1.0))
 
 

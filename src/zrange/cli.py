@@ -321,7 +321,8 @@ def _run_limit_resolvent(cfg):
 
 def _run_efimov(cfg):
     refine = _integer(cfg, "refine", 0, 0)
-    # tracemalloc peak over n = 100 ... 400: 5.1-5.8 n^2 floats, 5.1-5.2 (refine n)^2 when refined
+    # tracemalloc peak over n = 100 ... 400: 5.1-5.8 n^2 floats, 5.1-5.2 (refine n)^2 when refined;
+    # 5.02-5.03 n^2 at n = 1000 and 1500, where the eigensolve takes the two-stage route
     grid = _effective_grid(cfg, 7)
     kind = _get(cfg, "kind", "contact_image")
     if kind not in KINDS:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import RadialGrid, build_grid
-from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _root_factor, hyperradial_kinetic
+from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _dense_eigenvalues, _root_factor, hyperradial_kinetic
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # C1 bisection tolerance; node factor of the refined run
@@ -100,7 +100,7 @@ def operator_spectrum(op: OperatorMatrix | TridiagonalOperator) -> SpectrumRepor
     if isinstance(op, TridiagonalOperator):
         vals = op.eigenvalues(0.0)
     else:
-        vals = np.linalg.eigvalsh(op.entries)
+        vals = _dense_eigenvalues(op.entries)
     return SpectrumReport.from_eigenvalues(vals)
 
 
@@ -119,7 +119,7 @@ def _inertia_spectrum(d: int, grid: RadialGrid, m: float) -> np.ndarray:
     _require_scale_bracketing(grid)
     x = _root_factor(grid, d, m)
     x *= np.sqrt(grid.nodes)[:, None]
-    return np.linalg.eigvalsh(x @ x.T)
+    return _dense_eigenvalues(x @ x.T)
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, _check_positive, check_symmetric
+from .operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, _check_positive, _dense_eigenvalues, check_symmetric
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder, _potential_values, l1_norm
 
 SINGULAR_FLOOR = 1e-10
@@ -81,7 +81,7 @@ def assemble_resolvent_diff(v: GridFunction, z: float, h0: TridiagonalOperator) 
     b = np.sqrt(v.values)
     q = (r0 * np.outer(b, b))
     one_minus_q = np.eye(n) - 0.5 * (q + q.T)
-    smallest = float(np.abs(np.linalg.eigvalsh(one_minus_q)).min())
+    smallest = float(np.abs(_dense_eigenvalues(one_minus_q)).min())
     if smallest <= SINGULAR_FLOOR:
         raise SingularSystemError(
             f"1 - Q(z={z:g}) is singular (eigenvalue of H0 - V at -z)", smallest
@@ -233,7 +233,7 @@ def independence_spectrum_check(
 def _low_lying_from_resolvent(res: np.ndarray, z: float, k: int) -> np.ndarray:
     """Lowest-lying Hamiltonian eigenvalues encoded in a resolvent matrix."""
     check_symmetric(res, "resolvent", rtol=1e-8)
-    mu = np.linalg.eigvalsh(0.5 * (res + res.T))
+    mu = _dense_eigenvalues(0.5 * (res + res.T))
     top = mu[-k:][::-1]  # largest resolvent eigenvalues = lowest energies
     top = top[top > 0.0]
     return 1.0 / top - z

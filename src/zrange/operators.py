@@ -290,9 +290,20 @@ cython_lapack = _lapack_table()
 
 @functools.cache
 def _lapack_routine(name: str):
-    """LAPACK `name` as a ctypes function, from scipy.linalg.cython_lapack's capsule table.  It declares no
-    argument types: every argument _lapack passes is already a pointer, and ctypes converts none on the way."""
-    capsule = cython_lapack.__pyx_capi__[name]
+    """LAPACK `name` as a ctypes function, or None where this LAPACK lacks it.  It comes from
+    scipy.linalg.cython_lapack's capsule table, or else by symbol through the extension's own handle, whose
+    dlsym also searches the LAPACK it links (scipy-openblas wheels prefix the symbol with scipy_).  It
+    declares no argument types: every argument _lapack passes is already a pointer, and ctypes converts none
+    on the way."""
+    capsule = cython_lapack.__pyx_capi__.get(name)
+    if capsule is None:
+        lib = ctypes.CDLL(cython_lapack.__file__)
+        for symbol in (f"scipy_{name}_", f"{name}_"):
+            routine = getattr(lib, symbol, None)
+            if routine is not None:
+                routine.restype = None
+                return routine
+        return None
     api = ctypes.pythonapi
     cname = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
@@ -303,8 +314,9 @@ def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
     pointer: pass bytes for a character, an int for an integer, and a C-contiguous, writable array, overwritten
     in place, for the rest (any other array raises TypeError).  No size is checked: each caller sizes its
-    arrays.  It serves the LAPACK kernels numpy does not wrap, dbdsdc, dgtsv, dgttrf, dgttrs, dstevd and
-    dsterf, all listed in cython_lapack's table at every scipy>=1.10."""
+    arrays.  It serves the LAPACK kernels numpy does not wrap: dbdsdc, dgtsv, dgttrf, dgttrs, dstevd and
+    dsterf, all listed in cython_lapack's table at every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7),
+    which the table lacks and _lapack_routine finds by symbol."""
     info = ctypes.c_int()
     _lapack_routine(name)(*map(_by_reference, args), ctypes.byref(info))
     return info.value
@@ -318,6 +330,37 @@ def _by_reference(a):
     # an empty array goes as NULL: LAPACK reads no entry of an array sized 0 (n = 1 off-diagonals, dgttrf's
     # DU2 at n = 2)
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
+
+
+# numpy's eigvalsh reduces to tridiagonal form with one-stage dsytrd, half of whose flops are memory-bound
+# dsymv; dsyevd_2stage reduces to a band with BLAS3 first and then chases the band down.  On the contact
+# image (1 BLAS thread, 2 vCPU, best of 5) they cross between n = 900 and 1000: numpy 40.9 against 44.0 ms
+# at n = 900, 57.6 against 56.2 ms at n = 1000, 203 against 151 ms at n = 1500, 473 against 318 ms at
+# n = 2000.
+TWO_STAGE_MIN_N = 1000
+
+
+def _dense_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the dense symmetric matrix a, read from its lower triangle as numpy reads it.
+    Below TWO_STAGE_MIN_N rows, or where LAPACK lacks dsyevd_2stage, this is np.linalg.eigvalsh(a); from
+    there on it is dsyevd_2stage.  Raises LinAlgError for a non-square matrix, and when LAPACK does not
+    converge, as numpy does."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise np.linalg.LinAlgError(f"eigenvalues need a square matrix: got shape {a.shape}")
+    n = a.shape[0]
+    if n < TWO_STAGE_MIN_N or _lapack_routine("dsyevd_2stage") is None:
+        return np.linalg.eigvalsh(a)
+    # a fresh C-contiguous copy, overwritten: read in Fortran order it is a.T, whose upper triangle is a's lower
+    buf = np.array(a, dtype=float, order="C")
+    w = np.empty(n)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    _lapack("dsyevd_2stage", b"N", b"U", n, buf, n, w, work, -1, iwork, -1)  # workspace query
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
+    info = _lapack("dsyevd_2stage", b"N", b"U", n, buf, n, w, work, work.size, iwork, iwork.size)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"symmetric eigensolve did not converge (dsyevd_2stage info {info})")
+    return w
 
 
 def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):

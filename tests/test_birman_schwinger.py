@@ -130,6 +130,15 @@ def test_grid_route_refuses_the_dimension_and_mass_that_h0_carries(kwargs, name)
         bs_operator(v, 0.1, resolvent="grid", h0=discretize_h0(g, 3, 0.5), **kwargs)
 
 
+def test_exact_route_refuses_an_h0():
+    # the exact route once ignored h0 and returned the whole-space d=3, m=1/2
+    # matrix bit for bit, whatever dimension and mass h0 carried
+    g = build_grid(50, 5.0, "linear")
+    v = GridFunction(g, GAUSS(g.nodes))
+    with pytest.raises(ValueError, match=r"takes no h0: use resolvent='grid'"):
+        bs_operator(v, 0.1, h0=discretize_h0(g, 2, 7.0))
+
+
 # ---------------------------------------------------------------------------
 # find_resonance_coupling
 
@@ -186,7 +195,9 @@ def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
     for module, name in [
         (birman_schwinger, "bs_operator"),
         (birman_schwinger, "green_kernel_matrix"),
+        (birman_schwinger, "_dense_eigenvalues"),
         (np.linalg, "eigvalsh"),
+        (operators, "_dense_eigenvalues"),
         (operators, "green_kernel_matrix"),
         (operators, "radial_green_kernel"),
         (np.linalg, "eigh"),

@@ -285,6 +285,7 @@ def test_limit_resolvent_memory_probe_bounds_its_peak(n, n_test, rungs, tmp_path
         ("efimov", 100, 0),
         ("efimov", 200, 0),
         ("efimov", 100, 2),
+        ("efimov", 1000, 0),
         ("independence", 100, 0),
         ("independence", 150, 0),
     ],

@@ -425,6 +425,16 @@ def test_mass_sweep_monotonicity(sweep_grid):
     assert not rep.flags
 
 
+def test_mass_sweep_reports_a_deepening_shallowest_state(sweep_grid):
+    # a 0.1 % mass step admits no new state, so every level deepens with m,
+    # the shallowest one too: 5.521e-4 -> 5.571e-4 at a count of 13
+    rep = mass_sweep_2d([1, 1.001], 1.0, sweep_grid)
+    assert rep.counts.tolist() == [13, 13]
+    assert rep.shallowest_depth == pytest.approx([5.521e-4, 5.571e-4], rel=1e-3)
+    assert rep.counts_nondecreasing
+    assert not rep.shallowest_nonincreasing
+
+
 def test_mass_sweep_dilation_oracle(sweep_grid):
     # eig((1/m) K - c/r on G) = m * eig(K - c/r on m G), checked end to end
     # through an independently dilated assembly

@@ -371,6 +371,7 @@ def test_w_eps_success_path_runs_no_support_sized_eigensolve(resonant_setup, mon
         raise AssertionError("dense eigh on the success path of assemble_w_eps")
 
     monkeypatch.setattr(TridiagonalOperator, "eigenpairs", counted)
+    monkeypatch.setattr(limit_resolvent, "_dense_eigenvalues", dense)
     monkeypatch.setattr(limit_resolvent.np.linalg, "eigvalsh", dense)
     monkeypatch.setattr(limit_resolvent.np.linalg, "eigh", dense)
     w_eps = assemble_w_eps(2.0, v_ref, res)

@@ -225,6 +225,76 @@ def test_tridiagonal_lapack_routes_of_the_smallest_operators(n):
     assert np.abs(x - np.linalg.solve(dense, b)).max() <= 1e-12 * np.abs(x).max()
 
 
+def _contact_image(n):
+    # the criterion-8 tower operator, the largest dense symmetric eigensolve
+    g = build_grid(n, 1e2, "logarithmic", r_min=1e-4)
+    return effective_operator("contact_image", 2.6, 3, g).entries
+
+
+def _routines_run(monkeypatch):
+    names = []
+    lapack = operators._lapack
+    monkeypatch.setattr(operators, "_lapack", lambda name, *args: names.append(name) or lapack(name, *args))
+    return names
+
+
+def test_two_stage_eigensolve_resolves_on_this_install():
+    # dsyevd_2stage is not in cython_lapack's table: a broken symbol lookup
+    # would send every size to numpy without a sign
+    assert operators._lapack_routine("dsyevd_2stage") is not None
+
+
+@pytest.mark.parametrize("n", [1000, 1500])
+def test_two_stage_eigenvalues_match_numpy(n, monkeypatch):
+    # measured: 1.2e-15 (n = 1000) and 1.8e-15 (n = 1500) of max|lambda|, and 12 negative eigenvalues
+    a = _contact_image(n)
+    kept = a.copy()
+    ref = np.linalg.eigvalsh(a)
+    names = _routines_run(monkeypatch)
+    vals = operators._dense_eigenvalues(a)
+    assert names == ["dsyevd_2stage", "dsyevd_2stage"]  # the workspace query, then the solve
+    assert np.array_equal(a, kept)
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.sum(vals < 0.0) == np.sum(ref < 0.0)
+
+
+def test_two_stage_eigensolve_reads_the_lower_triangle_as_numpy_does():
+    a = _contact_image(operators.TWO_STAGE_MIN_N)
+    junk = a + np.triu(np.random.default_rng(5).normal(size=a.shape), 1)
+    ref = np.linalg.eigvalsh(junk)
+    assert np.abs(operators._dense_eigenvalues(junk) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_dense_eigenvalues_below_the_crossover_are_numpys_bit_for_bit(monkeypatch):
+    a = _contact_image(operators.TWO_STAGE_MIN_N - 1)
+    names = _routines_run(monkeypatch)
+    assert np.array_equal(operators._dense_eigenvalues(a), np.linalg.eigvalsh(a))
+    assert names == []
+
+
+def test_dense_eigenvalues_without_the_two_stage_routine_are_numpys(monkeypatch):
+    # a LAPACK older than 3.7 has no dsyevd_2stage: every size takes numpy
+    a = _contact_image(operators.TWO_STAGE_MIN_N)
+    monkeypatch.setattr(operators, "_lapack_routine", lambda name: None)
+    assert np.array_equal(operators._dense_eigenvalues(a), np.linalg.eigvalsh(a))
+
+
+@pytest.mark.parametrize("shape", [(1000, 1001), (1001, 1000), (3, 4), (1000,)])
+def test_dense_eigenvalues_refuse_a_non_square_matrix_before_lapack(shape, monkeypatch):
+    names = _routines_run(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match=rf"square matrix: got shape \({shape[0]},"):
+        operators._dense_eigenvalues(np.zeros(shape))
+    assert names == []
+
+
+def test_two_stage_eigensolve_raises_when_lapack_does_not_converge():
+    # numpy raises "Eigenvalues did not converge" on a NaN matrix, and so does this route
+    a = np.full((operators.TWO_STAGE_MIN_N,) * 2, np.nan)
+    with pytest.raises(np.linalg.LinAlgError, match=r"did not converge \(dsyevd_2stage info"):
+        operators._dense_eigenvalues(a)
+
+
 def _scipy_eigenvalues(op, shift):
     # the scipy helper TridiagonalOperator.eigenvalues replaced
     return eigvalsh_tridiagonal(op.diag + shift, op.off, lapack_driver="sterf")
