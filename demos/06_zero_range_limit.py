@@ -41,7 +41,7 @@ print("\n" + "=" * 72)
 print("  structure of the limit operator W(z)")
 print("=" * 72)
 w = limit_w(z, res)
-wm = w.matrix()
+wm = w.apply(np.eye(pg.n))
 sv = np.linalg.svd(wm, compute_uv=False)
 rank = 2 * g.n - 1  # the line nodes; the corner is on both lines
 print(f"  symmetric to {np.abs(wm - wm.T).max():.1e}; rank bound {rank} "

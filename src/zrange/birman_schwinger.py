@@ -13,10 +13,10 @@ C/r + D outside the potential with D = 0 exactly at criticality.
 In d=3 the reduced kernel sinh(kappa r<) e^(-kappa r>) / kappa is entire in
 kappa = sqrt(2 m z) and equals 2m min(r, r') at kappa = 0, so Q(0) is a
 bounded matrix and q(0+) is its top eigenvalue: z = 0 is assembled exactly,
-not approached.  Every other z keeps the floor Z_FLOOR (in d=2 the kernel
-diverges at z = 0).  Q is linear in the coupling, so the critical coupling is
-the closed form 1/q(0+); resonance() is the one routine that computes it,
-together with the resonance wave.
+not approached.  Every other z keeps the floor Z_FLOOR.  Q is linear in
+the coupling, so the critical coupling is the closed form 1/q(0+);
+resonance() is the one routine that computes it, together with the
+resonance wave.
 
 The d=3 kernel is semiseparable (a product a(r<) b(r>)), so on the support
 nodes r_1 < ... < r_k of V (r_0 = 0, h_i = r_i - r_(i-1)) the whole-space
@@ -64,32 +64,31 @@ def _check_z(z: float, zero_ok: bool):
     if not ((zero_ok and z == 0.0) or (np.isfinite(z) and z >= Z_FLOOR)):
         raise ValueError(
             f"z={z!r} must be finite and not below the floor {Z_FLOOR:g} "
-            "(z = 0 only for d=3 with resolvent='exact')"
+            "(z = 0 only with the whole-space kernel, resolvent='exact')"
         )
 
 
 def bs_operator(
     v: GridFunction,
     z: float,
-    d: int = 3,
     m: float = 0.5,
     resolvent: str = "exact",
     h0: TridiagonalOperator | None = None,
 ) -> OperatorMatrix:
     """Assemble Q(z) = sqrt(V) R0(z) sqrt(V) on the grid carrying V.
 
-    resolvent="exact" uses the whole-space Green kernel of dimension d and
-    mass m (best for resonance work) and refuses an h0; resolvent="grid"
-    uses the boxed discretized (H0 + z)^(-1) of h0, a TridiagonalOperator
-    built on the grid of V whose entries carry its dimension and mass (so
-    this route refuses a d or m other than the defaults), by LAPACK dgtsv on
-    the tridiagonal H0 + z against the identity, which keeps the eigenvalue
-    count of Q consistent with the spectrum of that same boxed H0 - V (the
-    Birman-Schwinger principle then holds as a matrix identity).  z = 0 is
-    exact for d=3 with resolvent="exact" (kernel 2m min(r, r')); every other
-    z must be finite and at least Z_FLOOR.  m must be finite and positive.
+    resolvent="exact" uses the d=3 whole-space Green kernel of mass m (best
+    for resonance work) and refuses an h0; resolvent="grid" uses the boxed
+    discretized (H0 + z)^(-1) of h0, a TridiagonalOperator built on the grid
+    of V whose entries carry its dimension and mass (so this route refuses an
+    m other than the default), by LAPACK dgtsv on the tridiagonal H0 + z
+    against the identity, which keeps the eigenvalue count of Q consistent
+    with the spectrum of that same boxed H0 - V (the Birman-Schwinger
+    principle then holds as a matrix identity).  z = 0 is exact with
+    resolvent="exact" (kernel 2m min(r, r')); every other z must be finite
+    and at least Z_FLOOR.  m must be finite and positive.
     """
-    _check_z(z, d == 3 and resolvent == "exact")
+    _check_z(z, resolvent == "exact")
     _check_positive("mass m", m)
     vals = _potential_values(v)
     if np.any(vals < 0.0):
@@ -99,13 +98,12 @@ def bs_operator(
     if resolvent == "exact":
         if h0 is not None:
             raise ValueError("resolvent='exact' applies the whole-space kernel and takes no h0: use resolvent='grid'")
-        g = green_kernel_matrix(grid, d, z, m).entries
+        g = green_kernel_matrix(grid, 3, z, m).entries
     elif resolvent == "grid":
         if h0 is None:
             raise ValueError("resolvent='grid' needs h0, the boxed H0 on the grid of V")
-        for name, value, default in (("d", d, 3), ("m", m, 0.5)):
-            if value != default:
-                raise ValueError(f"resolvent='grid' takes {name} from h0, which carries it: got {name}={value!r}")
+        if m != 0.5:
+            raise ValueError(f"resolvent='grid' takes m from h0, which carries it: got m={m!r}")
         h0 = TridiagonalOperator.require(h0, grid)
         g = h0.inverse(z)
     else:
@@ -127,14 +125,13 @@ class Resonance:
     q0 is the top eigenvalue of Q(0) for V, so coupling * V is critical.
     phi is its eigenvector on the support nodes of V; psi = u / r on the
     evaluation grid, u = R0(0) sqrt(coupling V) phi, normalized so that
-    <coupling V, psi> = 1.  simple_top is False when the top two eigenvalues
-    of Q(0) are not separated.
+    <coupling V, psi> = 1.  Q(0) is entrywise positive on the support of V,
+    so its top eigenvalue is simple (Perron-Frobenius).
     """
 
     q0: float
     phi: np.ndarray = field(repr=False)
     psi: GridFunction = field(repr=False)
-    simple_top: bool
 
     @property
     def coupling(self) -> float:
@@ -175,20 +172,20 @@ def _whole_space_root(v: GridFunction, z: float, m: float):
 
 
 def _whole_space_q0(v: GridFunction, z: float, m: float) -> float:
-    """Top eigenvalue of the d=3 whole-space Q(z) of V > 0, from B's singular values alone."""
+    """Top eigenvalue of the d=3 whole-space Q(z) of V > 0, from B's smallest singular value alone."""
     sing = _whole_space_root(v, z, m)[3]
-    return float((1.0 / sing[-1:] ** 2)[0])  # the array arithmetic of _whole_space_top, bit for bit
+    return float(1.0 / (sing[-1] * sing[-1]))  # the arithmetic of _whole_space_top, bit for bit
 
 
 def _whole_space_top(v: GridFunction, z: float, m: float):
-    """Top two eigenvalues, descending, and the top eigenvector of the d=3 whole-space Q(z) of V > 0.
+    """Top eigenvalue and eigenvector of the d=3 whole-space Q(z) of V > 0.
 
-    The eigenvalues come from the singular values of B (_whole_space_root).
-    The unit eigenvector is positive, as the Perron vector of the positive
-    kernel.  One eigenvalue only when V has one node.
+    The eigenvalue comes from the smallest singular value of B
+    (_whole_space_root).  The unit eigenvector is positive, as the Perron
+    vector of the positive kernel.
     """
     e, diag, sub, sing = _whole_space_root(v, z, m)
-    top = 1.0 / sing[::-1][:2] ** 2
+    top = float(1.0 / (sing[-1] * sing[-1]))
     if sing.size == 1:
         return top, np.ones(1)
     # inverse iteration on the tridiagonal B^T B - sigma_min^2, factored once by
@@ -229,9 +226,8 @@ def resonance(
     eval_grid = grid if eval_grid is None else eval_grid
     v = _on_support(GridFunction(grid, potential(grid.nodes)))
     sub = v.grid
-    top2, phi = _whole_space_top(v, 0.0, m)
+    q0, phi = _whole_space_top(v, 0.0, m)
     # u = R0(0) sqrt(lam V) phi on eval_grid, psi = u / r with <lam V, psi> = 1
-    q0 = float(top2[0])
     lam = 1.0 / q0
     src = np.sqrt(lam * v.values) * phi * np.sqrt(sub.weights)
     r = eval_grid.nodes
@@ -241,8 +237,7 @@ def resonance(
     above = np.append(np.cumsum(src[::-1])[::-1], 0.0)[cut]
     psi = 2.0 * m * (below + r * above) / r
     psi /= 4.0 * np.pi * eval_grid.integrate(lam * potential(r) * psi * r**2)
-    simple_top = top2.size < 2 or top2[1] / top2[0] < 1.0 - 1e-6
-    return Resonance(q0, phi, GridFunction(eval_grid, psi), bool(simple_top))
+    return Resonance(q0, phi, GridFunction(eval_grid, psi))
 
 
 def _critical_coupling(potential, grid: RadialGrid, m: float) -> float:
@@ -326,10 +321,7 @@ def find_resonance_coupling(
     res = resonance(unit, grid, m, eval_grid)
     lam_c = res.coupling
     if not lo <= lam_c <= hi:
-        raise ValueError(
-            f"no sign change of top BS eigenvalue - 1 in bracket ({lo:g}, {hi:g}): "
-            f"f(lo)={lo * res.q0 - 1.0:.3e}, f(hi)={hi * res.q0 - 1.0:.3e}"
-        )
+        raise ValueError(f"critical coupling lambda_c = 1/q(0+) = {lam_c:.6g} lies outside the bracket ({lo:g}, {hi:g})")
     fit = boundary_fit(res.psi, r_s)
     return ResonanceReport(
         lambda_critical=lam_c,
@@ -338,7 +330,7 @@ def find_resonance_coupling(
         boundary_D=fit.D,
         resonance_profile=res.psi,
         fit_residual=fit.residual,
-        flags=([] if res.simple_top else ["non_simple_top_eigenvalue"]) + fit.flags,
+        flags=fit.flags,
     )
 
 
@@ -398,13 +390,10 @@ def two_resonance_matrix(
 
     # Cross-channel overlap <sqrt(V) psi_1, R0_prod(z) sqrt(V) psi_2> with
     # psi_1 = psi(x) (x) 1(y), psi_2 mirrored, psi normalized to <V,psi> = 1
-    # for the supplied coupling.
+    # for the supplied coupling: resonance() normalized it to <V/q0, psi> = 1.
     # In reduced waves: sqrt(V) psi -> sqrt(V) u_psi and 1(y) -> sqrt(4 pi) r.
     sw = np.sqrt(grid.weights)
-    v_on_grid = scaled(grid.nodes)
-    psi = res.psi.values
-    norm = 4.0 * np.pi * grid.integrate(v_on_grid * psi * grid.nodes**2)
-    a = np.sqrt(v_on_grid) * (psi * grid.nodes / norm) * sw
+    a = np.sqrt(scaled(grid.nodes)) * (res.psi.values * grid.nodes / res.q0) * sw
     chi = np.sqrt(4.0 * np.pi) * grid.nodes * sw
 
     # Both sources are rank one, a (x) chi and chi (x) a, so in the eigenbasis

@@ -89,7 +89,7 @@ def effective_operator(
         kin = hyperradial_kinetic(grid, mass_scale=m)
         return TridiagonalOperator(kin.diag - C * tail, kin.off, grid, label)
     if kind == "weak_image":
-        tail = np.where(r <= 1.0, np.log(1.0 / np.maximum(r, 1e-300)), 0.0)
+        tail = np.where(r <= 1.0, np.log(1.0 / r), 0.0)
     w = _root_factor(grid, d, m)
     mat = w @ w.T
     mat[np.diag_indices_from(mat)] -= C * tail  # in place: the matrix stays exactly symmetric
@@ -108,8 +108,8 @@ def operator_spectrum(op: OperatorMatrix | TridiagonalOperator) -> SpectrumRepor
 # thresholds
 
 
-def _inertia_spectrum(d: int, grid: RadialGrid, m: float) -> np.ndarray:
-    """Ascending eigenvalues mu of r^(1/2) S r^(1/2), S = sqrt(-Lap) on grid.
+def _inertia_spectrum(d: int, grid: RadialGrid) -> np.ndarray:
+    """Ascending eigenvalues mu of r^(1/2) S r^(1/2), S = sqrt(-Lap) on grid at mass 1/2.
 
     S - C/r is congruent to r^(1/2) S r^(1/2) - C, so by Sylvester's law of
     inertia the contact image has exactly #{mu < C} negative eigenvalues:
@@ -117,7 +117,7 @@ def _inertia_spectrum(d: int, grid: RadialGrid, m: float) -> np.ndarray:
     root factor of S = W W^T scaled in place, X = r^(1/2) W (one syrk).
     """
     _require_scale_bracketing(grid)
-    x = _root_factor(grid, d, m)
+    x = _root_factor(grid, d, 0.5)
     x *= np.sqrt(grid.nodes)[:, None]
     return _dense_eigenvalues(x @ x.T)
 
@@ -137,12 +137,7 @@ def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def find_thresholds(
-    kind: str,
-    d: int,
-    bracket: tuple = (0.05, 4.0),
-    n: int = 400,
-) -> ThresholdReport:
+def find_thresholds(kind: str, d: int, bracket: tuple, n: int) -> ThresholdReport:
     """Locate C0 (positivity threshold) and C1 (onset of unbounded counts).
 
     Every count is #{mu < C} on the inertia spectrum mu of the grid (see
@@ -173,7 +168,7 @@ def find_thresholds(
         # around the crossing and make the predicate non-monotone in C.
         # The factored kinetic keeps the deep-r_min grids accurate.
         ladder = [build_grid(n_run, THRESHOLD_R_MAX, "logarithmic", r_min=THRESHOLD_R_MIN * 10.0**-k) for k in range(7)]
-        spectra = [_inertia_spectrum(d, g, 0.5) for g in ladder]
+        spectra = [_inertia_spectrum(d, g) for g in ladder]
         c0 = float(spectra[0][0])
         if not lo <= c0 < hi:
             raise ValueError(f"bracket does not straddle the transition: mu_min = {c0:g} is not in [{lo:g}, {hi:g})")

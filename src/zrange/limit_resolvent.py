@@ -165,9 +165,6 @@ class LimitResolvent:
         u = self.weights[:, None] * r0f.reshape(self.resolvent.grid.n, -1)
         return self.coeff * self.resolvent.apply(self.z, u).reshape(r0f.shape)
 
-    def matrix(self) -> np.ndarray:
-        return self.apply(np.eye(self.resolvent.grid.n))
-
 
 def _line_source_scale(grid: RadialGrid) -> float:
     # Weight-scaled amplitude of the reduced delta line at x = 0: pairing

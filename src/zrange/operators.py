@@ -65,10 +65,6 @@ class OperatorMatrix:
             raise ValueError("matrix dimension must match grid size")
         check_symmetric(self.entries, self.label or "operator")
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):

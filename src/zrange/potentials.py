@@ -21,13 +21,8 @@ from .grids import GridFunction, RadialGrid
 
 PROFILES = ("gaussian", "square_well", "exponential")
 
-# (p, d) -> regime name
-SCALING_REGIMES = {
-    (3, 3): "contact",
-    (2, 3): "weak_contact",
-    (2, 2): "contact",
-    (1, 2): "weak_contact",
-}
+# the (p, d) pairs of the regimes in the module docstring
+SCALING_REGIMES = {(3, 3), (2, 3), (2, 2), (1, 2)}
 
 
 class ScalingLawError(ValueError):
@@ -91,12 +86,6 @@ class ScalingLaw:
                 raise ScalingLawError(
                     f"epsilon={self.epsilon:g} is too small for p={self.p}: eps^(-p) overflows a float"
                 ) from None
-
-    @property
-    def regime(self) -> str:
-        if self.p is None:
-            return "unscaled"
-        return SCALING_REGIMES[(self.p, self.d)]
 
     def with_epsilon(self, epsilon: float) -> "ScalingLaw":
         return ScalingLaw(self.p, epsilon, self.d)

@@ -19,7 +19,7 @@ from zrange.operators import OperatorMatrix, TridiagonalOperator, radial_green_k
 from zrange.potentials import rollnik_norm
 from zrange.reports import ReportRow, write_report
 
-MAX_OPTIONS = 27
+MAX_OPTIONS = 24
 
 
 def _options():

@@ -170,7 +170,7 @@ def test_above_c1_count_grows_every_decade(thresholds_d3):
 def test_inertia_spectrum_counts_negative_eigenvalues(d):
     # Sylvester: #neg(S - C/r) = #{mu < C} for every C from one eigensolve
     g = build_grid(200, 2e2, "logarithmic", r_min=1e-4)
-    mu = _inertia_spectrum(d, g, 0.5)
+    mu = _inertia_spectrum(d, g)
     for c in np.linspace(0.1, 2.5, 6):
         direct = operator_spectrum(effective_operator("contact_image", c, d, g)).count_negative
         assert np.searchsorted(mu, c) == direct
@@ -178,10 +178,11 @@ def test_inertia_spectrum_counts_negative_eigenvalues(d):
 
 @pytest.mark.parametrize("d,m", [(3, 0.5), (2, 2.0)])
 def test_inertia_spectrum_matches_scaled_root(d, m):
+    # the spectrum is taken at mass 1/2; at mass m, sqrt(-Lap / 2m) scales it by 1/sqrt(2m)
     g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
     q, w = np.sqrt(g.nodes), operators._root_factor(g, d, m)
     ref = np.linalg.eigvalsh(q[:, None] * (w @ w.T) * q[None, :])
-    mu = _inertia_spectrum(d, g, m)
+    mu = _inertia_spectrum(d, g) / np.sqrt(2.0 * m)
     assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -190,7 +191,7 @@ def test_inertia_spectrum_is_numpy_eigvalsh_bit_for_bit(d):
     # numpy's eigensolve on the inertia matrix X X^T, X = r^(1/2) W
     g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
     x = operators._root_factor(g, d, 0.5) * np.sqrt(g.nodes)[:, None]
-    assert np.array_equal(_inertia_spectrum(d, g, 0.5), np.linalg.eigvalsh(x @ x.T))
+    assert np.array_equal(_inertia_spectrum(d, g), np.linalg.eigvalsh(x @ x.T))
 
 
 def test_contact_symbol_closed_forms():
@@ -208,7 +209,7 @@ def test_mu_min_lies_between_hardy_constant_and_box_symbol(d, n):
     # Hardy constant Phi_d(0), at most Phi_d(pi / L), and falling as the box
     # widens toward the continuum threshold
     r_max, r_mins = 2e2, [1e-4, 1e-6, 1e-8, 1e-10]
-    mu_min = np.array([_inertia_spectrum(d, build_grid(n, r_max, "logarithmic", r_min=r), 0.5)[0] for r in r_mins])
+    mu_min = np.array([_inertia_spectrum(d, build_grid(n, r_max, "logarithmic", r_min=r))[0] for r in r_mins])
     widths = np.log(r_max / np.array(r_mins))
     assert np.all(contact_symbol(d, 0.0) < mu_min)
     assert np.all(mu_min <= contact_symbol(d, np.pi / widths))
@@ -258,7 +259,7 @@ def test_c0_is_the_smallest_inertia_eigenvalue_of_the_refined_grid(thresholds_d3
     # the contact image is positive exactly for C <= mu_min, so C0 is mu_min
     # itself, not a bisection midpoint within THRESHOLD_REL_TOL of it
     g = build_grid(500, 2e2, "logarithmic", r_min=1e-4)
-    assert thresholds_d3.C0 == pytest.approx(efimov._inertia_spectrum(3, g, 0.5)[0], rel=1e-12, abs=0.0)
+    assert thresholds_d3.C0 == pytest.approx(efimov._inertia_spectrum(3, g)[0], rel=1e-12, abs=0.0)
 
 
 def test_threshold_bracket_validation():
@@ -268,9 +269,9 @@ def test_threshold_bracket_validation():
 
 def test_thresholds_only_for_contact_image():
     with pytest.raises(ValueError, match="scale-invariant"):
-        find_thresholds("weak_image", 3)
+        find_thresholds("weak_image", 3, (0.05, 2.5), 300)
     with pytest.raises(ValueError, match="scale-invariant"):
-        find_thresholds("three_body_2d", 2)
+        find_thresholds("three_body_2d", 2, (0.05, 2.5), 300)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_batched_limit_apply_equals_column_applies(resonant_setup):
     block = w.apply(fs)
     assert block.shape == fs.shape
     assert _rel(block, np.column_stack([w.apply(f) for f in fs.T])) <= 1e-14
-    assert _rel(block, w.matrix() @ fs) <= 1e-12
+    assert _rel(block, w.apply(np.eye(pg.n)) @ fs) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_batched_limit_apply_equals_column_applies(resonant_setup):
 def test_limit_w_symmetric_and_positive(resonant_setup):
     pg, v_ref, res = resonant_setup
     w = limit_w(2.0, res)
-    wm = w.matrix()
+    wm = w.apply(np.eye(pg.n))
     assert np.abs(wm - wm.T).max() < 1e-10 * np.abs(wm).max()
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -161,7 +161,7 @@ def test_limit_w_rank_bound(resonant_setup):
     # sv[79] / sv[0] = 1.1e-15
     pg, v_ref, res = resonant_setup
     w = limit_w(1.0, res)
-    sv = np.linalg.svd(w.matrix(), compute_uv=False)
+    sv = np.linalg.svd(w.apply(np.eye(pg.n)), compute_uv=False)
     rank = 2 * pg.gx.n - 1
     assert sv[rank] < 1e-10 * sv[0] < sv[rank - 1]
 
@@ -459,6 +459,22 @@ def test_convergence_study_monotone(small_product):
     rep = convergence_study(z, GAUSS, [0.2, 0.1, 0.05], pg, fs)
     assert rep.monotone
     assert np.all(rep.reduction_factors > 1.5)
+
+
+def test_convergence_study_is_not_monotone_once_the_well_sits_inside_the_first_node():
+    # from eps = 0.00625 on, the scaled gaussian (cut at 5.8 eps) lies inside
+    # the first node, 5e-2: only that node carries the well to rounding, and
+    # calibration to resonance fixes its depth, so W_eps(z) f stops changing
+    # and the discrepancies stop falling.  Measured: the last three rows
+    # agree to 10 decimal places and the last two are equal
+    g = build_grid(24, 40.0, "logarithmic", r_min=5e-2)
+    pg = ProductGrid(g, g)
+    z = 2.0
+    fs = _smoothed_tests(ProductFreeResolvent(pg, 1.0), z, 2)
+    rep = convergence_study(z, GAUSS, [0.1 / 2**k for k in range(6)], pg, fs)
+    assert np.array_equal(rep.w_eps_f[-1], rep.w_eps_f[-2])
+    assert np.all(np.diff(rep.discrepancies[:3], axis=0) < 0.0)
+    assert not rep.monotone
 
 
 def test_convergence_study_matches_per_vector_reference(small_product):

@@ -7,6 +7,7 @@ from scipy.special import xlogy
 from zrange import potentials
 from zrange.grids import RadialGrid, build_grid
 from zrange.potentials import (
+    SCALING_REGIMES,
     BasePotential,
     ScaledPotential,
     ScalingLaw,
@@ -50,15 +51,16 @@ def test_non_finite_parameters_rejected(bad):
 
 
 def test_scaling_law_regime_table():
-    assert ScalingLaw(3, 0.1, 3).regime == "contact"
-    assert ScalingLaw(2, 0.1, 3).regime == "weak_contact"
-    assert ScalingLaw(2, 0.1, 2).regime == "contact"
-    assert ScalingLaw(1, 0.1, 2).regime == "weak_contact"
-    assert ScalingLaw(None, 1.0, 3).regime == "unscaled"
-    with pytest.raises(ScalingLawError):
-        ScalingLaw(3, 0.1, 2)
-    with pytest.raises(ScalingLawError):
-        ScalingLaw(1, 0.1, 3)
+    # contact and weak contact in d=3 and d=2 are the only scaled laws; an
+    # unscaled profile (p=None) is taken in either dimension
+    assert SCALING_REGIMES == {(3, 3), (2, 3), (2, 2), (1, 2)}
+    for p in (None, 1, 2, 3):
+        for d in (2, 3):
+            if p is None or (p, d) in SCALING_REGIMES:
+                ScalingLaw(p, 0.1, d)
+            else:
+                with pytest.raises(ScalingLawError, match="not a supported regime"):
+                    ScalingLaw(p, 0.1, d)
     with pytest.raises(ScalingLawError):
         ScalingLaw(2, -0.1, 3)
     with pytest.raises(ScalingLawError):
