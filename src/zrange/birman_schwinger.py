@@ -25,12 +25,17 @@ Q(z) is the inverse of B^T B for a lower bidiagonal B in closed form:
     B_ii = e^(kappa h_i/2) / (s_i e_i),  B_i,i-1 = -e^(-kappa h_i/2) / (s_i e_(i-1)),
 
 with e_i = sqrt(2m w_i V_i) and s_i = sqrt(sinh(kappa h_i)/kappa) (sqrt(h_i)
-at z = 0).  The top eigenvalues of Q are 1/sigma^2 for the smallest singular
-values sigma of B, which LAPACK's dqds returns to a few ulps relative
-(Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11 (1990) 873), and the top
-eigenvector is the null vector of the tridiagonal B^T B - sigma_min^2, found
-by inverse iteration: O(k^2) and O(k) work where a dense Q and its
-eigensolve cost O(k^3).
+at z = 0).  The top eigenvalue of Q is 1/sigma^2 for the smallest singular
+value sigma of B alone, which bisection on B's Golub-Kahan form returns to a
+few ulps relative (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11 (1990)
+873), and the top eigenvector is the null vector of the tridiagonal
+B^T B - sigma^2, found by inverse iteration: O(k) work per bisection step
+and per solve, where a dense Q and its eigensolve cost O(k^3).
+
+By the Birman-Schwinger principle the number of eigenvalues of H0 - V below
+-z is the number of eigenvalues of Q(z) above 1, and bs_count_above_one
+reads that count from the inertia of one LDL^T of Q - 1, not from the
+spectrum of Q.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _dbdsdc, _dense_eigenvalues, _lapack, discretize_h0, green_kernel_matrix
+from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _count_above, _lapack, _smallest_singular_value, discretize_h0, green_kernel_matrix
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _potential_values
 
 Z_FLOOR = 1e-8
@@ -88,6 +93,8 @@ def bs_operator(
     resolvent="exact" (kernel 2m min(r, r')); every other z must be finite
     and at least Z_FLOOR.  m must be finite and positive.
     """
+    if resolvent not in ("exact", "grid"):
+        raise ValueError("resolvent must be 'exact' or 'grid'")
     _check_z(z, resolvent == "exact")
     _check_positive("mass m", m)
     vals = _potential_values(v)
@@ -99,23 +106,20 @@ def bs_operator(
         if h0 is not None:
             raise ValueError("resolvent='exact' applies the whole-space kernel and takes no h0: use resolvent='grid'")
         g = green_kernel_matrix(grid, 3, z, m).entries
-    elif resolvent == "grid":
+    else:
         if h0 is None:
             raise ValueError("resolvent='grid' needs h0, the boxed H0 on the grid of V")
         if m != 0.5:
             raise ValueError(f"resolvent='grid' takes m from h0, which carries it: got m={m!r}")
         h0 = TridiagonalOperator.require(h0, grid)
         g = h0.inverse(z)
-    else:
-        raise ValueError("resolvent must be 'exact' or 'grid'")
     q = g * np.outer(sqv, sqv)
     return OperatorMatrix(0.5 * (q + q.T), grid, label=f"Q(z={z:g})")
 
 
 def bs_count_above_one(q: OperatorMatrix) -> int:
-    """Number of Birman-Schwinger eigenvalues exceeding 1."""
-    vals = _dense_eigenvalues(q.entries)
-    return int(np.sum(vals > 1.0))
+    """Number of Birman-Schwinger eigenvalues exceeding 1, from the inertia of one LDL^T of Q - 1."""
+    return _count_above(q.entries, 1.0)
 
 
 @dataclass
@@ -148,16 +152,22 @@ def _on_support(v: GridFunction) -> GridFunction:
     return GridFunction(RadialGrid(grid.nodes[sup], grid.weights[sup], grid.spacing, grid.r_max), vals[sup])
 
 
-def _whole_space_root(v: GridFunction, z: float, m: float):
-    """e, and the diagonal, subdiagonal and ascending singular values of the closed-form bidiagonal B.
+def _root_weights(v: GridFunction, m: float) -> np.ndarray:
+    """e_i = sqrt(2m w_i V_i), the weights of the closed-form bidiagonal B."""
+    return np.sqrt(2.0 * m * v.grid.weights * v.values)
+
+
+def _whole_space_root(v: GridFunction, z: float, m: float) -> np.ndarray:
+    """The closed-form bidiagonal B as its Golub-Kahan off-diagonal B_11, B_21, B_22, B_32, ..., B_kk.
 
     B is the lower bidiagonal with Q(z) = (B^T B)^(-1) for the d=3
-    whole-space Q(z) of V > 0 (module docstring), so the top eigenvalues of
-    Q(z) are 1 / sing^2 for the smallest singular values sing.
+    whole-space Q(z) of V > 0 (module docstring), so the top eigenvalue of
+    Q(z) is 1 / sigma^2 for the smallest singular value sigma of B, which
+    B^T, upper bidiagonal with the same Golub-Kahan form, shares.  B is
+    carried in that one array, which the bisection reads as it is.
     """
     _check_z(z, True)
-    nodes, e = v.grid.nodes, np.sqrt(2.0 * m * v.grid.weights * v.values)
-    h = np.diff(nodes, prepend=0.0)
+    e, h = _root_weights(v, m), np.diff(v.grid.nodes, prepend=0.0)
     if z == 0.0:
         diag2 = sub2 = 1.0 / h
     else:
@@ -166,15 +176,15 @@ def _whole_space_root(v: GridFunction, z: float, m: float):
         # and without overflow at large kappa h
         x = 2.0 * np.sqrt(2.0 * m * z) * h
         diag2, sub2 = x / -np.expm1(-x) / h, x / np.expm1(x) / h
-    diag, sub = np.sqrt(diag2) / e, -np.sqrt(sub2[1:]) / e[:-1]
-    # B^T is upper bidiagonal with B's singular values
-    return e, diag, sub, _dbdsdc(diag, sub, vectors=False)
+    gk = np.empty(2 * e.size - 1)
+    gk[0::2], gk[1::2] = np.sqrt(diag2) / e, -np.sqrt(sub2[1:]) / e[:-1]
+    return gk
 
 
 def _whole_space_q0(v: GridFunction, z: float, m: float) -> float:
     """Top eigenvalue of the d=3 whole-space Q(z) of V > 0, from B's smallest singular value alone."""
-    sing = _whole_space_root(v, z, m)[3]
-    return float(1.0 / (sing[-1] * sing[-1]))  # the arithmetic of _whole_space_top, bit for bit
+    sigma = _smallest_singular_value(_whole_space_root(v, z, m))
+    return 1.0 / (sigma * sigma)  # the arithmetic of _whole_space_top, bit for bit
 
 
 def _whole_space_top(v: GridFunction, z: float, m: float):
@@ -184,14 +194,16 @@ def _whole_space_top(v: GridFunction, z: float, m: float):
     (_whole_space_root).  The unit eigenvector is positive, as the Perron
     vector of the positive kernel.
     """
-    e, diag, sub, sing = _whole_space_root(v, z, m)
-    top = float(1.0 / (sing[-1] * sing[-1]))
-    if sing.size == 1:
+    gk = _whole_space_root(v, z, m)
+    sigma = _smallest_singular_value(gk)
+    top = 1.0 / (sigma * sigma)
+    if gk.size == 1:
         return top, np.ones(1)
     # inverse iteration on the tridiagonal B^T B - sigma_min^2, factored once by
     # LAPACK dgttrf; three dgttrs solves, one more than it takes to agree with
     # dense eigh to rounding
-    n, shift = sing.size, sing[-1] ** 2
+    diag, sub = gk[0::2], gk[1::2]
+    n, shift = diag.size, sigma**2
     off = sub * diag[1:]
     dl, d, du = off.copy(), diag**2 + np.append(sub**2, 0.0) - shift, off.copy()
     du2, ipiv = np.empty(n - 2), np.empty(n, dtype=np.intc)
@@ -201,6 +213,8 @@ def _whole_space_top(v: GridFunction, z: float, m: float):
     # pivot of eps * shift in its place, far below the spectral gap, still
     # returns the null vector.
     d[d == 0.0] = np.finfo(float).eps * shift
+    # e anew: held through the bisection, it would add to the peak of a resonance run
+    e = _root_weights(v, m)
     phi = e / np.linalg.norm(e)
     for _ in range(3):
         _lapack("dgttrs", b"N", n, 1, dl, d, du, du2, ipiv, phi, n)
@@ -241,7 +255,7 @@ def resonance(
 
 
 def _critical_coupling(potential, grid: RadialGrid, m: float) -> float:
-    """resonance(potential, grid, m).coupling, bit for bit, from B's singular values alone."""
+    """resonance(potential, grid, m).coupling, bit for bit, from B's smallest singular value alone."""
     return 1.0 / _whole_space_q0(_on_support(GridFunction(grid, potential(grid.nodes))), 0.0, m)
 
 

@@ -204,8 +204,9 @@ def _run_resonance(cfg):
     law = _law(cfg, required=False)
     bracket = tuple(_numbers(cfg, "bracket", (0.1, 50.0), length=2))
     n = _integer(cfg, "grid.n", 800, MIN_GRID_NODES)
-    # tracemalloc peak over n = 800 ... 16000: 20.2-25.6 floats per node (the most on
-    # a first run at 800); below that a fixed 0.15 MB of the 600-node profile grid dominates
+    # tracemalloc peak over n = 800 ... 16000: 24.2-30.5 floats per node (the most on a
+    # first run at 800), 19 of them dstebz's bisection arrays; below that a fixed 0.15 MB
+    # of the 600-node profile grid dominates
     _require_fits(32 * n, "grid.n", f"a resonance run on {n} nodes")
     rep = find_resonance_coupling(pot, law, bracket, n=n, m=_mass(cfg, 0.5))
     row = ReportRow(

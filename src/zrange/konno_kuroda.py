@@ -6,7 +6,7 @@ The factorized resolvent difference for H = H0 - V, V >= 0, B = sqrt(V) is
 
 valid whenever 1 - Q(z) is invertible.  H0 is the boxed kinetic matrix, a
 TridiagonalOperator, so every (H0 - V + z)^(-1) here is its banded inverse
-and the direct negative count its tridiagonal eigensolve; 1 - Q
+and the direct negative count one Sturm sweep of H0 - V; 1 - Q
 itself stays a dense matrix with a dense LU solve, so that the assembly is
 checked against the direct route and not against its own algebra.
 
@@ -164,11 +164,11 @@ def _refine(grid: RadialGrid) -> RadialGrid:
 
 
 def negative_count_direct(h0: TridiagonalOperator, v: GridFunction) -> int:
-    """Number of negative eigenvalues of H0 - V, from all eigenvalues of the tridiagonal.
+    """Number of negative eigenvalues of H0 - V, from one Sturm sweep of the tridiagonal.
 
-    The count is independent of the Birman-Schwinger count it checks.
+    The count is independent of the Birman-Schwinger count it checks: it reads H0 - V, not Q.
     """
-    return int(np.sum(TridiagonalOperator.require(h0, v.grid).eigenvalues(-_potential_values(v)) < 0.0))
+    return TridiagonalOperator.require(h0, v.grid).count_negative(-_potential_values(v))
 
 
 @dataclass

@@ -125,14 +125,31 @@ class TridiagonalOperator:
     def eigenvalues(self, shift) -> np.ndarray:
         """Ascending eigenvalues of T + diag(shift) by LAPACK dsterf, those of a dense eigh bit for bit.
 
-        Not bisection (stebz): on graded matrices such as the hyperradial operator (norm ~6e12) its
-        default tolerance misplaces shallow levels by up to 45 %.
+        Not bisection (stebz) at its default tolerance, ulp times the norm: on graded matrices such as the
+        hyperradial operator (norm ~6e12) that misplaces shallow levels by up to 45 %.  The one bisection
+        here, _smallest_singular_value, passes its own ABSTOL of two safe minima, so it converges to a few
+        ulps relative instead.
         """
         vals = self._shifted(shift)
         info = _lapack("dsterf", self.n, vals, self.off.copy())
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal eigensolve did not converge (dsterf info {info})")
         return vals
+
+    def count_negative(self, shift) -> int:
+        """Number of eigenvalues of T + diag(shift) below 0: n less those at or below 0 of -(T + diag(shift)),
+        which one O(n) Sturm sweep counts (LAPACK dlaebz, the count dstebz bisects with), so a 0 eigenvalue
+        is not negative.  A pivot below pivmin in magnitude is taken as -pivmin, as in dstebz; dlarrc lacks
+        that guard and miscounts after an exactly zero pivot ([[0, 1], [1, 0]], or a zero row)."""
+        neg = -self._shifted(shift)
+        e2 = np.append(self.off * self.off, 0.0)
+        pivmin = np.finfo(float).tiny * max(1.0, e2.max())
+        ab, nab = np.zeros(2), np.zeros(2, dtype=np.intc)
+        nval, mout, iwork = (np.zeros(1, dtype=np.intc) for _ in range(3))
+        # IJOB = 1 counts at both ends of the one interval AB = [0, 0]; it reads D, E2, PIVMIN and AB only
+        e = np.append(self.off, 0.0)
+        _lapack("dlaebz", 1, 0, self.n, 1, 1, 0, 0.0, 0.0, pivmin, neg, e, e2, nval, ab, np.zeros(1), mout, nab, np.zeros(1), iwork)
+        return self.n - int(nab[0])
 
     def eigenpairs(self, shift):
         """Ascending eigenvalues and C-contiguous eigenvectors (columns) of T + diag(shift) by LAPACK dstevd: divide
@@ -284,6 +301,13 @@ def _lapack_table():
 cython_lapack = _lapack_table()
 
 
+# PyCapsule's accessors and the routine type, built once at import: ctypes.PYFUNCTYPE makes a new class on
+# each call, and the two a lookup once made held about 10 kB until the cycle collector ran
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
+_routine_type = ctypes.CFUNCTYPE(None)
+
+
 @functools.cache
 def _lapack_routine(name: str):
     """LAPACK `name` as a ctypes function, or None where this LAPACK lacks it.  It comes from
@@ -300,21 +324,22 @@ def _lapack_routine(name: str):
                 routine.restype = None
                 return routine
         return None
-    api = ctypes.pythonapi
-    cname = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    return ctypes.CFUNCTYPE(None)(get_pointer(capsule, cname))
+    return _routine_type(_capsule_pointer(capsule, _capsule_name(capsule)))
 
 
 def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
-    pointer: pass bytes for a character, an int for an integer, and a C-contiguous, writable array, overwritten
-    in place, for the rest (any other array raises TypeError).  No size is checked: each caller sizes its
-    arrays.  It serves the LAPACK kernels numpy does not wrap: dbdsdc, dgtsv, dgttrf, dgttrs, dstevd and
-    dsterf, all listed in cython_lapack's table at every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7),
-    which the table lacks and _lapack_routine finds by symbol."""
+    pointer: pass bytes for a character, an int for an integer, a float for a double precision scalar, and a
+    C-contiguous, writable array, overwritten in place, for the rest (any other array raises TypeError).  No
+    size is checked: each caller sizes its arrays.  It serves the LAPACK kernels numpy does not wrap: dbdsdc,
+    dgtsv, dgttrf, dgttrs, dlaebz, dstebz, dstevd, dsterf and dsytrf, all listed in cython_lapack's table at
+    every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7), which the table lacks and _lapack_routine finds by
+    symbol.  A routine this LAPACK lacks raises LookupError, naming it."""
+    routine = _lapack_routine(name)
+    if routine is None:
+        raise LookupError(f"this LAPACK has no routine {name}")
     info = ctypes.c_int()
-    _lapack_routine(name)(*map(_by_reference, args), ctypes.byref(info))
+    routine(*map(_by_reference, args), ctypes.byref(info))
     return info.value
 
 
@@ -323,6 +348,8 @@ def _by_reference(a):
         return a
     if isinstance(a, int):
         return ctypes.byref(ctypes.c_int(a))
+    if isinstance(a, float):
+        return ctypes.byref(ctypes.c_double(a))
     # an empty array goes as NULL: LAPACK reads no entry of an array sized 0 (n = 1 off-diagonals, dgttrf's
     # DU2 at n = 2)
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
@@ -359,7 +386,28 @@ def _dense_eigenvalues(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
+def _count_above(a: np.ndarray, shift: float) -> int:
+    """Number of eigenvalues above shift of the dense symmetric a, read from its lower triangle: by Sylvester's
+    law, the positive eigenvalues of D in one Bunch-Kaufman LDL^T of a - shift (LAPACK dsytrf; Bunch & Kaufman,
+    Math. Comp. 31 (1977) 163), about n^3/3 flops against the spectrum's 4n^3/3.  A 1 x 1 pivot counts by its
+    sign, a 2 x 2 pivot once (the pivoting rule takes only those of negative determinant), and the exactly
+    zero pivot an eigenvalue at shift leaves (INFO > 0, not an error) not at all."""
+    n = a.shape[0]
+    # a fresh C-contiguous copy, overwritten: read in Fortran order it is a.T, whose upper triangle is a's lower
+    buf = np.array(a, dtype=float, order="C")
+    buf[np.diag_indices(n)] -= shift
+    ipiv, work = np.empty(n, dtype=np.intc), np.empty(1)
+    _lapack("dsytrf", b"U", n, buf, n, ipiv, work, -1)  # workspace query
+    work = np.empty(int(work[0]))
+    info = _lapack("dsytrf", b"U", n, buf, n, ipiv, work, work.size)
+    if info < 0:
+        raise ValueError(f"dsytrf refused argument {-info}")
+    # each 2 x 2 pivot marks both of its rows with a negative IPIV
+    one = ipiv > 0
+    return int(np.count_nonzero(buf.diagonal()[one] > 0.0) + np.count_nonzero(~one) // 2)
+
+
+def _dbdsdc(diag: np.ndarray, off: np.ndarray):
     """Singular values s, descending, and right singular vectors V of a bidiagonal F = U diag(s) V^T.
 
     F is n x n upper bidiagonal when off holds its n - 1 superdiagonal
@@ -369,10 +417,8 @@ def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
     the padded singular value (0, lifted by dbdsdc to 0.9 * 2^-53 times the
     largest entry) sorts last and is dropped with its vector and with V's
     padded row, which is exactly 0.  V is returned with
-    the vectors as columns.  With vectors=False only s is computed (COMPQ =
-    'N', LAPACK's dqds, O(n^2) and accurate to a few ulps relative in every
-    singular value) and returned alone.  Raises LinAlgError when dbdsdc does
-    not converge, as np.linalg.svd does.
+    the vectors as columns.  Raises LinAlgError when dbdsdc does not
+    converge, as np.linalg.svd does.
     """
     n = diag.size
     if n < 1 or off.shape not in ((n - 1,), (n,)):
@@ -382,20 +428,38 @@ def _dbdsdc(diag: np.ndarray, off: np.ndarray, vectors: bool = True):
     s = np.zeros(nb)  # diag, then the padding 0 of the lower layout; overwritten by the singular values
     s[:n] = diag
     e = np.array(off, dtype=float)
-    # Column-major VT read in C order is V itself.  U, VT, Q and IQ are not
-    # referenced when COMPQ = 'N', and Q and IQ not when COMPQ = 'I'.
-    k = nb if vectors else 1
+    # Column-major VT read in C order is V itself.  Q and IQ are not referenced
+    # when COMPQ = 'I'.
     # WORK before U and VT: in the other order, the (n+1)^2 blocks of the d=3
     # calls fragment the heap, and find_thresholds' peak RSS grew by 5 MB at n = 600
-    work = np.empty(3 * nb * nb + 4 * nb if vectors else 4 * nb)
-    u, v, q = np.empty((k, k)), np.empty((k, k)), np.empty(1)
+    work = np.empty(3 * nb * nb + 4 * nb)
+    u, v, q = np.empty((nb, nb)), np.empty((nb, nb)), np.empty(1)
     iq = np.empty(1, dtype=np.intc)
     iwork = np.empty(8 * nb, dtype=np.intc)
-    uplo, compq = b"L" if lower else b"U", b"I" if vectors else b"N"
-    info = _lapack("dbdsdc", uplo, compq, nb, s, e, u, k, v, k, q, iq, work, iwork)
+    info = _lapack("dbdsdc", b"L" if lower else b"U", b"I", nb, s, e, u, nb, v, nb, q, iq, work, iwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"bidiagonal SVD did not converge (dbdsdc info {info})")
-    return (s[:n], v[:n, :n]) if vectors else s[:n]
+    return s[:n], v[:n, :n]
+
+
+def _smallest_singular_value(gk: np.ndarray) -> float:
+    """Smallest singular value of the n x n bidiagonal with diagonal gk[0::2] and off-diagonal gk[1::2].
+
+    gk is the off-diagonal of the 2n x 2n Golub-Kahan form, the zero-diagonal tridiagonal whose eigenvalues
+    are the +-singular values, so the smallest is its eigenvalue n + 1.  LAPACK dstebz bisects for that one
+    (RANGE = 'I') with ABSTOL = 2 * safe minimum, as dbdsvdx sets it, O(n) per step, and so converges to a
+    few ulps relative, which Sturm counts on that form keep (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11
+    (1990) 873).  Raises LinAlgError when dstebz fails.
+    """
+    n = (gk.size + 1) // 2
+    m, nsplit = np.zeros(1, dtype=np.intc), np.zeros(1, dtype=np.intc)
+    w, iblock, isplit = np.empty(2 * n), np.empty(2 * n, dtype=np.intc), np.empty(2 * n, dtype=np.intc)
+    work, iwork = np.empty(8 * n), np.empty(6 * n, dtype=np.intc)  # 4N and 3N at N = 2n
+    abstol = 2.0 * np.finfo(float).tiny
+    info = _lapack("dstebz", b"I", b"E", 2 * n, 0.0, 0.0, n + 1, n + 1, abstol, np.zeros(2 * n), gk, m, nsplit, w, iblock, isplit, work, iwork)
+    if info != 0 or m[0] != 1:
+        raise np.linalg.LinAlgError(f"bisection for the smallest singular value failed (dstebz info {info}, {m[0]} values)")
+    return float(w[0])
 
 
 def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:

@@ -7,7 +7,7 @@ from scipy.special import jn_zeros
 from zrange.grids import GridFunction, RadialGrid, build_grid
 from zrange.operators import discretize_h0
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw, ScalingLawError
-from zrange import birman_schwinger, operators
+from zrange import birman_schwinger, konno_kuroda, operators
 from zrange.birman_schwinger import (
     bs_count_above_one,
     bs_operator,
@@ -59,6 +59,14 @@ def test_z_floor_enforced():
     g = build_grid(50, 1.0, "linear")
     with pytest.raises(ValueError, match="floor"):
         bs_operator(GridFunction(g, np.ones(50)), 1e-9)
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-9, float("nan")])
+def test_unknown_resolvent_is_named_before_z(z):
+    # z = 0 once raised the z-floor message, which names resolvent='exact'
+    g = build_grid(50, 1.0, "linear")
+    with pytest.raises(ValueError, match="resolvent must be 'exact' or 'grid'"):
+        bs_operator(GridFunction(g, np.ones(50)), z, resolvent="bogus")
 
 
 @pytest.mark.parametrize("z", NON_FINITE)
@@ -183,13 +191,19 @@ def test_resonance_coupling_inverse_in_potential_scale(c):
     assert scaled.coupling == pytest.approx(base.coupling / c, rel=1e-12)
 
 
-def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
-    # q(0+) and phi come from the bidiagonal inverse root of Q(0): no dense
-    # Q, no Green-kernel matrix and no dense eigensolve
+def _forbid(monkeypatch, targets):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense route called")
 
-    for module, name in [
+    for module, name in targets:
+        # raising=False also guards a name the module does not import today
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+
+
+def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
+    # q(0+) and phi come from the bidiagonal inverse root of Q(0): no dense
+    # Q, no Green-kernel matrix and no dense eigensolve
+    _forbid(monkeypatch, [
         (birman_schwinger, "bs_operator"),
         (birman_schwinger, "green_kernel_matrix"),
         (birman_schwinger, "_dense_eigenvalues"),
@@ -199,10 +213,35 @@ def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
         (operators, "radial_green_kernel"),
         (np.linalg, "eigh"),
         (scipy.linalg, "eigh"),
-    ]:
-        monkeypatch.setattr(module, name, forbidden)
+    ])
     res = resonance(GAUSS, build_grid(100, 5.8, "linear"))
     assert res.q0 > 0.0
+
+
+@pytest.mark.parametrize("route", ["resonance", "two_resonance_matrix", "bs_count_above_one", "negative_count_direct"])
+def test_one_count_or_one_eigenvalue_takes_no_whole_spectrum(route, monkeypatch):
+    # each route reads one count or one eigenvalue: an inertia, a Sturm
+    # count or a bisection, never a whole spectrum
+    g = build_grid(120, 5.8, "linear")
+    v, h0 = GridFunction(g, 20.0 * GAUSS(g.nodes)), discretize_h0(g)
+    q = bs_operator(v, 0.1, resolvent="grid", h0=h0)
+    two_grid = build_grid(48, 30.0, "logarithmic", r_min=1e-3)
+    run = {
+        "resonance": lambda: resonance(GAUSS, g).q0,
+        "two_resonance_matrix": lambda: two_resonance_matrix(WELL, UNSCALED, LAMBDA_C_WELL, [0.0, 0.01], two_grid)[1].off_diagonal,
+        "bs_count_above_one": lambda: bs_count_above_one(q),
+        "negative_count_direct": lambda: negative_count_direct(h0, v),
+    }[route]
+    _forbid(monkeypatch, [
+        (np.linalg, "eigvalsh"),
+        (operators, "_dense_eigenvalues"),
+        (birman_schwinger, "_dense_eigenvalues"),
+        (konno_kuroda, "_dense_eigenvalues"),
+        (operators.TridiagonalOperator, "eigenvalues"),
+        (operators, "_dbdsdc"),
+        (birman_schwinger, "_dbdsdc"),
+    ])
+    assert run() > 0
 
 
 @pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
@@ -242,22 +281,28 @@ def test_resonance_vector_survives_an_exactly_zero_pivot():
 
 
 def _f2py_whole_space_top(v, z, m):
-    # the route _whole_space_top replaced: the same closed-form B, then scipy's
-    # f2py dgttrf/dgttrs wrappers (which refuse n = 2) for the inverse iteration
+    # the same closed-form B, then scipy's f2py wrappers: dstebz through
+    # eigvalsh_tridiagonal for eigenvalue k + 1 of B's Golub-Kahan form, and
+    # dgttrf/dgttrs (which refuse n = 2) for the inverse iteration
     e = np.sqrt(2.0 * m * v.grid.weights * v.values)
     h = np.diff(v.grid.nodes, prepend=0.0)
     x = 2.0 * np.sqrt(2.0 * m * z) * h
     diag2, sub2 = (1.0 / h, 1.0 / h) if z == 0.0 else (x / -np.expm1(-x) / h, x / np.expm1(x) / h)
     diag, sub = np.sqrt(diag2) / e, -np.sqrt(sub2[1:]) / e[:-1]
-    sing = operators._dbdsdc(diag, sub, vectors=False)
-    shift, off = sing[-1] ** 2, sub * diag[1:]
+    k = diag.size
+    tgk = np.insert(sub, np.arange(k - 1), diag[:-1])
+    tgk = np.append(tgk, diag[-1])
+    sigma = scipy.linalg.eigvalsh_tridiagonal(
+        np.zeros(2 * k), tgk, select="i", select_range=(k, k), lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny
+    )[0]
+    shift, off = sigma**2, sub * diag[1:]
     *lu, _ = scipy.linalg.lapack.dgttrf(off, diag**2 + np.append(sub**2, 0.0) - shift, off)
     lu[1][lu[1] == 0.0] = np.finfo(float).eps * shift
     phi = e / np.linalg.norm(e)
     for _ in range(3):
         phi = scipy.linalg.lapack.dgttrs(*lu, phi)[0]
         phi /= np.linalg.norm(phi)
-    return (1.0 / sing[-1:] ** 2)[0], phi if phi.sum() > 0.0 else -phi
+    return 1.0 / (sigma * sigma), phi if phi.sum() > 0.0 else -phi
 
 
 @pytest.mark.parametrize("n", [48, 300, 800])

@@ -1,10 +1,14 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh_tridiagonal, solve_banded
 
-from zrange import operators
+from zrange import birman_schwinger, operators
 from zrange.birman_schwinger import bs_operator, find_resonance_coupling, two_resonance_matrix
 from zrange.efimov import effective_operator, mass_sweep_2d
 from zrange.grids import GridFunction, build_grid
@@ -225,6 +229,119 @@ def test_tridiagonal_lapack_routes_of_the_smallest_operators(n):
     assert np.abs(x - np.linalg.solve(dense, b)).max() <= 1e-12 * np.abs(x).max()
 
 
+# ---------------------------------------------------------------------------
+# the one-count and one-eigenvalue kernels against dense references
+#
+# A count is defined up to the backward error of the matrix it reads, so an
+# eigenvalue within TOL of the shift may fall on either side; a structural
+# one (a zero row, exactly at the shift) must not be counted.  Each test
+# pins the case that a plausible slip in its kernel gets wrong.
+
+KERNEL_CASES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ENTRIES = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+SHIFTS = st.sampled_from([0.0, 1.0, -0.75, 2.5])
+TOL = 1e-10
+
+
+def _insert_zero_rows(free, rows):
+    """free embedded in a larger zero matrix, with all-zero rows and columns at the given positions."""
+    n = free.shape[0] + len(rows)
+    keep = np.setdiff1d(np.arange(n), rows)
+    a = np.zeros((n, n))
+    a[np.ix_(keep, keep)] = free
+    return a
+
+
+@st.composite
+def shifted_symmetric(draw):
+    """(a, shift, zeros): a - shift is a drawn symmetric matrix with `zeros` all-zero rows, and with a zero
+    diagonal when drawn so, which forces Bunch-Kaufman to take 2 x 2 pivots."""
+    k = draw(st.integers(0, 7))
+    upper = np.array(draw(st.lists(ENTRIES, min_size=k * k, max_size=k * k))).reshape(k, k)
+    free = np.triu(upper) + np.triu(upper, 1).T
+    if draw(st.booleans()):
+        free[np.diag_indices(k)] = 0.0
+    zeros = draw(st.integers(0 if k else 1, 3))
+    rows = sorted(draw(st.sets(st.integers(0, k + zeros - 1), min_size=zeros, max_size=zeros)))
+    shift = draw(SHIFTS)
+    return _insert_zero_rows(free, rows) + shift * np.eye(k + len(rows)), shift, len(rows)
+
+
+@KERNEL_CASES
+@given(case=shifted_symmetric())
+@example(case=(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0, 0))  # one 2 x 2 pivot, eigenvalues 0 and 2
+@example(case=(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 0.0, 1))  # and a zero row
+@example(case=(np.ones((1, 1)), 1.0, 1))  # the eigenvalue at the shift alone
+def test_inertia_count_matches_the_dense_count(case):
+    # mutant killed: a 2 x 2 pivot counted as two positives
+    a, shift, zeros = case
+    lam = np.linalg.eigvalsh(a) - shift
+    tol = TOL * max(1.0, np.abs(a).max())
+    count = operators._count_above(a, shift)
+    assert np.count_nonzero(lam > tol) <= count <= np.count_nonzero(lam > -tol) - zeros
+
+
+@st.composite
+def tridiagonals(draw):
+    """(T, shift, zeros): T + shift is a drawn tridiagonal with `zeros` all-zero rows."""
+    n = draw(st.integers(1, 12))
+    d = np.array(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+    e = np.array(draw(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1)))
+    rows = sorted(draw(st.sets(st.integers(0, n - 1), max_size=3)))
+    d[rows] = 0.0
+    e[[r for r in rows if r < n - 1]] = 0.0
+    e[[r - 1 for r in rows if r > 0]] = 0.0
+    shift = draw(SHIFTS)
+    return TridiagonalOperator(d - shift, e, None), shift, len(rows)
+
+
+@KERNEL_CASES
+@given(case=tridiagonals())
+@example(case=(TridiagonalOperator(np.zeros(2), np.ones(1), None), 0.0, 0))  # a zero pivot mid-sweep
+@example(case=(TridiagonalOperator(np.array([0.0, -1.0, -1.0]), np.zeros(2), None), 0.0, 1))  # a zero row first
+def test_sturm_count_matches_the_dense_count(case):
+    # mutant killed: the count of eigenvalues at or below +tiny, which takes in a 0 eigenvalue
+    t, shift, zeros = case
+    lam = np.linalg.eigvalsh(t.entries + shift * np.eye(t.n))
+    tol = TOL * max(1.0, np.abs(t.entries).max())
+    count = t.count_negative(shift)
+    assert np.count_nonzero(lam < -tol) <= count <= np.count_nonzero(lam < tol) - zeros
+
+
+@KERNEL_CASES
+@given(
+    profile=st.sampled_from(["gaussian", "square_well", "exponential"]),
+    n=st.integers(8, 300),
+    r_min=st.sampled_from([1e-6, 1e-5, 1e-4, 1e-3]),
+    z=st.sampled_from([0.0, 1e-8, 1e-2, 1.0, 1e3]),
+    m=st.floats(0.25, 4.0),
+)
+@example(profile="gaussian", n=300, r_min=1e-6, z=0.0, m=0.5)
+def test_smallest_singular_value_matches_dense_svd(profile, n, r_min, z, m):
+    # the bidiagonal B of the whole-space Q(z) on a log-grid support, whose
+    # entries span many decades; mutant killed: index k for k + 1, which is -sigma
+    pot = BasePotential(profile, 1.0, 1.0)
+    g = build_grid(n, 33.0, "logarithmic", r_min=r_min)
+    v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
+    gk = birman_schwinger._whole_space_root(v, z, m)
+    want = np.linalg.svd(np.diag(gk[0::2]) + np.diag(gk[1::2], 1), compute_uv=False)[-1]
+    assert abs(operators._smallest_singular_value(gk) - want) <= 1e-13 * want
+
+
+def test_every_lapack_routine_the_package_calls_resolves():
+    # a routine this LAPACK lacks would fail only when its caller first runs
+    src = Path(operators.__file__).parent
+    names = {name for f in src.glob("*.py") for name in re.findall(r'_lapack(?:_routine)?\(\s*"(\w+)"', f.read_text())}
+    assert {"dsytrf", "dlaebz", "dstebz", "dbdsdc", "dsterf"} <= names
+    assert [name for name in sorted(names) if operators._lapack_routine(name) is None] == []
+
+
+def test_a_routine_this_lapack_lacks_is_named():
+    # once TypeError: 'NoneType' object is not callable
+    with pytest.raises(LookupError, match="this LAPACK has no routine dnosuchroutine"):
+        operators._lapack("dnosuchroutine", 1)
+
+
 def _contact_image(n):
     # the criterion-8 tower operator, the largest dense symmetric eigensolve
     g = build_grid(n, 1e2, "logarithmic", r_min=1e-4)
@@ -320,7 +437,7 @@ def test_tridiagonal_lapack_routes_match_the_scipy_helpers_bit_for_bit(spacing, 
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("method", ["eigenvalues", "eigenpairs", "inverse"])
+@pytest.mark.parametrize("method", ["eigenvalues", "eigenpairs", "inverse", "count_negative"])
 def test_non_finite_shift_is_refused_naming_the_operator(method, bad):
     # without the check, dstevd returned NaN eigenvalues for a NaN shift
     h0 = discretize_h0(build_grid(50, 10.0, "linear"), 3, 0.5)
@@ -331,7 +448,7 @@ def test_non_finite_shift_is_refused_naming_the_operator(method, bad):
             getattr(h0, method)(s)
 
 
-@pytest.mark.parametrize("method", ["eigenvalues", "eigenpairs", "inverse"])
+@pytest.mark.parametrize("method", ["eigenvalues", "eigenpairs", "inverse", "count_negative"])
 def test_mis_sized_shift_is_refused_before_lapack(method):
     # LAPACK reads exactly n diagonal entries, unchecked
     h0 = discretize_h0(build_grid(50, 10.0, "linear"), 3, 0.5)
