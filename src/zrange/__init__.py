@@ -13,9 +13,7 @@ from .operators import (
     SpectrumReport,
     TridiagonalOperator,
     discretize_h0,
-    green_kernel_matrix,
     hyperradial_kinetic,
-    radial_green_kernel,
 )
 from .potentials import (
     BasePotential,

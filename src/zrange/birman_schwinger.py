@@ -12,8 +12,8 @@ C/r + D outside the potential with D = 0 exactly at criticality.
 
 In d=3 the reduced kernel sinh(kappa r<) e^(-kappa r>) / kappa is entire in
 kappa = sqrt(2 m z) and equals 2m min(r, r') at kappa = 0, so Q(0) is a
-bounded matrix and q(0+) is its top eigenvalue: z = 0 is assembled exactly,
-not approached.  Every other z keeps the floor Z_FLOOR.  Q is linear in
+bounded matrix and q(0+) is its top eigenvalue: z = 0 is exact, not
+approached.  Every other z keeps the floor Z_FLOOR.  Q is linear in
 the coupling, so the critical coupling is the closed form 1/q(0+);
 resonance() is the one routine that computes it, together with the
 resonance wave.
@@ -32,9 +32,10 @@ few ulps relative (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11 (1990)
 B^T B - sigma^2, found by inverse iteration: O(k) work per bisection step
 and per solve, where a dense Q and its eigensolve cost O(k^3).
 
-By the Birman-Schwinger principle the number of eigenvalues of H0 - V below
--z is the number of eigenvalues of Q(z) above 1, and bs_count_above_one
-reads that count from the inertia of one LDL^T of Q - 1, not from the
+bs_operator assembles the other Q(z), that of a boxed, discretized H0.  By
+the Birman-Schwinger principle the number of eigenvalues of H0 - V below -z
+is the number of eigenvalues of that Q(z) above 1, and bs_count_above_one
+reads the count from the inertia of one LDL^T of Q - 1, not from the
 spectrum of Q.
 """
 
@@ -45,13 +46,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _count_above, _lapack, _smallest_singular_value, discretize_h0, green_kernel_matrix
+from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _count_above, _lapack, _smallest_singular_value, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _potential_values
 
 Z_FLOOR = 1e-8
 RESONANCE_TOL = 5e-3
 FIT_RESIDUAL_TOL = 1e-3  # relative rms misfit above which a boundary fit is non-asymptotic
-# Nodes where V is at most this fraction of its peak carry no weight in Q.
+# Nodes where the diagonal 2m r w V of Q(0) is at most this fraction of its
+# peak carry no weight in Q; limit_resolvent cuts V(x) + V(y) by the same fraction.
 SUPPORT_FLOOR = 1e-14
 
 # Truncation radius of each profile in units of (range * epsilon): beyond it
@@ -67,54 +69,30 @@ def support_radius(potential: BasePotential, law: ScalingLaw) -> float:
 
 def _check_z(z: float, zero_ok: bool):
     if not ((zero_ok and z == 0.0) or (np.isfinite(z) and z >= Z_FLOOR)):
-        raise ValueError(
-            f"z={z!r} must be finite and not below the floor {Z_FLOOR:g} "
-            "(z = 0 only with the whole-space kernel, resolvent='exact')"
-        )
+        raise ValueError(f"z={z!r} must be finite and not below the floor {Z_FLOOR:g}")
 
 
-def bs_operator(
-    v: GridFunction,
-    z: float,
-    m: float = 0.5,
-    resolvent: str = "exact",
-    h0: TridiagonalOperator | None = None,
-) -> OperatorMatrix:
-    """Assemble Q(z) = sqrt(V) R0(z) sqrt(V) on the grid carrying V.
+def bs_operator(v: GridFunction, z: float, h0: TridiagonalOperator, resolvent: str = "grid") -> OperatorMatrix:
+    """Assemble Q(z) = sqrt(V) (H0 + z)^(-1) sqrt(V) on the grid carrying V.
 
-    resolvent="exact" uses the d=3 whole-space Green kernel of mass m (best
-    for resonance work) and refuses an h0; resolvent="grid" uses the boxed
-    discretized (H0 + z)^(-1) of h0, a TridiagonalOperator built on the grid
-    of V whose entries carry its dimension and mass (so this route refuses an
-    m other than the default), by LAPACK dgtsv on the tridiagonal H0 + z
-    against the identity, which keeps the eigenvalue count of Q consistent
-    with the spectrum of that same boxed H0 - V (the Birman-Schwinger
-    principle then holds as a matrix identity).  z = 0 is exact with
-    resolvent="exact" (kernel 2m min(r, r')); every other z must be finite
-    and at least Z_FLOOR.  m must be finite and positive.
+    h0 is the boxed H0, a TridiagonalOperator built on the grid of V whose
+    entries carry its dimension and mass.  (H0 + z)^(-1) comes from LAPACK
+    dgtsv on the tridiagonal H0 + z against the identity, which keeps the
+    eigenvalue count of Q consistent with the spectrum of that same boxed
+    H0 - V (the Birman-Schwinger principle then holds as a matrix identity).
+    z must be finite and at least Z_FLOOR.
     """
-    if resolvent not in ("exact", "grid"):
-        raise ValueError("resolvent must be 'exact' or 'grid'")
-    _check_z(z, resolvent == "exact")
-    _check_positive("mass m", m)
+    # "grid" is the one route; the keyword stays for callers that name it
+    if resolvent != "grid":
+        raise ValueError("resolvent must be 'grid'")
+    _check_z(z, False)
     vals = _potential_values(v)
     if np.any(vals < 0.0):
         raise ValueError("potential values must be nonnegative (attractive convention)")
-    grid = v.grid
+    h0 = TridiagonalOperator.require(h0, v.grid)
     sqv = np.sqrt(vals)
-    if resolvent == "exact":
-        if h0 is not None:
-            raise ValueError("resolvent='exact' applies the whole-space kernel and takes no h0: use resolvent='grid'")
-        g = green_kernel_matrix(grid, 3, z, m).entries
-    else:
-        if h0 is None:
-            raise ValueError("resolvent='grid' needs h0, the boxed H0 on the grid of V")
-        if m != 0.5:
-            raise ValueError(f"resolvent='grid' takes m from h0, which carries it: got m={m!r}")
-        h0 = TridiagonalOperator.require(h0, grid)
-        g = h0.inverse(z)
-    q = g * np.outer(sqv, sqv)
-    return OperatorMatrix(0.5 * (q + q.T), grid, label=f"Q(z={z:g})")
+    q = h0.inverse(z) * np.outer(sqv, sqv)
+    return OperatorMatrix(0.5 * (q + q.T), v.grid, label=f"Q(z={z:g})")
 
 
 def bs_count_above_one(q: OperatorMatrix) -> int:
@@ -144,11 +122,12 @@ class Resonance:
 
 
 def _on_support(v: GridFunction) -> GridFunction:
-    """V restricted to its support: the nodes where it exceeds SUPPORT_FLOOR of its peak."""
+    """V restricted to its support: the nodes where Q(0)'s diagonal 2m r w V exceeds SUPPORT_FLOOR of its peak."""
     vals, grid = _potential_values(v), v.grid
     if np.any(vals < 0.0) or not vals.max() > 0.0:
         raise ValueError("potential must be nonnegative and not vanish on the grid")
-    sup = np.flatnonzero(vals > SUPPORT_FLOOR * vals.max())
+    diag = grid.nodes * grid.weights * vals
+    sup = np.flatnonzero(diag > SUPPORT_FLOOR * diag.max())
     return GridFunction(RadialGrid(grid.nodes[sup], grid.weights[sup], grid.spacing, grid.r_max), vals[sup])
 
 
@@ -172,10 +151,13 @@ def _whole_space_root(v: GridFunction, z: float, m: float) -> np.ndarray:
         diag2 = sub2 = 1.0 / h
     else:
         # B_ii^2 e_i^2 = kappa e^(kappa h) / sinh(kappa h) and B_i,i-1^2 e_(i-1)^2 =
-        # kappa e^(-kappa h) / sinh(kappa h), through expm1: exact at small kappa h
-        # and without overflow at large kappa h
+        # kappa e^(-kappa h) / sinh(kappa h), through expm1: exact at small kappa h.
+        # Past x = 709.78 expm1(x) overflows, and x / inf = 0 is the value to working
+        # precision: the exact x / (e^x - 1) is below 4e-306 there, and B_i,i-1 is
+        # under e^(-x/2) < 1e-154 of B_i-1,i-1 in its column.
         x = 2.0 * np.sqrt(2.0 * m * z) * h
-        diag2, sub2 = x / -np.expm1(-x) / h, x / np.expm1(x) / h
+        with np.errstate(over="ignore"):
+            diag2, sub2 = x / -np.expm1(-x) / h, x / np.expm1(x) / h
     gk = np.empty(2 * e.size - 1)
     gk[0::2], gk[1::2] = np.sqrt(diag2) / e, -np.sqrt(sub2[1:]) / e[:-1]
     return gk
@@ -230,8 +212,8 @@ def resonance(
 ) -> Resonance:
     """Resonance of the radial potential r -> V(r) >= 0 in d=3.
 
-    V is sampled on the grid and restricted to its support (V above
-    SUPPORT_FLOOR of the peak); the top eigenpair of Q(0) there, from its
+    V is sampled on the grid and restricted to its support (the diagonal of
+    Q(0) above SUPPORT_FLOOR of its peak); the top eigenpair of Q(0) there, from its
     closed-form bidiagonal inverse root, gives q(0+) and phi.  psi lives on
     eval_grid (default: grid), where V is evaluated again for its
     normalization.  m is the reduced mass of the pair.

@@ -1,4 +1,4 @@
-"""Discretized s-wave free Hamiltonian, its square root, and the free resolvent kernel.
+"""Discretized s-wave free Hamiltonian and its square root.
 
 Representation convention
 -------------------------
@@ -468,50 +468,3 @@ def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
     v *= np.sqrt(s)
     return v
 
-
-# ---------------------------------------------------------------------------
-# free resolvent
-
-
-def radial_green_kernel(d: int, z: float, r, rp, m: float = 0.5):
-    """Reduced s-wave kernel of (H0 + z)^(-1) on the whole space, H0 = -(1/2m) Lap.
-
-    d=3:  2m sinh(kappa r_<) exp(-kappa r_>) / kappa,  2m r_< at z = 0
-    d=2:  2m sqrt(r r') I0(kappa r_<) K0(kappa r_>)
-
-    with kappa = sqrt(2 m z); real z > 0 is supported, and z = 0 in d=3,
-    where the kernel stays bounded (in d=2 K0 diverges).
-    """
-    if d not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    if not (np.isfinite(z) and (z > 0.0 or (z == 0.0 and d == 3))):
-        raise ValueError("spectral parameter z must be real, finite and positive (z = 0 only in d=3)")
-    _check_positive("mass m", m)
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    if not (np.all(np.isfinite(r) & (r > 0.0)) and np.all(np.isfinite(rp) & (rp > 0.0))):
-        raise ValueError("kernel arguments must be finite, positive radii")
-    kappa = np.sqrt(2.0 * m * z)
-    lo = np.minimum(r, rp)
-    hi = np.maximum(r, rp)
-    if d == 3 and kappa == 0.0:
-        val = 2.0 * m * lo
-    elif d == 3:
-        # sinh(k lo) e^(-k hi) = e^(-k(hi-lo)) (1 - e^(-2k lo)) / 2, the bracket through
-        # expm1: no cancellation at small k lo, no overflow at large k hi
-        val = 2.0 * m * np.exp(-kappa * (hi - lo)) * -np.expm1(-2.0 * kappa * lo) / (2.0 * kappa)
-    else:
-        # imported here: scipy.special costs a process about 0.12-0.14 s, and only this kernel needs it
-        from scipy.special import i0e, k0e
-
-        # i0e(x) = e^(-x) I0(x), k0e(x) = e^x K0(x); product decays as e^(lo-hi)
-        val = 2.0 * m * np.sqrt(r * rp) * i0e(kappa * lo) * k0e(kappa * hi) * np.exp(-kappa * (hi - lo))
-    return val if val.ndim else float(val)
-
-
-def green_kernel_matrix(grid: RadialGrid, d: int, z: float, m: float = 0.5) -> OperatorMatrix:
-    """Whole-space free resolvent as a weight-scaled kernel matrix on a grid."""
-    r = grid.nodes
-    kern = radial_green_kernel(d, z, r[:, None], r[None, :], m)
-    sw = np.sqrt(grid.weights)
-    return OperatorMatrix(kern * np.outer(sw, sw), grid, label=f"G[d={d},z={z:g}]")

@@ -3,11 +3,12 @@
 Everything here is deliberately written without the package's operator
 machinery: a plain RK4 shooting integrator for the radial zero-energy
 problem, the z -> 0+ Richardson ladder of the top Birman-Schwinger
-eigenvalue, a classical Jacobi rotation eigensolver, and brute-force
-quadrature helpers (the radial L1 trapezoid, and the Rollnik integral as the
-eight-term cell-pair sum on dense n x n arrays), the kinetic difference
-factors assembled entry by entry in a loop, and the Mellin symbol of the
-contact image from the Gamma function.  The oracles stay
+eigenvalue, the whole-space s-wave Green kernels and the dense d=3
+Birman-Schwinger matrix built on them, a classical Jacobi rotation
+eigensolver, and brute-force quadrature helpers (the radial L1 trapezoid,
+and the Rollnik integral as the eight-term cell-pair sum on dense n x n
+arrays), the kinetic difference factors assembled entry by entry in a loop,
+and the Mellin symbol of the contact image from the Gamma function.  The oracles stay
 independent of the code paths they check.  The helpers for the zero-range
 limit at the end take the package's product-grid free resolvent as given and
 build the rest themselves; the four-term Konno-Kuroda split of W_eps is built
@@ -15,7 +16,7 @@ from its public applies.
 """
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import i0e, k0e, loggamma
 
 
 def shoot_zero_energy(potential, coupling, r_end, n_steps=8000, two_m=1.0):
@@ -91,6 +92,58 @@ def ladder_q0(nodes, weights, values, m=0.5, z_min=1e-8):
         tops.append(np.linalg.eigvalsh(0.5 * (q + q.T))[n - 1])
     basis = np.column_stack([np.ones(3), np.sqrt(zs), zs])
     return float(np.linalg.solve(basis, tops)[0])
+
+
+def radial_green_kernel(d, z, r, rp, m=0.5):
+    """Reduced s-wave kernel of (H0 + z)^(-1) on the whole space, H0 = -(1/2m) Lap.
+
+    d=3:  2m sinh(kappa r_<) exp(-kappa r_>) / kappa,  2m r_< at z = 0
+    d=2:  2m sqrt(r r') I0(kappa r_<) K0(kappa r_>)
+
+    with kappa = sqrt(2 m z); real z > 0 is supported, and z = 0 in d=3,
+    where the kernel stays bounded (in d=2 K0 diverges).
+    """
+    if d not in (2, 3):
+        raise ValueError("dimension must be 2 or 3")
+    if not (np.isfinite(z) and (z > 0.0 or (z == 0.0 and d == 3))):
+        raise ValueError("spectral parameter z must be real, finite and positive (z = 0 only in d=3)")
+    if not (np.isfinite(m) and m > 0.0):
+        raise ValueError(f"mass m must be finite and positive, got {m!r}")
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    if not (np.all(np.isfinite(r) & (r > 0.0)) and np.all(np.isfinite(rp) & (rp > 0.0))):
+        raise ValueError("kernel arguments must be finite, positive radii")
+    kappa = np.sqrt(2.0 * m * z)
+    lo = np.minimum(r, rp)
+    hi = np.maximum(r, rp)
+    if d == 3 and kappa == 0.0:
+        val = 2.0 * m * lo
+    elif d == 3:
+        # sinh(k lo) e^(-k hi) = e^(-k(hi-lo)) (1 - e^(-2k lo)) / 2, the bracket through
+        # expm1: no cancellation at small k lo, no overflow at large k hi
+        val = 2.0 * m * np.exp(-kappa * (hi - lo)) * -np.expm1(-2.0 * kappa * lo) / (2.0 * kappa)
+    else:
+        # i0e(x) = e^(-x) I0(x), k0e(x) = e^x K0(x); product decays as e^(lo-hi)
+        val = 2.0 * m * np.sqrt(r * rp) * i0e(kappa * lo) * k0e(kappa * hi) * np.exp(-kappa * (hi - lo))
+    return val if val.ndim else float(val)
+
+
+def green_kernel_matrix(grid, d, z, m=0.5):
+    """Whole-space free resolvent as a weight-scaled kernel matrix on the nodes of grid."""
+    r = grid.nodes
+    sw = np.sqrt(grid.weights)
+    return radial_green_kernel(d, z, r[:, None], r[None, :], m) * np.outer(sw, sw)
+
+
+def whole_space_q(v, z, m):
+    """Dense d=3 whole-space Q(z) = sqrt(V) R0(z) sqrt(V) of the grid function v, mass m.
+
+    The reference for the closed-form bidiagonal route of resonance() and
+    the two-resonance deficits; z = 0 is exact (kernel 2m min(r, r')).
+    """
+    sqv = np.sqrt(v.values)
+    q = green_kernel_matrix(v.grid, 3, z, m) * np.outer(sqv, sqv)
+    return 0.5 * (q + q.T)
 
 
 def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=100):

@@ -66,7 +66,7 @@ def test_criterion_01_birman_schwinger_principle():
         pot = BasePotential(prof, 1.0, 2.0)
         for lam in lams:
             v = GridFunction(g, lam * pot(g.nodes))
-            q = bs_operator(v, 1e-8, resolvent="grid", h0=h0)
+            q = bs_operator(v, 1e-8, h0)
             if bs_count_above_one(q) != negative_count_direct(h0, v):
                 mismatches += 1
     dt = time.time() - t0

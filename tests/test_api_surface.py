@@ -15,11 +15,11 @@ import pytest
 import zrange
 from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
-from zrange.operators import OperatorMatrix, TridiagonalOperator, radial_green_kernel
+from zrange.operators import OperatorMatrix, TridiagonalOperator
 from zrange.potentials import rollnik_norm
 from zrange.reports import ReportRow, write_report
 
-MAX_OPTIONS = 24
+MAX_OPTIONS = 20
 
 
 def _options():
@@ -71,13 +71,14 @@ def test_operators_carry_no_mass_field():
 
 
 _COLD_START = """
-import sys
+import importlib, pkgutil, sys
 import numpy as np
-import zrange, zrange.cli
+import zrange
+for info in pkgutil.iter_modules(zrange.__path__):
+    importlib.import_module(f"zrange.{info.name}")
 from zrange import operators
 from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
-from zrange.operators import radial_green_kernel
 from zrange.potentials import rollnik_norm
 
 def loaded():
@@ -88,8 +89,6 @@ g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
 print(repr(rollnik_norm(np.exp(-g.nodes**2), g)))
 ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
 print(repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist()))
-loaded()
-print(repr(radial_green_kernel(2, 0.3, g.nodes[:, None], g.nodes[None, :]).tolist()))
 loaded()
 import scipy.linalg.cython_lapack
 print(operators.cython_lapack is sys.modules["scipy.linalg.cython_lapack"] is scipy.linalg.cython_lapack)
@@ -113,15 +112,14 @@ def _fresh_interpreter(script: str) -> list:
 
 def test_import_leaves_scipy_special_to_first_use():
     # zrange reads LAPACK from cython_lapack's own file and eigensolves through
-    # numpy, so scipy.linalg's package init (about 0.1 s) never runs; only the
-    # d=2 Bessel kernel loads scipy.special, on first use
-    before, rollnik, spectrum, during, kernel, after, same_table = _fresh_interpreter(_COLD_START)
-    assert (before, during, after) == ("False False", "False False", "False True")
+    # numpy, so scipy.linalg's package init (about 0.1 s) never runs; no zrange
+    # module imports scipy.special, before or after a norm and a spectrum
+    before, rollnik, spectrum, after, same_table = _fresh_interpreter(_COLD_START)
+    assert (before, after) == ("False False", "False False")
     g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
     assert rollnik == repr(rollnik_norm(np.exp(-g.nodes**2), g))
     ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
     assert spectrum == repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist())
-    assert kernel == repr(radial_green_kernel(2, 0.3, g.nodes[:, None], g.nodes[None, :]).tolist())
     assert same_table == "True"
 
 

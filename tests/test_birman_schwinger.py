@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+import scipy.sparse.linalg
 from scipy.special import jn_zeros
 
 from zrange.grids import GridFunction, RadialGrid, build_grid
@@ -19,7 +20,7 @@ from zrange.birman_schwinger import (
 )
 from zrange.konno_kuroda import negative_count_direct
 
-from oracles import ladder_q0, shooting_critical_coupling, shoot_exterior_wave
+from oracles import ladder_q0, shooting_critical_coupling, shoot_exterior_wave, whole_space_q
 
 WELL = BasePotential("square_well", 1.0, 1.0)
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
@@ -31,7 +32,7 @@ BAD_SAMPLES = [float("nan"), float("inf"), -float("inf")]
 
 def _top(q):
     # the largest eigenvalue of a Birman-Schwinger matrix, from a dense eigvalsh
-    return scipy.linalg.eigvalsh(q.entries)[-1]
+    return scipy.linalg.eigvalsh(q)[-1]
 
 
 @pytest.fixture(scope="module")
@@ -39,76 +40,95 @@ def well_resonance():
     return find_resonance_coupling(WELL, UNSCALED, (1.0, 5.0))
 
 
+def _boxed(n=300, r_max=4.0):
+    # a linear grid, and the boxed d=3 H0 at mass 1/2 on it
+    g = build_grid(n, r_max, "linear")
+    return g, discretize_h0(g, 3, 0.5)
+
+
 # ---------------------------------------------------------------------------
-# bs_operator
+# bs_operator: the boxed grid route
 
 
 def test_zero_potential_gives_zero_matrix():
-    g = build_grid(100, 1.0, "linear")
-    q = bs_operator(GridFunction(g, np.zeros(100)), 1.0)
+    g, h0 = _boxed(100, 1.0)
+    q = bs_operator(GridFunction(g, np.zeros(100)), 1.0, h0)
     assert np.all(q.entries == 0.0)
 
 
 def test_negative_potential_rejected():
-    g = build_grid(50, 1.0, "linear")
+    g, h0 = _boxed(50, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        bs_operator(GridFunction(g, -np.ones(50)), 1.0)
+        bs_operator(GridFunction(g, -np.ones(50)), 1.0, h0)
 
 
 def test_z_floor_enforced():
-    g = build_grid(50, 1.0, "linear")
+    g, h0 = _boxed(50, 1.0)
     with pytest.raises(ValueError, match="floor"):
-        bs_operator(GridFunction(g, np.ones(50)), 1e-9)
+        bs_operator(GridFunction(g, np.ones(50)), 1e-9, h0)
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-9, float("nan")])
 def test_unknown_resolvent_is_named_before_z(z):
-    # z = 0 once raised the z-floor message, which names resolvent='exact'
-    g = build_grid(50, 1.0, "linear")
-    with pytest.raises(ValueError, match="resolvent must be 'exact' or 'grid'"):
-        bs_operator(GridFunction(g, np.ones(50)), z, resolvent="bogus")
+    g, h0 = _boxed(50, 1.0)
+    with pytest.raises(ValueError, match="resolvent must be 'grid'"):
+        bs_operator(GridFunction(g, np.ones(50)), z, h0, resolvent="bogus")
 
 
 @pytest.mark.parametrize("z", NON_FINITE)
 def test_non_finite_z_rejected(z):
-    g = build_grid(50, 1.0, "linear")
+    g, h0 = _boxed(50, 1.0)
     with pytest.raises(ValueError, match="floor"):
-        bs_operator(GridFunction(g, np.ones(50)), z)
+        bs_operator(GridFunction(g, np.ones(50)), z, h0)
 
 
 def test_zero_energy_operator_is_the_min_kernel():
-    # Q(0) = sqrt(w V) 2m min(r, r') sqrt(w V), exact in d=3 only
+    # the dense reference Q(0) = sqrt(w V) 2m min(r, r') sqrt(w V), exact in
+    # d=3 only; the boxed route has no z = 0
     g = build_grid(60, 2.0, "linear")
     v = GridFunction(g, GAUSS(g.nodes))
     b = np.sqrt(g.weights * v.values)
     for m in (0.5, 2.0):
-        q = bs_operator(v, 0.0, m=m).entries
+        q = whole_space_q(v, 0.0, m)
         assert np.allclose(q, 2.0 * m * np.minimum.outer(g.nodes, g.nodes) * np.outer(b, b), rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError, match="floor"):
-        bs_operator(v, 0.0, resolvent="grid")
+        bs_operator(v, 0.0, discretize_h0(g))
+
+
+@pytest.mark.parametrize("prof", ["gaussian", "square_well"])
+@pytest.mark.parametrize("z", [1e-8, 1.0, 10.0])
+def test_grid_route_is_the_boxed_resolvent_between_root_potentials(z, prof):
+    # Q(z) = sqrt(V) (H0 + z)^(-1) sqrt(V) entrywise, against a dense inverse
+    g, h0 = _boxed(200, 4.0)
+    v = GridFunction(g, 3.0 * BasePotential(prof, 1.0, 1.0)(g.nodes))
+    sqv = np.sqrt(v.values)
+    want = sqv[:, None] * np.linalg.inv(h0.entries + z * np.eye(g.n)) * sqv[None, :]
+    got = bs_operator(v, z, h0).entries
+    # measured <= 1.3e-14; H0 + z has condition number up to 2e4 here
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_top_eigenvalue_linear_in_coupling():
-    g = build_grid(300, 1.0, "linear")
+    g, h0 = _boxed()
     v1 = GridFunction(g, WELL(g.nodes))
     v2 = GridFunction(g, 2.0 * WELL(g.nodes))
-    t1 = _top(bs_operator(v1, 1e-6))
-    t2 = _top(bs_operator(v2, 1e-6))
-    assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
+    q1, q2 = bs_operator(v1, 1e-6, h0).entries, bs_operator(v2, 1e-6, h0).entries
+    assert np.abs(q2 - 2.0 * q1).max() <= 1e-14 * np.abs(q2).max()
+    assert _top(q2) == pytest.approx(2.0 * _top(q1), rel=1e-12)
 
 
 def test_square_well_top_eigenvalue_matches_critical_coupling():
     # at lam = 1 and z -> 0 the top eigenvalue is 1/lambda_c = 4/pi^2
     g = build_grid(800, 1.0, "linear")
     v = GridFunction(g, WELL(g.nodes))
-    top = _top(bs_operator(v, 1e-8))
+    top = _top(whole_space_q(v, 1e-8, 0.5))
     assert top == pytest.approx(4.0 / np.pi**2, rel=1e-3)
 
 
 def test_top_eigenvalue_nonincreasing_in_z():
-    g = build_grid(300, 1.0, "linear")
+    g, h0 = _boxed()
     v = GridFunction(g, 3.0 * WELL(g.nodes))
-    tops = [_top(bs_operator(v, z)) for z in (1e-6, 0.1, 1.0, 10.0)]
+    tops = [_top(bs_operator(v, z, h0).entries) for z in (1e-6, 0.1, 1.0, 10.0)]
     assert np.all(np.diff(tops) < 0)
 
 
@@ -123,26 +143,26 @@ def test_birman_schwinger_principle_exact_counts():
         pot = BasePotential(prof, 1.0, 2.0)
         for lam in rng.uniform(0.5, 10.0, 10):
             v = GridFunction(g, lam * pot(g.nodes))
-            q = bs_operator(v, 1e-8, resolvent="grid", h0=h0)
+            q = bs_operator(v, 1e-8, h0)
             assert bs_count_above_one(q) == negative_count_direct(h0, v)
 
 
 def test_grid_route_refuses_the_mass_that_h0_carries():
-    # h0 fixes the mass on the grid route: m=7 once returned the m=1/2 matrix
-    # of h0 bit for bit
+    # h0 carries the mass, and bs_operator takes no other: an m beside it
+    # once returned the m=1/2 matrix of h0 bit for bit
     g = build_grid(50, 5.0, "linear")
     v = GridFunction(g, GAUSS(g.nodes))
-    with pytest.raises(ValueError, match=r"resolvent='grid' takes m from h0, which carries it"):
-        bs_operator(v, 0.1, m=7.0, resolvent="grid", h0=discretize_h0(g, 3, 0.5))
+    with pytest.raises(TypeError, match="'m'"):
+        bs_operator(v, 0.1, discretize_h0(g, 3, 0.5), m=7.0)
 
 
 def test_exact_route_refuses_an_h0():
-    # the exact route once ignored h0 and returned the whole-space d=3, m=1/2
-    # matrix bit for bit, whatever dimension and mass h0 carried
+    # the whole-space route once ignored h0 and returned the d=3, m=1/2
+    # matrix bit for bit; it is gone, and naming it is refused
     g = build_grid(50, 5.0, "linear")
     v = GridFunction(g, GAUSS(g.nodes))
-    with pytest.raises(ValueError, match=r"takes no h0: use resolvent='grid'"):
-        bs_operator(v, 0.1, h0=discretize_h0(g, 2, 7.0))
+    with pytest.raises(ValueError, match="resolvent must be 'grid'"):
+        bs_operator(v, 0.1, discretize_h0(g, 2, 7.0), resolvent="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +189,7 @@ def test_half_critical_coupling_gives_half_top_eigenvalue(well_resonance):
     g = build_grid(800, 1.0, "linear")
     lam = well_resonance.lambda_critical / 2.0
     v = GridFunction(g, lam * WELL(g.nodes))
-    top = _top(bs_operator(v, 1e-8))
+    top = _top(whole_space_q(v, 1e-8, 0.5))
     assert top == pytest.approx(0.5, rel=1e-4)
 
 
@@ -191,6 +211,25 @@ def test_resonance_coupling_inverse_in_potential_scale(c):
     assert scaled.coupling == pytest.approx(base.coupling / c, rel=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [1e-6, 1e-7])
+def test_support_keeps_a_far_shell_that_q0_weighs(ratio):
+    # Two gaussian shells at r1 = ratio * r2 and r2 = 1, each the dilate
+    # c^-2 U(r/c) of one profile, so both weigh the same in Q(0).  The outer
+    # shell's V is ratio^2 of the inner one's peak; a cut by V alone dropped
+    # most of it and was off by 5.4e-4 and 3.5e-4.  The cut by Q(0)'s diagonal
+    # agrees with the dense Q(0) over every node with V > 0 (measured 3.8e-15)
+    def pot(r):
+        return sum(np.exp(-((r - c) / (0.25 * c)) ** 2) / c**2 for c in (ratio, 1.0))
+
+    g = build_grid(3000, 10.0, "logarithmic", r_min=1e-9)
+    vals = pot(g.nodes)
+    pos = vals > 0.0
+    v = GridFunction(RadialGrid(g.nodes[pos], g.weights[pos], g.spacing, g.r_max), vals[pos])
+    # the top of the dense Q(0) by Lanczos; its gap is 7e-4 relative at ratio 1e-7
+    want = scipy.sparse.linalg.eigsh(whole_space_q(v, 0.0, 0.5), k=1, which="LA", tol=0.0, return_eigenvectors=False)[0]
+    assert resonance(pot, g).q0 == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def _forbid(monkeypatch, targets):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense route called")
@@ -202,15 +241,13 @@ def _forbid(monkeypatch, targets):
 
 def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
     # q(0+) and phi come from the bidiagonal inverse root of Q(0): no dense
-    # Q, no Green-kernel matrix and no dense eigensolve
+    # Q, no boxed resolvent and no dense eigensolve
     _forbid(monkeypatch, [
         (birman_schwinger, "bs_operator"),
-        (birman_schwinger, "green_kernel_matrix"),
         (birman_schwinger, "_dense_eigenvalues"),
         (np.linalg, "eigvalsh"),
         (operators, "_dense_eigenvalues"),
-        (operators, "green_kernel_matrix"),
-        (operators, "radial_green_kernel"),
+        (operators.TridiagonalOperator, "inverse"),
         (np.linalg, "eigh"),
         (scipy.linalg, "eigh"),
     ])
@@ -224,7 +261,7 @@ def test_one_count_or_one_eigenvalue_takes_no_whole_spectrum(route, monkeypatch)
     # count or a bisection, never a whole spectrum
     g = build_grid(120, 5.8, "linear")
     v, h0 = GridFunction(g, 20.0 * GAUSS(g.nodes)), discretize_h0(g)
-    q = bs_operator(v, 0.1, resolvent="grid", h0=h0)
+    q = bs_operator(v, 0.1, h0)
     two_grid = build_grid(48, 30.0, "logarithmic", r_min=1e-3)
     run = {
         "resonance": lambda: resonance(GAUSS, g).q0,
@@ -249,7 +286,7 @@ def test_one_count_or_one_eigenvalue_takes_no_whole_spectrum(route, monkeypatch)
 @pytest.mark.parametrize("z", [0.0, 1e-8, 1.0, 1e3])
 def test_bidiagonal_top_eigenpair_matches_dense_eigh(prof, spacing, z):
     # The top eigenpair of the whole-space Q(z), and at z = 0 the resonance,
-    # against dense eigh of bs_operator.  Measured: <= 6.8e-14 for the top
+    # against dense eigh of the oracle's whole-space Q.  Measured: <= 6.8e-14 for the top
     # eigenvalue, 3.5e-15 for lambda_c and 9.8e-14 for the vector, where the
     # dense kernel loses digits to cancellation at kappa r ~ 1e-7.
     pot = BasePotential(prof, 1.0, 1.0)
@@ -259,7 +296,7 @@ def test_bidiagonal_top_eigenpair_matches_dense_eigh(prof, spacing, z):
         g = build_grid(1000, support_radius(pot, UNSCALED), "logarithmic", r_min=1e-6)
     v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
     k = v.grid.n
-    vals, vecs = scipy.linalg.eigh(bs_operator(v, z).entries, subset_by_index=[k - 1, k - 1])
+    vals, vecs = scipy.linalg.eigh(whole_space_q(v, z, 0.5), subset_by_index=[k - 1, k - 1])
     top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
     assert abs(top - vals[-1]) <= 1e-12 * vals[-1]
     assert np.abs(phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-10
@@ -275,7 +312,7 @@ def test_resonance_vector_survives_an_exactly_zero_pivot():
     pot, m = BasePotential("gaussian", 1.0, 0.5), 0.8793811931913805
     g = build_grid(160, support_radius(pot, UNSCALED), "linear")
     v = birman_schwinger._on_support(GridFunction(g, pot(g.nodes)))
-    vecs = scipy.linalg.eigh(bs_operator(v, 0.0, m=m).entries)[1]
+    vecs = scipy.linalg.eigh(whole_space_q(v, 0.0, m))[1]
     phi = resonance(pot, g, m).phi
     assert np.abs(phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-10
 
@@ -323,7 +360,7 @@ def test_smallest_supports_match_dense_eigh(n, z):
     # scipy's f2py dgttrf refused n = 2 ("unexpected array size")
     g = RadialGrid(np.array([0.5, 0.9, 1.2][:n]), np.array([0.3, 0.35, 0.3][:n]), "linear", 2.0)
     v = GridFunction(g, np.array([2.0, 1.5, 0.7][:n]))
-    vals, vecs = scipy.linalg.eigh(bs_operator(v, z).entries)
+    vals, vecs = scipy.linalg.eigh(whole_space_q(v, z, 0.5))
     top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
     assert abs(top - vals[-1]) <= 1e-12 * vals[-1]
     assert np.abs(phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-12
@@ -335,7 +372,7 @@ def test_resonance_on_a_two_node_support():
     pot = ScaledPotential(GAUSS, ScalingLaw(2, 0.4, 3))
     v = birman_schwinger._on_support(pot.on_grid(g))
     assert v.grid.n == 2
-    vals, vecs = scipy.linalg.eigh(bs_operator(v, 0.0).entries)
+    vals, vecs = scipy.linalg.eigh(whole_space_q(v, 0.0, 0.5))
     res = resonance(pot, g)
     assert res.coupling == pytest.approx(1.0 / vals[-1], rel=1e-12, abs=0.0)
     assert np.abs(res.phi - vecs[:, -1] * np.sign(vecs[:, -1].sum())).max() <= 1e-12
@@ -344,9 +381,10 @@ def test_resonance_on_a_two_node_support():
 
 @pytest.mark.parametrize("m", [0.0, -1.0, float("nan"), float("inf")])
 def test_bs_operator_names_a_bad_mass(m):
+    # the mass enters Q only through h0, which names a bad one
     g = build_grid(50, 1.0, "linear")
     with pytest.raises(ValueError, match="mass m must be finite and positive"):
-        bs_operator(GridFunction(g, np.ones(50)), 0.1, m=m)
+        bs_operator(GridFunction(g, np.ones(50)), 0.1, discretize_h0(g, 3, m))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +409,16 @@ def poisoned_scaled_potential(monkeypatch):
 @pytest.mark.parametrize("resolvent", ["exact", "grid"])
 @pytest.mark.parametrize("bad", BAD_SAMPLES)
 def test_bs_operator_names_a_non_finite_potential(bad, resolvent):
-    # before: "Q(z=0.1) has non-finite entries", with either resolvent
+    # before: "Q(z=0.1) has non-finite entries", with either resolvent.  The
+    # exact (whole-space) Q(z) is now the closed form of resonance(), which
+    # takes V through its support restriction
     g = build_grid(20, 1.0, "linear")
     v = GridFunction(g, _with_bad_sample(GAUSS(g.nodes), bad))
     with pytest.raises(ValueError, match="potential V has non-finite values"):
-        bs_operator(v, 0.1, resolvent=resolvent, h0=discretize_h0(g))
+        if resolvent == "exact":
+            birman_schwinger._whole_space_q0(birman_schwinger._on_support(v), 0.1, 0.5)
+        else:
+            bs_operator(v, 0.1, discretize_h0(g))
 
 
 @pytest.mark.parametrize("bad", BAD_SAMPLES)
@@ -411,7 +454,7 @@ def test_single_node_support_is_its_own_eigenpair(z):
     g = RadialGrid(np.array([0.5]), np.array([0.3]), "linear", 1.0)
     v = GridFunction(g, np.array([2.0]))
     top, phi = birman_schwinger._whole_space_top(v, z, 0.5)
-    assert top == pytest.approx(bs_operator(v, z).entries[0, 0], rel=1e-14)
+    assert top == pytest.approx(whole_space_q(v, z, 0.5)[0, 0], rel=1e-14)
     assert phi.tolist() == [1.0]
 
 
@@ -423,7 +466,7 @@ def test_two_resonance_diagonal_matches_dense_top_eigenvalue(well_resonance):
     v = GridFunction(g, lam * WELL(g.nodes))
     # q_top is 1 to 1e-3 here, so this is 1e-12 relative on q_top (measured 6e-14)
     for mat, z in zip(mats, TWO_RES_ZS):
-        top = _top(bs_operator(v, z))
+        top = _top(whole_space_q(v, z, 0.5))
         assert mat.diagonal == pytest.approx(top - 1.0, rel=0.0, abs=1e-12)
 
 

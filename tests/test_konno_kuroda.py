@@ -118,7 +118,7 @@ def test_non_tridiagonal_h0_rejected(box100):
         lambda: assemble_resolvent_diff(v, 1.0, h0=wide),
         lambda: direct_resolvent_diff(v, 1.0, h0=wide),
         lambda: negative_count_direct(wide, v),
-        lambda: bs_operator(v, 1.0, resolvent="grid", h0=wide),
+        lambda: bs_operator(v, 1.0, wide),
     ):
         with pytest.raises(ValueError, match="off its three diagonals"):
             call()
@@ -138,12 +138,12 @@ def test_h0_built_on_another_grid_rejected(box100):
         lambda: assemble_resolvent_diff(v, 1.0, h0=other),
         lambda: direct_resolvent_diff(v, 1.0, h0=other),
         lambda: negative_count_direct(other, v),
-        lambda: bs_operator(v, 1.0, resolvent="grid", h0=other),
+        lambda: bs_operator(v, 1.0, other),
     ):
         with pytest.raises(ValueError, match="another grid"):
             call()
-    with pytest.raises(ValueError, match="needs h0"):
-        bs_operator(v, 1.0, resolvent="grid")
+    with pytest.raises(TypeError, match="'h0'"):
+        bs_operator(v, 1.0)
     with pytest.raises(ValueError, match="carries no grid"):
         bare = TridiagonalOperator(h0.diag, h0.off, None)
         independence_spectrum_check(None, None, None, None, GAUSS, [0.4, 0.2], 1.0, bare)
@@ -216,7 +216,7 @@ def test_bs_count_matches_direct_over_coupling_sweep(box100):
     g, h0 = box100
     for lam in (0.5, 2.0, 5.0, 9.0):
         v = GridFunction(g, lam * BasePotential("square_well", 1.0, 2.0)(g.nodes))
-        q = bs_operator(v, 1e-8, resolvent="grid", h0=h0)
+        q = bs_operator(v, 1e-8, h0)
         assert bs_count_above_one(q) == negative_count_direct(h0, v)
 
 

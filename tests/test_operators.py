@@ -23,14 +23,12 @@ from zrange.operators import (
     TridiagonalOperator,
     check_symmetric,
     discretize_h0,
-    green_kernel_matrix,
     hyperradial_kinetic,
-    radial_green_kernel,
 )
 from zrange.limit_resolvent import ProductFreeResolvent, ProductGrid, assemble_w_eps
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw
 
-from oracles import _factor_d3, _factor_weighted
+from oracles import _factor_d3, _factor_weighted, green_kernel_matrix, radial_green_kernel
 
 
 def _random_symmetric(n, seed=0):
@@ -502,14 +500,14 @@ def test_tridiagonal_consumers_never_lay_out_the_dense_kinetic(monkeypatch):
     assemble_resolvent_diff(v, 1.0, h0=h0)
     direct_resolvent_diff(v, 1.0, h0=h0)
     independence_spectrum_check(None, None, None, None, BasePotential("gaussian", 1.0, 1.0), [0.4, 0.2], 1.0, h0)
-    bs_operator(v, 1.0, resolvent="grid", h0=h0)
+    bs_operator(v, 1.0, h0)
     monkeypatch.setattr(operators, "check_symmetric", forbidden)
     sweep = mass_sweep_2d([1.0, 2.0], 1.0, build_grid(300, 5e2, "logarithmic", r_min=1e-4))
     assert sweep.counts.min() >= 1
 
 
 # ---------------------------------------------------------------------------
-# radial_green_kernel
+# radial_green_kernel: the whole-space kernel oracle the dense references use
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double oracle")
