@@ -322,9 +322,11 @@ def _run_limit_resolvent(cfg):
 
 def _run_efimov(cfg):
     refine = _integer(cfg, "refine", 0, 0)
-    # tracemalloc peak over n = 100 ... 400: 5.1-5.8 n^2 floats, 5.1-5.2 (refine n)^2 when refined;
-    # 5.02-5.03 n^2 at n = 1000 and 1500, where the eigensolve takes the two-stage route
-    grid = _effective_grid(cfg, 7)
+    # tracemalloc peak: 3.0 n^2 floats at n = 100, where the run's fixed cost weighs most, 2.07-2.27 n^2
+    # at n = 200 ... 400 and 2.07-2.27 (refine n)^2 when refined, 2.07-2.11 n^2 at n = 1000 and 1500,
+    # where the eigensolve takes the two-stage route: the operator and the root or the eigensolver's
+    # copy; 4 leaves a third over the largest
+    grid = _effective_grid(cfg, 4)
     kind = _get(cfg, "kind", "contact_image")
     if kind not in KINDS:
         raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
@@ -334,7 +336,7 @@ def _run_efimov(cfg):
     if kind == "three_body_2d" and d != 2:
         raise ConfigError("kind", f"three_body_2d needs d = 2, got d = {d}")
     c_sweep = _numbers(cfg, "sweep", None)
-    _require_dense_fits(refine * grid.n, "refine", 7)
+    _require_dense_fits(refine * grid.n, "refine", 4)
     fine = build_grid(refine * grid.n, grid.r_max, "logarithmic", r_min=grid.r_min) if refine else None
     rows = []
     for c in c_sweep:
@@ -364,9 +366,9 @@ def _run_thresholds(cfg):
         raise ConfigError("sweep", f"dimensions must be 2 or 3, got {dims!r}")
     bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
     n = _integer(cfg, "grid.n", 300, MIN_GRID_NODES)
-    # tracemalloc peak over n = 100 ... 400: 20.2-22.0 n^2 floats, from the run at 2n
-    # and the U, V and 3n^2 workspace of its dbdsdc root
-    _require_dense_fits(n, "grid.n", 24)
+    # tracemalloc peak over n = 100 ... 400: 8.1-8.9 n^2 floats, the root of the run at 2n and
+    # its syrk, 2 (2n)^2; 11 leaves a quarter over the largest
+    _require_dense_fits(n, "grid.n", 11)
     rows = []
     for d in dims:
         rep = find_thresholds(kind, d, bracket, n=n)

@@ -92,6 +92,7 @@ def effective_operator(
         tail = np.where(r <= 1.0, np.log(1.0 / r), 0.0)
     w = _root_factor(grid, d, m)
     mat = w @ w.T
+    del w
     mat[np.diag_indices_from(mat)] -= C * tail  # in place: the matrix stays exactly symmetric
     return OperatorMatrix(mat, grid, label=label)
 

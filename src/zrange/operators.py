@@ -72,12 +72,15 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def check_symmetric(m: np.ndarray, label: str = "matrix", rtol: float = SYMMETRY_RTOL):
-    scale = np.abs(m).max()
-    if not np.isfinite(scale):
+    """Reject a matrix with a NaN or inf entry, or with max |m - m^T| above rtol times max |m|, using one n x n
+    temporary: the largest entry of the antisymmetric m - m^T is its largest in magnitude."""
+    hi, lo = m.max(), m.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError(f"{label} has non-finite entries")
+    scale = max(hi, -lo)
     if scale == 0.0:
         return
-    asym = np.abs(m - m.T).max()
+    asym = (m - m.T).max()
     if asym > rtol * scale:
         raise ValueError(f"{label} is not symmetric: rel asymmetry {asym / scale:.3e}")
 
@@ -213,17 +216,22 @@ class SpectrumReport:
 # (_gram_tridiagonal), which is carried as a TridiagonalOperator.  Eigenpairs
 # of K taken through the SVD of F keep relative accuracy ~ cond(F) * eps, not
 # cond(K) * eps = cond(F)^2 * eps, and cond(K) can exceed 1e15 on the
-# scale-bracketing grids the Efimov studies need.  LAPACK's bidiagonal
-# divide-and-conquer SVD (dbdsdc) gives singular values S and right vectors V;
-# for d=3 it takes F padded with a zero column as a square lower bidiagonal,
-# which it folds to upper form by Givens rotations from the left (V is kept).
-# sqrt(K) = V S V^T = W W^T with the root factor
-# W = V S^(1/2); numpy hands W @ W.T to BLAS syrk, half the flops of a
-# general product and exactly symmetric.  No dense O(n^3) Householder
-# reduction or back-transform is spent on a bidiagonal matrix.
-# scipy exports dbdsdc only as a Cython capsule, present in every scipy this
-# package supports (>= 1.10), so the shim has no dense fallback: it would be
-# a second path that never runs.
+# scale-bracketing grids the Efimov studies need.  sqrt(K) = Z Lambda^(1/2) Z^T
+# = W W^T with the root factor W = Z Lambda^(1/4), from the eigenpairs of K
+# taken on its factor: for d=3, n Givens rotations from the left fold F to an
+# n x n upper bidiagonal R with R^T R = F^T F, as dbdsqr and dbdsdc fold a
+# lower bidiagonal; dqds (dlasq1) gives R's singular values, Lambda = S^2, to
+# high relative accuracy; and MR^3 (dlarrv) gives Z from K = L D L^T,
+# D = R_ii^2, L[i+1, i] = R[i, i+1] / R_ii, which R defines to high relative
+# accuracy (Dhillon & Parlett, Linear Algebra Appl. 387 (2004) 1; Grosser &
+# Lang, Linear Algebra Appl. 358 (2003) 45).  Z is the only n x n array, where
+# the bidiagonal divide-and-conquer SVD (dbdsdc) holds U, V and a 3n^2
+# workspace as well; and on the d=3 threshold-ladder grid at r_min 1e-10
+# (n = 600) the inertia spectrum from dbdsdc's V is 5e-7 off the one from a
+# zero-shift QR (dbdsqr), where MR^3 agrees with it to 1.1e-13.  numpy hands
+# W @ W.T to BLAS syrk, half the flops of a general product and exactly
+# symmetric.  No dense O(n^3) Householder reduction or back-transform is spent
+# on a bidiagonal matrix.
 
 
 def _weighted_diagonals(grid: RadialGrid, k: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -331,10 +339,10 @@ def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
     pointer: pass bytes for a character, an int for an integer, a float for a double precision scalar, and a
     C-contiguous, writable array, overwritten in place, for the rest (any other array raises TypeError).  No
-    size is checked: each caller sizes its arrays.  It serves the LAPACK kernels numpy does not wrap: dbdsdc,
-    dgtsv, dgttrf, dgttrs, dlaebz, dstebz, dstevd, dsterf and dsytrf, all listed in cython_lapack's table at
-    every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7), which the table lacks and _lapack_routine finds by
-    symbol.  A routine this LAPACK lacks raises LookupError, naming it."""
+    size is checked: each caller sizes its arrays.  It serves the LAPACK kernels numpy does not wrap: dgtsv,
+    dgttrf, dgttrs, dlaebz, dlarrv, dlasq1, dstebz, dstevd, dsterf and dsytrf, all listed in cython_lapack's
+    table at every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7), which the table lacks and _lapack_routine
+    finds by symbol.  A routine this LAPACK lacks raises LookupError, naming it."""
     routine = _lapack_routine(name)
     if routine is None:
         raise LookupError(f"this LAPACK has no routine {name}")
@@ -407,41 +415,6 @@ def _count_above(a: np.ndarray, shift: float) -> int:
     return int(np.count_nonzero(buf.diagonal()[one] > 0.0) + np.count_nonzero(~one) // 2)
 
 
-def _dbdsdc(diag: np.ndarray, off: np.ndarray):
-    """Singular values s, descending, and right singular vectors V of a bidiagonal F = U diag(s) V^T.
-
-    F is n x n upper bidiagonal when off holds its n - 1 superdiagonal
-    entries, or (n+1) x n lower bidiagonal when off holds the n entries
-    F[i+1, i] (the d=3 kinetic factor).  The lower one is padded with a zero
-    column, a square lower bidiagonal that LAPACK folds itself (UPLO = 'L');
-    the padded singular value (0, lifted by dbdsdc to 0.9 * 2^-53 times the
-    largest entry) sorts last and is dropped with its vector and with V's
-    padded row, which is exactly 0.  V is returned with
-    the vectors as columns.  Raises LinAlgError when dbdsdc does not
-    converge, as np.linalg.svd does.
-    """
-    n = diag.size
-    if n < 1 or off.shape not in ((n - 1,), (n,)):
-        raise ValueError("bidiagonal needs n >= 1 diagonal and n - 1 (upper) or n (lower) off-diagonal entries")
-    lower = off.size == n
-    nb = n + lower
-    s = np.zeros(nb)  # diag, then the padding 0 of the lower layout; overwritten by the singular values
-    s[:n] = diag
-    e = np.array(off, dtype=float)
-    # Column-major VT read in C order is V itself.  Q and IQ are not referenced
-    # when COMPQ = 'I'.
-    # WORK before U and VT: in the other order, the (n+1)^2 blocks of the d=3
-    # calls fragment the heap, and find_thresholds' peak RSS grew by 5 MB at n = 600
-    work = np.empty(3 * nb * nb + 4 * nb)
-    u, v, q = np.empty((nb, nb)), np.empty((nb, nb)), np.empty(1)
-    iq = np.empty(1, dtype=np.intc)
-    iwork = np.empty(8 * nb, dtype=np.intc)
-    info = _lapack("dbdsdc", b"L" if lower else b"U", b"I", nb, s, e, u, nb, v, nb, q, iq, work, iwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"bidiagonal SVD did not converge (dbdsdc info {info})")
-    return s[:n], v[:n, :n]
-
-
 def _smallest_singular_value(gk: np.ndarray) -> float:
     """Smallest singular value of the n x n bidiagonal with diagonal gk[0::2] and off-diagonal gk[1::2].
 
@@ -462,9 +435,56 @@ def _smallest_singular_value(gk: np.ndarray) -> float:
     return float(w[0])
 
 
-def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
-    """W = V S^(1/2), a fresh array, from the bidiagonal SVD F = U S V^T: sqrt(H0) = W W^T."""
-    s, v = _dbdsdc(*_kinetic_diagonals(grid, d, m))
-    v *= np.sqrt(s)
-    return v
+def _upper_bidiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and superdiagonal of the n x n upper bidiagonal R with R^T R = F^T F, F as _kinetic_diagonals
+    gives it.  An upper F is R.  A lower (n+1) x n F is folded by n Givens rotations from the left: rotation
+    i mixes rows i and i+1 to zero F[i+1, i], and the last leaves row n zero."""
+    n = diag.size
+    if off.size < n:
+        return diag, off
+    d, e = diag.tolist(), off.tolist()
+    r, s = np.empty(n), np.empty(n - 1)
+    for i in range(n):
+        r[i] = rho = math.hypot(d[i], e[i])
+        if i + 1 < n:
+            s[i] = e[i] / rho * d[i + 1]
+            d[i + 1] *= d[i] / rho
+    return r, s
 
+
+def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
+    """W = Z Lambda^(1/4), a fresh n x n array (Fortran order), from the eigenpairs K Z = Z Lambda of the
+    kinetic K = R^T R: sqrt(H0) = W W^T.  Lambda = S^2 from R's singular values by dqds (LAPACK dlasq1); Z by
+    MR^3 (dlarrv) from K = L D L^T with shift 0, given Lambda ascending, its error bounds WERR and gaps WGAP,
+    the Gerschgorin intervals and PIVMIN as dlarre and dstemr set them.  WERR is dlarre's estimate of dqds's
+    relative error, 4 ln(n) eps, doubled for the square (4 eps took dlarrv twice as long at n = 2000, to the
+    same accuracy).  Raises LinAlgError, naming the routine, when either fails."""
+    r, s = _upper_bidiagonal(*_kinetic_diagonals(grid, d, m))
+    n = r.size
+    sigma = np.array(r)  # overwritten by the singular values, descending
+    info = _lapack("dlasq1", n, sigma, np.append(s, 0.0), np.empty(4 * n))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"bidiagonal singular values did not converge (dlasq1 info {info})")
+    lam = sigma[::-1] ** 2
+    eps = np.finfo(float).eps
+    werr = 8.0 * math.log(n) * eps * lam
+    kd, ko = _gram_tridiagonal(r, s)
+    ko = np.abs(ko)
+    radius = np.append(ko, 0.0) + np.append(0.0, ko)
+    gers = np.ravel([kd - radius, kd + radius], order="F")  # (lower, upper) of each row
+    vl, vu = float(gers[0::2].min()), float(gers[1::2].max())
+    wgap = np.append(lam[1:] - werr[1:] - lam[:-1] - werr[:-1], vu - lam[-1] - werr[-1]).clip(0.0)
+    pivmin = np.finfo(float).tiny * max(1.0, ko.max() ** 2)
+    # L's subdiagonal, then the block's shift
+    sub = np.append(s / r[:-1], 0.0)
+    # column-major Z read in C order is Z^T: row j is eigenvector j
+    z = np.empty((n, n))
+    iblock, indexw = np.ones(n, dtype=np.intc), np.arange(1, n + 1, dtype=np.intc)
+    isuppz, work, iwork = np.empty(2 * n, dtype=np.intc), np.empty(12 * n), np.empty(7 * n, dtype=np.intc)
+    rtol1, rtol2 = math.sqrt(eps), max(5e-3 * math.sqrt(eps), 4.0 * eps)
+    info = _lapack("dlarrv", n, vl, vu, r * r, sub, pivmin, np.array([n], dtype=np.intc), n, 1, n, 1e-3, rtol1, rtol2,
+                   np.array(lam), werr, wgap, iblock, indexw, gers, z, n, isuppz, work, iwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvectors of the factored kinetic failed (dlarrv info {info})")
+    z *= np.sqrt(np.sqrt(lam))[:, None]
+    return z.T

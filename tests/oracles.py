@@ -8,11 +8,13 @@ Birman-Schwinger matrix built on them, a classical Jacobi rotation
 eigensolver, and brute-force quadrature helpers (the radial L1 trapezoid,
 and the Rollnik integral as the eight-term cell-pair sum on dense n x n
 arrays), the kinetic difference factors assembled entry by entry in a loop,
-and the Mellin symbol of the contact image from the Gamma function.  The oracles stay
-independent of the code paths they check.  The helpers for the zero-range
-limit at the end take the package's product-grid free resolvent as given and
-build the rest themselves; the four-term Konno-Kuroda split of W_eps is built
-from its public applies.
+the root factor of the kinetic square root by zero-shift QR (LAPACK dbdsqr,
+called through the package's LAPACK caller), and the Mellin symbol of the
+contact image from the Gamma function.  The oracles stay independent of the
+code paths they check.  The helpers for the zero-range limit at the end take
+the package's product-grid free resolvent as given and build the rest
+themselves; the four-term Konno-Kuroda split of W_eps is built from its
+public applies.
 """
 
 import numpy as np
@@ -203,6 +205,27 @@ def _factor_weighted(nodes: np.ndarray, weight_fn, power: float) -> np.ndarray:
     h_last = nodes[-1] - nodes[-2]
     f[n - 1, n - 1] = np.sqrt(weight_fn(nodes[-1] + 0.5 * h_last) / h_last) * scale[-1]
     return f
+
+
+def qr_root_factor(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """W = V S^(1/2), sqrt(F^T F) = W W^T, from the singular values S and right vectors V of the bidiagonal F
+    by zero-shift QR (LAPACK dbdsqr with NRU = 0 and NCVT = n: V alone; Demmel & Kahan, SIAM J. Sci. Stat.
+    Comput. 11 (1990) 873).  F as operators._kinetic_diagonals gives it.  The (n+1) x n lower one is padded
+    with a zero column, which dbdsqr folds to upper form itself; its singular value 0 sorts last and is
+    dropped with its vector and with V's padded row, both exactly 0 off the padding."""
+    from zrange.operators import _lapack
+
+    n = diag.size
+    lower = off.size == n
+    nb = n + lower
+    s = np.zeros(nb)
+    s[:n] = diag
+    vt = np.eye(nb)  # column-major VT read in C order is V, the vectors as columns
+    info = _lapack("dbdsqr", b"L" if lower else b"U", nb, nb, 0, 0, s, np.array(off, dtype=float), vt, nb,
+                   np.empty(1), 1, np.empty(1), 1, np.empty(4 * nb))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zero-shift QR did not converge (dbdsqr info {info})")
+    return vt[:n, :n] * np.sqrt(s[:n])
 
 
 def trapezoid_l1_radial(values, nodes, d=3):

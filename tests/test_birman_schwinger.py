@@ -275,8 +275,8 @@ def test_one_count_or_one_eigenvalue_takes_no_whole_spectrum(route, monkeypatch)
         (birman_schwinger, "_dense_eigenvalues"),
         (konno_kuroda, "_dense_eigenvalues"),
         (operators.TridiagonalOperator, "eigenvalues"),
-        (operators, "_dbdsdc"),
-        (birman_schwinger, "_dbdsdc"),
+        (operators, "_root_factor"),
+        (birman_schwinger, "_root_factor"),
     ])
     assert run() > 0
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -17,7 +19,7 @@ from zrange.efimov import (
     operator_spectrum,
 )
 
-from oracles import contact_symbol, jacobi_eigenvalues
+from oracles import contact_symbol, jacobi_eigenvalues, qr_root_factor
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +196,36 @@ def test_inertia_spectrum_is_numpy_eigvalsh_bit_for_bit(d):
     assert np.array_equal(_inertia_spectrum(d, g), np.linalg.eigvalsh(x @ x.T))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n,r_min", [(300, efimov.THRESHOLD_R_MIN * 10.0**-k) for k in range(7)] + [(8, 1e-4)])
+def test_inertia_spectrum_matches_a_zero_shift_qr_root(d, n, r_min):
+    # the threshold ladder's grids, against the root by zero-shift QR: measured <= 5.2e-14, where the
+    # root by divide and conquer (dbdsdc) was 3.5e-7 off (d = 3) and 1.0e-12 off (d = 2) at r_min 1e-10
+    g = build_grid(n, efimov.THRESHOLD_R_MAX, "logarithmic", r_min=r_min)
+    x = qr_root_factor(*operators._kinetic_diagonals(g, d, 0.5)) * np.sqrt(g.nodes)[:, None]
+    ref = np.linalg.eigvalsh(x @ x.T)
+    assert np.all(np.abs(_inertia_spectrum(d, g) - ref) <= 1e-12 * ref)
+
+
+def test_root_and_tower_spectrum_hold_few_dense_arrays():
+    # tracemalloc peaks in n x n doubles at n = 1000, measured 1.0 for the root and 2.1 for the operator
+    # and its spectrum (the operator with the root, then with the eigensolver's copy); the root by
+    # divide and conquer (dbdsdc) held U, V and a 3n^2 workspace, 5.0 for each
+    n = 1000
+    g = build_grid(n, 1e2, "logarithmic", r_min=1e-4)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: operators._root_factor(g, 3, 0.5)) <= 1.2
+    assert peak(lambda: operator_spectrum(effective_operator("contact_image", 2.0, 3, g))) <= 2.5
+
+
 def test_contact_symbol_closed_forms():
     tau = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
     assert np.allclose(contact_symbol(3, tau), tau / np.tanh(0.5 * np.pi * tau), rtol=1e-13, atol=0.0)
@@ -233,7 +265,7 @@ def test_tower_ratio_matches_the_mellin_symbol(deep_log_grid, d, c):
 
 
 def test_thresholds_build_no_dense_factor_or_operator(monkeypatch):
-    # each ladder grid costs one bidiagonal SVD, one syrk and one eigensolve:
+    # each ladder grid costs one kinetic root, one syrk and one eigensolve:
     # no dense kinetic matrix, no effective operator, no symmetry check
     def forbidden(*args, **kwargs):
         raise AssertionError("dense side pass on the threshold path")

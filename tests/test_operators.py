@@ -44,7 +44,7 @@ def test_asymmetric_input_rejected():
         OperatorMatrix(m, None)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(3, 3), (2, 7)])
 def test_non_finite_entries_rejected(bad, entry):
     # a NaN or inf makes every comparison with the tolerance false
@@ -330,7 +330,7 @@ def test_every_lapack_routine_the_package_calls_resolves():
     # a routine this LAPACK lacks would fail only when its caller first runs
     src = Path(operators.__file__).parent
     names = {name for f in src.glob("*.py") for name in re.findall(r'_lapack(?:_routine)?\(\s*"(\w+)"', f.read_text())}
-    assert {"dsytrf", "dlaebz", "dstebz", "dbdsdc", "dsterf"} <= names
+    assert {"dsytrf", "dlaebz", "dstebz", "dlasq1", "dlarrv", "dsterf"} <= names
     assert [name for name in sorted(names) if operators._lapack_routine(name) is None] == []
 
 
@@ -632,7 +632,7 @@ def test_kernel_grid_refinement_converges():
 
 
 def _kinetic_root(g, d, m):
-    # sqrt(H0) = W W^T from the root factor W = V S^(1/2)
+    # sqrt(H0) = W W^T from the root factor W = Z Lambda^(1/4)
     w = operators._root_factor(g, d, m)
     return w @ w.T
 
@@ -654,5 +654,20 @@ def test_sqrt_kinetic_matches_dense_svd_of_factor(d):
     root = _kinetic_root(g, d, 0.5)
     assert np.array_equal(root, root.T)
     assert np.abs(root - ref).max() <= 1e-13 * np.abs(ref).max()
-    s, _ = operators._dbdsdc(*operators._kinetic_diagonals(g, d, 0.5))
+    # column j of W is Lambda_j^(1/4) = s_j^(1/2) times a unit vector
+    s = np.sort(np.linalg.norm(operators._root_factor(g, d, 0.5), axis=0) ** 2)[::-1]
     assert np.all(np.abs(s - s_ref) <= 1e-12 * s_ref)
+
+
+@pytest.mark.parametrize("routine", ["dlasq1", "dlarrv"])
+def test_a_failed_root_routine_is_named(routine, monkeypatch):
+    # the root has no second route: a failure of either LAPACK step surfaces
+    lapack = operators._lapack
+
+    def failing(name, *args):
+        info = lapack(name, *args)
+        return 2 if name == routine else info
+
+    monkeypatch.setattr(operators, "_lapack", failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} info 2"):
+        operators._root_factor(build_grid(50, 2e2, "logarithmic", r_min=1e-4), 3, 0.5)
