@@ -1,7 +1,6 @@
 """Command-line driver: every study as a reproducible batch command.
 
     zrange <command> --config cfg.json [--out DIR] [--grid-n N] [--rmax X]
-                     [--refine K]
 
 Configuration is a single JSON object; command-line flags override the
 corresponding config fields.  Each run writes one CSV (a row per parameter
@@ -139,10 +138,6 @@ def _require_fits(n_floats: int, field: str, what: str):
         raise ConfigError(field, f"{what} needs more than the {memory / 2**30:.3g} GiB of memory")
 
 
-def _require_dense_fits(n: int, field: str, copies: int):
-    _require_fits(copies * max(n, 0) ** 2, field, f"{copies} x a dense {n} x {n} matrix")
-
-
 def _grid(cfg: dict, copies: int = 0, per_node: int = 0):
     """The config's grid, once copies dense n x n matrices, or per_node floats per node, are known to fit."""
     n = _integer(cfg, "grid.n", None, MIN_GRID_NODES)
@@ -273,7 +268,7 @@ def _run_additivity(cfg):
 
 
 def _run_independence(cfg):
-    # tracemalloc peak over n = 100 ... 300: 5.2-5.9 n^2 floats
+    # tracemalloc peak over n = 100 ... 300: 4.0-4.4 n^2 floats
     grid = _grid(cfg, 7)
     v1 = _potential(cfg, "potential") if _get(cfg, "potential") else None
     law1 = _law(cfg, "law", required=False) if v1 else None
@@ -321,12 +316,12 @@ def _run_limit_resolvent(cfg):
 
 
 def _run_efimov(cfg):
-    refine = _integer(cfg, "refine", 0, 0)
-    # tracemalloc peak: 3.0 n^2 floats at n = 100, where the run's fixed cost weighs most, 2.07-2.27 n^2
-    # at n = 200 ... 400 and 2.07-2.27 (refine n)^2 when refined, 2.07-2.11 n^2 at n = 1000 and 1500,
-    # where the eigensolve takes the two-stage route: the operator and the root or the eigensolver's
-    # copy; 4 leaves a third over the largest
-    grid = _effective_grid(cfg, 4)
+    # peak resident memory over n = 100 ... 1500 (getrusage maxrss in a fresh process after a warm-up,
+    # which also sees the buffers numpy.linalg allocates): 4.0-4.5 n^2 floats at n = 250 ... 350,
+    # 3.6-3.8 n^2 at n = 200 and 400 ... 900, 2.1-2.7 n^2 below and from n = 1000 on, where the
+    # eigensolve takes the two-stage route: the operator and the root or the eigensolver's copy; 6
+    # leaves a third over the largest
+    grid = _effective_grid(cfg, 6)
     kind = _get(cfg, "kind", "contact_image")
     if kind not in KINDS:
         raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
@@ -336,14 +331,12 @@ def _run_efimov(cfg):
     if kind == "three_body_2d" and d != 2:
         raise ConfigError("kind", f"three_body_2d needs d = 2, got d = {d}")
     c_sweep = _numbers(cfg, "sweep", None)
-    _require_dense_fits(refine * grid.n, "refine", 4)
-    fine = build_grid(refine * grid.n, grid.r_max, "logarithmic", r_min=grid.r_min) if refine else None
     rows = []
     for c in c_sweep:
         rep = operator_spectrum(effective_operator(kind, c, d, grid))
         values = {"C": c, "n_negative": rep.count_negative, "grid_n": grid.n, "r_min": grid.r_min, "r_max": grid.r_max}
         try:
-            geo = geometric_ratio(operator_spectrum(effective_operator(kind, c, d, fine)) if refine else rep)
+            geo = geometric_ratio(rep)
             values.update(ratio=geo.ratio, deviation=geo.deviation, classification=geo.classification)
             status = "ok"
         except ValueError:
@@ -366,9 +359,10 @@ def _run_thresholds(cfg):
         raise ConfigError("sweep", f"dimensions must be 2 or 3, got {dims!r}")
     bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
     n = _integer(cfg, "grid.n", 300, MIN_GRID_NODES)
-    # tracemalloc peak over n = 100 ... 400: 8.1-8.9 n^2 floats, the root of the run at 2n and
-    # its syrk, 2 (2n)^2; 11 leaves a quarter over the largest
-    _require_dense_fits(n, "grid.n", 11)
+    # peak resident memory, measured as for efimov, from the run at 2n: 12.4-14.6 n^2 floats over
+    # n = 100 ... 400 and 9.5-10.5 n^2 at n = 500 ... 800, where the eigensolve at 2n takes the
+    # two-stage route; 20 leaves a third over the largest
+    _require_fits(20 * n**2, "grid.n", f"20 x a dense {n} x {n} matrix")
     rows = []
     for d in dims:
         rep = find_thresholds(kind, d, bracket, n=n)
@@ -451,7 +445,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config output_path or '.')")
     parser.add_argument("--grid-n", type=int, default=None, help="override grid.n")
     parser.add_argument("--rmax", type=float, default=None, help="override grid.r_max")
-    parser.add_argument("--refine", type=int, default=None, help="override refinement factor")
     args = parser.parse_args(argv)
 
     try:
@@ -471,8 +464,6 @@ def main(argv=None) -> int:
         config.setdefault("grid", {})["n"] = args.grid_n
     if args.rmax is not None:
         config.setdefault("grid", {})["r_max"] = args.rmax
-    if args.refine is not None:
-        config["refine"] = args.refine
     out_dir = args.out or config.get("output_path") or "."
 
     try:

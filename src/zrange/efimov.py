@@ -120,7 +120,9 @@ def _inertia_spectrum(d: int, grid: RadialGrid) -> np.ndarray:
     _require_scale_bracketing(grid)
     x = _root_factor(grid, d, 0.5)
     x *= np.sqrt(grid.nodes)[:, None]
-    return _dense_eigenvalues(x @ x.T)
+    a = x @ x.T
+    del x  # freed before the eigensolve allocates its copy and workspace
+    return _dense_eigenvalues(a)
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:
@@ -196,44 +198,23 @@ def find_thresholds(kind: str, d: int, bracket: tuple, n: int) -> ThresholdRepor
 # geometric ratio and classification
 
 
-def geometric_ratio(
-    spectrum: SpectrumReport,
-    refined_rmax: SpectrumReport | None = None,
-    refined_rmin: SpectrumReport | None = None,
-) -> GeometricRatio:
+def geometric_ratio(spectrum: SpectrumReport) -> GeometricRatio:
     """Geometric statistics of the negative spectrum.
 
-    ratio is the geometric mean of successive |E_{n+1}| / |E_n| with the two
-    extreme eigenvalues excluded; deviation is the maximal relative spread,
-    and a tower whose deviation exceeds GEOMETRIC_DEVIATION_TOL is not
-    geometric.
-    Classification needs cutoff-response evidence: enlarging r_max must add
-    shallow states at the same ratio (Efimov side), shrinking r_min must
-    deepen the lowest state by the same ratio (Thomas side).  Without
-    companion spectra a geometric tower is reported as Efimov, since the
-    negative eigenvalues accumulate at zero on the given grid.
+    ratio is the geometric mean of the successive depth ratios
+    |E_{n+1}| / |E_n| with the two extreme eigenvalues excluded; deviation is
+    the largest relative spread of those inner ratios about it.  A tower whose
+    deviation exceeds GEOMETRIC_DEVIATION_TOL is not_geometric; any other is
+    efimov, since its negative eigenvalues accumulate at zero on the given
+    grid.
     """
     neg = spectrum.eigenvalues[spectrum.eigenvalues < 0.0]
     if neg.size < 4:
         raise ValueError(f"need at least 4 negative eigenvalues, have {neg.size}")
-    depths = np.abs(neg)  # ascending eigenvalues -> decreasing depth
-    ratios = spectrum.ratios
-    inner = ratios[1:-1] if ratios.size > 2 else ratios
+    inner = neg[2:-1] / neg[1:-2]  # deepest first: each compares the next shallower level
     ratio = float(np.exp(np.mean(np.log(inner))))
     deviation = float(np.max(np.abs(inner / ratio - 1.0)))
-    if deviation > GEOMETRIC_DEVIATION_TOL:
-        return GeometricRatio(ratio, deviation, "not_geometric")
-
-    classification = "efimov"
-    if refined_rmin is not None:
-        neg_rm = refined_rmin.eigenvalues[refined_rmin.eigenvalues < 0.0]
-        if neg_rm.size and np.abs(neg_rm).max() >= depths.max() / math.sqrt(ratio):
-            classification = "thomas"
-    if refined_rmax is not None:
-        neg_rx = refined_rmax.eigenvalues[refined_rmax.eigenvalues < 0.0]
-        if neg_rx.size > neg.size:
-            classification = "efimov"
-    return GeometricRatio(ratio, deviation, classification)
+    return GeometricRatio(ratio, deviation, "not_geometric" if deviation > GEOMETRIC_DEVIATION_TOL else "efimov")
 
 
 # ---------------------------------------------------------------------------

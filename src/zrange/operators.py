@@ -189,21 +189,17 @@ class TridiagonalOperator:
 
 @dataclass
 class SpectrumReport:
-    """Sorted eigenvalues with negative count and successive depth ratios."""
+    """Sorted eigenvalues with their negative count."""
 
     eigenvalues: np.ndarray
     count_negative: int
-    ratios: np.ndarray
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues) -> "SpectrumReport":
         ev = np.sort(np.asarray(eigenvalues, dtype=float))
         if not np.isfinite(ev).all():
             raise ValueError("spectrum report needs finite eigenvalues")
-        neg = ev[ev < 0.0]
-        # Deepest state first; each ratio compares the next shallower level.
-        ratios = np.abs(neg[1:]) / np.abs(neg[:-1]) if neg.size >= 2 else np.empty(0)
-        return cls(ev, int(neg.size), ratios)
+        return cls(ev, int(np.count_nonzero(ev < 0.0)))
 
 
 # ---------------------------------------------------------------------------

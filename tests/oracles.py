@@ -11,7 +11,9 @@ arrays), the kinetic difference factors assembled entry by entry in a loop,
 the root factor of the kinetic square root by zero-shift QR (LAPACK dbdsqr,
 called through the package's LAPACK caller), and the Mellin symbol of the
 contact image from the Gamma function.  The oracles stay independent of the
-code paths they check.  The helpers for the zero-range limit at the end take
+code paths they check.  The independence discrepancy reads its levels from
+dense resolvents (E = 1/mu - z), taking the banded inverses of the
+package's H0 as given.  The helpers for the zero-range limit at the end take
 the package's product-grid free resolvent as given and build the rest
 themselves; the four-term Konno-Kuroda split of W_eps is built from its
 public applies.
@@ -146,6 +148,25 @@ def whole_space_q(v, z, m):
     sqv = np.sqrt(v.values)
     q = green_kernel_matrix(v.grid, 3, z, m) * np.outer(sqv, sqv)
     return 0.5 * (q + q.T)
+
+
+def resolvent_levels(res, z, k):
+    """The k lowest levels above -z of the Hamiltonian H whose resolvent (H + z)^(-1) is the dense res:
+    E = 1/mu - z for the positive ones among its k largest eigenvalues mu."""
+    mu = np.linalg.eigvalsh(0.5 * (res + res.T))
+    top = mu[-k:][::-1]
+    return 1.0 / top[top > 0.0] - z
+
+
+def resolvent_independence_discrepancy(h0, parts, z, k):
+    """max |E_full - E_pred| over the k lowest levels above -z, each read from a dense resolvent: the full
+    (H0 - sum(parts) + z)^(-1) against R0 + sum over parts p of (H0 - p + z)^(-1) - R0, R0 = (H0 + z)^(-1)."""
+    r0 = h0.inverse(z)
+    pred = r0 + sum(h0.inverse(z - p) - r0 for p in parts)
+    e_full = resolvent_levels(h0.inverse(z - np.sum(parts, axis=0)), z, k)
+    e_pred = resolvent_levels(pred, z, k)
+    m = min(e_full.size, e_pred.size)
+    return float(np.max(np.abs(e_full[:m] - e_pred[:m]))) if m else 0.0
 
 
 def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=100):

@@ -19,7 +19,7 @@ from zrange.operators import OperatorMatrix, TridiagonalOperator
 from zrange.potentials import rollnik_norm
 from zrange.reports import ReportRow, write_report
 
-MAX_OPTIONS = 20
+MAX_OPTIONS = 18
 
 
 def _options():

