@@ -11,6 +11,7 @@ from .operators import (
     OperatorMatrix,
     SingularSystemError,
     SpectrumReport,
+    SquareRootOperator,
     TridiagonalOperator,
     discretize_h0,
     hyperradial_kinetic,

@@ -316,11 +316,11 @@ def _run_limit_resolvent(cfg):
 
 
 def _run_efimov(cfg):
-    # peak resident memory over n = 100 ... 1500 (getrusage maxrss in a fresh process after a warm-up,
-    # which also sees the buffers numpy.linalg allocates): 4.0-4.5 n^2 floats at n = 250 ... 350,
-    # 3.6-3.8 n^2 at n = 200 and 400 ... 900, 2.1-2.7 n^2 below and from n = 1000 on, where the
-    # eigensolve takes the two-stage route: the operator and the root or the eigensolver's copy; 6
-    # leaves a third over the largest
+    # peak resident memory over n = 100 ... 1500 (getrusage maxrss of a fresh process, after a warm-up
+    # run on a 50-node grid, less the resident memory before the measured run; it also sees the memory
+    # the allocator keeps, which dominates below n = 400): 2.8-3.8 n^2 floats below n = 400, 1.4-2.2 n^2
+    # from there on, where one array holds the root, the operator and its eigensolve; 6 leaves a third
+    # over the largest
     grid = _effective_grid(cfg, 6)
     kind = _get(cfg, "kind", "contact_image")
     if kind not in KINDS:
@@ -359,10 +359,9 @@ def _run_thresholds(cfg):
         raise ConfigError("sweep", f"dimensions must be 2 or 3, got {dims!r}")
     bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
     n = _integer(cfg, "grid.n", 300, MIN_GRID_NODES)
-    # peak resident memory, measured as for efimov, from the run at 2n: 12.4-14.6 n^2 floats over
-    # n = 100 ... 400 and 9.5-10.5 n^2 at n = 500 ... 800, where the eigensolve at 2n takes the
-    # two-stage route; 20 leaves a third over the largest
-    _require_fits(20 * n**2, "grid.n", f"20 x a dense {n} x {n} matrix")
+    # peak resident memory, measured as for efimov, from the run at 2n: 10.4-13.8 n^2 floats over
+    # n = 100 ... 180 and 5.9-7.8 n^2 at n = 200 ... 800; 19 leaves a third over the largest
+    _require_fits(19 * n**2, "grid.n", f"19 x a dense {n} x {n} matrix")
     rows = []
     for d in dims:
         rep = find_thresholds(kind, d, bracket, n=n)
@@ -412,18 +411,20 @@ def _run_mass_sweep(cfg):
     return ["m", "n_negative", "shallowest_abs_e", "deepest_abs_e"], rows, agg
 
 
+# each command's runner and the top-level fields it reads; main's command and output_path go with every one,
+# and any other field is refused, so a stale or misspelt field is named instead of ignored
 _RUNNERS = {
-    "scale-norms": _run_scale_norms,
-    "resonance": _run_resonance,
-    "kk-verify": _run_kk_verify,
-    "cross-term": _run_cross_term,
-    "additivity": _run_additivity,
-    "independence": _run_independence,
-    "limit-resolvent": _run_limit_resolvent,
-    "efimov": _run_efimov,
-    "thresholds": _run_thresholds,
-    "kernel22": _run_kernel22,
-    "mass-sweep": _run_mass_sweep,
+    "scale-norms": (_run_scale_norms, ("potential", "law", "grid", "sweep")),
+    "resonance": (_run_resonance, ("potential", "law", "bracket", "grid", "mass")),
+    "kk-verify": (_run_kk_verify, ("potential", "law", "grid", "sweep", "mass")),
+    "cross-term": (_run_cross_term, ("potential", "law", "u_potential", "u_law", "grid", "sweep")),
+    "additivity": (_run_additivity, ("potential", "law", "v3_potential", "grid", "sweep")),
+    "independence": (_run_independence, ("grid", "potential", "law", "v2_potential", "v2_law", "v3_potential", "sweep", "z")),
+    "limit-resolvent": (_run_limit_resolvent, ("n_test_functions", "grid", "potential", "mass", "z", "sweep", "seed")),
+    "efimov": (_run_efimov, ("grid", "kind", "d", "sweep")),
+    "thresholds": (_run_thresholds, ("kind", "sweep", "bracket", "grid")),
+    "kernel22": (_run_kernel22, ("sweep",)),
+    "mass-sweep": (_run_mass_sweep, ("grid", "c", "sweep")),
 }
 COMMANDS = tuple(_RUNNERS)
 
@@ -433,7 +434,11 @@ def run(config: dict, out_dir) -> int:
     command = config.get("command")
     if command not in COMMANDS:
         raise ConfigError("command", f"unknown command {command!r}, expected one of {COMMANDS}")
-    columns, rows, aggregates = _RUNNERS[command](config)
+    runner, fields = _RUNNERS[command]
+    unknown = sorted(set(config) - {"command", "output_path", *fields})
+    if unknown:
+        raise ConfigError(unknown[0], f"{command} has no such field; its fields are {', '.join(sorted(fields))}")
+    columns, rows, aggregates = runner(config)
     write_report(Path(out_dir), command, columns, rows, config, aggregates)
     return 0
 

@@ -23,7 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import RadialGrid, build_grid
-from .operators import OperatorMatrix, SpectrumReport, TridiagonalOperator, _check_positive, _dense_eigenvalues, _root_factor, hyperradial_kinetic
+from .operators import (
+    SpectrumReport,
+    SquareRootOperator,
+    TridiagonalOperator,
+    _check_positive,
+    _eigenvalues_in_place,
+    _gram_in_place,
+    _kinetic_diagonals,
+    _root_factor,
+    hyperradial_kinetic,
+)
 
 KINDS = ("contact_image", "weak_image", "three_body_2d")
 THRESHOLD_REL_TOL, REFINE_FACTOR = 1e-3, 2  # C1 bisection tolerance; node factor of the refined run
@@ -72,8 +82,13 @@ def _require_scale_bracketing(grid: RadialGrid):
 
 def effective_operator(
     kind: str, C: float, d: int, grid: RadialGrid, m: float = 0.5
-) -> OperatorMatrix | TridiagonalOperator:
-    """Assemble one of the effective singular operators on a log grid (tridiagonal for three_body_2d)."""
+) -> SquareRootOperator | TridiagonalOperator:
+    """Assemble one of the effective singular operators on a log grid, in O(n) and with no n x n array.
+
+    contact_image and weak_image are a SquareRootOperator: the bidiagonal factor F of the kinetic at mass m
+    and the shift -C * tail, so sqrt(F^T F) - C * tail is laid out only when its spectrum or entries are
+    asked for.  three_body_2d is a TridiagonalOperator.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
     if not (math.isfinite(C) and C >= 0.0):
@@ -90,18 +105,16 @@ def effective_operator(
         return TridiagonalOperator(kin.diag - C * tail, kin.off, grid, label)
     if kind == "weak_image":
         tail = np.where(r <= 1.0, np.log(1.0 / r), 0.0)
-    w = _root_factor(grid, d, m)
-    mat = w @ w.T
-    del w
-    mat[np.diag_indices_from(mat)] -= C * tail  # in place: the matrix stays exactly symmetric
-    return OperatorMatrix(mat, grid, label=label)
+    return SquareRootOperator(*_kinetic_diagonals(grid, d, m), -C * tail, grid, label)
 
 
-def operator_spectrum(op: OperatorMatrix | TridiagonalOperator) -> SpectrumReport:
+def operator_spectrum(op: SquareRootOperator | TridiagonalOperator) -> SpectrumReport:
+    """The sorted spectrum of op: dsterf on a TridiagonalOperator's two diagonals; a SquareRootOperator is laid
+    out into one n x n array that this call owns, and its eigensolve runs in place on that array."""
     if isinstance(op, TridiagonalOperator):
         vals = op.eigenvalues(0.0)
     else:
-        vals = _dense_eigenvalues(op.entries)
+        vals = _eigenvalues_in_place(op._upper_triangle(), b"L")
     return SpectrumReport.from_eigenvalues(vals)
 
 
@@ -114,15 +127,15 @@ def _inertia_spectrum(d: int, grid: RadialGrid) -> np.ndarray:
 
     S - C/r is congruent to r^(1/2) S r^(1/2) - C, so by Sylvester's law of
     inertia the contact image has exactly #{mu < C} negative eigenvalues:
-    one eigensolve answers the count for every C at once, on X X^T with the
-    root factor of S = W W^T scaled in place, X = r^(1/2) W (one syrk).
+    one eigensolve answers the count for every C at once.  The matrix is
+    X X^T, X = r^(1/2) W, for the root factor of S = W W^T: this function's
+    own W^T is scaled, overwritten by one triangle of X X^T and solved in
+    place, so one n x n array is alive throughout.
     """
     _require_scale_bracketing(grid)
-    x = _root_factor(grid, d, 0.5)
-    x *= np.sqrt(grid.nodes)[:, None]
-    a = x @ x.T
-    del x  # freed before the eigensolve allocates its copy and workspace
-    return _dense_eigenvalues(a)
+    x = _root_factor(*_kinetic_diagonals(grid, d, 0.5)).T  # X^T, C-contiguous: column i is node i
+    x *= np.sqrt(grid.nodes)
+    return _eigenvalues_in_place(_gram_in_place(x), b"L")
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:

@@ -188,6 +188,54 @@ class TridiagonalOperator:
 
 
 @dataclass
+class SquareRootOperator:
+    """sqrt(F^T F) + diag(shift) on weight-scaled reduced waves, for a bidiagonal kinetic factor F.
+
+    It is carried as F's two diagonals, as _kinetic_diagonals gives them, and the n shifts; any mass is in
+    F's entries.  The dense matrix is laid out only on request, from the root factor of F^T F: one triangle
+    into one fresh n x n array by _upper_triangle, the full matrix by entries.
+    """
+
+    diag: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
+    shift: np.ndarray = field(repr=False)
+    grid: object  # RadialGrid or None
+    label: str = ""
+
+    def __post_init__(self):
+        self.diag, self.off, self.shift = (np.asarray(a, dtype=float) for a in (self.diag, self.off, self.shift))
+        n = self.diag.size
+        if n < 1 or self.diag.shape != (n,) or self.off.shape not in ((n,), (n - 1,)) or self.shift.shape != (n,):
+            raise ValueError("square-root operator needs n >= 1 diagonal entries of F, n or n - 1 off-diagonal ones and n shifts")
+        if self.grid is not None and n != self.grid.n:
+            raise ValueError("matrix dimension must match grid size")
+        if not all(np.isfinite(a).all() for a in (self.diag, self.off, self.shift)):
+            raise ValueError(f"{self.label or 'operator'} has non-finite entries")
+
+    @property
+    def n(self) -> int:
+        return self.diag.size
+
+    def _upper_triangle(self) -> np.ndarray:
+        """A fresh C-contiguous n x n array whose upper triangle (diagonal included) is this matrix's: the
+        storage of the root factor W, read as W^T, overwritten in place by W W^T and then shifted."""
+        a = _gram_in_place(_root_factor(self.diag, self.off).T)
+        a.reshape(-1)[:: self.n + 1] += self.shift
+        return a
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense symmetric n x n matrix, laid out anew on each access: the upper triangle, mirrored one
+        panel of rows at a time."""
+        a = self._upper_triangle()
+        for p0 in range(0, self.n, GRAM_PANEL):
+            block = a[p0 : p0 + GRAM_PANEL, p0 : p0 + GRAM_PANEL]
+            block[...] = np.triu(block) + np.triu(block, 1).T
+            a[p0 : p0 + GRAM_PANEL, :p0] = a[:p0, p0 : p0 + GRAM_PANEL].T
+        return a
+
+
+@dataclass
 class SpectrumReport:
     """Sorted eigenvalues with their negative count."""
 
@@ -224,10 +272,13 @@ class SpectrumReport:
 # the bidiagonal divide-and-conquer SVD (dbdsdc) holds U, V and a 3n^2
 # workspace as well; and on the d=3 threshold-ladder grid at r_min 1e-10
 # (n = 600) the inertia spectrum from dbdsdc's V is 5e-7 off the one from a
-# zero-shift QR (dbdsqr), where MR^3 agrees with it to 1.1e-13.  numpy hands
-# W @ W.T to BLAS syrk, half the flops of a general product and exactly
-# symmetric.  No dense O(n^3) Householder reduction or back-transform is spent
-# on a bidiagonal matrix.
+# zero-shift QR (dbdsqr), where MR^3 agrees with it to 1.1e-13.  Z's storage
+# then takes the dense operator itself: _gram_in_place overwrites one triangle
+# of the C-contiguous W^T with that of W W^T, one column panel at a time, at
+# syrk's n^3 flops, and the diagonal shift and the eigensolve
+# (_eigenvalues_in_place) act on that same array, so one n x n array is alive
+# from the root to the eigenvalues.  No dense O(n^3) Householder reduction or
+# back-transform is spent on a bidiagonal matrix.
 
 
 def _weighted_diagonals(grid: RadialGrid, k: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -335,10 +386,10 @@ def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
     pointer: pass bytes for a character, an int for an integer, a float for a double precision scalar, and a
     C-contiguous, writable array, overwritten in place, for the rest (any other array raises TypeError).  No
-    size is checked: each caller sizes its arrays.  It serves the LAPACK kernels numpy does not wrap: dgtsv,
-    dgttrf, dgttrs, dlaebz, dlarrv, dlasq1, dstebz, dstevd, dsterf and dsytrf, all listed in cython_lapack's
-    table at every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7), which the table lacks and _lapack_routine
-    finds by symbol.  A routine this LAPACK lacks raises LookupError, naming it."""
+    size is checked: each caller sizes its arrays.  It serves the LAPACK kernels numpy does not wrap, or not
+    in place: dgtsv, dgttrf, dgttrs, dlaebz, dlarrv, dlasq1, dstebz, dstevd, dsterf, dsyevd and dsytrf, all
+    listed in cython_lapack's table at every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7), which the table
+    lacks and _lapack_routine finds by symbol.  A routine this LAPACK lacks raises LookupError, naming it."""
     routine = _lapack_routine(name)
     if routine is None:
         raise LookupError(f"this LAPACK has no routine {name}")
@@ -359,35 +410,44 @@ def _by_reference(a):
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
 
 
-# numpy's eigvalsh reduces to tridiagonal form with one-stage dsytrd, half of whose flops are memory-bound
-# dsymv; dsyevd_2stage reduces to a band with BLAS3 first and then chases the band down.  On the contact
-# image (1 BLAS thread, 2 vCPU, best of 5) they cross between n = 900 and 1000: numpy 40.9 against 44.0 ms
-# at n = 900, 57.6 against 56.2 ms at n = 1000, 203 against 151 ms at n = 1500, 473 against 318 ms at
-# n = 2000.
+# dsyevd, numpy's eigvalsh, reduces to tridiagonal form with one-stage dsytrd, half of whose flops are
+# memory-bound dsymv; dsyevd_2stage reduces to a band with BLAS3 first and then chases the band down.  On
+# the contact image (1 BLAS thread, 2 vCPU, best of 5) they cross between n = 900 and 1000: numpy 40.9
+# against 44.0 ms at n = 900, 57.6 against 56.2 ms at n = 1000, 203 against 151 ms at n = 1500, 473
+# against 318 ms at n = 2000.
 TWO_STAGE_MIN_N = 1000
+
+
+def _eigenvalues_in_place(a: np.ndarray, uplo: bytes) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix held in one triangle of the C-contiguous n x n array a,
+    which they overwrite.  uplo names the triangle in LAPACK's Fortran view of a, which is a.T: b"L" reads
+    a's upper triangle, b"U" its lower.  JOBZ = N, no eigenvectors: dsyevd below TWO_STAGE_MIN_N rows or
+    where LAPACK lacks dsyevd_2stage, dsyevd_2stage from there on, with no copy of a.  Raises LinAlgError,
+    naming the routine, when LAPACK does not converge."""
+    n = a.shape[0]
+    routine = "dsyevd_2stage" if n >= TWO_STAGE_MIN_N and _lapack_routine("dsyevd_2stage") is not None else "dsyevd"
+    w = np.empty(n)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    _lapack(routine, b"N", uplo, n, a, n, w, work, -1, iwork, -1)  # workspace query
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
+    info = _lapack(routine, b"N", uplo, n, a, n, w, work, work.size, iwork, iwork.size)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"symmetric eigensolve did not converge ({routine} info {info})")
+    return w
 
 
 def _dense_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the dense symmetric matrix a, read from its lower triangle as numpy reads it.
     Below TWO_STAGE_MIN_N rows, or where LAPACK lacks dsyevd_2stage, this is np.linalg.eigvalsh(a); from
-    there on it is dsyevd_2stage.  Raises LinAlgError for a non-square matrix, and when LAPACK does not
-    converge, as numpy does."""
+    there on it is _eigenvalues_in_place on a copy.  Raises LinAlgError for a non-square matrix, and when
+    LAPACK does not converge, as numpy does."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise np.linalg.LinAlgError(f"eigenvalues need a square matrix: got shape {a.shape}")
-    n = a.shape[0]
-    if n < TWO_STAGE_MIN_N or _lapack_routine("dsyevd_2stage") is None:
+    if a.shape[0] < TWO_STAGE_MIN_N or _lapack_routine("dsyevd_2stage") is None:
         return np.linalg.eigvalsh(a)
-    # a fresh C-contiguous copy, overwritten: read in Fortran order it is a.T, whose upper triangle is a's lower
-    buf = np.array(a, dtype=float, order="C")
-    w = np.empty(n)
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
-    _lapack("dsyevd_2stage", b"N", b"U", n, buf, n, w, work, -1, iwork, -1)  # workspace query
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
-    info = _lapack("dsyevd_2stage", b"N", b"U", n, buf, n, w, work, work.size, iwork, iwork.size)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"symmetric eigensolve did not converge (dsyevd_2stage info {info})")
-    return w
+    # a fresh C-contiguous copy, whose lower triangle is a's
+    return _eigenvalues_in_place(np.array(a, dtype=float, order="C"), b"U")
 
 
 def _count_above(a: np.ndarray, shift: float) -> int:
@@ -448,14 +508,15 @@ def _upper_bidiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np
     return r, s
 
 
-def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
-    """W = Z Lambda^(1/4), a fresh n x n array (Fortran order), from the eigenpairs K Z = Z Lambda of the
-    kinetic K = R^T R: sqrt(H0) = W W^T.  Lambda = S^2 from R's singular values by dqds (LAPACK dlasq1); Z by
-    MR^3 (dlarrv) from K = L D L^T with shift 0, given Lambda ascending, its error bounds WERR and gaps WGAP,
+def _root_factor(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """W = Z Lambda^(1/4), a fresh n x n array (Fortran order, so W.T is C-contiguous), from the eigenpairs
+    K Z = Z Lambda of the kinetic K = F^T F = R^T R, F's diagonals as _kinetic_diagonals gives them:
+    sqrt(K) = W W^T.  Lambda = S^2 from R's singular values by dqds (LAPACK dlasq1); Z by MR^3 (dlarrv)
+    from K = L D L^T with shift 0, given Lambda ascending, its error bounds WERR and gaps WGAP,
     the Gerschgorin intervals and PIVMIN as dlarre and dstemr set them.  WERR is dlarre's estimate of dqds's
     relative error, 4 ln(n) eps, doubled for the square (4 eps took dlarrv twice as long at n = 2000, to the
     same accuracy).  Raises LinAlgError, naming the routine, when either fails."""
-    r, s = _upper_bidiagonal(*_kinetic_diagonals(grid, d, m))
+    r, s = _upper_bidiagonal(diag, off)
     n = r.size
     sigma = np.array(r)  # overwritten by the singular values, descending
     info = _lapack("dlasq1", n, sigma, np.append(s, 0.0), np.empty(4 * n))
@@ -484,3 +545,21 @@ def _root_factor(grid: RadialGrid, d: int = 3, m: float = 0.5) -> np.ndarray:
         raise np.linalg.LinAlgError(f"eigenvectors of the factored kinetic failed (dlarrv info {info})")
     z *= np.sqrt(np.sqrt(lam))[:, None]
     return z.T
+
+
+GRAM_PANEL = 256  # columns per panel of _gram_in_place: its one temporary is GRAM_PANEL x n
+
+
+def _gram_in_place(z: np.ndarray) -> np.ndarray:
+    """z, a C-contiguous n x n array, with its upper triangle (diagonal included) overwritten by that of
+    z^T z; below the diagonal blocks it keeps its old entries.  Column panels go from the right: panel
+    [p0, p1) of the result, rows :p1, reads only columns :p1 of z, so once it is formed the panel's own
+    columns take it.  Its rows :p0 are one gemm and its diagonal block one syrk: n^3 flops in all, as for a
+    whole syrk."""
+    n = z.shape[0]
+    for p0 in range((n - 1) // GRAM_PANEL * GRAM_PANEL, -1, -GRAM_PANEL):
+        panel = z[:, p0 : p0 + GRAM_PANEL]
+        top = panel.T @ z[:, :p0]  # as a row panel, which BLAS forms faster than its transpose
+        z[p0 : p0 + GRAM_PANEL, p0 : p0 + GRAM_PANEL] = panel.T @ panel
+        z[:p0, p0 : p0 + GRAM_PANEL] = top.T
+    return z

@@ -15,7 +15,7 @@ import pytest
 import zrange
 from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
-from zrange.operators import OperatorMatrix, TridiagonalOperator
+from zrange.operators import OperatorMatrix, SquareRootOperator, TridiagonalOperator
 from zrange.potentials import rollnik_norm
 from zrange.reports import ReportRow, write_report
 
@@ -66,7 +66,7 @@ def test_one_version_string(tmp_path):
 
 def test_operators_carry_no_mass_field():
     # the mass is in an operator's entries; a field beside them could disagree
-    for cls in (OperatorMatrix, TridiagonalOperator):
+    for cls in (OperatorMatrix, TridiagonalOperator, SquareRootOperator):
         assert "m" not in {f.name for f in dataclasses.fields(cls)}
 
 

@@ -143,7 +143,7 @@ def test_each_efimov_row_reads_the_grid_it_names(tmp_path):
     # on its own grid_n, r_min and r_max; a "refine" field once swapped in a
     # finer grid's tower under the config grid's name (C = 1: 0.02842
     # printed where the named 200-node grid reads 0.02851)
-    assert _run("efimov", dict(BENCH_CONFIGS["efimov"], refine=2), tmp_path) == 0
+    assert _run("efimov", BENCH_CONFIGS["efimov"], tmp_path) == 0
     summary = json.loads((tmp_path / "efimov_summary.json").read_text())
     kind, d = summary["aggregates"]["kind"], summary["aggregates"]["d"]
     rows = list(csv.DictReader((tmp_path / "efimov.csv").open()))
@@ -154,6 +154,31 @@ def test_each_efimov_row_reads_the_grid_it_names(tmp_path):
         assert float(row["ratio"]) == pytest.approx(geo.ratio, rel=1e-11)
         assert float(row["deviation"]) == pytest.approx(geo.deviation, rel=1e-11)
         assert row["classification"] == geo.classification
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_an_unknown_top_level_field_is_named(command, tmp_path, capfd):
+    # a stale "refine" once ran the efimov config grid without a word
+    code = _run(command, dict(CONFIGS[command], refine=2), tmp_path)
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert "config error at refine:" in err and err.count("config error") == 1
+    assert "Traceback" not in out + err
+    assert not (tmp_path / f"{command.replace('-', '_')}.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_each_command_reads_only_the_fields_it_accepts(command, tmp_path):
+    # every top-level field a run looks up, present or not, is one the unknown-field check lets through
+    read = set()
+
+    class Recording(dict):
+        def __contains__(self, key):
+            read.add(key)
+            return super().__contains__(key)
+
+    assert cli.run(Recording(CONFIGS[command], command=command), tmp_path) == 0
+    assert read <= set(cli._RUNNERS[command][1])
 
 
 @pytest.mark.parametrize("workload", ["limit-ladder", "efimov-thresholds", "study-batch"])

@@ -330,7 +330,8 @@ def test_every_lapack_routine_the_package_calls_resolves():
     # a routine this LAPACK lacks would fail only when its caller first runs
     src = Path(operators.__file__).parent
     names = {name for f in src.glob("*.py") for name in re.findall(r'_lapack(?:_routine)?\(\s*"(\w+)"', f.read_text())}
-    assert {"dsytrf", "dlaebz", "dstebz", "dlasq1", "dlarrv", "dsterf"} <= names
+    assert {"dsytrf", "dlaebz", "dstebz", "dlasq1", "dlarrv", "dsterf", "dsyevd_2stage"} <= names
+    names.add("dsyevd")  # _eigenvalues_in_place names it through a variable
     assert [name for name in sorted(names) if operators._lapack_routine(name) is None] == []
 
 
@@ -408,6 +409,71 @@ def test_two_stage_eigensolve_raises_when_lapack_does_not_converge():
     a = np.full((operators.TWO_STAGE_MIN_N,) * 2, np.nan)
     with pytest.raises(np.linalg.LinAlgError, match=r"did not converge \(dsyevd_2stage info"):
         operators._dense_eigenvalues(a)
+
+
+_PANEL = operators.GRAM_PANEL
+
+
+@pytest.mark.parametrize("n", [1, 2, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 3])
+def test_gram_in_place_writes_the_upper_triangle_of_z_t_z(n):
+    # panels go from the right, so no panel reads a column an earlier one overwrote; below the
+    # diagonal blocks z keeps its entries
+    z = np.random.default_rng(n).normal(size=(n, n))
+    kept, ref = z.copy(), z.T @ z
+    assert operators._gram_in_place(z) is z
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    assert np.abs(z - ref)[upper].max() <= 1e-13 * np.abs(ref).max()
+    block = np.arange(n) // _PANEL
+    below = block[:, None] > block[None, :]
+    assert np.array_equal(z[below], kept[below])
+
+
+@pytest.mark.parametrize("n", [operators.TWO_STAGE_MIN_N - 1, operators.TWO_STAGE_MIN_N])
+def test_eigenvalues_in_place_match_numpy_on_either_side_of_the_crossover(n, monkeypatch):
+    # "L" reads the Fortran lower triangle, a's upper: junk below the diagonal is never read
+    a = _contact_image(n)
+    ref = np.linalg.eigvalsh(a)
+    a += np.tril(np.random.default_rng(n).normal(size=a.shape), -1)
+    names = _routines_run(monkeypatch)
+    vals = operators._eigenvalues_in_place(a, b"L")
+    routine = "dsyevd" if n < operators.TWO_STAGE_MIN_N else "dsyevd_2stage"
+    assert names == [routine, routine]  # the workspace query, then the solve
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,routine", [(operators.TWO_STAGE_MIN_N - 1, "dsyevd"), (operators.TWO_STAGE_MIN_N, "dsyevd_2stage")])
+def test_a_failed_eigensolve_is_named(n, routine, monkeypatch):
+    lapack = operators._lapack
+
+    def failing(name, *args):
+        info = lapack(name, *args)
+        return 2 if name == routine else info
+
+    monkeypatch.setattr(operators, "_lapack", failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"did not converge \\({routine} info 2\\)"):
+        operators._eigenvalues_in_place(np.eye(n), b"L")
+
+
+def test_square_root_operator_entries_are_the_symmetric_root_plus_shift():
+    g = build_grid(2 * _PANEL + 3, 2e2, "logarithmic", r_min=1e-4)
+    diag, off = operators._kinetic_diagonals(g, 3, 0.5)
+    shift = -1.5 / g.nodes
+    entries = operators.SquareRootOperator(diag, off, shift, g).entries
+    w = operators._root_factor(diag, off)
+    ref = w @ w.T + np.diag(shift)
+    assert np.array_equal(entries, entries.T)
+    assert np.abs(entries - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("part", ["diag", "off", "shift"])
+def test_square_root_operator_rejects_bad_parts(part):
+    g = build_grid(20, 2e2, "logarithmic", r_min=1e-4)
+    parts = dict(zip(("diag", "off"), operators._kinetic_diagonals(g, 2, 0.5)), shift=np.zeros(20))
+    with pytest.raises(ValueError, match="non-finite"):
+        operators.SquareRootOperator(**dict(parts, **{part: np.where(np.arange(parts[part].size) == 3, np.nan, parts[part])}), grid=g)
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        operators.SquareRootOperator(**dict(parts, **{part: parts[part][:-2]}), grid=None)
 
 
 def _scipy_eigenvalues(op, shift):
@@ -633,7 +699,7 @@ def test_kernel_grid_refinement_converges():
 
 def _kinetic_root(g, d, m):
     # sqrt(H0) = W W^T from the root factor W = Z Lambda^(1/4)
-    w = operators._root_factor(g, d, m)
+    w = operators._root_factor(*operators._kinetic_diagonals(g, d, m))
     return w @ w.T
 
 
@@ -655,7 +721,7 @@ def test_sqrt_kinetic_matches_dense_svd_of_factor(d):
     assert np.array_equal(root, root.T)
     assert np.abs(root - ref).max() <= 1e-13 * np.abs(ref).max()
     # column j of W is Lambda_j^(1/4) = s_j^(1/2) times a unit vector
-    s = np.sort(np.linalg.norm(operators._root_factor(g, d, 0.5), axis=0) ** 2)[::-1]
+    s = np.sort(np.linalg.norm(operators._root_factor(*operators._kinetic_diagonals(g, d, 0.5)), axis=0) ** 2)[::-1]
     assert np.all(np.abs(s - s_ref) <= 1e-12 * s_ref)
 
 
@@ -670,4 +736,4 @@ def test_a_failed_root_routine_is_named(routine, monkeypatch):
 
     monkeypatch.setattr(operators, "_lapack", failing)
     with pytest.raises(np.linalg.LinAlgError, match=f"{routine} info 2"):
-        operators._root_factor(build_grid(50, 2e2, "logarithmic", r_min=1e-4), 3, 0.5)
+        operators._root_factor(*operators._kinetic_diagonals(build_grid(50, 2e2, "logarithmic", r_min=1e-4), 3, 0.5))
