@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridFunction, RadialGrid, build_grid
-from .operators import OperatorMatrix, TridiagonalOperator, _check_positive, _count_above, _lapack, _smallest_singular_value, discretize_h0
+from .operators import LAPACK_INT, OperatorMatrix, TridiagonalOperator, _check_positive, _count_above, _lapack, _smallest_singular_value, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _potential_values
 
 Z_FLOOR = 1e-8
@@ -188,7 +188,7 @@ def _whole_space_top(v: GridFunction, z: float, m: float):
     n, shift = diag.size, sigma**2
     off = sub * diag[1:]
     dl, d, du = off.copy(), diag**2 + np.append(sub**2, 0.0) - shift, off.copy()
-    du2, ipiv = np.empty(n - 2), np.empty(n, dtype=np.intc)
+    du2, ipiv = np.empty(n - 2), np.empty(n, dtype=LAPACK_INT)
     _lapack("dgttrf", n, dl, d, du, du2, ipiv)
     # The shifted matrix is singular to working precision, so a pivot can
     # come out exactly zero (dgttrf info > 0, seen on drawn gaussians).  A

@@ -138,23 +138,30 @@ def _require_fits(n_floats: int, field: str, what: str):
         raise ConfigError(field, f"{what} needs more than the {memory / 2**30:.3g} GiB of memory")
 
 
-def _grid(cfg: dict, copies: int = 0, per_node: int = 0):
-    """The config's grid, once copies dense n x n matrices, or per_node floats per node, are known to fit."""
+# floats a dense run's peak resident memory holds beyond its n^2 term on the smallest grids, where the
+# memory the allocator keeps dominates: 0.52 MB for efimov and 0.57 MB for thresholds, at n = 120 ... 300
+RESIDENT_FLOATS = 2**17
+
+
+def _grid(cfg: dict, copies: float = 0, per_node: int = 0, fixed: int = 0):
+    """The config's grid, once fixed floats and copies dense n x n matrices, or per_node floats per node, are
+    known to fit."""
     n = _integer(cfg, "grid.n", None, MIN_GRID_NODES)
     r_max = _number(cfg, "grid.r_max", None)
     spacing = _get(cfg, "grid.spacing", "logarithmic")
     r_min = None if _get(cfg, "grid.r_min") is None else _number(cfg, "grid.r_min", None)
-    what = f"a run on {n} nodes" if per_node else f"{copies} x a dense {n} x {n} matrix"
-    _require_fits(copies * n**2 + per_node * n, "grid.n", what)
+    what = f"a run on {n} nodes" if per_node else f"{copies:g} x a dense {n} x {n} matrix"
+    _require_fits(fixed + copies * n**2 + per_node * n, "grid.n", what)
     try:
         return build_grid(n, r_max, spacing, r_min)
     except (TypeError, ValueError) as exc:
         raise ConfigError("grid", str(exc)) from None
 
 
-def _effective_grid(cfg: dict, copies: int = 0, per_node: int = 0):
-    """The config's grid, once it fits and the effective operators accept it (logarithmic, scale-bracketing)."""
-    grid = _grid(cfg, copies, per_node)
+def _effective_grid(cfg: dict, **probe):
+    """The config's grid, once it fits (probe as for _grid) and the effective operators accept it
+    (logarithmic, scale-bracketing)."""
+    grid = _grid(cfg, **probe)
     try:
         _require_scale_bracketing(grid)
     except ValueError as exc:
@@ -199,10 +206,10 @@ def _run_resonance(cfg):
     law = _law(cfg, required=False)
     bracket = tuple(_numbers(cfg, "bracket", (0.1, 50.0), length=2))
     n = _integer(cfg, "grid.n", 800, MIN_GRID_NODES)
-    # tracemalloc peak over n = 800 ... 16000: 24.2-30.5 floats per node (the most on a
-    # first run at 800), 19 of them dstebz's bisection arrays; below that a fixed 0.15 MB
-    # of the 600-node profile grid dominates
-    _require_fits(32 * n, "grid.n", f"a resonance run on {n} nodes")
+    # tracemalloc peak of a first run over n = 800 ... 16000: 29.3-34.8 floats per node (the most at
+    # 800), 24 of them dstebz's bisection arrays, whose 10 integers per node are 64-bit; below that
+    # a fixed 0.15 MB of the 600-node profile grid dominates
+    _require_fits(40 * n, "grid.n", f"a resonance run on {n} nodes")
     rep = find_resonance_coupling(pot, law, bracket, n=n, m=_mass(cfg, 0.5))
     row = ReportRow(
         {
@@ -318,10 +325,10 @@ def _run_limit_resolvent(cfg):
 def _run_efimov(cfg):
     # peak resident memory over n = 100 ... 1500 (getrusage maxrss of a fresh process, after a warm-up
     # run on a 50-node grid, less the resident memory before the measured run; it also sees the memory
-    # the allocator keeps, which dominates below n = 400): 2.8-3.8 n^2 floats below n = 400, 1.4-2.2 n^2
-    # from there on, where one array holds the root, the operator and its eigensolve; 6 leaves a third
-    # over the largest
-    grid = _effective_grid(cfg, 6)
+    # the allocator keeps, which dominates below n = 400): 1.3-1.9 n^2 floats from n = 400 on, where one
+    # array holds the root, the operator and its eigensolve, so 2.5 n^2 leaves a quarter over the
+    # largest; below that RESIDENT_FLOATS covers the excess over 2.5 n^2
+    grid = _effective_grid(cfg, copies=2.5, fixed=RESIDENT_FLOATS)
     kind = _get(cfg, "kind", "contact_image")
     if kind not in KINDS:
         raise ConfigError("kind", f"must be one of {KINDS}, got {kind!r}")
@@ -359,9 +366,10 @@ def _run_thresholds(cfg):
         raise ConfigError("sweep", f"dimensions must be 2 or 3, got {dims!r}")
     bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
     n = _integer(cfg, "grid.n", 300, MIN_GRID_NODES)
-    # peak resident memory, measured as for efimov, from the run at 2n: 10.4-13.8 n^2 floats over
-    # n = 100 ... 180 and 5.9-7.8 n^2 at n = 200 ... 800; 19 leaves a third over the largest
-    _require_fits(19 * n**2, "grid.n", f"19 x a dense {n} x {n} matrix")
+    # peak resident memory, measured as for efimov, from the run at 2n: 5.6-6.2 n^2 floats over
+    # n = 400 ... 800, so 8 n^2 leaves a quarter over the largest; RESIDENT_FLOATS covers the excess
+    # over 8 n^2 below that (6.7-11.8 n^2 at n = 100 ... 300)
+    _require_fits(RESIDENT_FLOATS + 8 * n**2, "grid.n", f"8 x a dense {n} x {n} matrix")
     rows = []
     for d in dims:
         rep = find_thresholds(kind, d, bracket, n=n)

@@ -26,14 +26,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
+from numpy.linalg import _umath_linalg
 
 from .grids import RadialGrid
 
@@ -147,8 +144,8 @@ class TridiagonalOperator:
         neg = -self._shifted(shift)
         e2 = np.append(self.off * self.off, 0.0)
         pivmin = np.finfo(float).tiny * max(1.0, e2.max())
-        ab, nab = np.zeros(2), np.zeros(2, dtype=np.intc)
-        nval, mout, iwork = (np.zeros(1, dtype=np.intc) for _ in range(3))
+        ab, nab = np.zeros(2), np.zeros(2, dtype=LAPACK_INT)
+        nval, mout, iwork = (np.zeros(1, dtype=LAPACK_INT) for _ in range(3))
         # IJOB = 1 counts at both ends of the one interval AB = [0, 0]; it reads D, E2, PIVMIN and AB only
         e = np.append(self.off, 0.0)
         _lapack("dlaebz", 1, 0, self.n, 1, 1, 0, 0.0, 0.0, pivmin, neg, e, e2, nval, ab, np.zeros(1), mout, nab, np.zeros(1), iwork)
@@ -158,7 +155,7 @@ class TridiagonalOperator:
         """Ascending eigenvalues and C-contiguous eigenvectors (columns) of T + diag(shift) by LAPACK dstevd: divide
         and conquer on the two diagonals (Gu & Eisenstat, SIMAX 16 (1995) 172), a dense eigh's bit for bit."""
         vals, off, z = self._shifted(shift), self.off.copy(), np.empty((self.n, self.n))
-        work, iwork = np.empty(1 + 4 * self.n + self.n**2), np.empty(3 + 5 * self.n, dtype=np.intc)
+        work, iwork = np.empty(1 + 4 * self.n + self.n**2), np.empty(3 + 5 * self.n, dtype=LAPACK_INT)
         info = _lapack("dstevd", b"V", self.n, vals, off, z, self.n, work, work.size, iwork, iwork.size)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal eigensolve did not converge (dstevd info {info})")
@@ -337,74 +334,60 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
     return TridiagonalOperator(*k, grid, label="H_hyper")
 
 
-def _lapack_table():
-    """scipy.linalg.cython_lapack, LAPACK's capsule table, loaded from its own extension file unless it is
-    imported already: an import by name first runs scipy.linalg's package init (about 0.1 s, mostly a numpy
-    clone for the array API) for functions this package never calls."""
-    name = "scipy.linalg.cython_lapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.machinery.PathFinder.find_spec(name, [f"{scipy.__path__[0]}/linalg"])
-    table = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(table)
-    # Cython enters the module in sys.modules itself.  Without that entry a later import by name runs in
-    # full, gets this same module object back from Cython and binds it as scipy.linalg's attribute.
-    sys.modules.pop(name, None)
-    return table
-
-
-cython_lapack = _lapack_table()
-
-
-# PyCapsule's accessors and the routine type, built once at import: ctypes.PYFUNCTYPE makes a new class on
-# each call, and the two a lookup once made held about 10 kB until the cycle collector ran
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
-_routine_type = ctypes.CFUNCTYPE(None)
+# Every LAPACK routine _lapack runs comes from the LAPACK numpy links (scipy-openblas64 in the PyPI wheels),
+# by its symbol scipy_<name>_64_ through the handle of numpy's linalg extension, whose dlsym also searches
+# the libraries that extension links: one OpenBLAS per process, whose BLAS buffers numpy's matmul and eigvalsh
+# share.  That LAPACK is ILP64, so every integer goes at LAPACK_INT's width, 64 bits.
+LAPACK_INT = np.int64
+_NUMPY_LAPACK = ctypes.CDLL(_umath_linalg.__file__)
+# the routines _lapack serves, resolved at import: a LAPACK that lacks one fails there, not at its first caller
+LAPACK_ROUTINES = ("dgtsv", "dgttrf", "dgttrs", "dlaebz", "dlarrv", "dlasq1", "dstebz", "dstevd", "dsterf", "dsyevd",
+                   "dsyevd_2stage", "dsytrf")
 
 
 @functools.cache
 def _lapack_routine(name: str):
-    """LAPACK `name` as a ctypes function, or None where this LAPACK lacks it.  It comes from
-    scipy.linalg.cython_lapack's capsule table, or else by symbol through the extension's own handle, whose
-    dlsym also searches the LAPACK it links (scipy-openblas wheels prefix the symbol with scipy_).  It
-    declares no argument types: every argument _lapack passes is already a pointer, and ctypes converts none
-    on the way."""
-    capsule = cython_lapack.__pyx_capi__.get(name)
-    if capsule is None:
-        lib = ctypes.CDLL(cython_lapack.__file__)
-        for symbol in (f"scipy_{name}_", f"{name}_"):
-            routine = getattr(lib, symbol, None)
-            if routine is not None:
-                routine.restype = None
-                return routine
-        return None
-    return _routine_type(_capsule_pointer(capsule, _capsule_name(capsule)))
+    """LAPACK `name` as a ctypes function, or None where numpy's LAPACK lacks it.  It declares no argument
+    types: every argument _lapack passes is already a pointer, and ctypes converts none on the way."""
+    routine = getattr(_NUMPY_LAPACK, f"scipy_{name}_64_", None)
+    if routine is not None:
+        routine.restype = None
+    return routine
+
+
+_missing = [f"scipy_{name}_64_" for name in LAPACK_ROUTINES if _lapack_routine(name) is None]
+if _missing:
+    raise ImportError(f"numpy's LAPACK ({_umath_linalg.__file__}) exports no {', '.join(_missing)}")
 
 
 def _lapack(name: str, *args) -> int:
     """Run LAPACK `name` and return its INFO, appended as the last argument.  Fortran takes every argument by
     pointer: pass bytes for a character, an int for an integer, a float for a double precision scalar, and a
-    C-contiguous, writable array, overwritten in place, for the rest (any other array raises TypeError).  No
-    size is checked: each caller sizes its arrays.  It serves the LAPACK kernels numpy does not wrap, or not
-    in place: dgtsv, dgttrf, dgttrs, dlaebz, dlarrv, dlasq1, dstebz, dstevd, dsterf, dsyevd and dsytrf, all
-    listed in cython_lapack's table at every scipy>=1.10, and dsyevd_2stage (LAPACK >= 3.7), which the table
-    lacks and _lapack_routine finds by symbol.  A routine this LAPACK lacks raises LookupError, naming it."""
+    C-contiguous, writable array, overwritten in place, for the rest (any other array raises TypeError); an
+    integer array must be of LAPACK_INT, and one of any other width raises TypeError, naming the routine and
+    the argument, before LAPACK reads it.  No size is checked: each caller sizes its arrays.  It serves the
+    LAPACK kernels numpy does not wrap, or not in place, LAPACK_ROUTINES: dgtsv, dgttrf, dgttrs, dlaebz,
+    dlarrv, dlasq1, dstebz, dstevd, dsterf, dsyevd, dsyevd_2stage (LAPACK >= 3.7) and dsytrf.  A routine
+    numpy's LAPACK lacks raises LookupError, naming it."""
     routine = _lapack_routine(name)
     if routine is None:
         raise LookupError(f"this LAPACK has no routine {name}")
-    info = ctypes.c_int()
-    routine(*map(_by_reference, args), ctypes.byref(info))
+    info = ctypes.c_int64()
+    routine(*(_by_reference(a, name, k) for k, a in enumerate(args, 1)), ctypes.byref(info))
     return info.value
 
 
-def _by_reference(a):
+def _by_reference(a, name: str, k: int):
+    """Argument k of LAPACK `name` as _lapack passes it."""
     if isinstance(a, bytes):
         return a
     if isinstance(a, int):
-        return ctypes.byref(ctypes.c_int(a))
+        return ctypes.byref(ctypes.c_int64(a))
     if isinstance(a, float):
         return ctypes.byref(ctypes.c_double(a))
+    # a 32-bit IPIV or IWORK would be read and written 8 bytes an entry, past its end
+    if a.dtype.kind in "iu" and a.dtype != LAPACK_INT:
+        raise TypeError(f"{name} argument {k} is an integer array of {a.dtype}; LAPACK takes {np.dtype(LAPACK_INT)}")
     # an empty array goes as NULL: LAPACK reads no entry of an array sized 0 (n = 1 off-diagonals, dgttrf's
     # DU2 at n = 2)
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
@@ -421,15 +404,15 @@ TWO_STAGE_MIN_N = 1000
 def _eigenvalues_in_place(a: np.ndarray, uplo: bytes) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix held in one triangle of the C-contiguous n x n array a,
     which they overwrite.  uplo names the triangle in LAPACK's Fortran view of a, which is a.T: b"L" reads
-    a's upper triangle, b"U" its lower.  JOBZ = N, no eigenvectors: dsyevd below TWO_STAGE_MIN_N rows or
-    where LAPACK lacks dsyevd_2stage, dsyevd_2stage from there on, with no copy of a.  Raises LinAlgError,
-    naming the routine, when LAPACK does not converge."""
+    a's upper triangle, b"U" its lower.  JOBZ = N, no eigenvectors: dsyevd below TWO_STAGE_MIN_N rows,
+    dsyevd_2stage from there on, with no copy of a.  Raises LinAlgError, naming the routine, when LAPACK
+    does not converge."""
     n = a.shape[0]
-    routine = "dsyevd_2stage" if n >= TWO_STAGE_MIN_N and _lapack_routine("dsyevd_2stage") is not None else "dsyevd"
+    routine = "dsyevd_2stage" if n >= TWO_STAGE_MIN_N else "dsyevd"
     w = np.empty(n)
-    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    work, iwork = np.empty(1), np.empty(1, dtype=LAPACK_INT)
     _lapack(routine, b"N", uplo, n, a, n, w, work, -1, iwork, -1)  # workspace query
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=LAPACK_INT)
     info = _lapack(routine, b"N", uplo, n, a, n, w, work, work.size, iwork, iwork.size)
     if info != 0:
         raise np.linalg.LinAlgError(f"symmetric eigensolve did not converge ({routine} info {info})")
@@ -438,13 +421,12 @@ def _eigenvalues_in_place(a: np.ndarray, uplo: bytes) -> np.ndarray:
 
 def _dense_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the dense symmetric matrix a, read from its lower triangle as numpy reads it.
-    Below TWO_STAGE_MIN_N rows, or where LAPACK lacks dsyevd_2stage, this is np.linalg.eigvalsh(a); from
-    there on it is _eigenvalues_in_place on a copy.  Raises LinAlgError for a non-square matrix, and when
-    LAPACK does not converge, as numpy does."""
+    Below TWO_STAGE_MIN_N rows this is np.linalg.eigvalsh(a); from there on it is _eigenvalues_in_place on a
+    copy.  Raises LinAlgError for a non-square matrix, and when LAPACK does not converge, as numpy does."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise np.linalg.LinAlgError(f"eigenvalues need a square matrix: got shape {a.shape}")
-    if a.shape[0] < TWO_STAGE_MIN_N or _lapack_routine("dsyevd_2stage") is None:
+    if a.shape[0] < TWO_STAGE_MIN_N:
         return np.linalg.eigvalsh(a)
     # a fresh C-contiguous copy, whose lower triangle is a's
     return _eigenvalues_in_place(np.array(a, dtype=float, order="C"), b"U")
@@ -460,7 +442,7 @@ def _count_above(a: np.ndarray, shift: float) -> int:
     # a fresh C-contiguous copy, overwritten: read in Fortran order it is a.T, whose upper triangle is a's lower
     buf = np.array(a, dtype=float, order="C")
     buf[np.diag_indices(n)] -= shift
-    ipiv, work = np.empty(n, dtype=np.intc), np.empty(1)
+    ipiv, work = np.empty(n, dtype=LAPACK_INT), np.empty(1)
     _lapack("dsytrf", b"U", n, buf, n, ipiv, work, -1)  # workspace query
     work = np.empty(int(work[0]))
     info = _lapack("dsytrf", b"U", n, buf, n, ipiv, work, work.size)
@@ -481,9 +463,9 @@ def _smallest_singular_value(gk: np.ndarray) -> float:
     (1990) 873).  Raises LinAlgError when dstebz fails.
     """
     n = (gk.size + 1) // 2
-    m, nsplit = np.zeros(1, dtype=np.intc), np.zeros(1, dtype=np.intc)
-    w, iblock, isplit = np.empty(2 * n), np.empty(2 * n, dtype=np.intc), np.empty(2 * n, dtype=np.intc)
-    work, iwork = np.empty(8 * n), np.empty(6 * n, dtype=np.intc)  # 4N and 3N at N = 2n
+    m, nsplit = np.zeros(1, dtype=LAPACK_INT), np.zeros(1, dtype=LAPACK_INT)
+    w, iblock, isplit = np.empty(2 * n), np.empty(2 * n, dtype=LAPACK_INT), np.empty(2 * n, dtype=LAPACK_INT)
+    work, iwork = np.empty(8 * n), np.empty(6 * n, dtype=LAPACK_INT)  # 4N and 3N at N = 2n
     abstol = 2.0 * np.finfo(float).tiny
     info = _lapack("dstebz", b"I", b"E", 2 * n, 0.0, 0.0, n + 1, n + 1, abstol, np.zeros(2 * n), gk, m, nsplit, w, iblock, isplit, work, iwork)
     if info != 0 or m[0] != 1:
@@ -536,10 +518,10 @@ def _root_factor(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     sub = np.append(s / r[:-1], 0.0)
     # column-major Z read in C order is Z^T: row j is eigenvector j
     z = np.empty((n, n))
-    iblock, indexw = np.ones(n, dtype=np.intc), np.arange(1, n + 1, dtype=np.intc)
-    isuppz, work, iwork = np.empty(2 * n, dtype=np.intc), np.empty(12 * n), np.empty(7 * n, dtype=np.intc)
+    iblock, indexw = np.ones(n, dtype=LAPACK_INT), np.arange(1, n + 1, dtype=LAPACK_INT)
+    isuppz, work, iwork = np.empty(2 * n, dtype=LAPACK_INT), np.empty(12 * n), np.empty(7 * n, dtype=LAPACK_INT)
     rtol1, rtol2 = math.sqrt(eps), max(5e-3 * math.sqrt(eps), 4.0 * eps)
-    info = _lapack("dlarrv", n, vl, vu, r * r, sub, pivmin, np.array([n], dtype=np.intc), n, 1, n, 1e-3, rtol1, rtol2,
+    info = _lapack("dlarrv", n, vl, vu, r * r, sub, pivmin, np.array([n], dtype=LAPACK_INT), n, 1, n, 1e-3, rtol1, rtol2,
                    np.array(lam), werr, wgap, iblock, indexw, gers, z, n, isuppz, work, iwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"eigenvectors of the factored kinetic failed (dlarrv info {info})")

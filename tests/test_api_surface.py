@@ -15,6 +15,7 @@ import pytest
 import zrange
 from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
+from zrange import operators
 from zrange.operators import OperatorMatrix, SquareRootOperator, TridiagonalOperator
 from zrange.potentials import rollnik_norm
 from zrange.reports import ReportRow, write_report
@@ -70,61 +71,65 @@ def test_operators_carry_no_mass_field():
         assert "m" not in {f.name for f in dataclasses.fields(cls)}
 
 
-_COLD_START = """
+_ONE_LAPACK = """
 import importlib, pkgutil, sys
+if sys.argv[1:] == ["scipy.linalg"]:
+    import scipy.linalg
 import numpy as np
 import zrange
 for info in pkgutil.iter_modules(zrange.__path__):
     importlib.import_module(f"zrange.{info.name}")
-from zrange import operators
+from zrange.birman_schwinger import find_resonance_coupling
 from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
-from zrange.potentials import rollnik_norm
+from zrange.potentials import BasePotential, ScalingLaw, rollnik_norm
 
-def loaded():
-    print(*(name in sys.modules for name in ("scipy.linalg", "scipy.special")))
-
-loaded()
 g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
 print(repr(rollnik_norm(np.exp(-g.nodes**2), g)))
 ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
 print(repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist()))
-loaded()
-import scipy.linalg.cython_lapack
-print(operators.cython_lapack is sys.modules["scipy.linalg.cython_lapack"] is scipy.linalg.cython_lapack)
-"""
-
-_SCIPY_FIRST = """
-import sys
-import {}
-from zrange import operators
-print(operators.cython_lapack is sys.modules["scipy.linalg.cython_lapack"] is scipy.linalg.cython_lapack)
+rep = find_resonance_coupling(BasePotential("square_well", 1.0, 1.0), ScalingLaw(None, 1.0, 3), (1.0, 5.0), n=200)
+print(repr([rep.lambda_critical, rep.boundary_C, *rep.resonance_profile.values.tolist()]))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def _fresh_interpreter(script: str) -> list:
-    """The lines a fresh interpreter prints running script, with this checkout's src first on its path."""
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter's run of script with args, with this checkout's src first on its path."""
     src = str(Path(zrange.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+
+
+def _fresh_interpreter(script: str, *args: str) -> list:
+    """The lines a fresh interpreter prints running script with args; it must exit 0."""
+    out = _run_fresh(script, *args)
+    out.check_returncode()
     return out.stdout.splitlines()
 
 
-def test_import_leaves_scipy_special_to_first_use():
-    # zrange reads LAPACK from cython_lapack's own file and eigensolves through
-    # numpy, so scipy.linalg's package init (about 0.1 s) never runs; no zrange
-    # module imports scipy.special, before or after a norm and a spectrum
-    before, rollnik, spectrum, after, same_table = _fresh_interpreter(_COLD_START)
-    assert (before, after) == ("False False", "False False")
+def test_the_package_runs_on_numpys_lapack_alone():
+    # every LAPACK kernel comes from the library numpy links, so a norm, a
+    # tower spectrum and a resonance load no scipy module; with scipy.linalg
+    # and its own OpenBLAS loaded first, as the traced benchmark pass does,
+    # they give the same bits
+    *alone, loaded = _fresh_interpreter(_ONE_LAPACK)
+    assert loaded == "[]"
+    *after_scipy, loaded = _fresh_interpreter(_ONE_LAPACK, "scipy.linalg")
+    assert "'scipy.linalg'" in loaded
+    assert after_scipy == alone
     g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
-    assert rollnik == repr(rollnik_norm(np.exp(-g.nodes**2), g))
+    assert alone[0] == repr(rollnik_norm(np.exp(-g.nodes**2), g))
     ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
-    assert spectrum == repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist())
-    assert same_table == "True"
+    assert alone[1] == repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist())
 
 
-@pytest.mark.parametrize("first", ["scipy.linalg", "scipy.linalg.cython_lapack"])
-def test_lapack_table_is_scipys_own_when_scipy_comes_first(first):
-    # scipy.linalg imports the table itself; zrange takes that module object
-    # and leaves its sys.modules entry and package attribute in place
-    assert _fresh_interpreter(_SCIPY_FIRST.format(first)) == ["True"]
+def test_a_lapack_without_the_routines_fails_at_import():
+    # numpy's FFT extension links no LAPACK: read as numpy's LAPACK, it lacks every routine, and the
+    # import names each missing symbol instead of failing at a routine's first caller
+    script = "import numpy.fft._pocketfft_umath as fft, numpy.linalg._umath_linalg as la; la.__file__ = fft.__file__; import zrange"
+    out = _run_fresh(script)
+    assert out.returncode == 1
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: numpy's LAPACK") and "_pocketfft_umath" in last
+    assert all(f"scipy_{name}_64_" in last for name in operators.LAPACK_ROUTINES)

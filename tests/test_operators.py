@@ -219,7 +219,7 @@ def test_tridiagonal_lapack_routes_of_the_smallest_operators(n):
     assert np.abs(op.eigenvalues(0.5) - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(op.inverse(0.5) @ dense - np.eye(n)).max() <= 1e-12
     dl, d, du = op.off.copy(), op.diag + 0.5, op.off.copy()
-    du2, ipiv = np.empty(max(n - 2, 0)), np.empty(n, dtype=np.intc)
+    du2, ipiv = np.empty(max(n - 2, 0)), np.empty(n, dtype=operators.LAPACK_INT)
     assert operators._lapack("dgttrf", n, dl, d, du, du2, ipiv) == 0
     b = rng.normal(size=n)
     x = b.copy()
@@ -327,12 +327,27 @@ def test_smallest_singular_value_matches_dense_svd(profile, n, r_min, z, m):
 
 
 def test_every_lapack_routine_the_package_calls_resolves():
-    # a routine this LAPACK lacks would fail only when its caller first runs
+    # the package's routines are the list operators resolves at import, so a LAPACK that lacks one fails
+    # there; the oracles' routines resolve from the same library
     src = Path(operators.__file__).parent
-    names = {name for f in src.glob("*.py") for name in re.findall(r'_lapack(?:_routine)?\(\s*"(\w+)"', f.read_text())}
-    assert {"dsytrf", "dlaebz", "dstebz", "dlasq1", "dlarrv", "dsterf", "dsyevd_2stage"} <= names
-    names.add("dsyevd")  # _eigenvalues_in_place names it through a variable
-    assert [name for name in sorted(names) if operators._lapack_routine(name) is None] == []
+    pattern = r'_lapack(?:_routine)?\(\s*"(\w+)"'
+    names = {name for f in src.glob("*.py") for name in re.findall(pattern, f.read_text())}
+    names |= {"dsyevd", "dsyevd_2stage"}  # _eigenvalues_in_place names them through a variable
+    assert names == set(operators.LAPACK_ROUTINES)
+    assert all(name in operators._lapack.__doc__ for name in names)
+    oracle_names = set(re.findall(pattern, (Path(__file__).parent / "oracles.py").read_text()))
+    assert oracle_names == {"dbdsqr"}
+    assert [name for name in sorted(names | oracle_names) if operators._lapack_routine(name) is None] == []
+
+
+def test_an_integer_array_of_another_width_is_refused_before_lapack():
+    # numpy's LAPACK is ILP64: a 32-bit IPIV would take 8 bytes per pivot, past the end of its n * 4
+    n = 5
+    dl, d, du, du2 = np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1), np.empty(n - 2)
+    for ipiv in (np.empty(n, dtype=np.intc), np.empty(n, dtype=np.uint64)):
+        with pytest.raises(TypeError, match=f"dgttrf argument 6 is an integer array of {ipiv.dtype}; LAPACK takes int64"):
+            operators._lapack("dgttrf", n, dl, d, du, du2, ipiv)
+    assert np.array_equal(d, np.full(n, 4.0))  # LAPACK never ran
 
 
 def test_a_routine_this_lapack_lacks_is_named():
@@ -355,8 +370,7 @@ def _routines_run(monkeypatch):
 
 
 def test_two_stage_eigensolve_resolves_on_this_install():
-    # dsyevd_2stage is not in cython_lapack's table: a broken symbol lookup
-    # would send every size to numpy without a sign
+    # LAPACK >= 3.7; without it operators would fail at import, naming the symbol
     assert operators._lapack_routine("dsyevd_2stage") is not None
 
 
@@ -387,13 +401,6 @@ def test_dense_eigenvalues_below_the_crossover_are_numpys_bit_for_bit(monkeypatc
     names = _routines_run(monkeypatch)
     assert np.array_equal(operators._dense_eigenvalues(a), np.linalg.eigvalsh(a))
     assert names == []
-
-
-def test_dense_eigenvalues_without_the_two_stage_routine_are_numpys(monkeypatch):
-    # a LAPACK older than 3.7 has no dsyevd_2stage: every size takes numpy
-    a = _contact_image(operators.TWO_STAGE_MIN_N)
-    monkeypatch.setattr(operators, "_lapack_routine", lambda name: None)
-    assert np.array_equal(operators._dense_eigenvalues(a), np.linalg.eigvalsh(a))
 
 
 @pytest.mark.parametrize("shape", [(1000, 1001), (1001, 1000), (3, 4), (1000,)])
