@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import zrange
+from zrange.birman_schwinger import find_resonance_coupling
 from zrange.efimov import effective_operator, operator_spectrum
 from zrange.grids import build_grid
 from zrange import operators
 from zrange.operators import OperatorMatrix, SquareRootOperator, TridiagonalOperator
-from zrange.potentials import rollnik_norm
+from zrange.potentials import BasePotential, ScalingLaw, rollnik_norm
 from zrange.reports import ReportRow, write_report
 
 MAX_OPTIONS = 18
@@ -73,8 +74,9 @@ def test_operators_carry_no_mass_field():
 
 _ONE_LAPACK = """
 import importlib, pkgutil, sys
-if sys.argv[1:] == ["scipy.linalg"]:
-    import scipy.linalg
+first = sys.argv[1:]
+if first:
+    importlib.import_module(first[0])
 import numpy as np
 import zrange
 for info in pkgutil.iter_modules(zrange.__path__):
@@ -90,6 +92,10 @@ ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
 print(repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist()))
 rep = find_resonance_coupling(BasePotential("square_well", 1.0, 1.0), ScalingLaw(None, 1.0, 3), (1.0, 5.0), n=200)
 print(repr([rep.lambda_critical, rep.boundary_C, *rep.resonance_profile.values.tolist()]))
+if first:
+    import scipy.linalg
+    from zrange import operators
+    print(sys.modules["scipy.linalg.cython_lapack"] is scipy.linalg.cython_lapack and not hasattr(operators, "cython_lapack"))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -108,20 +114,35 @@ def _fresh_interpreter(script: str, *args: str) -> list:
     return out.stdout.splitlines()
 
 
-def test_the_package_runs_on_numpys_lapack_alone():
-    # every LAPACK kernel comes from the library numpy links, so a norm, a
-    # tower spectrum and a resonance load no scipy module; with scipy.linalg
-    # and its own OpenBLAS loaded first, as the traced benchmark pass does,
-    # they give the same bits
+def _in_process() -> list:
+    """The norm, tower spectrum and resonance _ONE_LAPACK prints, as this process computes them."""
+    g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
+    ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
+    rep = find_resonance_coupling(BasePotential("square_well", 1.0, 1.0), ScalingLaw(None, 1.0, 3), (1.0, 5.0), n=200)
+    return [repr(rollnik_norm(np.exp(-g.nodes**2), g)),
+            repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist()),
+            repr([rep.lambda_critical, rep.boundary_C, *rep.resonance_profile.values.tolist()])]
+
+
+def test_import_leaves_scipy_special_to_first_use():
+    # every LAPACK kernel comes from the library numpy links, so no zrange
+    # module imports scipy: importing each one, a norm, a tower spectrum and a
+    # resonance leave scipy.special, and every other scipy module, unloaded
     *alone, loaded = _fresh_interpreter(_ONE_LAPACK)
     assert loaded == "[]"
-    *after_scipy, loaded = _fresh_interpreter(_ONE_LAPACK, "scipy.linalg")
-    assert "'scipy.linalg'" in loaded
-    assert after_scipy == alone
-    g = build_grid(40, 5.0, "logarithmic", r_min=1e-2)
-    assert alone[0] == repr(rollnik_norm(np.exp(-g.nodes**2), g))
-    ge = build_grid(60, 1e3, "logarithmic", r_min=1e-5)
-    assert alone[1] == repr(operator_spectrum(effective_operator("contact_image", 1.0, 3, ge)).eigenvalues.tolist())
+    assert alone == _in_process()
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "scipy.linalg.cython_lapack"])
+def test_lapack_table_is_scipys_own_when_scipy_comes_first(first):
+    # with scipy's LAPACK table and its own OpenBLAS loaded first, as the
+    # traced benchmark pass does, zrange neither takes nor replaces that
+    # module, and a norm, a tower spectrum and a resonance give the bits they
+    # give without scipy
+    *after_scipy, same_table, loaded = _fresh_interpreter(_ONE_LAPACK, first)
+    assert "'scipy.linalg.cython_lapack'" in loaded
+    assert same_table == "True"
+    assert after_scipy == _in_process()
 
 
 def test_a_lapack_without_the_routines_fails_at_import():
