@@ -114,7 +114,7 @@ def operator_spectrum(op: SquareRootOperator | TridiagonalOperator) -> SpectrumR
     if isinstance(op, TridiagonalOperator):
         vals = op.eigenvalues(0.0)
     else:
-        vals = _eigenvalues_in_place(op._upper_triangle(), b"L")
+        vals = _eigenvalues_in_place(op._upper_triangle())
     return SpectrumReport.from_eigenvalues(vals)
 
 
@@ -135,7 +135,7 @@ def _inertia_spectrum(d: int, grid: RadialGrid) -> np.ndarray:
     _require_scale_bracketing(grid)
     x = _root_factor(*_kinetic_diagonals(grid, d, 0.5)).T  # X^T, C-contiguous: column i is node i
     x *= np.sqrt(grid.nodes)
-    return _eigenvalues_in_place(_gram_in_place(x), b"L")
+    return _eigenvalues_in_place(_gram_in_place(x))
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:

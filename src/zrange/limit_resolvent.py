@@ -57,7 +57,7 @@ import numpy as np
 
 from .birman_schwinger import SUPPORT_FLOOR, _critical_coupling
 from .grids import RadialGrid
-from .operators import _check_positive, _dense_eigenvalues, discretize_h0
+from .operators import _check_positive, _eigenvalues_in_place, discretize_h0
 from .potentials import BasePotential, ScaledPotential, ScalingLaw, _decreasing_ladder
 
 
@@ -250,7 +250,7 @@ def assemble_w_eps(z: float, v_scaled: ScaledPotential, resolvent: ProductFreeRe
         q_sup = resolvent.block(z, support, support) * np.outer(b_sup, b_sup)
         raise ValueError(
             f"1 - Q(z={z:g}) not invertible at eps={v_scaled.law.epsilon:g}: top eigenvalue "
-            f"{_dense_eigenvalues(q_sup)[-1]:.6f}, lowest level {lowest:.12g} of H_eps (three-body level below -z)"
+            f"{_eigenvalues_in_place(q_sup)[-1]:.6f}, lowest level {lowest:.12g} of H_eps (three-body level below -z)"
         )
     return FiniteEpsilonResolvent(
         z=z,

@@ -68,7 +68,7 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def check_symmetric(m: np.ndarray, label: str = "matrix", rtol: float = SYMMETRY_RTOL):
+def check_symmetric(m: np.ndarray, label: str, rtol: float = SYMMETRY_RTOL):
     """Reject a matrix with a NaN or inf entry, or with max |m - m^T| above rtol times max |m|, using one n x n
     temporary: the largest entry of the antisymmetric m - m^T is its largest in magnitude."""
     hi, lo = m.max(), m.min()
@@ -336,8 +336,8 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
 
 # Every LAPACK routine _lapack runs comes from the LAPACK numpy links (scipy-openblas64 in the PyPI wheels),
 # by its symbol scipy_<name>_64_ through the handle of numpy's linalg extension, whose dlsym also searches
-# the libraries that extension links: one OpenBLAS per process, whose BLAS buffers numpy's matmul and eigvalsh
-# share.  That LAPACK is ILP64, so every integer goes at LAPACK_INT's width, 64 bits.
+# the libraries that extension links: one OpenBLAS per process, whose BLAS buffers numpy's matmul shares.
+# That LAPACK is ILP64, so every integer goes at LAPACK_INT's width, 64 bits.
 LAPACK_INT = np.int64
 _NUMPY_LAPACK = ctypes.CDLL(_umath_linalg.__file__)
 # the routines _lapack serves, resolved at import: a LAPACK that lacks one fails there, not at its first caller
@@ -366,9 +366,8 @@ def _lapack(name: str, *args) -> int:
     C-contiguous, writable array, overwritten in place, for the rest (any other array raises TypeError); an
     integer array must be of LAPACK_INT, and one of any other width raises TypeError, naming the routine and
     the argument, before LAPACK reads it.  No size is checked: each caller sizes its arrays.  It serves the
-    LAPACK kernels numpy does not wrap, or not in place, LAPACK_ROUTINES: dgtsv, dgttrf, dgttrs, dlaebz,
-    dlarrv, dlasq1, dstebz, dstevd, dsterf, dsyevd, dsyevd_2stage (LAPACK >= 3.7) and dsytrf.  A routine
-    numpy's LAPACK lacks raises LookupError, naming it."""
+    LAPACK kernels numpy does not wrap, or not in place: those of LAPACK_ROUTINES, resolved at import.  Any
+    other routine numpy's LAPACK lacks raises LookupError, naming it."""
     routine = _lapack_routine(name)
     if routine is None:
         raise LookupError(f"this LAPACK has no routine {name}")
@@ -401,51 +400,39 @@ def _by_reference(a, name: str, k: int):
 TWO_STAGE_MIN_N = 1000
 
 
-def _eigenvalues_in_place(a: np.ndarray, uplo: bytes) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix held in one triangle of the C-contiguous n x n array a,
-    which they overwrite.  uplo names the triangle in LAPACK's Fortran view of a, which is a.T: b"L" reads
-    a's upper triangle, b"U" its lower.  JOBZ = N, no eigenvectors: dsyevd below TWO_STAGE_MIN_N rows,
-    dsyevd_2stage from there on, with no copy of a.  Raises LinAlgError, naming the routine, when LAPACK
-    does not converge."""
+def _eigenvalues_in_place(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix held in the upper triangle (diagonal included) of the
+    C-contiguous n x n array a, which they overwrite; below the diagonal a is not read.  LAPACK's Fortran view
+    of a is a.T, so that triangle is its lower one, UPLO = L, and on an exactly symmetric a this is
+    np.linalg.eigvalsh(a) bit for bit below TWO_STAGE_MIN_N rows.  JOBZ = N, no eigenvectors: dsyevd below
+    TWO_STAGE_MIN_N rows, dsyevd_2stage from there on, with no copy of a.  Raises LinAlgError, naming the
+    routine, when LAPACK does not converge."""
     n = a.shape[0]
     routine = "dsyevd_2stage" if n >= TWO_STAGE_MIN_N else "dsyevd"
     w = np.empty(n)
     work, iwork = np.empty(1), np.empty(1, dtype=LAPACK_INT)
-    _lapack(routine, b"N", uplo, n, a, n, w, work, -1, iwork, -1)  # workspace query
+    _lapack(routine, b"N", b"L", n, a, n, w, work, -1, iwork, -1)  # workspace query
     work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=LAPACK_INT)
-    info = _lapack(routine, b"N", uplo, n, a, n, w, work, work.size, iwork, iwork.size)
+    info = _lapack(routine, b"N", b"L", n, a, n, w, work, work.size, iwork, iwork.size)
     if info != 0:
         raise np.linalg.LinAlgError(f"symmetric eigensolve did not converge ({routine} info {info})")
     return w
 
 
-def _dense_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the dense symmetric matrix a, read from its lower triangle as numpy reads it.
-    Below TWO_STAGE_MIN_N rows this is np.linalg.eigvalsh(a); from there on it is _eigenvalues_in_place on a
-    copy.  Raises LinAlgError for a non-square matrix, and when LAPACK does not converge, as numpy does."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise np.linalg.LinAlgError(f"eigenvalues need a square matrix: got shape {a.shape}")
-    if a.shape[0] < TWO_STAGE_MIN_N:
-        return np.linalg.eigvalsh(a)
-    # a fresh C-contiguous copy, whose lower triangle is a's
-    return _eigenvalues_in_place(np.array(a, dtype=float, order="C"), b"U")
-
-
 def _count_above(a: np.ndarray, shift: float) -> int:
-    """Number of eigenvalues above shift of the dense symmetric a, read from its lower triangle: by Sylvester's
+    """Number of eigenvalues above shift of the dense symmetric a, read from its upper triangle: by Sylvester's
     law, the positive eigenvalues of D in one Bunch-Kaufman LDL^T of a - shift (LAPACK dsytrf; Bunch & Kaufman,
     Math. Comp. 31 (1977) 163), about n^3/3 flops against the spectrum's 4n^3/3.  A 1 x 1 pivot counts by its
     sign, a 2 x 2 pivot once (the pivoting rule takes only those of negative determinant), and the exactly
     zero pivot an eigenvalue at shift leaves (INFO > 0, not an error) not at all."""
     n = a.shape[0]
-    # a fresh C-contiguous copy, overwritten: read in Fortran order it is a.T, whose upper triangle is a's lower
+    # a fresh C-contiguous copy, overwritten: UPLO = L reads a's upper triangle, as _eigenvalues_in_place does
     buf = np.array(a, dtype=float, order="C")
     buf[np.diag_indices(n)] -= shift
     ipiv, work = np.empty(n, dtype=LAPACK_INT), np.empty(1)
-    _lapack("dsytrf", b"U", n, buf, n, ipiv, work, -1)  # workspace query
+    _lapack("dsytrf", b"L", n, buf, n, ipiv, work, -1)  # workspace query
     work = np.empty(int(work[0]))
-    info = _lapack("dsytrf", b"U", n, buf, n, ipiv, work, work.size)
+    info = _lapack("dsytrf", b"L", n, buf, n, ipiv, work, work.size)
     if info < 0:
         raise ValueError(f"dsytrf refused argument {-info}")
     # each 2 x 2 pivot marks both of its rows with a negative IPIV

@@ -21,7 +21,7 @@ from zrange.operators import OperatorMatrix, SquareRootOperator, TridiagonalOper
 from zrange.potentials import BasePotential, ScalingLaw, rollnik_norm
 from zrange.reports import ReportRow, write_report
 
-MAX_OPTIONS = 18
+MAX_OPTIONS = 17
 
 
 def _options():

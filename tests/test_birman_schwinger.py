@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +11,7 @@ from scipy.special import jn_zeros
 from zrange.grids import GridFunction, RadialGrid, build_grid
 from zrange.operators import discretize_h0
 from zrange.potentials import BasePotential, ScaledPotential, ScalingLaw, ScalingLawError
+import zrange
 from zrange import birman_schwinger, konno_kuroda, operators
 from zrange.birman_schwinger import (
     bs_count_above_one,
@@ -234,8 +238,12 @@ def _forbid(monkeypatch, targets):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense route called")
 
+    modules = [importlib.import_module(f"zrange.{info.name}") for info in pkgutil.iter_modules(zrange.__path__)]
+    defined = {name for m in modules for name in vars(m)}
     for module, name in targets:
-        # raising=False also guards a name the module does not import today
+        # raising=False also guards a name the module does not import today, but a name that no module
+        # of the package defines would guard nothing
+        assert hasattr(module, name) or name in defined, f"{name} names nothing to forbid"
         monkeypatch.setattr(module, name, forbidden, raising=False)
 
 
@@ -244,9 +252,9 @@ def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
     # Q, no boxed resolvent and no dense eigensolve
     _forbid(monkeypatch, [
         (birman_schwinger, "bs_operator"),
-        (birman_schwinger, "_dense_eigenvalues"),
+        (birman_schwinger, "_eigenvalues_in_place"),
         (np.linalg, "eigvalsh"),
-        (operators, "_dense_eigenvalues"),
+        (operators, "_eigenvalues_in_place"),
         (operators.TridiagonalOperator, "inverse"),
         (np.linalg, "eigh"),
         (scipy.linalg, "eigh"),
@@ -271,9 +279,9 @@ def test_one_count_or_one_eigenvalue_takes_no_whole_spectrum(route, monkeypatch)
     }[route]
     _forbid(monkeypatch, [
         (np.linalg, "eigvalsh"),
-        (operators, "_dense_eigenvalues"),
-        (birman_schwinger, "_dense_eigenvalues"),
-        (konno_kuroda, "_dense_eigenvalues"),
+        (operators, "_eigenvalues_in_place"),
+        (birman_schwinger, "_eigenvalues_in_place"),
+        (konno_kuroda, "_eigenvalues_in_place"),
         (operators.TridiagonalOperator, "eigenvalues"),
         (operators, "_root_factor"),
         (birman_schwinger, "_root_factor"),

@@ -285,6 +285,11 @@ def _peak_within_probe(command, cfg, tmp_path, monkeypatch):
     requests = []
     fits = cli._require_fits
     monkeypatch.setattr(cli, "_require_fits", lambda n_floats, *args: requests.append(n_floats) or fits(n_floats, *args))
+    # main's lazy imports, which would count against the run's probe in a process that has not made them
+    # yet: argparse's gettext imports locale at its first message (about 140 kB), and the limit-resolvent
+    # test functions numpy.random
+    for module in ("locale", "numpy.random"):
+        importlib.import_module(module)
     tracemalloc.start()
     try:
         code = _run(command, cfg, tmp_path)
