@@ -366,8 +366,8 @@ def _run_thresholds(cfg):
         raise ConfigError("sweep", f"dimensions must be 2 or 3, got {dims!r}")
     bracket = tuple(_numbers(cfg, "bracket", (0.05, 2.5), length=2))
     n = _integer(cfg, "grid.n", 300, MIN_GRID_NODES)
-    # peak resident memory, measured as for efimov, from the run at 2n: 5.6-6.2 n^2 floats over
-    # n = 400 ... 800, so 8 n^2 leaves a quarter over the largest; RESIDENT_FLOATS covers the excess
+    # peak resident memory, measured as for efimov, from the run at 2n: 5.7-6.3 n^2 floats over n = 400 ... 800
+    # (5.0-5.4 under tracemalloc), so 8 n^2 leaves a quarter over the largest; RESIDENT_FLOATS covers the excess
     # over 8 n^2 below that (6.7-11.8 n^2 at n = 100 ... 300)
     _require_fits(RESIDENT_FLOATS + 8 * n**2, "grid.n", f"8 x a dense {n} x {n} matrix")
     rows = []

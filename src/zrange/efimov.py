@@ -32,6 +32,7 @@ from .operators import (
     _gram_in_place,
     _kinetic_diagonals,
     _root_factor,
+    _tridiagonal_in_place,
     hyperradial_kinetic,
 )
 
@@ -122,20 +123,20 @@ def operator_spectrum(op: SquareRootOperator | TridiagonalOperator) -> SpectrumR
 # thresholds
 
 
-def _inertia_spectrum(d: int, grid: RadialGrid) -> np.ndarray:
-    """Ascending eigenvalues mu of r^(1/2) S r^(1/2), S = sqrt(-Lap) on grid at mass 1/2.
+def _inertia_tridiagonal(d: int, grid: RadialGrid) -> TridiagonalOperator:
+    """Householder tridiagonal form of r^(1/2) S r^(1/2), S = sqrt(-Lap) on grid at mass 1/2.
 
-    S - C/r is congruent to r^(1/2) S r^(1/2) - C, so by Sylvester's law of
-    inertia the contact image has exactly #{mu < C} negative eigenvalues:
-    one eigensolve answers the count for every C at once.  The matrix is
-    X X^T, X = r^(1/2) W, for the root factor of S = W W^T: this function's
-    own W^T is scaled, overwritten by one triangle of X X^T and solved in
+    S - C/r is congruent to r^(1/2) S r^(1/2) - C, so by Sylvester's law of inertia the
+    contact image has exactly #{mu < C} negative eigenvalues, mu the inertia spectrum
+    eigenvalues(0.0): one reduction answers every C by count_negative(-C), an O(n) Sturm
+    sweep.  The matrix is X X^T, X = r^(1/2) W, for the root factor of S = W W^T: this
+    function's own W^T is scaled, overwritten by one triangle of X X^T and reduced in
     place, so one n x n array is alive throughout.
     """
     _require_scale_bracketing(grid)
     x = _root_factor(*_kinetic_diagonals(grid, d, 0.5)).T  # X^T, C-contiguous: column i is node i
     x *= np.sqrt(grid.nodes)
-    return _eigenvalues_in_place(_gram_in_place(x))
+    return _tridiagonal_in_place(_gram_in_place(x))
 
 
 def _bisect_threshold(predicate, lo: float, hi: float, rel_tol: float) -> float:
@@ -157,9 +158,9 @@ def find_thresholds(kind: str, d: int, bracket: tuple, n: int) -> ThresholdRepor
     """Locate C0 (positivity threshold) and C1 (onset of unbounded counts).
 
     Every count is #{mu < C} on the inertia spectrum mu of the grid (see
-    _inertia_spectrum) at mass 1/2, so each grid costs one eigensolve
-    whatever the number of bisection steps.  C0, the positivity threshold,
-    is mu_min of the grid on [THRESHOLD_R_MIN, THRESHOLD_R_MAX]: the contact
+    _inertia_tridiagonal) at mass 1/2: one reduction per grid, O(n) counts per
+    probe.  C0, the positivity threshold, is mu_min of the grid on [THRESHOLD_R_MIN,
+    THRESHOLD_R_MAX], from its spectrum, the only one taken (dsterf): the contact
     image is positive exactly for C <= mu_min.  C1 is the transition point
     the bisection finds for "the count gains at least one state per r_min
     decade, never falling, over a ladder of seven grids"; that predicate
@@ -184,13 +185,13 @@ def find_thresholds(kind: str, d: int, bracket: tuple, n: int) -> ThresholdRepor
         # around the crossing and make the predicate non-monotone in C.
         # The factored kinetic keeps the deep-r_min grids accurate.
         ladder = [build_grid(n_run, THRESHOLD_R_MAX, "logarithmic", r_min=THRESHOLD_R_MIN * 10.0**-k) for k in range(7)]
-        spectra = [_inertia_spectrum(d, g) for g in ladder]
-        c0 = float(spectra[0][0])
+        reduced = [_inertia_tridiagonal(d, g) for g in ladder]
+        c0 = float(reduced[0].eigenvalues(0.0)[0])
         if not lo <= c0 < hi:
             raise ValueError(f"bracket does not straddle the transition: mu_min = {c0:g} is not in [{lo:g}, {hi:g})")
 
         def bounded(c: float) -> bool:
-            counts = [int(np.searchsorted(mu, c)) for mu in spectra]
+            counts = [t.count_negative(-c) for t in reduced]
             steps = np.diff(counts)
             growing = counts[-1] - counts[0] >= len(ladder) - 1 and np.all(steps >= 0)
             return not growing

@@ -272,10 +272,10 @@ class SpectrumReport:
 # zero-shift QR (dbdsqr), where MR^3 agrees with it to 1.1e-13.  Z's storage
 # then takes the dense operator itself: _gram_in_place overwrites one triangle
 # of the C-contiguous W^T with that of W W^T, one column panel at a time, at
-# syrk's n^3 flops, and the diagonal shift and the eigensolve
-# (_eigenvalues_in_place) act on that same array, so one n x n array is alive
-# from the root to the eigenvalues.  No dense O(n^3) Householder reduction or
-# back-transform is spent on a bidiagonal matrix.
+# syrk's n^3 flops; the shift and the tridiagonal reduction act on that same
+# array (_tridiagonal_in_place), one reduction per grid, then dsterf for a
+# spectrum or an O(n) Sturm count per probe.  No dense O(n^3) Householder
+# reduction or back-transform is spent on a bidiagonal matrix.
 
 
 def _weighted_diagonals(grid: RadialGrid, k: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +341,8 @@ def hyperradial_kinetic(grid: RadialGrid, mass_scale: float = 1.0) -> Tridiagona
 LAPACK_INT = np.int64
 _NUMPY_LAPACK = ctypes.CDLL(_umath_linalg.__file__)
 # the routines _lapack serves, resolved at import: a LAPACK that lacks one fails there, not at its first caller
-LAPACK_ROUTINES = ("dgtsv", "dgttrf", "dgttrs", "dlaebz", "dlarrv", "dlasq1", "dstebz", "dstevd", "dsterf", "dsyevd",
-                   "dsyevd_2stage", "dsytrf")
+LAPACK_ROUTINES = ("dgtsv", "dgttrf", "dgttrs", "dlaebz", "dlarrv", "dlasq1", "dstebz", "dstevd", "dsterf", "dsytrd",
+                   "dsytrd_2stage", "dsytrf")
 
 
 @functools.cache
@@ -392,31 +392,40 @@ def _by_reference(a, name: str, k: int):
     return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
 
 
-# dsyevd, numpy's eigvalsh, reduces to tridiagonal form with one-stage dsytrd, half of whose flops are
-# memory-bound dsymv; dsyevd_2stage reduces to a band with BLAS3 first and then chases the band down.  On
-# the contact image (1 BLAS thread, 2 vCPU, best of 5) they cross between n = 900 and 1000: numpy 40.9
-# against 44.0 ms at n = 900, 57.6 against 56.2 ms at n = 1000, 203 against 151 ms at n = 1500, 473
-# against 318 ms at n = 2000.
+# dsyevd, numpy's eigvalsh, reduces by one-stage dsytrd, half of whose flops are memory-bound dsymv; dsyevd_2stage's
+# dsytrd_2stage goes to a band with BLAS3 first, then chases the band down.  The reduction is the eigensolve's O(n^3)
+# part, so their crossover is the reductions': on the contact image (1 BLAS thread, 2 vCPU, best of 5) numpy 40.9
+# against 44.0 ms at n = 900, 57.6 against 56.2 at n = 1000, 203 against 151 at n = 1500, 473 against 318 at n = 2000.
 TWO_STAGE_MIN_N = 1000
 
 
-def _eigenvalues_in_place(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix held in the upper triangle (diagonal included) of the
-    C-contiguous n x n array a, which they overwrite; below the diagonal a is not read.  LAPACK's Fortran view
-    of a is a.T, so that triangle is its lower one, UPLO = L, and on an exactly symmetric a this is
-    np.linalg.eigvalsh(a) bit for bit below TWO_STAGE_MIN_N rows.  JOBZ = N, no eigenvectors: dsyevd below
-    TWO_STAGE_MIN_N rows, dsyevd_2stage from there on, with no copy of a.  Raises LinAlgError, naming the
-    routine, when LAPACK does not converge."""
+def _tridiagonal_in_place(a: np.ndarray) -> TridiagonalOperator:
+    """Householder tridiagonal form of the symmetric matrix held in the upper triangle (diagonal included) of the
+    C-contiguous float64 n x n array a, which it overwrites with no copy; below the diagonal a is not read.  LAPACK's
+    Fortran view of a is a.T, so that triangle is its lower one, UPLO = L: dsytrd below TWO_STAGE_MIN_N rows and
+    dsytrd_2stage from there on, the reductions of dsyevd and dsyevd_2stage, whose spectra eigenvalues(0.0) gives
+    bit for bit.  Any other array raises ValueError before LAPACK reads it by pointer."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError(f"reduction needs a square C-contiguous float64 array: {a.dtype} {a.shape}, C-contiguous {a.flags.c_contiguous}")
     n = a.shape[0]
-    routine = "dsyevd_2stage" if n >= TWO_STAGE_MIN_N else "dsyevd"
-    w = np.empty(n)
-    work, iwork = np.empty(1), np.empty(1, dtype=LAPACK_INT)
-    _lapack(routine, b"N", b"L", n, a, n, w, work, -1, iwork, -1)  # workspace query
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=LAPACK_INT)
-    info = _lapack(routine, b"N", b"L", n, a, n, w, work, work.size, iwork, iwork.size)
+    d, e, tau, hous, work = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(1), np.empty(1)
+    if n < TWO_STAGE_MIN_N:
+        _lapack("dsytrd", b"L", n, a, n, d, e, tau, work, -1)  # workspace query
+        work = np.empty(int(work[0]))
+        info = _lapack("dsytrd", b"L", n, a, n, d, e, tau, work, work.size)
+    else:
+        _lapack("dsytrd_2stage", b"N", b"L", n, a, n, d, e, tau, hous, -1, work, -1)  # workspace query
+        hous, work = np.empty(int(hous[0])), np.empty(int(work[0]))
+        info = _lapack("dsytrd_2stage", b"N", b"L", n, a, n, d, e, tau, hous, hous.size, work, work.size)
     if info != 0:
-        raise np.linalg.LinAlgError(f"symmetric eigensolve did not converge ({routine} info {info})")
-    return w
+        raise ValueError(f"{'dsytrd' if n < TWO_STAGE_MIN_N else 'dsytrd_2stage'} refused argument {-info}")
+    return TridiagonalOperator(d, e, None, label="tridiagonal reduction")
+
+
+def _eigenvalues_in_place(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix in the upper triangle of a, by dsterf on a's reduction in place:
+    dsyevd's bit for bit, so on an exactly symmetric a np.linalg.eigvalsh(a)'s below TWO_STAGE_MIN_N rows."""
+    return _tridiagonal_in_place(a).eigenvalues(0.0)
 
 
 def _count_above(a: np.ndarray, shift: float) -> int:
@@ -426,7 +435,7 @@ def _count_above(a: np.ndarray, shift: float) -> int:
     sign, a 2 x 2 pivot once (the pivoting rule takes only those of negative determinant), and the exactly
     zero pivot an eigenvalue at shift leaves (INFO > 0, not an error) not at all."""
     n = a.shape[0]
-    # a fresh C-contiguous copy, overwritten: UPLO = L reads a's upper triangle, as _eigenvalues_in_place does
+    # a fresh C-contiguous copy, overwritten: UPLO = L reads a's upper triangle, as _tridiagonal_in_place does
     buf = np.array(a, dtype=float, order="C")
     buf[np.diag_indices(n)] -= shift
     ipiv, work = np.empty(n, dtype=LAPACK_INT), np.empty(1)

@@ -249,12 +249,13 @@ def _forbid(monkeypatch, targets):
 
 def test_resonance_builds_no_dense_operator_or_eigensolve(monkeypatch):
     # q(0+) and phi come from the bidiagonal inverse root of Q(0): no dense
-    # Q, no boxed resolvent and no dense eigensolve
+    # Q, no boxed resolvent and no dense eigensolve or tridiagonal reduction
     _forbid(monkeypatch, [
         (birman_schwinger, "bs_operator"),
         (birman_schwinger, "_eigenvalues_in_place"),
         (np.linalg, "eigvalsh"),
         (operators, "_eigenvalues_in_place"),
+        (operators, "_tridiagonal_in_place"),
         (operators.TridiagonalOperator, "inverse"),
         (np.linalg, "eigh"),
         (scipy.linalg, "eigh"),
@@ -280,6 +281,7 @@ def test_one_count_or_one_eigenvalue_takes_no_whole_spectrum(route, monkeypatch)
     _forbid(monkeypatch, [
         (np.linalg, "eigvalsh"),
         (operators, "_eigenvalues_in_place"),
+        (operators, "_tridiagonal_in_place"),
         (birman_schwinger, "_eigenvalues_in_place"),
         (konno_kuroda, "_eigenvalues_in_place"),
         (operators.TridiagonalOperator, "eigenvalues"),

@@ -3,13 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from zrange import efimov, operators
 from zrange.grids import build_grid
 from zrange.operators import SpectrumReport
 from zrange.efimov import (
-    _inertia_spectrum,
+    _inertia_tridiagonal,
     effective_operator,
     find_thresholds,
     geometric_ratio,
@@ -171,7 +173,7 @@ def test_above_c1_count_grows_every_decade(thresholds_d3):
 def test_inertia_spectrum_counts_negative_eigenvalues(d):
     # Sylvester: #neg(S - C/r) = #{mu < C} for every C from one eigensolve
     g = build_grid(200, 2e2, "logarithmic", r_min=1e-4)
-    mu = _inertia_spectrum(d, g)
+    mu = _inertia_tridiagonal(d, g).eigenvalues(0.0)
     for c in np.linspace(0.1, 2.5, 6):
         direct = operator_spectrum(effective_operator("contact_image", c, d, g)).count_negative
         assert np.searchsorted(mu, c) == direct
@@ -183,7 +185,7 @@ def test_inertia_spectrum_matches_scaled_root(d, m):
     g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
     q, w = np.sqrt(g.nodes), operators._root_factor(*operators._kinetic_diagonals(g, d, m))
     ref = np.linalg.eigvalsh(q[:, None] * (w @ w.T) * q[None, :])
-    mu = _inertia_spectrum(d, g) / np.sqrt(2.0 * m)
+    mu = _inertia_tridiagonal(d, g).eigenvalues(0.0) / np.sqrt(2.0 * m)
     assert np.abs(mu - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -194,7 +196,7 @@ def test_inertia_spectrum_matches_numpy_eigvalsh(d):
     g = build_grid(300, 2e2, "logarithmic", r_min=1e-4)
     x = operators._root_factor(*operators._kinetic_diagonals(g, d, 0.5)) * np.sqrt(g.nodes)[:, None]
     ref = np.linalg.eigvalsh(x @ x.T)
-    assert np.abs(_inertia_spectrum(d, g) - ref).max() <= 1e-14 * ref[-1]
+    assert np.abs(_inertia_tridiagonal(d, g).eigenvalues(0.0) - ref).max() <= 1e-14 * ref[-1]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -205,7 +207,35 @@ def test_inertia_spectrum_matches_a_zero_shift_qr_root(d, n, r_min):
     g = build_grid(n, efimov.THRESHOLD_R_MAX, "logarithmic", r_min=r_min)
     x = qr_root_factor(*operators._kinetic_diagonals(g, d, 0.5)) * np.sqrt(g.nodes)[:, None]
     ref = np.linalg.eigvalsh(x @ x.T)
-    assert np.all(np.abs(_inertia_spectrum(d, g) - ref) <= 1e-12 * ref)
+    assert np.all(np.abs(_inertia_tridiagonal(d, g).eigenvalues(0.0) - ref) <= 1e-12 * ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(0.05, 2.5, exclude_min=True, exclude_max=True),
+    d=st.sampled_from([2, 3]),
+    n=st.integers(8, 150),
+    k=st.integers(0, 6),
+)
+def test_sturm_count_on_the_inertia_tridiagonal_is_the_direct_count(c, d, n, k):
+    # T - c is orthogonally similar to r^(1/2) S r^(1/2) - c, which is congruent to S - c/r; the grids are
+    # the threshold ladder's
+    g = build_grid(n, efimov.THRESHOLD_R_MAX, "logarithmic", r_min=efimov.THRESHOLD_R_MIN * 10.0**-k)
+    t = _inertia_tridiagonal(d, g)
+    direct = operator_spectrum(effective_operator("contact_image", c, d, g)).count_negative
+    assert t.count_negative(-c) == np.searchsorted(t.eigenvalues(0.0), c) == direct
+
+
+def test_thresholds_reduce_each_grid_once_and_take_two_spectra(monkeypatch):
+    # seven ladder grids at n and seven at 2n: 14 reductions, each after its workspace query, a spectrum for
+    # mu_min of each run's first grid only, and a Sturm count for every other question
+    names, lapack = [], operators._lapack
+    monkeypatch.setattr(operators, "_lapack", lambda name, *args: names.append(name) or lapack(name, *args))
+    find_thresholds("contact_image", 3, (0.05, 2.5), n=150)
+    assert names.count("dsytrd") == 2 * 14
+    assert names.count("dsterf") == 2
+    assert names.count("dlaebz") > 0
+    assert [name for name in names if name.startswith("dsyevd")] == []
 
 
 def test_root_and_tower_spectrum_hold_few_dense_arrays():
@@ -226,7 +256,7 @@ def test_root_and_tower_spectrum_hold_few_dense_arrays():
 
     assert peak(lambda: operators._root_factor(*operators._kinetic_diagonals(g, 3, 0.5))) <= 1.2
     assert peak(lambda: operator_spectrum(effective_operator("contact_image", 2.0, 3, g))) <= 1.4
-    assert peak(lambda: _inertia_spectrum(3, g)) <= 1.4
+    assert peak(lambda: _inertia_tridiagonal(3, g).eigenvalues(0.0)) <= 1.4
 
 
 def test_contact_symbol_closed_forms():
@@ -244,7 +274,7 @@ def test_mu_min_lies_between_hardy_constant_and_box_symbol(d, n):
     # Hardy constant Phi_d(0), at most Phi_d(pi / L), and falling as the box
     # widens toward the continuum threshold
     r_max, r_mins = 2e2, [1e-4, 1e-6, 1e-8, 1e-10]
-    mu_min = np.array([_inertia_spectrum(d, build_grid(n, r_max, "logarithmic", r_min=r))[0] for r in r_mins])
+    mu_min = np.array([_inertia_tridiagonal(d, build_grid(n, r_max, "logarithmic", r_min=r)).eigenvalues(0.0)[0] for r in r_mins])
     widths = np.log(r_max / np.array(r_mins))
     assert np.all(contact_symbol(d, 0.0) < mu_min)
     assert np.all(mu_min <= contact_symbol(d, np.pi / widths))
@@ -268,7 +298,7 @@ def test_tower_ratio_matches_the_mellin_symbol(deep_log_grid, d, c):
 
 
 def test_thresholds_build_no_dense_factor_or_operator(monkeypatch):
-    # each ladder grid costs one kinetic root, its in-place Gram and one eigensolve:
+    # each ladder grid costs one kinetic root, its in-place Gram and one tridiagonal reduction:
     # no dense kinetic matrix, no effective operator, no symmetry check
     def forbidden(*args, **kwargs):
         raise AssertionError("dense side pass on the threshold path")
@@ -294,7 +324,7 @@ def test_c0_is_the_smallest_inertia_eigenvalue_of_the_refined_grid(thresholds_d3
     # the contact image is positive exactly for C <= mu_min, so C0 is mu_min
     # itself, not a bisection midpoint within THRESHOLD_REL_TOL of it
     g = build_grid(500, 2e2, "logarithmic", r_min=1e-4)
-    assert thresholds_d3.C0 == pytest.approx(efimov._inertia_spectrum(3, g)[0], rel=1e-12, abs=0.0)
+    assert thresholds_d3.C0 == pytest.approx(efimov._inertia_tridiagonal(3, g).eigenvalues(0.0)[0], rel=1e-12, abs=0.0)
 
 
 def test_threshold_bracket_validation():

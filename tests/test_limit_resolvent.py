@@ -15,7 +15,7 @@ from oracles import (
     successive_difference_orders,
     w_eps_family,
 )
-from zrange import limit_resolvent
+from zrange import limit_resolvent, operators
 from zrange.birman_schwinger import resonance
 from zrange.grids import build_grid
 from zrange.operators import TridiagonalOperator, discretize_h0
@@ -372,6 +372,7 @@ def test_w_eps_success_path_runs_no_support_sized_eigensolve(resonant_setup, mon
 
     monkeypatch.setattr(TridiagonalOperator, "eigenpairs", counted)
     monkeypatch.setattr(limit_resolvent, "_eigenvalues_in_place", dense)
+    monkeypatch.setattr(operators, "_tridiagonal_in_place", dense)
     monkeypatch.setattr(limit_resolvent.np.linalg, "eigvalsh", dense)
     monkeypatch.setattr(limit_resolvent.np.linalg, "eigh", dense)
     w_eps = assemble_w_eps(2.0, v_ref, res)

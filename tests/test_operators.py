@@ -342,7 +342,6 @@ def test_every_lapack_routine_the_package_calls_resolves():
     src = Path(operators.__file__).parent
     pattern = r'_lapack(?:_routine)?\(\s*"(\w+)"'
     names = {name for f in src.glob("*.py") for name in re.findall(pattern, f.read_text())}
-    names |= {"dsyevd", "dsyevd_2stage"}  # _eigenvalues_in_place names them through a variable
     assert names == set(operators.LAPACK_ROUTINES)
     assert "LAPACK_ROUTINES" in operators._lapack.__doc__
     oracle_names = set(re.findall(pattern, (Path(__file__).parent / "oracles.py").read_text()))
@@ -351,7 +350,7 @@ def test_every_lapack_routine_the_package_calls_resolves():
 
 
 def test_no_module_calls_a_numpy_eigensolver():
-    # every dense spectrum in the package runs through _eigenvalues_in_place; names in docstrings do not count
+    # every dense spectrum in the package runs through _tridiagonal_in_place; names in docstrings do not count
     numpy_solvers = {"eigvalsh", "eigh", "eigvals"}
     found = []
     for f in sorted(Path(operators.__file__).parent.glob("*.py")):
@@ -392,7 +391,7 @@ def _routines_run(monkeypatch):
 
 def test_two_stage_eigensolve_resolves_on_this_install():
     # LAPACK >= 3.7; without it operators would fail at import, naming the symbol
-    assert operators._lapack_routine("dsyevd_2stage") is not None
+    assert operators._lapack_routine("dsytrd_2stage") is not None
 
 
 @pytest.mark.parametrize("n", [1000, 1500])
@@ -402,7 +401,7 @@ def test_two_stage_eigenvalues_match_numpy(n, monkeypatch):
     ref = np.linalg.eigvalsh(a)
     names = _routines_run(monkeypatch)
     vals = operators._eigenvalues_in_place(a)
-    assert names == ["dsyevd_2stage", "dsyevd_2stage"]  # the workspace query, then the solve
+    assert names == ["dsytrd_2stage", "dsytrd_2stage", "dsterf"]  # the workspace query, the reduction, its spectrum
     assert np.all(np.diff(vals) >= 0.0)
     assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.sum(vals < 0.0) == np.sum(ref < 0.0)
@@ -410,20 +409,56 @@ def test_two_stage_eigenvalues_match_numpy(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 80, operators.TWO_STAGE_MIN_N - 1])
 def test_eigenvalues_in_place_below_the_crossover_are_numpys_bit_for_bit(n, monkeypatch):
-    # on an exactly symmetric a, LAPACK's Fortran view a.T is a, so UPLO = L is numpy's dsyevd on its own copy
+    # on an exactly symmetric a, LAPACK's Fortran view a.T is a, so UPLO = L is the dsytrd and dsterf of numpy's
+    # dsyevd on its own copy
     x = np.random.default_rng(n).normal(size=(n, n))
     a = x + x.T
     ref = np.linalg.eigvalsh(a)
     names = _routines_run(monkeypatch)
     assert np.array_equal(operators._eigenvalues_in_place(a), ref)
-    assert names == ["dsyevd", "dsyevd"]  # the workspace query, then the solve
+    assert names == ["dsytrd", "dsytrd", "dsterf"]  # the workspace query, the reduction, its spectrum
 
 
-def test_two_stage_eigensolve_raises_when_lapack_does_not_converge():
-    # numpy raises "Eigenvalues did not converge" on a NaN matrix, and so does this route
-    a = np.full((operators.TWO_STAGE_MIN_N,) * 2, np.nan)
-    with pytest.raises(np.linalg.LinAlgError, match=r"did not converge \(dsyevd_2stage info"):
-        operators._eigenvalues_in_place(a)
+def _failing(monkeypatch, routine, info):
+    """_lapack with `routine` returning `info`, and the names of the routines run."""
+    names, lapack = [], operators._lapack
+
+    def failing(name, *args):
+        names.append(name)
+        code = lapack(name, *args)
+        return info if name == routine else code
+
+    monkeypatch.setattr(operators, "_lapack", failing)
+    return names
+
+
+def test_two_stage_eigensolve_raises_when_lapack_does_not_converge(monkeypatch):
+    # the reduction is direct, so the iteration that can fail to converge is dsterf's, which names itself
+    _failing(monkeypatch, "dsterf", 1)
+    with pytest.raises(np.linalg.LinAlgError, match=r"did not converge \(dsterf info 1\)"):
+        operators._eigenvalues_in_place(np.eye(operators.TWO_STAGE_MIN_N))
+
+
+@pytest.mark.parametrize("n", [operators.TWO_STAGE_MIN_N - 1, operators.TWO_STAGE_MIN_N])
+def test_a_nan_matrix_is_refused_after_its_reduction(n):
+    # numpy's eigvalsh raises "Eigenvalues did not converge" on it; the reduction's NaN diagonals are refused
+    with pytest.raises(ValueError, match="tridiagonal reduction has non-finite entries"):
+        operators._eigenvalues_in_place(np.full((n, n), np.nan))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.zeros((3, 4)), np.zeros((4, 4), dtype=np.float32), np.asfortranarray(np.arange(16.0).reshape(4, 4))],
+    ids=["not square", "not float64", "not C-contiguous"],
+)
+def test_a_bad_array_is_refused_before_the_reduction(a, monkeypatch):
+    # _lapack passes raw pointers and checks no size: a mis-shaped, narrower or transposed array would be read
+    # with the wrong stride, past its end or from its other triangle
+    names = _routines_run(monkeypatch)
+    kept = a.copy()
+    with pytest.raises(ValueError, match="reduction needs a square C-contiguous float64 array"):
+        operators._tridiagonal_in_place(a)
+    assert names == [] and np.array_equal(a, kept)
 
 
 _PANEL = operators.GRAM_PANEL
@@ -451,23 +486,19 @@ def test_eigenvalues_in_place_match_numpy_on_either_side_of_the_crossover(n, mon
     a += np.tril(np.random.default_rng(n).normal(size=a.shape), -1)
     names = _routines_run(monkeypatch)
     vals = operators._eigenvalues_in_place(a)
-    routine = "dsyevd" if n < operators.TWO_STAGE_MIN_N else "dsyevd_2stage"
-    assert names == [routine, routine]  # the workspace query, then the solve
+    routine = "dsytrd" if n < operators.TWO_STAGE_MIN_N else "dsytrd_2stage"
+    assert names == [routine, routine, "dsterf"]  # the workspace query, the reduction, its spectrum
     assert np.all(np.diff(vals) >= 0.0)
     assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n,routine", [(operators.TWO_STAGE_MIN_N - 1, "dsyevd"), (operators.TWO_STAGE_MIN_N, "dsyevd_2stage")])
+@pytest.mark.parametrize("n,routine", [(operators.TWO_STAGE_MIN_N - 1, "dsytrd"), (operators.TWO_STAGE_MIN_N, "dsytrd_2stage")])
 def test_a_failed_eigensolve_is_named(n, routine, monkeypatch):
-    lapack = operators._lapack
-
-    def failing(name, *args):
-        info = lapack(name, *args)
-        return 2 if name == routine else info
-
-    monkeypatch.setattr(operators, "_lapack", failing)
-    with pytest.raises(np.linalg.LinAlgError, match=f"did not converge \\({routine} info 2\\)"):
+    # a reduction fails only on an illegal argument, and no spectrum is taken of what it left
+    names = _failing(monkeypatch, routine, -4)
+    with pytest.raises(ValueError, match=f"{routine} refused argument 4"):
         operators._eigenvalues_in_place(np.eye(n))
+    assert names == [routine, routine]
 
 
 def test_square_root_operator_entries_are_the_symmetric_root_plus_shift():
